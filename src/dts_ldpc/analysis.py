@@ -3,11 +3,13 @@
 Three families of checks, all exact:
 
 * minors — every 2x2 or 3x3 submatrix of a sliding matrix whose zero
-  pattern admits a nonzero diagonal is evaluated; any vanishing
-  determinant is a failure witness;
+  pattern admits a nonzero transversal (one entry per row and column) is
+  checked; any vanishing determinant is a failure witness.  Only those
+  with two or more nonzero transversals can vanish and are evaluated;
 * cycles — 4-cycles (two rows sharing two columns) and 6-cycles (row and
   column triples whose submatrix has exactly two nonzeros per row and per
-  column) together with the full-rank condition on their cycle matrices;
+  column), drawn from the same enumeration as the minors, together with
+  the full-rank condition on their cycle matrices;
 * distances — column distances and the free distance through the span
   criterion: the smallest d such that some column of the first block lies
   in the span of d-1 other columns, searched in increasing d.
@@ -18,6 +20,7 @@ matrix they were found in.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -34,7 +37,9 @@ PATTERN_FULL = "fully-nonzero"
 PATTERN_CYCLE = "cycle-pattern"
 PATTERN_MIXED = "mixed-pattern"
 
-_PERMS_3 = list(itertools.permutations(range(3)))
+# Bit b of a column's mask over a row tuple is set when it meets row b.
+# The masks of a 6-cycle's columns, in (c12, c23, c13) order:
+_CYCLE_MASKS = (0b011, 0b110, 0b101)
 
 
 # ---------------------------------------------------------------------------
@@ -104,28 +109,67 @@ class MinorReport:
         }
 
 
-def _classify(grid: list[list[FieldElement]], size: int) -> Optional[str]:
-    """Pattern class of a square grid, or None when trivially singular."""
-    nz = [[x is not None for x in row] for row in grid]
-    if size == 2:
-        if not ((nz[0][0] and nz[1][1]) or (nz[0][1] and nz[1][0])):
-            return None
-        return PATTERN_FULL if all(nz[0]) and all(nz[1]) else PATTERN_MIXED
-    if not any(all(nz[r][p[r]] for r in range(3)) for p in _PERMS_3):
-        return None
-    count = sum(sum(row) for row in nz)
-    if count == 9:
+def _vanishable_minors(matrix: ExponentMatrix, size: int):
+    """Per row tuple: the column masks and the column sets that can vanish.
+
+    Yields ``(rows, masks, col_sets)`` for every tuple of ``size`` rows in
+    lexicographic order.  ``masks`` maps each column meeting the tuple to
+    its mask; ``col_sets`` lists, sorted, every column set whose submatrix
+    has two or more nonzero transversals.  Two transversals of a minor of
+    side at most 3 differ on a 4-cycle or a 6-cycle, so these are the
+    4-cycles of two rows, completed by a column of every other row, and the
+    6-cycles c12, c23, c13 through three rows (chords allowed).
+    """
+    supports = {r: set(matrix.row_support(r)) for r in range(1, matrix.rows + 1)}
+    for rows in itertools.combinations(range(1, matrix.rows + 1), size):
+        sup = [supports[r] for r in rows]
+        masks: dict[int, int] = {}
+        for bit, cols in enumerate(sup):
+            for c in cols:
+                masks[c] = masks.get(c, 0) | 1 << bit
+        found = set()
+        for a, b in itertools.combinations(range(size), 2):
+            rest = [sup[k] for k in range(size) if k not in (a, b)]
+            for pair in itertools.combinations(sorted(sup[a] & sup[b]), 2):
+                for extra in itertools.product(*rest):
+                    cols = set(pair).union(extra)
+                    if len(cols) == size:
+                        found.add(tuple(sorted(cols)))
+        if size == 3:
+            for cyc in itertools.product(sup[0] & sup[1], sup[1] & sup[2], sup[0] & sup[2]):
+                if len(set(cyc)) == 3:
+                    found.add(tuple(sorted(cyc)))
+        yield rows, masks, sorted(found)
+
+
+def _pattern(col_masks: Sequence[int], size: int) -> str:
+    if all(m == (1 << size) - 1 for m in col_masks):
         return PATTERN_FULL
-    if count == 6 and all(sum(row) == 2 for row in nz) and all(
-        nz[0][c] + nz[1][c] + nz[2][c] == 2 for c in range(3)
-    ):
+    if sorted(col_masks) == sorted(_CYCLE_MASKS):
         return PATTERN_CYCLE
     return PATTERN_MIXED
 
 
+# Per minor side, the multisets of column masks that admit a nonzero
+# transversal, as (mask, multiplicity) pairs.
+_TRANSVERSAL_MASKS = {
+    size: [
+        tuple(collections.Counter(ms).items())
+        for ms in itertools.combinations_with_replacement(range(1, 1 << size), size)
+        if any(all(m >> p & 1 for m, p in zip(ms, perm))
+               for perm in itertools.permutations(range(size)))
+    ]
+    for size in (2, 3)
+}
+
+
 def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
                  budget: int = DEFAULT_BUDGET) -> MinorReport:
-    """Evaluate every not-trivially-zero size x size minor of the sliding matrix."""
+    """Check every not-trivially-zero size x size minor of the sliding matrix.
+
+    Minors with a single nonzero transversal are counted from the column
+    masks of their row tuple; only the others are evaluated.
+    """
     if size not in (2, 3):
         raise ValueError(f"minor size must be 2 or 3, got {size}")
     if j is None:
@@ -134,25 +178,25 @@ def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
     work = math.comb(matrix.rows, size) * math.comb(matrix.cols, size)
     if work > budget:
         raise HorizonTooLarge(f"{work} minors exceed the budget of {budget}")
-    dense = [matrix.column(c) for c in range(1, matrix.cols + 1)]
-    checked = 0
-    counts = {PATTERN_FULL: 0, PATTERN_CYCLE: 0, PATTERN_MIXED: 0}
-    if size == 2:
-        counts.pop(PATTERN_CYCLE)
+    counts = dict.fromkeys((PATTERN_FULL, PATTERN_CYCLE, PATTERN_MIXED), 0)
     failures = []
-    field = spec.field
-    for rows in itertools.combinations(range(1, matrix.rows + 1), size):
-        for cols in itertools.combinations(range(1, matrix.cols + 1), size):
-            grid = [[dense[c - 1][r - 1] for c in cols] for r in rows]
-            pattern = _classify(grid, size)
-            if pattern is None:
-                continue
-            checked += 1
-            counts[pattern] += 1
-            d = gf.det(field, grid)
+    for rows, masks, col_sets in _vanishable_minors(matrix, size):
+        n = collections.Counter(masks.values())
+        total = sum(math.prod(math.comb(n[m], k) for m, k in ms)
+                    for ms in _TRANSVERSAL_MASKS[size])
+        full = math.comb(n[(1 << size) - 1], size)
+        cycle = math.prod(n[m] for m in _CYCLE_MASKS) if size == 3 else 0
+        counts[PATTERN_FULL] += full
+        counts[PATTERN_CYCLE] += cycle
+        counts[PATTERN_MIXED] += total - full - cycle
+        for cols in col_sets:
+            d = gf.det(spec.field, matrix.submatrix(rows, cols))
             if d is ZERO:
+                pattern = _pattern([masks[c] for c in cols], size)
                 failures.append(MinorFailure(rows, cols, pattern, d))
-    return MinorReport(size=size, horizon=j, checked=checked,
+    if size == 2:
+        del counts[PATTERN_CYCLE]
+    return MinorReport(size=size, horizon=j, checked=sum(counts.values()),
                        class_counts=counts, failures=tuple(failures))
 
 
@@ -164,7 +208,6 @@ def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
 class TannerCycle:
     rows: tuple[int, ...]
     cols: tuple[int, ...]
-    nodes: tuple[tuple[str, int], ...]
     matrix: tuple[tuple[FieldElement, ...], ...]
     singular: bool
 
@@ -194,46 +237,16 @@ class CycleReport:
         }
 
 
-def _row_supports(matrix: ExponentMatrix) -> dict[int, set[int]]:
-    sup: dict[int, set[int]] = {r: set() for r in range(1, matrix.rows + 1)}
-    for (r, c) in matrix.entries:
-        sup[r].add(c)
-    return sup
+def _girth(matrix: ExponentMatrix) -> Optional[int]:
+    """4 or 6, or None when the Tanner graph has no cycle that short.
 
-
-def _four_cycles(matrix: ExponentMatrix):
-    sup = _row_supports(matrix)
-    for r1, r2 in itertools.combinations(range(1, matrix.rows + 1), 2):
-        shared = sorted(sup[r1] & sup[r2])
-        for c1, c2 in itertools.combinations(shared, 2):
-            yield (r1, r2), (c1, c2)
-
-
-def _six_cycles(matrix: ExponentMatrix):
-    sup = _row_supports(matrix)
-    for r1, r2, r3 in itertools.combinations(range(1, matrix.rows + 1), 3):
-        s1, s2, s3 = sup[r1], sup[r2], sup[r3]
-        p12 = (s1 & s2) - s3
-        if not p12:
-            continue
-        p23 = (s2 & s3) - s1
-        if not p23:
-            continue
-        p13 = (s1 & s3) - s2
-        if not p13:
-            continue
-        for c12 in sorted(p12):
-            for c23 in sorted(p23):
-                for c13 in sorted(p13):
-                    yield (r1, r2, r3), (c12, c23, c13)
-
-
-def _has_four_cycle(matrix: ExponentMatrix) -> bool:
-    return next(iter(_four_cycles(matrix)), None) is not None
-
-
-def _has_six_cycle(matrix: ExponentMatrix) -> bool:
-    return next(iter(_six_cycles(matrix)), None) is not None
+    Without a 4-cycle the only 3x3 sets with two transversals are 6-cycles,
+    and those are chordless.
+    """
+    for size in (2, 3):
+        if any(col_sets for _, _, col_sets in _vanishable_minors(matrix, size)):
+            return 2 * size
+    return None
 
 
 def enumerate_cycles(spec: CodeSpec, length: int, j: Optional[int] = None,
@@ -242,7 +255,8 @@ def enumerate_cycles(spec: CodeSpec, length: int, j: Optional[int] = None,
 
     A cycle of length 2d is recorded through the d rows and d columns it
     touches; the full-rank condition fails exactly when the determinant of
-    that submatrix is zero.
+    that submatrix is zero.  Within a row triple, 6-cycles are ordered by
+    their columns (c12, c23, c13) along the walk.
     """
     if length not in (4, 6):
         raise ValueError(f"cycle length must be 4 or 6, got {length}")
@@ -253,41 +267,24 @@ def enumerate_cycles(spec: CodeSpec, length: int, j: Optional[int] = None,
     work = math.comb(matrix.rows, half) * math.comb(matrix.cols, half)
     if work > budget:
         raise HorizonTooLarge(f"{work} candidate cycles exceed the budget of {budget}")
-    field = spec.field
+    cycle_pattern = PATTERN_FULL if half == 2 else PATTERN_CYCLE
     cycles = []
-    if length == 4:
-        for (r1, r2), (c1, c2) in _four_cycles(matrix):
-            grid = matrix.submatrix((r1, r2), (c1, c2))
-            nodes = (("check", r1), ("var", c1), ("check", r2), ("var", c2))
-            cycles.append(TannerCycle(
-                rows=(r1, r2), cols=(c1, c2), nodes=nodes,
-                matrix=tuple(tuple(row) for row in grid),
-                singular=gf.det(field, grid) is ZERO,
-            ))
-    else:
-        for (r1, r2, r3), (c12, c23, c13) in _six_cycles(matrix):
-            rows = (r1, r2, r3)
-            cols = tuple(sorted((c12, c23, c13)))
+    for rows, masks, col_sets in _vanishable_minors(matrix, half):
+        walks = sorted(
+            tuple(sorted(cols, key=lambda c: _CYCLE_MASKS.index(masks[c])))
+            for cols in col_sets
+            if _pattern([masks[c] for c in cols], half) == cycle_pattern
+        )
+        for walk in walks:
+            cols = tuple(sorted(walk))
             grid = matrix.submatrix(rows, cols)
-            nodes = (
-                ("check", r1), ("var", c12), ("check", r2),
-                ("var", c23), ("check", r3), ("var", c13),
-            )
             cycles.append(TannerCycle(
-                rows=rows, cols=cols, nodes=nodes,
-                matrix=tuple(tuple(row) for row in grid),
-                singular=gf.det(field, grid) is ZERO,
+                rows=rows, cols=cols, matrix=tuple(tuple(row) for row in grid),
+                singular=gf.det(spec.field, grid) is ZERO,
             ))
-    has_four = bool(cycles) if length == 4 else _has_four_cycle(matrix)
-    if has_four:
-        girth: Optional[int] = 4
-    elif bool(cycles) if length == 6 else _has_six_cycle(matrix):
-        girth = 6
-    else:
-        girth = None
     return CycleReport(
         length=length, horizon=j, cycles=tuple(cycles),
-        frc_failures=tuple(c for c in cycles if c.singular), girth=girth,
+        frc_failures=tuple(c for c in cycles if c.singular), girth=_girth(matrix),
     )
 
 

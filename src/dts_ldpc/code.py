@@ -22,11 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .dts import DifferenceTriangleSet, validate
 from .errors import IncompleteBlock, SetCountMismatch, ZeroElementInDTS
-from .gf import ZERO, FieldElement, GaloisField
+from .gf import ZERO, FieldElement, GaloisField, _factor_prime_power
 
 
 class ExponentMatrix:
@@ -55,11 +56,22 @@ class ExponentMatrix:
     def nonzero_count(self) -> int:
         return len(self.entries)
 
+    @cached_property
+    def _supports(self) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]:
+        """Sorted supports of every nonempty row and column, built on first use."""
+        rows: dict[int, list[int]] = {}
+        cols: dict[int, list[int]] = {}
+        for r, c in sorted(self.entries):
+            rows.setdefault(r, []).append(c)
+            cols.setdefault(c, []).append(r)
+        return ({r: tuple(s) for r, s in rows.items()},
+                {c: tuple(s) for c, s in cols.items()})
+
     def row_support(self, r: int) -> tuple[int, ...]:
-        return tuple(sorted(c for (rr, c) in self.entries if rr == r))
+        return self._supports[0].get(r, ())
 
     def col_support(self, c: int) -> tuple[int, ...]:
-        return tuple(sorted(r for (r, cc) in self.entries if cc == c))
+        return self._supports[1].get(c, ())
 
     def column(self, c: int) -> list[FieldElement]:
         return [self.get(r, c) for r in range(1, self.rows + 1)]
@@ -138,19 +150,6 @@ class MinFieldParams:
         return self.p**self.n
 
 
-def _factor_prime_power(q: int) -> tuple[int, int] | None:
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            e = 0
-            while q % p == 0:
-                q //= p
-                e += 1
-            return (p, e) if q == 1 else None
-        p += 1 if p == 2 else 2
-    return (q, 1)
-
-
 def min_field_params(n: int, scope: int, w: int) -> MinFieldParams:
     if n < 2 or scope < 1 or w < 1:
         raise ValueError("need n >= 2, scope >= 1, w >= 1")
@@ -226,45 +225,36 @@ class CodeSpec:
         the mu previous information blocks, so the codeword extends mu
         blocks past the message.
         """
-        f = self.field
         info = [self._check_block(b) for b in message]
-        coeff = [
-            [self.base.get(i + 1, k) for k in range(1, self.n)]
-            for i in range(self.mu + 1)
-        ]
-        out: list[tuple[FieldElement, ...]] = []
         if not info:
-            return out
-        for t in range(len(info) + self.mu):
-            u_t = info[t] if t < len(info) else (ZERO,) * (self.n - 1)
-            acc: FieldElement = ZERO
-            for i in range(self.mu + 1):
-                s = t - i
-                if 0 <= s < len(info):
-                    for a, u in zip(coeff[i], info[s]):
-                        acc = f.add(acc, f.mul(a, u))
-            out.append(u_t + (f.neg(acc),))
-        return out
+            return []
+        pad = (ZERO,) * (self.n - 1)
+        return [(info[t] if t < len(info) else pad) + (self.field.neg(acc),)
+                for t, acc in enumerate(self._convolve(info))]
 
     def syndrome(self, word: Sequence[Sequence[FieldElement]]) -> list[FieldElement]:
         """Full sliding product; all-zero exactly when the word is a codeword."""
-        f = self.field
         blocks = [tuple(b) for b in word]
         for b in blocks:
             if len(b) != self.n:
                 raise ValueError(f"code blocks have {self.n} symbols, got {len(b)}")
-        rows = [
-            [self.base.get(i + 1, c) for c in range(1, self.n + 1)]
-            for i in range(self.mu + 1)
-        ]
+        return self._convolve(blocks)
+
+    def _convolve(self, blocks: Sequence[Sequence[FieldElement]]) -> list[FieldElement]:
+        """Block convolution sum_i H_i . blocks[t-i] for t < len(blocks) + mu.
+
+        Blocks shorter than n meet only the leading coefficients of each
+        H_i, so information blocks skip the parity column.
+        """
+        f = self.field
+        coeff = [[self.base.get(i + 1, c) for c in range(1, self.n + 1)]
+                 for i in range(self.mu + 1)]
         out = []
         for t in range(len(blocks) + self.mu):
             acc: FieldElement = ZERO
-            for i in range(self.mu + 1):
-                s = t - i
-                if 0 <= s < len(blocks):
-                    for h, v in zip(rows[i], blocks[s]):
-                        acc = f.add(acc, f.mul(h, v))
+            for i in range(max(0, t - len(blocks) + 1), min(t, self.mu) + 1):
+                for h, v in zip(coeff[i], blocks[t - i]):
+                    acc = f.add(acc, f.mul(h, v))
             out.append(acc)
         return out
 

@@ -69,7 +69,12 @@ class DifferenceTriangleSet:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DifferenceTriangleSet":
-        return cls(tuple(tuple(s) for s in d["sets"]))
+        sets = d.get("sets") if isinstance(d, dict) else None
+        if not isinstance(sets, list) or not all(
+            isinstance(s, list) and all(type(a) is int for a in s) for s in sets
+        ):
+            raise ValueError('DTS JSON must be an object whose "sets" is a list of integer lists')
+        return cls(tuple(tuple(s) for s in sets))
 
     def to_json_dict(self, mode: str = "relaxed") -> dict:
         return {"sets": [list(s) for s in self.sets], "mode": mode}

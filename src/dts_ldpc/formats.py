@@ -10,8 +10,8 @@ full field descriptor and round-trips the matrix exactly.
 
 from __future__ import annotations
 
-from .code import ExponentMatrix, _factor_prime_power
-from .gf import GaloisField, make_field
+from .code import ExponentMatrix
+from .gf import GaloisField, _factor_prime_power, make_field
 
 JSON_SCHEMA = "exponent-matrix/v1"
 

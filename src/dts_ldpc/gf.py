@@ -63,6 +63,20 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def _factor_prime_power(q: int) -> Optional[tuple[int, int]]:
+    """(p, e) with q = p**e for a prime p, or None when q is no prime power."""
+    p = 2
+    while p * p <= q:
+        if q % p == 0:
+            e = 0
+            while q % p == 0:
+                q //= p
+                e += 1
+            return (p, e) if q == 1 else None
+        p += 1 if p == 2 else 2
+    return (q, 1)
+
+
 def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], modulus: tuple[int, ...], p: int) -> tuple[int, ...]:
     """Product of two degree < N coefficient tuples, reduced mod the monic modulus."""
     n = len(modulus) - 1

@@ -7,12 +7,13 @@ patterns over characteristic-2 fields is asserted as ground truth.
 """
 
 import itertools
+import random
 
 import pytest
 
 from dts_ldpc import analysis as an
 from dts_ldpc.code import CodeSpec, sliding_entry_origin
-from dts_ldpc.dts import DifferenceTriangleSet
+from dts_ldpc.dts import DifferenceTriangleSet, validate
 from dts_ldpc.errors import BudgetExhausted, HorizonTooLarge
 from dts_ldpc.gf import ZERO, GaloisField, det, make_field
 
@@ -31,6 +32,9 @@ REF_B_MINOR3_FAILURES = (
     ((3, 5, 6), (2, 5, 11)),
     ((4, 5, 6), (5, 8, 11)),
 )
+
+# Seeded random families compared against the dense sweep.
+FAMILIES = 80
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +281,85 @@ def test_cycle_report_json(ref_spec_b):
     assert d["girth"] == 4
     assert d["cycle_count"] == 14
     assert d["frc_failures"][0] == {"rows": [3, 4, 5], "cols": [2, 5, 8]}
+
+
+# ---------------------------------------------------------------------------
+# the dense sweep as an oracle for the minor and cycle enumeration
+# ---------------------------------------------------------------------------
+
+def _dense_sweep(spec, size, j):
+    """Classify and evaluate every size x size submatrix; also list the cycles.
+
+    Returns the minor report and the cycles of length 2*size: the
+    fully-nonzero 2x2 and the cycle-pattern 3x3 submatrices, 6-cycles in
+    (c12, c23, c13) walk order within each row triple.
+    """
+    matrix = spec.sliding_matrix(j)
+    counts = {an.PATTERN_FULL: 0, an.PATTERN_CYCLE: 0, an.PATTERN_MIXED: 0}
+    if size == 2:
+        del counts[an.PATTERN_CYCLE]
+    failures, cycles = [], []
+    perms = list(itertools.permutations(range(size)))
+    for rows in itertools.combinations(range(1, matrix.rows + 1), size):
+        walks = []
+        restricted = [None] + [[matrix.get(r, c) for r in rows]
+                               for c in range(1, matrix.cols + 1)]
+        for cols in itertools.combinations(range(1, matrix.cols + 1), size):
+            grid = [list(row) for row in zip(*(restricted[c] for c in cols))]
+            nz = [[x is not None for x in row] for row in grid]
+            if not any(all(nz[r][p[r]] for r in range(size)) for p in perms):
+                continue
+            if all(map(all, nz)):
+                pattern = an.PATTERN_FULL
+            elif size == 3 and all(sum(line) == 2 for line in nz + list(zip(*nz))):
+                pattern = an.PATTERN_CYCLE
+            else:
+                pattern = an.PATTERN_MIXED
+            counts[pattern] += 1
+            d = det(spec.field, grid)
+            if d is ZERO:
+                failures.append(an.MinorFailure(rows, cols, pattern, d))
+            if pattern == (an.PATTERN_FULL if size == 2 else an.PATTERN_CYCLE):
+                walk = cols
+                if size == 3:
+                    # c12 meets rows 1 and 2, c23 rows 2 and 3, c13 rows 1 and 3
+                    met = [nz[0][k] + 2 * nz[1][k] + 4 * nz[2][k] for k in range(3)]
+                    walk = tuple(cols[met.index(m)] for m in (0b011, 0b110, 0b101))
+                walks.append((walk, an.TannerCycle(
+                    rows=rows, cols=cols, matrix=tuple(tuple(row) for row in grid),
+                    singular=d is ZERO)))
+        cycles += [cyc for _, cyc in sorted(walks, key=lambda wc: wc[0])]
+    report = an.MinorReport(size=size, horizon=j, checked=sum(counts.values()),
+                            class_counts=counts, failures=tuple(failures))
+    return report, cycles
+
+
+def _random_relaxed_family(rng, n, w):
+    sets = []
+    while len(sets) < n - 1:
+        s = tuple(sorted(rng.sample(range(1, w + 4), w)))
+        if validate(DifferenceTriangleSet((s,)), "relaxed").valid:
+            sets.append(s)
+    return DifferenceTriangleSet(tuple(sets))
+
+
+def test_enumeration_matches_dense_sweep():
+    fields = [make_field(p, e) for p, e in ((2, 2), (5, 1), (7, 1), (2, 3), (3, 3), (2, 5))]
+    rng = random.Random(2006)
+    failure_patterns = set()
+    for trial in range(FAMILIES):
+        field = fields[trial % len(fields)]
+        n, w, j = rng.randint(2, 4), rng.randint(1, 4), rng.randint(0, 4)
+        spec = CodeSpec(_random_relaxed_family(rng, n, w), field, n)
+        dense = {size: _dense_sweep(spec, size, j) for size in (2, 3)}
+        girth = 4 if dense[2][1] else 6 if dense[3][1] else None
+        for size, (report, cycles) in dense.items():
+            assert an.check_minors(spec, size, j) == report, (spec, size, j)
+            assert an.enumerate_cycles(spec, 2 * size, j) == an.CycleReport(
+                length=2 * size, horizon=j, cycles=tuple(cycles),
+                frc_failures=tuple(c for c in cycles if c.singular), girth=girth)
+            failure_patterns |= {f.pattern for f in report.failures}
+    assert failure_patterns == {an.PATTERN_FULL, an.PATTERN_CYCLE, an.PATTERN_MIXED}
 
 
 # ---------------------------------------------------------------------------

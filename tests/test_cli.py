@@ -141,6 +141,21 @@ def test_cli_construct_from_file(capsys, tmp_path):
     assert code == 0 and out == EXAMPLE_B_PRETTY + "\n"
 
 
+@pytest.mark.parametrize("text", [
+    "[1, 2]",
+    "{}",
+    '{"sets": 5}',
+    '{"sets": [[1, 2], [1.5, 3]]}',
+])
+def test_cli_malformed_dts_file_exits_2(capsys, tmp_path, text):
+    path = tmp_path / "dts.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "construct", "--dts-file", str(path),
+                             "--n", "3", "--field", "2^5")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_cli_output_is_deterministic(capsys):
     args = ("verify", "--dts", "1,2,6;2,3,5", "--n", "3", "--field", "2^5", "--json")
     first = run_cli(capsys, *args)
