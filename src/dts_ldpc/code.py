@@ -169,6 +169,8 @@ def min_field_params(n: int, scope: int, w: int) -> MinFieldParams:
 
 def density(n: int, w: int, mu: int, message_length: int) -> Fraction:
     """Fraction of nonzero entries in the untruncated parity-check matrix."""
+    if n < 2 or w < 1 or mu < 0:
+        raise ValueError("need n >= 2, w >= 1, mu >= 0")
     if message_length <= 0 or message_length % n:
         raise IncompleteBlock(f"message length {message_length} is not a multiple of n = {n}")
     return Fraction(w * (n - 1) + 1, mu * n + message_length)

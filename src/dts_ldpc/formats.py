@@ -51,6 +51,22 @@ def to_alist(matrix: ExponentMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _read_section(lines: list[str], weights: list[int], what: str) -> dict[tuple[int, int], int]:
+    """(line number, index) -> exponent for the column or the row section."""
+    entries: dict[tuple[int, int], int] = {}
+    for i, (line, weight) in enumerate(zip(lines, weights), start=1):
+        parts = [int(x) for x in line.split()]
+        if len(parts) != 2 * weight:
+            raise ValueError(f"{what} {i}: expected {weight} index/value pairs")
+        for j, v in zip(parts[::2], parts[1::2]):
+            if v == 0:
+                raise ValueError("value 0 is reserved for absent entries")
+            if (i, j) in entries:
+                raise ValueError(f"{what} {i}: index {j} appears twice")
+            entries[(i, j)] = v - 1
+    return entries
+
+
 def from_alist(text: str) -> ExponentMatrix:
     lines = text.splitlines()
     if len(lines) < 4:
@@ -66,17 +82,18 @@ def from_alist(text: str) -> ExponentMatrix:
     col_weights = [int(x) for x in lines[2].split()]
     if len(col_weights) != cols:
         raise ValueError(f"expected {cols} column weights, got {len(col_weights)}")
-    if len(lines) < 4 + cols:
-        raise ValueError("alist input truncated before the column section")
-    entries: dict[tuple[int, int], int] = {}
-    for c in range(1, cols + 1):
-        parts = [int(x) for x in lines[3 + c].split()]
-        if len(parts) != 2 * col_weights[c - 1]:
-            raise ValueError(f"column {c}: expected {col_weights[c - 1]} index/value pairs")
-        for r, v in zip(parts[::2], parts[1::2]):
-            if v == 0:
-                raise ValueError("value 0 is reserved for absent entries")
-            entries[(r, c)] = v - 1
+    row_weights = [int(x) for x in lines[3].split()]
+    if len(row_weights) != rows:
+        raise ValueError(f"expected {rows} row weights, got {len(row_weights)}")
+    maxima = [max(col_weights, default=0), max(row_weights, default=0)]
+    if [int(x) for x in lines[1].split()] != maxima:
+        raise ValueError("maximum-weight line disagrees with the weight lines")
+    if len(lines) < 4 + cols + rows:
+        raise ValueError(f"alist input truncated before {cols} column and {rows} row lines")
+    by_cols = _read_section(lines[4:4 + cols], col_weights, "column")
+    entries = {(r, c): e for (c, r), e in by_cols.items()}
+    if _read_section(lines[4 + cols:4 + cols + rows], row_weights, "row") != entries:
+        raise ValueError("row section disagrees with the column section")
     return ExponentMatrix(rows, cols, entries, field)
 
 

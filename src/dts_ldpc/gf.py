@@ -3,8 +3,9 @@
 Elements are kept in log form: ``None`` is the field zero, and an integer
 ``e`` with ``0 <= e <= q-2`` stands for ``alpha**e`` where ``alpha`` is the
 canonical primitive element.  Multiplication, inversion and powers of
-``alpha`` are plain exponent arithmetic mod ``q-1``; addition goes through
-precomputed polynomial-representation tables.
+``alpha`` are plain exponent arithmetic mod ``q-1``; addition is one lookup
+in a Zech-logarithm table, ``alpha**a + alpha**b == alpha**(a + Z(b - a))``
+with ``1 + alpha**k == alpha**Z(k)``, the same for every characteristic.
 
 Everything is reproducible without shipping tables:
 
@@ -143,18 +144,9 @@ class GaloisField:
         self.degree = degree
         self.q = q
         self.modulus = _canonical_modulus(p, degree)
-        self._alpha_digits = self._find_alpha()
-        self._build_tables()
-        # exponent shift implementing negation: -1 == alpha**_neg_shift
-        self._neg_shift = 0 if p == 2 else self._log[p - 1]
+        self._build_tables(self._find_alpha())
 
     # -- construction helpers ------------------------------------------------
-
-    def _encode(self, digits: tuple[int, ...]) -> int:
-        enc = 0
-        for d in reversed(digits):
-            enc = enc * self.p + d
-        return enc
 
     def _has_full_order(self, digits: tuple[int, ...]) -> bool:
         for r in _prime_factors(self.q - 1):
@@ -171,54 +163,50 @@ class GaloisField:
         return True
 
     def _find_alpha(self) -> tuple[int, ...]:
-        if self.degree >= 2:
-            x = (0, 1) + (0,) * (self.degree - 2)
-            if self._has_full_order(x):
-                return x
-        else:
-            # class of x in GF(p)[x]/(x + c0) is -c0
-            cls = (-self.modulus[0]) % self.p
-            if cls and self._has_full_order((cls,)):
-                return (cls,)
-        for digits in itertools.product(range(self.p), repeat=self.degree):
+        # the class of x (zero when the modulus is x itself), then polynomial order
+        x = ((0, 1) + (0,) * self.degree)[: self.degree]
+        in_order = itertools.product(range(self.p), repeat=self.degree)
+        for digits in itertools.chain([x], in_order):
             if any(digits) and self._has_full_order(digits):
                 return digits
         raise AssertionError("no primitive element found")  # pragma: no cover
 
-    def _build_tables(self) -> None:
-        unit = (1,) + (0,) * (self.degree - 1)
-        exp_digits = [unit]
-        cur = unit
-        for _ in range(self.q - 2):
-            cur = _poly_mul(cur, self._alpha_digits, self.modulus, self.p)
-            exp_digits.append(cur)
-        self._exp_digits = exp_digits
-        self._exp_int = [self._encode(d) for d in exp_digits]
+    def _build_tables(self, alpha: tuple[int, ...]) -> None:
+        p = self.p
+        exp = []
         log: list[Optional[int]] = [None] * self.q
-        for e, enc in enumerate(self._exp_int):
+        cur = (1,) + (0,) * (self.degree - 1)
+        for e in range(self.q - 1):
+            enc = 0
+            for d in reversed(cur):
+                enc = enc * p + d
             if log[enc] is not None:
                 raise AssertionError("alpha is not primitive")  # pragma: no cover
             log[enc] = e
-        self._log = log
+            exp.append(enc)
+            cur = _poly_mul(cur, alpha, self.modulus, p)
+        # base-p encoding of alpha**e; adding 1 only touches digit 0
+        self._exp = exp
+        # Zech logarithm: 1 + alpha**k == alpha**_zech[k], None when it is zero
+        self._zech = [log[enc - enc % p + (enc + 1) % p] for enc in exp]
+        # exponent shift implementing negation: -1 == alpha**_neg_shift
+        self._neg_shift = log[p - 1]
 
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
+        # alpha**a + alpha**b == alpha**a * (1 + alpha**(b - a)); for exponents
+        # in 0..q-2 a negative index b - a already wraps to (b - a) mod (q - 1)
         if a is None:
             return b
         if b is None:
             return a
-        if self.p == 2:
-            enc = self._exp_int[a] ^ self._exp_int[b]
-        else:
-            da = self._exp_digits[a]
-            db = self._exp_digits[b]
-            enc = self._encode(tuple((x + y) % self.p for x, y in zip(da, db)))
-        return self._log[enc] if enc else None
+        z = self._zech[b - a]
+        return None if z is None else (a + z) % (self.q - 1)
 
     def neg(self, a: FieldElement) -> FieldElement:
-        if a is None or self.p == 2:
-            return a
+        if a is None:
+            return None
         return (a + self._neg_shift) % (self.q - 1)
 
     def sub(self, a: FieldElement, b: FieldElement) -> FieldElement:
@@ -243,9 +231,12 @@ class GaloisField:
 
     def element_poly(self, a: FieldElement) -> tuple[int, ...]:
         """Coefficient tuple (low degree first) of the polynomial representative."""
-        if a is None:
-            return (0,) * self.degree
-        return self._exp_digits[a]
+        enc = 0 if a is None else self._exp[a]
+        digits = []
+        for _ in range(self.degree):
+            enc, d = divmod(enc, self.p)
+            digits.append(d)
+        return tuple(digits)
 
     # -- identity and serialization -------------------------------------------
 

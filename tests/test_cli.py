@@ -79,6 +79,14 @@ def test_alist_value_mapping(ref_spec_a):
     "1 1 6\n1 1\n1\n1\n1 1\n1 1\n",
     "1 1 2\n1 1\n1\n1\n1 0\n1 1\n",
     "2 1 2\n1 1\n1\n1\n1 1\n\n",
+    # each below differs from the valid "1 2 2\n2 1\n2\n1 1\n1 1 2 1\n1 1\n1 1\n"
+    "1 2 2\n2 1\n2\n1 1\n1 1 1 1\n1 1\n1 1\n",  # duplicate row in a column
+    "1 2 2\n1 1\n2\n1 1\n1 1 2 1\n1 1\n1 1\n",  # wrong maximum column weight
+    "1 2 2\n2 1\n2\n1 0\n1 1 2 1\n1 1\n\n",  # row weights miss row 2
+    "1 2 4\n2 1\n2\n1 1\n1 1 2 1\n1 1\n1 2\n",  # row 2 lists another value
+    "1 2 2\n2 1\n2\n1 1\n1 1 2 1\n1 1\n",  # row section truncated
+    "1 2 2\n2 1\n2\n1\n1 1 2 1\n1 1\n1 1\n",  # one row weight for two rows
+    "2 1 2\n1 2\n1 1\n2\n1 1\n1 1\n1 1 1 1\n",  # duplicate column in a row
 ])
 def test_alist_rejects_malformed(text):
     with pytest.raises(ValueError):
@@ -257,6 +265,10 @@ def test_cli_suggest_field(capsys):
     ("construct", "--dts", "1,2,6;1,2,4", "--n", "3", "--field", "2^5^3"),
     ("verify", "--dts", "1,2,6;1,2,4", "--n", "3", "--field", "2^5", "--minors", "5"),
     ("density", "--n", "3", "--w", "3", "--mu", "5", "--len", "17"),
+    ("density", "--n", "3", "--w", "0", "--mu", "5", "--len", "6"),
+    ("density", "--n", "3", "--w", "3", "--mu", "-9", "--len", "6"),
+    ("density", "--n", "-3", "--w", "3", "--mu", "5", "--len", "6"),
+    ("density", "--n", "0", "--w", "3", "--mu", "5", "--len", "6"),
     ("search", "--sets", "0", "--size", "3"),
 ])
 def test_cli_usage_errors_exit_2(capsys, argv):

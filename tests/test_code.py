@@ -210,6 +210,9 @@ def test_density_golden_and_errors():
         density(3, 3, 5, 16)
     with pytest.raises(IncompleteBlock):
         density(3, 3, 5, 0)
+    for n, w, mu in [(3, 0, 5), (3, 3, -9), (-3, 3, 5), (0, 3, 5), (1, 3, 5)]:
+        with pytest.raises(ValueError, match="need n >= 2"):
+            density(n, w, mu, 6)
 
 
 def test_density_matches_untruncated_count():

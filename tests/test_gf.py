@@ -29,22 +29,6 @@ def oracle_poly_mul(a, b, modulus, p):
     return tuple(prod)
 
 
-def oracle_gf9_tables():
-    """Exponent -> coefficient tuple for GF(9) built independently.
-
-    Uses the frozen canonical data: modulus x^2 + 1 over GF(3), alpha = 1 + x
-    (verified by hand to have multiplicative order 8).
-    """
-    modulus = (1, 0, 1)
-    alpha = (1, 1)
-    cur = (1, 0)
-    table = [cur]
-    for _ in range(7):
-        cur = oracle_poly_mul(cur, alpha, modulus, 3)
-        table.append(cur)
-    return table
-
-
 def test_gf9_canonical_data_matches_frozen_values():
     f = GaloisField(3, 2)
     assert f.modulus == (1, 0, 1)
@@ -52,23 +36,33 @@ def test_gf9_canonical_data_matches_frozen_values():
     assert f.element_poly(f.alpha_pow(1)) == (1, 1)
 
 
-def test_gf9_addition_against_exhaustive_oracle():
-    f = GaloisField(3, 2)
-    table = oracle_gf9_tables()
-    assert [f.element_poly(e) for e in range(8)] == table
+@pytest.mark.parametrize(
+    "p,n",
+    # characteristic 2 and odd, prime and extension fields; alpha != x in GF(9), GF(25), GF(49)
+    [(2, 1), (7, 1), (2, 2), (2, 3), (2, 5), (3, 2), (5, 2), (3, 3), (7, 2)],
+)
+def test_addition_against_exhaustive_oracle(p, n):
+    f = GaloisField(p, n)
+    alpha = f.element_poly(f.alpha_pow(1))
+    table = [(1,) + (0,) * (n - 1)]
+    for _ in range(f.q - 2):
+        table.append(oracle_poly_mul(table[-1], alpha, f.modulus, p))
+    assert [f.element_poly(e) for e in range(f.q - 1)] == table
+    log = {poly: e for e, poly in enumerate(table)}
+    assert len(log) == f.q - 1
+    zero = (0,) * n
 
     def to_poly(a):
-        return (0, 0) if a is None else table[a]
+        return zero if a is None else table[a]
 
     def from_poly(poly):
-        if poly == (0, 0):
-            return None
-        return table.index(poly)
+        return None if poly == zero else log[poly]
 
     for a in f.elements():
         for b in f.elements():
-            expected = from_poly(tuple((x + y) % 3 for x, y in zip(to_poly(a), to_poly(b))))
-            assert f.add(a, b) == expected
+            da, db = to_poly(a), to_poly(b)
+            assert f.add(a, b) == from_poly(tuple((x + y) % p for x, y in zip(da, db)))
+            assert f.sub(a, b) == from_poly(tuple((x - y) % p for x, y in zip(da, db)))
 
 
 def test_gf9_alpha_has_order_eight():
