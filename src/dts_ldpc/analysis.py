@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 from . import gf
 from .code import CodeSpec, ExponentMatrix
-from .errors import BudgetExhausted, HorizonTooLarge
+from .errors import HorizonTooLarge
 from .gf import ZERO, FieldElement, GaloisField
 
 DEFAULT_BUDGET = 10**8
@@ -40,6 +40,24 @@ PATTERN_MIXED = "mixed-pattern"
 # Bit b of a column's mask over a row tuple is set when it meets row b.
 # The masks of a 6-cycle's columns, in (c12, c23, c13) order:
 _CYCLE_MASKS = (0b011, 0b110, 0b101)
+
+
+class Meter:
+    """Work budget of one command, charged where each exhaustive loop works."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.used = 0
+
+    def charge(self, steps: int) -> None:
+        self.used += steps
+        if self.used > self.limit:
+            raise HorizonTooLarge(f"{self.used} steps exceed the budget of {self.limit}")
+
+
+def _meter(budget: int | Meter) -> Meter:
+    """The shared meter itself, or a fresh one with ``budget`` as its limit."""
+    return budget if isinstance(budget, Meter) else Meter(budget)
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +127,7 @@ class MinorReport:
         }
 
 
-def _vanishable_minors(matrix: ExponentMatrix, size: int):
+def _vanishable_minors(matrix: ExponentMatrix, size: int, meter: Meter):
     """Per row tuple: the column masks and the column sets that can vanish.
 
     Yields ``(rows, masks, col_sets)`` for every tuple of ``size`` rows in
@@ -139,6 +157,7 @@ def _vanishable_minors(matrix: ExponentMatrix, size: int):
             for cyc in itertools.product(sup[0] & sup[1], sup[1] & sup[2], sup[0] & sup[2]):
                 if len(set(cyc)) == 3:
                     found.add(tuple(sorted(cyc)))
+        meter.charge(1 + len(masks) + len(found))
         yield rows, masks, sorted(found)
 
 
@@ -164,7 +183,7 @@ _TRANSVERSAL_MASKS = {
 
 
 def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
-                 budget: int = DEFAULT_BUDGET) -> MinorReport:
+                 budget: int | Meter = DEFAULT_BUDGET) -> MinorReport:
     """Check every not-trivially-zero size x size minor of the sliding matrix.
 
     Minors with a single nonzero transversal are counted from the column
@@ -175,12 +194,9 @@ def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
     if j is None:
         j = spec.mu
     matrix = spec.sliding_matrix(j)
-    work = math.comb(matrix.rows, size) * math.comb(matrix.cols, size)
-    if work > budget:
-        raise HorizonTooLarge(f"{work} minors exceed the budget of {budget}")
     counts = dict.fromkeys((PATTERN_FULL, PATTERN_CYCLE, PATTERN_MIXED), 0)
     failures = []
-    for rows, masks, col_sets in _vanishable_minors(matrix, size):
+    for rows, masks, col_sets in _vanishable_minors(matrix, size, _meter(budget)):
         n = collections.Counter(masks.values())
         total = sum(math.prod(math.comb(n[m], k) for m, k in ms)
                     for ms in _TRANSVERSAL_MASKS[size])
@@ -237,20 +253,20 @@ class CycleReport:
         }
 
 
-def _girth(matrix: ExponentMatrix) -> Optional[int]:
+def _girth(matrix: ExponentMatrix, meter: Meter) -> Optional[int]:
     """4 or 6, or None when the Tanner graph has no cycle that short.
 
     Without a 4-cycle the only 3x3 sets with two transversals are 6-cycles,
     and those are chordless.
     """
     for size in (2, 3):
-        if any(col_sets for _, _, col_sets in _vanishable_minors(matrix, size)):
+        if any(col_sets for _, _, col_sets in _vanishable_minors(matrix, size, meter)):
             return 2 * size
     return None
 
 
 def enumerate_cycles(spec: CodeSpec, length: int, j: Optional[int] = None,
-                     budget: int = DEFAULT_BUDGET) -> CycleReport:
+                     budget: int | Meter = DEFAULT_BUDGET) -> CycleReport:
     """All Tanner-graph cycles of the given length with their cycle matrices.
 
     A cycle of length 2d is recorded through the d rows and d columns it
@@ -264,12 +280,10 @@ def enumerate_cycles(spec: CodeSpec, length: int, j: Optional[int] = None,
         j = spec.mu
     matrix = spec.sliding_matrix(j)
     half = length // 2
-    work = math.comb(matrix.rows, half) * math.comb(matrix.cols, half)
-    if work > budget:
-        raise HorizonTooLarge(f"{work} candidate cycles exceed the budget of {budget}")
+    meter = _meter(budget)
     cycle_pattern = PATTERN_FULL if half == 2 else PATTERN_CYCLE
     cycles = []
-    for rows, masks, col_sets in _vanishable_minors(matrix, half):
+    for rows, masks, col_sets in _vanishable_minors(matrix, half, meter):
         walks = sorted(
             tuple(sorted(cols, key=lambda c: _CYCLE_MASKS.index(masks[c])))
             for cols in col_sets
@@ -284,7 +298,7 @@ def enumerate_cycles(spec: CodeSpec, length: int, j: Optional[int] = None,
             ))
     return CycleReport(
         length=length, horizon=j, cycles=tuple(cycles),
-        frc_failures=tuple(c for c in cycles if c.singular), girth=_girth(matrix),
+        frc_failures=tuple(c for c in cycles if c.singular), girth=_girth(matrix, meter),
     )
 
 
@@ -297,40 +311,22 @@ def minimal_column_weight(spec: CodeSpec, j: int) -> int:
     return min(sum(1 for a in t if a <= j + 1) for t in spec.dts.sets)
 
 
-def _column_data(matrix: ExponentMatrix):
-    vectors = [matrix.column(c) for c in range(1, matrix.cols + 1)]
-    masks = []
-    for vec in vectors:
-        m = 0
-        for i, x in enumerate(vec):
-            if x is not None:
-                m |= 1 << i
-        masks.append(m)
-    return vectors, masks
-
-
 def _min_weight_first_block(field: GaloisField, matrix: ExponentMatrix,
-                            n_first: int, ub: int, budget: int) -> int:
+                            n_first: int, ub: int, meter: Meter) -> int:
     """Smallest weight of a kernel vector whose first block is nonzero.
 
     ``ub`` must be a weight achieved by an explicit kernel vector; only
     smaller weights are searched.  Equals the smallest d such that one of
     the first ``n_first`` columns lies in the span of d-1 other columns.
     """
-    vectors, masks = _column_data(matrix)
-    work = sum(
-        n_first * math.comb(matrix.cols - 1, d - 1) for d in range(1, ub)
-    )
-    if work > budget:
-        raise HorizonTooLarge(f"{work} span checks exceed the budget of {budget}")
+    vectors = [matrix.column(c) for c in range(1, matrix.cols + 1)]
+    masks = [sum(1 << (r - 1) for r in matrix.col_support(c))
+             for c in range(1, matrix.cols + 1)]
     for d in range(1, ub):
         for target in range(n_first):
             tvec, tmask = vectors[target], masks[target]
-            if d == 1:
-                if tmask == 0:
-                    return 1
-                continue
             others = [c for c in range(matrix.cols) if c != target]
+            meter.charge(math.comb(len(others), d - 1))
             for combo in itertools.combinations(others, d - 1):
                 union = 0
                 for c in combo:
@@ -342,7 +338,7 @@ def _min_weight_first_block(field: GaloisField, matrix: ExponentMatrix,
     return ub
 
 
-def column_distance(spec: CodeSpec, j: int, budget: int = DEFAULT_BUDGET) -> int:
+def column_distance(spec: CodeSpec, j: int, budget: int | Meter = DEFAULT_BUDGET) -> int:
     """Exact column distance at horizon j via the span criterion.
 
     The weight w_j + 1 is always achieved by the single-symbol codeword
@@ -350,7 +346,7 @@ def column_distance(spec: CodeSpec, j: int, budget: int = DEFAULT_BUDGET) -> int
     """
     matrix = spec.sliding_matrix(j)
     ub = minimal_column_weight(spec, j) + 1
-    return _min_weight_first_block(spec.field, matrix, spec.n, ub, budget)
+    return _min_weight_first_block(spec.field, matrix, spec.n, ub, _meter(budget))
 
 
 @dataclass(frozen=True)
@@ -361,8 +357,13 @@ class FreeDistanceResult:
     upper_bound: int
 
 
+def exact_horizon(spec: CodeSpec) -> int:
+    """Smallest search horizon at which ``free_distance`` is exact."""
+    return (spec.w - 1) * spec.mu + 1
+
+
 def free_distance(spec: CodeSpec, horizon: Optional[int] = None,
-                  budget: int = DEFAULT_BUDGET) -> FreeDistanceResult:
+                  budget: int | Meter = DEFAULT_BUDGET) -> FreeDistanceResult:
     """Free distance, exact whenever the search horizon covers it.
 
     A weight-(w+1) codeword always exists (one information symbol plus the
@@ -373,18 +374,16 @@ def free_distance(spec: CodeSpec, horizon: Optional[int] = None,
     smaller explicit horizon the column distance at that horizon is
     returned as a certified lower bound.
     """
-    exact_horizon = (spec.w - 1) * spec.mu + 1
     if horizon is None:
-        horizon = exact_horizon
+        horizon = exact_horizon(spec)
     ub = spec.w + 1
-    if horizon >= exact_horizon:
+    exact = horizon >= exact_horizon(spec)
+    if exact:
         matrix = spec.full_sliding_matrix(horizon + 1)
-        value = _min_weight_first_block(spec.field, matrix, spec.n, ub, budget)
-        return FreeDistanceResult(value=value, exact=True, horizon=horizon,
-                                  upper_bound=ub)
-    value = column_distance(spec, horizon, budget)
-    return FreeDistanceResult(value=value, exact=False, horizon=horizon,
-                              upper_bound=ub)
+        value = _min_weight_first_block(spec.field, matrix, spec.n, ub, _meter(budget))
+    else:
+        value = column_distance(spec, horizon, budget)
+    return FreeDistanceResult(value=value, exact=exact, horizon=horizon, upper_bound=ub)
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +402,7 @@ class AssumptionReport:
     witnesses: tuple[AssumptionWitness, ...]
 
 
-def check_distance_assumptions(spec: CodeSpec, budget: int = DEFAULT_BUDGET) -> AssumptionReport:
+def check_distance_assumptions(spec: CodeSpec, budget: int | Meter = DEFAULT_BUDGET) -> AssumptionReport:
     """Hypothesis test for the distance formulas.
 
     For every column set J of size up to w whose smallest member j1 is an
@@ -414,19 +413,17 @@ def check_distance_assumptions(spec: CodeSpec, budget: int = DEFAULT_BUDGET) -> 
     forced to the support itself.
     """
     matrix = spec.sliding_matrix(spec.mu)
-    field = spec.field
     w = spec.w
-    work = sum(math.comb(matrix.cols - j1, w - 1) for j1 in range(1, spec.n))
-    if work > budget:
-        raise BudgetExhausted(f"{work} hypothesis checks exceed the budget of {budget}")
+    meter = _meter(budget)
     witnesses = []
     for j1 in range(1, spec.n):
         rows = matrix.col_support(j1)
         target = [matrix.get(r, j1) for r in rows]
         rest = range(j1 + 1, matrix.cols + 1)
+        meter.charge(math.comb(len(rest), w - 1))
         for combo in itertools.combinations(rest, w - 1):
             others = [[matrix.get(r, c) for r in rows] for c in combo]
-            if _in_span(field, target, others):
+            if _in_span(spec.field, target, others):
                 witnesses.append(AssumptionWitness(rows=rows, cols=(j1, *combo)))
     return AssumptionReport(holds=not witnesses, witnesses=tuple(witnesses))
 
@@ -458,13 +455,14 @@ class DistanceProfile:
 
 
 def distance_profile(spec: CodeSpec, j_max: Optional[int] = None,
-                     budget: int = DEFAULT_BUDGET) -> DistanceProfile:
+                     budget: int | Meter = DEFAULT_BUDGET) -> DistanceProfile:
     if j_max is None:
         j_max = spec.mu
+    meter = _meter(budget)
     return DistanceProfile(
-        column_distances=tuple(column_distance(spec, j, budget) for j in range(j_max + 1)),
-        free=free_distance(spec, budget=budget),
+        column_distances=tuple(column_distance(spec, j, meter) for j in range(j_max + 1)),
+        free=free_distance(spec, budget=meter),
         predicted_free=spec.w + 1,
         predicted_column=tuple(minimal_column_weight(spec, j) + 1 for j in range(j_max + 1)),
-        assumption_check=check_distance_assumptions(spec, budget),
+        assumption_check=check_distance_assumptions(spec, meter),
     )

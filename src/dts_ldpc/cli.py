@@ -45,11 +45,12 @@ def _build_spec(args: argparse.Namespace) -> CodeSpec:
     return CodeSpec(_load_dts(args), _parse_field(args.field), args.n)
 
 
-def _default_budget(args: argparse.Namespace) -> int:
+def _default_budget(args: argparse.Namespace) -> analysis.Meter:
+    """One work meter for the whole command."""
     if args.budget is not None:
-        return args.budget
+        return analysis.Meter(args.budget)
     env = os.environ.get(BUDGET_ENV)
-    return int(env) if env else analysis.DEFAULT_BUDGET
+    return analysis.Meter(int(env) if env else analysis.DEFAULT_BUDGET)
 
 
 def _emit_json(payload: dict) -> None:
@@ -84,11 +85,11 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
-    budget = _default_budget(args)
+    meter = _default_budget(args)
     j = spec.mu if args.j is None else args.j
-    minor_reports = [analysis.check_minors(spec, s, j, budget)
+    minor_reports = [analysis.check_minors(spec, s, j, meter)
                      for s in _int_list(args.minors, {2, 3}, "minor size")]
-    cycle_reports = [analysis.enumerate_cycles(spec, ln, j, budget)
+    cycle_reports = [analysis.enumerate_cycles(spec, ln, j, meter)
                      for ln in _int_list(args.cycles, {4, 6}, "cycle length")]
     total = sum(len(r.failures) for r in minor_reports)
     total += sum(len(r.frc_failures) for r in cycle_reports)
@@ -122,22 +123,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_distance(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
-    budget = _default_budget(args)
-    if args.horizon is not None:
-        free = analysis.free_distance(spec, args.horizon, budget)
-        if not free.exact:
-            if args.json:
-                _emit_json({
-                    "schema": "distance-profile/v1",
-                    "free_distance_lower_bound": free.value,
-                    "free_distance_upper_bound": free.upper_bound,
-                    "horizon": free.horizon,
-                })
-            else:
-                print(f"free_distance: >= {free.value} (horizon {free.horizon}, "
-                      f"upper bound {free.upper_bound})")
-            return 0
-    profile = analysis.distance_profile(spec, budget=budget)
+    meter = _default_budget(args)
+    if args.horizon is not None and args.horizon < analysis.exact_horizon(spec):
+        free = analysis.free_distance(spec, args.horizon, meter)
+        if args.json:
+            _emit_json({
+                "schema": "distance-profile/v1",
+                "free_distance_lower_bound": free.value,
+                "free_distance_upper_bound": free.upper_bound,
+                "horizon": free.horizon,
+            })
+        else:
+            print(f"free_distance: >= {free.value} (horizon {free.horizon}, "
+                  f"upper bound {free.upper_bound})")
+        return 0
+    profile = analysis.distance_profile(spec, budget=meter)
     if args.json:
         _emit_json(profile.to_json_dict())
     else:

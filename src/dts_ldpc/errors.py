@@ -25,9 +25,9 @@ class IncompleteBlock(ValueError):
     """Message length is not a whole number of code blocks."""
 
 
-class HorizonTooLarge(RuntimeError):
-    """Requested enumeration exceeds the configured work budget."""
-
-
 class BudgetExhausted(RuntimeError):
     """A bounded search ran out of budget without reaching a result."""
+
+
+class HorizonTooLarge(BudgetExhausted):
+    """The work done so far by a command exceeds its work budget."""

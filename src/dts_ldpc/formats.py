@@ -90,6 +90,8 @@ def from_alist(text: str) -> ExponentMatrix:
         raise ValueError("maximum-weight line disagrees with the weight lines")
     if len(lines) < 4 + cols + rows:
         raise ValueError(f"alist input truncated before {cols} column and {rows} row lines")
+    if any(line.strip() for line in lines[4 + cols + rows:]):
+        raise ValueError(f"alist input continues after its {rows} row lines")
     by_cols = _read_section(lines[4:4 + cols], col_weights, "column")
     entries = {(r, c): e for (c, r), e in by_cols.items()}
     if _read_section(lines[4 + cols:4 + cols + rows], row_weights, "row") != entries:

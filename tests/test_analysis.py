@@ -409,3 +409,34 @@ def test_budget_guards(ref_spec_a):
         an.column_distance(ref_spec_a, 5, budget=10)
     with pytest.raises(BudgetExhausted):
         an.check_distance_assumptions(ref_spec_a, budget=3)
+
+
+def test_meter_charges_up_to_its_limit():
+    meter = an.Meter(5)
+    meter.charge(5)
+    with pytest.raises(HorizonTooLarge, match="budget"):
+        meter.charge(1)
+    assert (meter.limit, meter.used) == (5, 6)
+
+
+def test_minors_and_cycles_agree_at_horizon_25(ref_spec_a):
+    minors = an.check_minors(ref_spec_a, 3, 25)
+    cycles = an.enumerate_cycles(ref_spec_a, 6, 25)
+    singular = {(f.rows, f.cols) for f in minors.failures if f.pattern == an.PATTERN_CYCLE}
+    assert singular == {(c.rows, c.cols) for c in cycles.frc_failures}
+    assert len(singular) == 65
+
+
+def test_distance_profile_charges_one_budget(ref_spec_a):
+    def charge(routine, *args):
+        meter = an.Meter(an.DEFAULT_BUDGET)
+        routine(ref_spec_a, *args, budget=meter)
+        return meter.used
+
+    charges = [charge(an.column_distance, j) for j in range(6)]
+    charges += [charge(an.free_distance), charge(an.check_distance_assumptions)]
+    assert charge(an.distance_profile) == sum(charges)
+    budget = (max(charges) + sum(charges)) // 2
+    an.free_distance(ref_spec_a, budget=budget)
+    with pytest.raises(HorizonTooLarge):
+        an.distance_profile(ref_spec_a, budget=budget)

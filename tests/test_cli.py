@@ -87,6 +87,7 @@ def test_alist_value_mapping(ref_spec_a):
     "1 2 2\n2 1\n2\n1 1\n1 1 2 1\n1 1\n",  # row section truncated
     "1 2 2\n2 1\n2\n1\n1 1 2 1\n1 1\n1 1\n",  # one row weight for two rows
     "2 1 2\n1 2\n1 1\n2\n1 1\n1 1\n1 1 1 1\n",  # duplicate column in a row
+    "1 2 2\n2 1\n2\n1 1\n1 1 2 1\n1 1\n1 1\n5 5 5\n",  # a line after the row section
 ])
 def test_alist_rejects_malformed(text):
     with pytest.raises(ValueError):
@@ -219,6 +220,21 @@ def test_cli_distance_restricted_horizon(capsys):
     data = json.loads(out)
     assert data["free_distance_lower_bound"] == 3
     assert data["free_distance_upper_bound"] == 4
+
+
+def test_cli_distance_horizon_past_exactness_prints_profile(capsys):
+    spec = ("distance", "--dts", "1,2,6;1,2,4", "--n", "3", "--field", "2^5")
+    code, profile, _ = run_cli(capsys, *spec)
+    assert code == 0
+    code, out, _ = run_cli(capsys, *spec, "--horizon", "400", "--budget", "100000")
+    assert code == 0 and out == profile
+
+
+def test_cli_verify_deep_horizon_runs_within_default_budget(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--dts", "1,2,6;1,2,4",
+                           "--n", "3", "--field", "2^5", "--j", "30")
+    assert code == 1
+    assert out.splitlines()[-1].startswith("result: FAIL")
 
 
 def test_cli_search_and_exhaustion(capsys):

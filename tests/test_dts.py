@@ -195,6 +195,16 @@ def test_search_min_element_zero():
     assert res.scope == 3
 
 
+def test_search_finds_optimal_golomb_rulers():
+    # one set starting at 0 is a Golomb ruler; known optimal lengths
+    for k, length in zip(range(2, 8), (1, 3, 6, 11, 17, 25)):
+        res = search_min_scope(1, k, "relaxed", 0)
+        assert res.scope == length
+        assert res.dts.sets[0][0] == 0
+        assert validate(res.dts, "relaxed").valid
+        assert res.certificate.exhausted_scopes == tuple(range(k - 1, length))
+
+
 def test_search_matches_oracle_grid():
     for num_sets, set_size in [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (1, 4)]:
         for mode in ("relaxed", "strict"):
