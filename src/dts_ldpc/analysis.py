@@ -5,7 +5,8 @@ Three families of checks, all exact:
 * minors — every 2x2 or 3x3 submatrix of a sliding matrix whose zero
   pattern admits a nonzero transversal (one entry per row and column) is
   checked; any vanishing determinant is a failure witness.  Only those
-  with two or more nonzero transversals can vanish and are evaluated;
+  with two or more nonzero transversals can vanish and are evaluated; the
+  count comes from inclusion-exclusion over the row supports;
 * cycles — 4-cycles (two rows sharing two columns) and 6-cycles (row and
   column triples whose submatrix has exactly two nonzeros per row and per
   column), drawn from the same enumeration as the minors, together with
@@ -20,7 +21,6 @@ matrix they were found in.
 
 from __future__ import annotations
 
-import collections
 import itertools
 import math
 from dataclasses import dataclass
@@ -37,8 +37,7 @@ PATTERN_FULL = "fully-nonzero"
 PATTERN_CYCLE = "cycle-pattern"
 PATTERN_MIXED = "mixed-pattern"
 
-# Bit b of a column's mask over a row tuple is set when it meets row b.
-# The masks of a 6-cycle's columns, in (c12, c23, c13) order:
+# The masks (see ``_mask``) of a 6-cycle's columns, in (c12, c23, c13) order:
 _CYCLE_MASKS = (0b011, 0b110, 0b101)
 
 
@@ -128,66 +127,63 @@ class MinorReport:
 
 
 def _vanishable_minors(matrix: ExponentMatrix, size: int, meter: Meter):
-    """Per row tuple: the column masks and the column sets that can vanish.
+    """Per row tuple: the row supports, their meets and the column sets that can vanish.
 
-    Yields ``(rows, masks, col_sets)`` for every tuple of ``size`` rows in
-    lexicographic order.  ``masks`` maps each column meeting the tuple to
-    its mask; ``col_sets`` lists, sorted, every column set whose submatrix
-    has two or more nonzero transversals.  Two transversals of a minor of
-    side at most 3 differ on a 4-cycle or a 6-cycle, so these are the
-    4-cycles of two rows, completed by a column of every other row, and the
-    6-cycles c12, c23, c13 through three rows (chords allowed).
+    Yields ``(rows, sup, meets, col_sets)`` for every tuple of ``size`` rows
+    in lexicographic order: the row supports as sets, ``meets[a, b] ==
+    sup[a] & sup[b]`` for a < b, and, sorted, every column set whose
+    submatrix has two or more nonzero transversals.  Two transversals of a
+    minor of side at most 3 differ on a 4-cycle or a 6-cycle, so these are
+    the 4-cycles of two rows, completed by a column of every other row, and
+    the 6-cycles c12, c23, c13 through three rows (chords allowed).
     """
     supports = {r: set(matrix.row_support(r)) for r in range(1, matrix.rows + 1)}
     for rows in itertools.combinations(range(1, matrix.rows + 1), size):
         sup = [supports[r] for r in rows]
-        masks: dict[int, int] = {}
-        for bit, cols in enumerate(sup):
-            for c in cols:
-                masks[c] = masks.get(c, 0) | 1 << bit
+        meets = {(a, b): sup[a] & sup[b] for a, b in itertools.combinations(range(size), 2)}
         found = set()
-        for a, b in itertools.combinations(range(size), 2):
+        for (a, b), meet in meets.items():
             rest = [sup[k] for k in range(size) if k not in (a, b)]
-            for pair in itertools.combinations(sorted(sup[a] & sup[b]), 2):
+            for pair in itertools.combinations(sorted(meet), 2):
                 for extra in itertools.product(*rest):
                     cols = set(pair).union(extra)
                     if len(cols) == size:
                         found.add(tuple(sorted(cols)))
         if size == 3:
-            for cyc in itertools.product(sup[0] & sup[1], sup[1] & sup[2], sup[0] & sup[2]):
+            for cyc in itertools.product(meets[0, 1], meets[1, 2], meets[0, 2]):
                 if len(set(cyc)) == 3:
                     found.add(tuple(sorted(cyc)))
-        meter.charge(1 + len(masks) + len(found))
-        yield rows, masks, sorted(found)
+        meter.charge(1 + len(set().union(*sup)) + len(found))
+        yield rows, sup, meets, sorted(found)
 
 
-def _pattern(col_masks: Sequence[int], size: int) -> str:
-    if all(m == (1 << size) - 1 for m in col_masks):
+def _mask(sup: Sequence[set[int]], col: int) -> int:
+    """Bit b is set when the column meets row b of the tuple."""
+    return sum(1 << b for b, s in enumerate(sup) if col in s)
+
+
+def _pattern(sup: Sequence[set[int]], cols: Sequence[int]) -> str:
+    masks = [_mask(sup, c) for c in cols]
+    if all(m == (1 << len(sup)) - 1 for m in masks):
         return PATTERN_FULL
-    if sorted(col_masks) == sorted(_CYCLE_MASKS):
+    if sorted(masks) == sorted(_CYCLE_MASKS):
         return PATTERN_CYCLE
     return PATTERN_MIXED
-
-
-# Per minor side, the multisets of column masks that admit a nonzero
-# transversal, as (mask, multiplicity) pairs.
-_TRANSVERSAL_MASKS = {
-    size: [
-        tuple(collections.Counter(ms).items())
-        for ms in itertools.combinations_with_replacement(range(1, 1 << size), size)
-        if any(all(m >> p & 1 for m, p in zip(ms, perm))
-               for perm in itertools.permutations(range(size)))
-    ]
-    for size in (2, 3)
-}
 
 
 def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
                  budget: int | Meter = DEFAULT_BUDGET) -> MinorReport:
     """Check every not-trivially-zero size x size minor of the sliding matrix.
 
-    Minors with a single nonzero transversal are counted from the column
-    masks of their row tuple; only the others are evaluated.
+    Minors are counted, not listed.  Per row tuple, inclusion-exclusion
+    over the row supports A, B (, C) gives the number T of transversals,
+    one column per row and all columns distinct: |A||B| - |A&B| for two
+    rows, |A||B||C| - |A&B||C| - |A&C||B| - |B&C||A| + 2|A&B&C| for three.
+    A column set with t nonzero transversals takes t of them, so the
+    minors that admit one number T less the sum of t - 1 over the sets
+    with t >= 2.  Only those sets can vanish, and only they are evaluated.
+    Fully-nonzero minors number C(|A&B(&C)|, size) and cycle-pattern ones
+    the product over the row pairs of |pair meet| - |A&B&C|.
     """
     if size not in (2, 3):
         raise ValueError(f"minor size must be 2 or 3, got {size}")
@@ -196,20 +192,25 @@ def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
     matrix = spec.sliding_matrix(j)
     counts = dict.fromkeys((PATTERN_FULL, PATTERN_CYCLE, PATTERN_MIXED), 0)
     failures = []
-    for rows, masks, col_sets in _vanishable_minors(matrix, size, _meter(budget)):
-        n = collections.Counter(masks.values())
-        total = sum(math.prod(math.comb(n[m], k) for m, k in ms)
-                    for ms in _TRANSVERSAL_MASKS[size])
-        full = math.comb(n[(1 << size) - 1], size)
-        cycle = math.prod(n[m] for m in _CYCLE_MASKS) if size == 3 else 0
+    for rows, sup, meets, col_sets in _vanishable_minors(matrix, size, _meter(budget)):
+        common = len(meets[0, 1] & sup[-1])
+        if size == 2:
+            total, cycle = len(sup[0]) * len(sup[1]) - common, 0
+        else:
+            a, b, c = map(len, sup)
+            ab, bc, ac = (len(meets[k]) for k in ((0, 1), (1, 2), (0, 2)))
+            total = a * b * c - ab * c - ac * b - bc * a + 2 * common
+            cycle = (ab - common) * (bc - common) * (ac - common)
+        for cols in col_sets:
+            total -= sum(all(col in s for col, s in zip(perm, sup))
+                         for perm in itertools.permutations(cols)) - 1
+            d = gf.det(spec.field, matrix.submatrix(rows, cols))
+            if d is ZERO:
+                failures.append(MinorFailure(rows, cols, _pattern(sup, cols), d))
+        full = math.comb(common, size)
         counts[PATTERN_FULL] += full
         counts[PATTERN_CYCLE] += cycle
         counts[PATTERN_MIXED] += total - full - cycle
-        for cols in col_sets:
-            d = gf.det(spec.field, matrix.submatrix(rows, cols))
-            if d is ZERO:
-                pattern = _pattern([masks[c] for c in cols], size)
-                failures.append(MinorFailure(rows, cols, pattern, d))
     if size == 2:
         del counts[PATTERN_CYCLE]
     return MinorReport(size=size, horizon=j, checked=sum(counts.values()),
@@ -260,7 +261,7 @@ def _girth(matrix: ExponentMatrix, meter: Meter) -> Optional[int]:
     and those are chordless.
     """
     for size in (2, 3):
-        if any(col_sets for _, _, col_sets in _vanishable_minors(matrix, size, meter)):
+        if any(col_sets for *_, col_sets in _vanishable_minors(matrix, size, meter)):
             return 2 * size
     return None
 
@@ -283,11 +284,10 @@ def enumerate_cycles(spec: CodeSpec, length: int, j: Optional[int] = None,
     meter = _meter(budget)
     cycle_pattern = PATTERN_FULL if half == 2 else PATTERN_CYCLE
     cycles = []
-    for rows, masks, col_sets in _vanishable_minors(matrix, half, meter):
+    for rows, sup, _, col_sets in _vanishable_minors(matrix, half, meter):
         walks = sorted(
-            tuple(sorted(cols, key=lambda c: _CYCLE_MASKS.index(masks[c])))
-            for cols in col_sets
-            if _pattern([masks[c] for c in cols], half) == cycle_pattern
+            tuple(sorted(cols, key=lambda c: _CYCLE_MASKS.index(_mask(sup, c))))
+            for cols in col_sets if _pattern(sup, cols) == cycle_pattern
         )
         for walk in walks:
             cols = tuple(sorted(walk))
@@ -370,16 +370,16 @@ def free_distance(spec: CodeSpec, horizon: Optional[int] = None,
     w parities its column forces), so only weights up to w are searched.
     A minimum-weight codeword splits into two shorter ones as soon as its
     information word has mu consecutive zero blocks, hence searching
-    degrees up to (w-1)*mu is exhaustive and the result exact.  With a
-    smaller explicit horizon the column distance at that horizon is
-    returned as a certified lower bound.
+    degrees up to (w-1)*mu is exhaustive and the result exact; a larger
+    horizon is searched only that far.  With a smaller explicit horizon the
+    column distance at that horizon is returned as a certified lower bound.
     """
     if horizon is None:
         horizon = exact_horizon(spec)
     ub = spec.w + 1
     exact = horizon >= exact_horizon(spec)
     if exact:
-        matrix = spec.full_sliding_matrix(horizon + 1)
+        matrix = spec.full_sliding_matrix(exact_horizon(spec) + 1)
         value = _min_weight_first_block(spec.field, matrix, spec.n, ub, _meter(budget))
     else:
         value = column_distance(spec, horizon, budget)

@@ -27,11 +27,22 @@ def matrix_to_json_dict(matrix: ExponentMatrix) -> dict:
 
 
 def matrix_from_json_dict(data: dict) -> ExponentMatrix:
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object with schema {JSON_SCHEMA!r}")
     if data.get("schema") != JSON_SCHEMA:
         raise ValueError(f"expected schema {JSON_SCHEMA!r}, got {data.get('schema')!r}")
-    field = GaloisField.from_descriptor(data["field"])
-    entries = {(r, c): e for r, c, e in data["entries"]}
-    return ExponentMatrix(data["rows"], data["cols"], entries, field)
+    rows, cols, items = data.get("rows"), data.get("cols"), data.get("entries")
+    if not all(type(n) is int and n >= 0 for n in (rows, cols)):
+        raise ValueError('"rows" and "cols" must be nonnegative integers')
+    if not isinstance(items, list) or not all(
+        isinstance(t, list) and len(t) == 3 and all(type(x) is int for x in t) for t in items
+    ):
+        raise ValueError('"entries" must be a list of integer [row, col, exponent] triples')
+    field = GaloisField.from_descriptor(data.get("field"))
+    entries = {(r, c): e for r, c, e in items}
+    if len(entries) != len(items):
+        raise ValueError('a (row, col) position appears twice in "entries"')
+    return ExponentMatrix(rows, cols, entries, field)
 
 
 def to_alist(matrix: ExponentMatrix) -> str:

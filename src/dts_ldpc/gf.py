@@ -35,21 +35,6 @@ ONE: FieldElement = 0
 MAX_FIELD_ORDER = 1 << 20
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
     out = []
     f = 2
@@ -135,14 +120,14 @@ class GaloisField:
     def __init__(self, p: int, degree: int):
         if degree < 1:
             raise ValueError(f"degree must be >= 1, got {degree}")
-        if not _is_prime(p):
-            raise NonPrimeCharacteristic(f"{p} is not prime")
-        q = p**degree
-        if q > MAX_FIELD_ORDER:
+        # the size goes first: a huge p is never factored, a huge power never formed
+        if p > 1 and (degree >= MAX_FIELD_ORDER.bit_length() or p**degree > MAX_FIELD_ORDER):
             raise FieldTooLarge(f"q = {p}^{degree} exceeds {MAX_FIELD_ORDER}")
+        if _prime_factors(p) != [p]:
+            raise NonPrimeCharacteristic(f"{p} is not prime")
         self.p = p
         self.degree = degree
-        self.q = q
+        self.q = p**degree
         self.modulus = _canonical_modulus(p, degree)
         self._build_tables(self._find_alpha())
 
@@ -245,8 +230,10 @@ class GaloisField:
 
     @classmethod
     def from_descriptor(cls, d: dict) -> "GaloisField":
-        field = cls(int(d["p"]), int(d["N"]))
-        if "modulus" in d and list(field.modulus) != [int(c) for c in d["modulus"]]:
+        if not isinstance(d, dict) or not all(type(d.get(k)) is int for k in ("p", "N")):
+            raise ValueError('field descriptor must be an object with integer "p" and "N"')
+        field = cls(d["p"], d["N"])
+        if "modulus" in d and d["modulus"] != list(field.modulus):
             raise ValueError(
                 f"modulus {d['modulus']} is not the canonical modulus for GF({field.q})"
             )

@@ -90,6 +90,24 @@ def test_column_distances_nondecreasing_and_saturating(ref_spec_a, ref_spec_b):
         assert seq[-1] == an.free_distance(spec).value
 
 
+@pytest.mark.parametrize("sets, p, deg", [
+    ("1,2,6;1,2,4", 2, 5),
+    ("1,2,6;2,3,5", 2, 5),
+    ("1,2,5,7;1,3,7,8", 2, 3),
+])
+def test_free_distance_past_the_exactness_threshold(sets, p, deg):
+    dts = DifferenceTriangleSet.from_inline(sets)
+    spec = CodeSpec(dts, make_field(p, deg), dts.num_sets + 1)
+    threshold = an.exact_horizon(spec)
+    outcomes = set()
+    for horizon in (threshold, threshold + 1, 40):
+        meter = an.Meter(an.DEFAULT_BUDGET)
+        res = an.free_distance(spec, horizon, meter)
+        assert res.exact and res.horizon == horizon
+        outcomes.add((res.value, meter.used))
+    assert len(outcomes) == 1
+
+
 def test_free_distance_lower_bound_mode(ref_spec_a):
     res = an.free_distance(ref_spec_a, horizon=2)
     assert not res.exact
@@ -425,6 +443,36 @@ def test_minors_and_cycles_agree_at_horizon_25(ref_spec_a):
     singular = {(f.rows, f.cols) for f in minors.failures if f.pattern == an.PATTERN_CYCLE}
     assert singular == {(c.rows, c.cols) for c in cycles.frc_failures}
     assert len(singular) == 65
+
+
+# Counts and charges at j = 25, far past the dense sweep's j <= 4; code A
+# over GF(32), code B over GF(3^6).
+FULL, CYCLE, MIXED = an.PATTERN_FULL, an.PATTERN_CYCLE, an.PATTERN_MIXED
+DEEP_MINORS = [
+    ("1,2,6;1,2,4", 2, 5, 2, 14049, {FULL: 25, MIXED: 14024}, 0, 4512),
+    ("1,2,6;1,2,4", 2, 5, 3, 724924, {FULL: 0, CYCLE: 322, MIXED: 724602}, 65, 55176),
+    ("1,2,6;2,3,5", 3, 6, 2, 13554, {FULL: 24, MIXED: 13530}, 0, 4439),
+    ("1,2,6;2,3,5", 3, 6, 3, 686228, {FULL: 0, CYCLE: 313, MIXED: 685915}, 0, 54107),
+]
+
+
+@pytest.mark.parametrize("sets, p, deg, size, checked, counts, failures, used", DEEP_MINORS)
+def test_minor_counts_and_charges_at_horizon_25(sets, p, deg, size, checked, counts,
+                                                failures, used):
+    spec = CodeSpec(DifferenceTriangleSet.from_inline(sets), make_field(p, deg), 3)
+    meter = an.Meter(an.DEFAULT_BUDGET)
+    rep = an.check_minors(spec, size, 25, meter)
+    assert (rep.checked, rep.class_counts, len(rep.failures)) == (checked, counts, failures)
+    assert meter.used == used
+
+
+@pytest.mark.parametrize("length, count, frc_failures, used", [(4, 25, 0, 4520),
+                                                               (6, 322, 65, 55184)])
+def test_cycle_counts_and_charges_at_horizon_25(ref_spec_a, length, count, frc_failures, used):
+    meter = an.Meter(an.DEFAULT_BUDGET)
+    rep = an.enumerate_cycles(ref_spec_a, length, 25, meter)
+    assert (len(rep.cycles), len(rep.frc_failures), rep.girth) == (count, frc_failures, 4)
+    assert meter.used == used
 
 
 def test_distance_profile_charges_one_budget(ref_spec_a):

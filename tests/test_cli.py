@@ -58,6 +58,34 @@ def test_json_schema_guard():
         matrix_from_json_dict({"schema": "something-else"})
 
 
+GF4_MATRIX = {"schema": "exponent-matrix/v1", "rows": 2, "cols": 2,
+              "field": {"p": 2, "N": 2, "modulus": [1, 1, 1]}, "entries": [[1, 1, 0]]}
+
+
+def _gf4_matrix(**change):
+    """GF4_MATRIX with some keys replaced; a key set to None is dropped."""
+    return {k: v for k, v in {**GF4_MATRIX, **change}.items() if v is not None}
+
+
+@pytest.mark.parametrize("data", [
+    [GF4_MATRIX],
+    _gf4_matrix(entries=None),
+    _gf4_matrix(rows="1"),
+    _gf4_matrix(cols=-1, entries=[]),
+    _gf4_matrix(entries=[[1, 1, 0], [1, 1, 2]]),
+    _gf4_matrix(entries=[[1, 1, None]]),
+    _gf4_matrix(entries=[[1.0, 1, 0]]),
+    _gf4_matrix(entries=[[1, 1, True]]),
+    _gf4_matrix(entries=[["1", "1", "0"]]),
+    _gf4_matrix(field="GF(4)"),
+    _gf4_matrix(field={"p": "2", "N": 2}),
+])
+def test_json_rejects_malformed(data):
+    assert matrix_from_json_dict(GF4_MATRIX).nonzero_count == 1
+    with pytest.raises(ValueError):
+        matrix_from_json_dict(data)
+
+
 def test_alist_golden_and_round_trip(ref_spec_a):
     matrix = ref_spec_a.sliding_matrix(1)
     text = to_alist(matrix)

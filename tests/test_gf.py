@@ -163,10 +163,12 @@ def test_alpha_pow_periodicity():
 
 
 def test_construction_guards():
-    with pytest.raises(NonPrimeCharacteristic):
-        GaloisField(6, 1)
-    with pytest.raises(FieldTooLarge):
-        GaloisField(2, 21)
+    for p in (0, 1, 4, 6, 9):
+        with pytest.raises(NonPrimeCharacteristic):
+            GaloisField(p, 1)
+    for p, degree in ((2, 21), (10**18 + 3, 1), (2, 10**12)):
+        with pytest.raises(FieldTooLarge):
+            GaloisField(p, degree)
     with pytest.raises(ValueError):
         GaloisField(2, 0)
 
