@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 
 from .dts import DifferenceTriangleSet, validate
 from .errors import IncompleteBlock, SetCountMismatch, ZeroElementInDTS
-from .gf import ZERO, FieldElement, GaloisField, _factor_prime_power
+from .gf import ZERO, FieldElement, GaloisField, _prime_factors
 
 
 class ExponentMatrix:
@@ -159,12 +159,28 @@ def min_field_params(n: int, scope: int, w: int) -> MinFieldParams:
     q_case_ii = max(2, 2 * (n - 3) + 2 * (delta - 2) * (n - 2) + 2)
     min_deg = n_3x3 if w >= 3 else 1
     q = max(3, q_2x2)
-    while True:
-        pp = _factor_prime_power(q)
-        if pp is not None and pp[1] >= min_deg:
-            return MinFieldParams(q_2x2=q_2x2, n_3x3=n_3x3, q_case_ii=q_case_ii,
-                                  p=pp[0], n=pp[1])
-        q += 1
+    # the smallest p**e >= q with e >= min_deg: for each e the least prime
+    # p with p**e >= q; an e past the first with 2**e >= q cannot win
+    candidates = []
+    for e in range(min_deg, max(min_deg, (q - 1).bit_length()) + 1):
+        p = _ceil_root(q, e)
+        while _prime_factors(p) != [p]:
+            p += 1
+        candidates.append((p**e, p, e))
+    _, p, e = min(candidates)
+    return MinFieldParams(q_2x2=q_2x2, n_3x3=n_3x3, q_case_ii=q_case_ii, p=p, n=e)
+
+
+def _ceil_root(x: int, e: int) -> int:
+    """The least r with r**e >= x, for x >= 1."""
+    low, high = 1, 1 << -(-x.bit_length() // e)
+    while low < high:
+        mid = (low + high) // 2
+        if mid**e >= x:
+            high = mid
+        else:
+            low = mid + 1
+    return low
 
 
 def density(n: int, w: int, mu: int, message_length: int) -> Fraction:

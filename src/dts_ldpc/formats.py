@@ -10,7 +10,9 @@ full field descriptor and round-trips the matrix exactly.
 
 from __future__ import annotations
 
+from . import gf
 from .code import ExponentMatrix
+from .errors import FieldTooLarge
 from .gf import GaloisField, _factor_prime_power, make_field
 
 JSON_SCHEMA = "exponent-matrix/v1"
@@ -86,6 +88,9 @@ def from_alist(text: str) -> ExponentMatrix:
     if len(head) != 3:
         raise ValueError("alist header must be 'cols rows q'")
     cols, rows, q = (int(x) for x in head)
+    # the size goes first: factoring q takes time growing as sqrt(q)
+    if q > gf.MAX_FIELD_ORDER:
+        raise FieldTooLarge(f"alist field order {q} exceeds {gf.MAX_FIELD_ORDER}")
     factored = _factor_prime_power(q)
     if factored is None:
         raise ValueError(f"alist field order {q} is not a prime power")

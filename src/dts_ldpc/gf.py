@@ -16,7 +16,19 @@ Everything is reproducible without shipping tables:
   primitive, otherwise the first element in polynomial order (again low
   degree first) whose multiplicative order is exactly ``q - 1``.
 
-Field orders are capped at ``2**20`` so the tables stay cheap to build.
+The tables come from one walk over the powers of ``alpha``, the same for
+every p and N.  A polynomial is packed into an int with one slot of
+``(p-1).bit_length() + 1`` bits per coefficient, so adding two of them mod p
+is a few int operations.  Multiplying by ``alpha`` is GF(p)-linear: two
+tables of ``p**ceil(N/2)`` packed products, one per half of the
+coefficients, give the next power as the sum of two lookups, and one table
+of the same size turns each half back into its base-p value.  Each step of
+the walk is O(1) int work, where a polynomial product would be O(N**2),
+and the set-up tables are spanned from N basis products by packed
+additions.
+
+Field orders are capped at ``2**20``: the exponent, ``log`` and Zech tables
+hold q entries each, so a build costs time and memory in proportion to q.
 """
 
 from __future__ import annotations
@@ -107,7 +119,10 @@ def _irreducible(f: tuple[int, ...], p: int) -> bool:
 
 
 def _canonical_modulus(p: int, n: int) -> tuple[int, ...]:
-    for lower in itertools.product(range(p), repeat=n):
+    # x divides every candidate with a zero constant term, so past degree 1
+    # the constant term starts at 1
+    lowest = range(min(1, n - 1), p)
+    for lower in itertools.product(lowest, *[range(p)] * (n - 1)):
         cand = lower + (1,)
         if _irreducible(cand, p):
             return cand
@@ -157,19 +172,53 @@ class GaloisField:
         raise AssertionError("no primitive element found")  # pragma: no cover
 
     def _build_tables(self, alpha: tuple[int, ...]) -> None:
-        p = self.p
+        p, n = self.p, self.degree
+        # one b-bit slot per coefficient: a slot holds the sum of two digits,
+        # at most 2p - 2 < 2**b, and adding 2**top - p to it sets its top bit
+        # exactly when the sum reached p, so one shifted mask reduces all slots
+        b = (p - 1).bit_length() + 1
+        top = b - 1
+        ones = sum(1 << (k * b) for k in range(n))
+        top_bits, adj = ones << top, ones * ((1 << top) - p)
+
+        def span(basis: list[int]) -> list[int]:
+            # packed sum(d[k] * basis[k]) for every digit string d, listed in
+            # the order of its base-p value: the entry for value v + p**k
+            # is the entry for v plus basis[k]
+            out = [0]
+            for step in basis:
+                for i in range((p - 1) * len(out)):
+                    s = out[i] + step
+                    out.append(s - (((s + adj) & top_bits) >> top) * p)
+            return out
+
+        # alpha * (low + x**half * high) = alpha * low + alpha * x**half * high:
+        # one table per half of the digits, spanned by the products
+        # x**k * alpha, which are the only polynomial products of the walk.
+        # Two halves keep these tables at p**ceil(N/2) entries, not q.
+        half = (n + 1) // 2
+        size, shift = p**half, half * b
+        mask = (1 << shift) - 1
+        products = []
+        for k in range(n):
+            digits = _poly_mul(tuple(int(i == k) for i in range(n)), alpha, self.modulus, p)
+            products.append(sum(d << (i * b) for i, d in enumerate(digits)))
+        times_low, times_high = span(products[:half]), span(products[half:])
+        # the packed slots of one half -> their base-p value
+        unpack = dict(zip(span([1 << (k * b) for k in range(half)]), range(size)))
         exp = []
         log: list[Optional[int]] = [None] * self.q
-        cur = (1,) + (0,) * (self.degree - 1)
+        low, high = 1, 0
         for e in range(self.q - 1):
-            enc = 0
-            for d in reversed(cur):
-                enc = enc * p + d
-            if log[enc] is not None:
-                raise AssertionError("alpha is not primitive")  # pragma: no cover
+            enc = low + high * size
             log[enc] = e
             exp.append(enc)
-            cur = _poly_mul(cur, alpha, self.modulus, p)
+            s = times_low[low] + times_high[high]
+            s -= (((s + adj) & top_bits) >> top) * p
+            low, high = unpack[s & mask], unpack[s >> shift]
+        # a power met twice leaves more than the zero encoding without a log
+        if log.count(None) != 1:
+            raise AssertionError("alpha is not primitive")  # pragma: no cover
         # base-p encoding of alpha**e; adding 1 only touches digit 0
         self._exp = exp
         # Zech logarithm: 1 + alpha**k == alpha**_zech[k], None when it is zero

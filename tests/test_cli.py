@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from dts_ldpc import formats, gf
 from dts_ldpc.cli import main
 from dts_ldpc.code import build_base_matrix
+from dts_ldpc.errors import FieldTooLarge
 from dts_ldpc.formats import (
     from_alist,
     matrix_from_json_dict,
@@ -120,6 +122,17 @@ def test_alist_value_mapping(ref_spec_a):
 def test_alist_rejects_malformed(text):
     with pytest.raises(ValueError):
         from_alist(text)
+
+
+def test_alist_bounds_q_before_factoring_it(monkeypatch):
+    # trial division of a q near 10**18 would take about a minute
+    def factor(q):
+        raise AssertionError(f"{q} was factored")
+
+    monkeypatch.setattr(formats, "_factor_prime_power", factor)
+    for q in (gf.MAX_FIELD_ORDER + 1, 10**18 + 3):
+        with pytest.raises(FieldTooLarge):
+            from_alist(f"1 1 {q}\n1 1\n1\n1\n1 1\n1 1\n")
 
 
 def test_render_pretty_reference_base(dts_126_235, gf32):
@@ -300,6 +313,13 @@ def test_cli_suggest_field(capsys):
                            "--scope", "6", "--w", "3")
     assert code == 0
     assert out == "q_2x2=12\nN_3x3=5\ncase_ii_q=8\nsuggested=2^5\n"
+
+
+def test_cli_suggest_field_large_scope(capsys):
+    code, out, _ = run_cli(capsys, "suggest-field", "--n", "3",
+                           "--scope", "30", "--w", "3")
+    assert code == 0
+    assert out == "q_2x2=60\nN_3x3=29\ncase_ii_q=56\nsuggested=2^29\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -15,7 +15,7 @@ from dts_ldpc.code import (
 )
 from dts_ldpc.dts import DifferenceTriangleSet, search_min_scope
 from dts_ldpc.errors import IncompleteBlock, SetCountMismatch, ZeroElementInDTS
-from dts_ldpc.gf import ZERO, GaloisField
+from dts_ldpc.gf import ZERO, GaloisField, _factor_prime_power
 
 # frozen golden base matrices, entries (row, col) -> exponent
 BASE_126_124 = {
@@ -245,6 +245,32 @@ def test_min_field_params_low_weight_ignores_degree_bound():
     got = min_field_params(3, 6, 2)
     assert got.n_3x3 == 5
     assert got.q == 13
+
+
+def oracle_suggested_field(n, scope, w):
+    """(p, e) by stepping q up from the 2x2 bound to a prime power with e >= N_3x3."""
+    delta = scope - 1
+    min_deg = max(1, (delta - 1) * (n - 2) + 1) if w >= 3 else 1
+    q = max(3, (n - 1) * delta + 2)
+    while True:
+        pp = _factor_prime_power(q)
+        if pp is not None and pp[1] >= min_deg:
+            return pp
+        q += 1
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_min_field_params_matches_stepping_oracle(n):
+    for scope in range(1, 13):
+        for w in range(1, 5):
+            got = min_field_params(n, scope, w)
+            if w >= 3 and got.n_3x3 > 16:
+                # the oracle would step through 2**N_3x3 values; 2**N_3x3 is
+                # at least q_2x2 here, and any other p**e with e >= N_3x3 is larger
+                assert 2**got.n_3x3 >= got.q_2x2
+                assert (got.p, got.n) == (2, got.n_3x3)
+            else:
+                assert (got.p, got.n) == oracle_suggested_field(n, scope, w)
 
 
 def test_min_field_params_rejects_bad_input():

@@ -1,5 +1,6 @@
 """Field arithmetic tests, including independent-oracle cross-checks."""
 
+import hashlib
 import itertools
 import random
 
@@ -29,6 +30,15 @@ def oracle_poly_mul(a, b, modulus, p):
     return tuple(prod)
 
 
+def oracle_powers(f):
+    """alpha**0 .. alpha**(q-2) of f as coefficient tuples, by oracle_poly_mul."""
+    alpha = f.element_poly(f.alpha_pow(1))
+    table = [(1,) + (0,) * (f.degree - 1)]
+    for _ in range(f.q - 2):
+        table.append(oracle_poly_mul(table[-1], alpha, f.modulus, f.p))
+    return table
+
+
 def test_gf9_canonical_data_matches_frozen_values():
     f = GaloisField(3, 2)
     assert f.modulus == (1, 0, 1)
@@ -43,10 +53,7 @@ def test_gf9_canonical_data_matches_frozen_values():
 )
 def test_addition_against_exhaustive_oracle(p, n):
     f = GaloisField(p, n)
-    alpha = f.element_poly(f.alpha_pow(1))
-    table = [(1,) + (0,) * (n - 1)]
-    for _ in range(f.q - 2):
-        table.append(oracle_poly_mul(table[-1], alpha, f.modulus, p))
+    table = oracle_powers(f)
     assert [f.element_poly(e) for e in range(f.q - 1)] == table
     log = {poly: e for e, poly in enumerate(table)}
     assert len(log) == f.q - 1
@@ -63,6 +70,33 @@ def test_addition_against_exhaustive_oracle(p, n):
             da, db = to_poly(a), to_poly(b)
             assert f.add(a, b) == from_poly(tuple((x + y) % p for x, y in zip(da, db)))
             assert f.sub(a, b) == from_poly(tuple((x - y) % p for x, y in zip(da, db)))
+
+
+@pytest.mark.parametrize(
+    "p,n",
+    # halves of 4 and 3 digits, of 3 and 2, of 2 and 1; one slot of 15 bits;
+    # alpha is 2x**2 in GF(5^3) and 1 + 5x in GF(113^2)
+    [(2, 7), (3, 5), (5, 3), (113, 2), (12289, 1), (16381, 1)],
+)
+def test_powers_of_alpha_match_oracle_walk(p, n):
+    f = GaloisField(p, n)
+    assert [f.element_poly(e) for e in range(f.q - 1)] == oracle_powers(f)
+
+
+@pytest.mark.parametrize(
+    "p,n,digest",
+    # SHA-256 of repr([f.element_poly(e) for e in range(q - 1)]), recorded
+    # with the per-element polynomial-product walk this build replaced
+    [
+        (2, 16, "8a263c592c28fb2bdf99e604b1e459c89fbd8dd07737f3429a30453b38776d47"),
+        (3, 10, "ee34979636cecd0fd6838f3edd4baa9839e531c76fa2da4118fcdd269fc71d1c"),
+        (7, 6, "0ec81f2f892c8908b0f7130f442869e3683f7b123645e9bcf7d6d9584cac11a6"),
+    ],
+)
+def test_big_field_powers_of_alpha_are_pinned(p, n, digest):
+    f = GaloisField(p, n)
+    polys = [f.element_poly(e) for e in range(f.q - 1)]
+    assert hashlib.sha256(repr(polys).encode()).hexdigest() == digest
 
 
 def test_gf9_alpha_has_order_eight():
@@ -97,10 +131,27 @@ def test_gf32_alpha_walk_covers_all_nonzero():
         (3, 2, (1, 0, 1)),
         (2, 5, (1, 0, 0, 1, 0, 1)),
         (7, 1, (0, 1)),
+        (2, 16, (1,) + (0,) * 10 + (1, 0, 1, 0, 1, 1)),
+        (3, 10, (1,) + (0,) * 7 + (2, 0, 1)),
+        (7, 6, (1, 0, 0, 0, 1, 0, 1)),
     ],
 )
 def test_canonical_modulus(p, n, modulus):
     assert GaloisField(p, n).modulus == modulus
+
+
+@pytest.mark.parametrize(
+    "p,n,alpha",
+    # x is not primitive in these fields: x**14 + x**15, x**6 + 2x**8 + x**9, x**4 + x**5
+    [
+        (2, 16, (0,) * 14 + (1, 1)),
+        (3, 10, (0,) * 6 + (1, 0, 2, 1)),
+        (7, 6, (0, 0, 0, 0, 1, 1)),
+    ],
+)
+def test_canonical_alpha_for_big_fields(p, n, alpha):
+    f = GaloisField(p, n)
+    assert f.element_poly(f.alpha_pow(1)) == alpha
 
 
 def test_canonical_alpha_for_prime_fields():
