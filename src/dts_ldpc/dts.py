@@ -10,13 +10,18 @@ nonnegative integers, all of the same size.  Two validity modes exist:
 
 The scope is the largest last element.  ``search_min_scope`` finds a
 minimum-scope family by exhausting every smaller scope, so the result
-carries an optimality certificate.
+carries an optimality certificate.  Its depth-first search keeps the
+marks, the differences taken and the offsets that would repeat one as
+bit-vectors relative to the last mark, so each candidate element costs a
+few shifts, and its ``nodes`` count is the number of candidate elements
+tried, rejected ones included.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import Optional
 
 from .errors import BudgetExhausted
 
@@ -32,12 +37,14 @@ class DifferenceTriangleSet:
     sets: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        norm = tuple(tuple(int(a) for a in s) for s in self.sets)
+        norm = tuple(tuple(s) for s in self.sets)
         object.__setattr__(self, "sets", norm)
         if not norm:
             raise ValueError("at least one set is required")
         size = len(norm[0])
         for i, s in enumerate(norm, start=1):
+            if any(type(a) is not int for a in s):
+                raise ValueError(f"set {i} contains a non-integer element")
             if len(s) != size:
                 raise ValueError(f"set {i} has size {len(s)}, expected {size}")
             if not s:
@@ -167,6 +174,11 @@ class SearchResult:
         }
 
 
+def _marks(last: int, lst: int) -> tuple[int, ...]:
+    """The marks of a set whose bit i of ``lst`` is the mark ``last - i``."""
+    return tuple(last - i for i in range(lst.bit_length() - 1, -1, -1) if lst >> i & 1)
+
+
 def search_min_scope(
     num_sets: int,
     set_size: int,
@@ -176,10 +188,43 @@ def search_min_scope(
 ) -> SearchResult:
     """Lexicographically smallest family of minimum scope.
 
-    Scopes are tried in increasing order; a depth-first search with a
-    used-difference bitmask exhausts each scope before moving on, so the
-    first hit is optimal and every smaller scope is certified infeasible.
-    Raises BudgetExhausted when no family exists within scope_budget.
+    Scopes are tried in increasing order; a depth-first search exhausts
+    each scope before moving on, so the first hit is optimal and every
+    smaller scope is certified infeasible.  Raises BudgetExhausted when no
+    family exists within scope_budget.
+
+    The search places the marks of each set left to right, the sets in
+    order, and keeps the shift-register bit-vectors of optimal Golomb ruler
+    searches, all relative to the last mark placed, ``last``:
+
+    * ``lst``: bit i is set when ``last - i`` is a mark of the current set;
+    * ``used``: the differences taken by the current set and the carry (in
+      strict mode the differences of the sets before it, else 0);
+    * ``comp``: bit x is set when a mark at ``last + x`` would repeat a
+      difference of ``used``.
+
+    A set starts from a virtual mark ``min_element - 1`` with ``lst = comp
+    = 0`` and ``used`` = the carry.  A mark ``s`` past the last one makes
+    ``lst' = (lst << s) | 1``, ``used' = used | (lst << s)`` and ``comp' =
+    (comp >> s) | used'``; the free steps are the clear bits of ``comp >>
+    1``, so a candidate costs no loop over the marks placed.
+
+    ``certificate.nodes`` counts every candidate element tried, rejected
+    ones included: a level whose candidates run up to step ``span`` adds
+    ``span``, and a level left on success gives back ``span - s`` for the
+    steps past its hit ``s`` that were never tried.
+
+    Whether a completed set changes the carry is the same for every set:
+    in relaxed mode the carry stays 0, and in strict mode the set's
+    differences avoid the carry, so the carry stays exactly when the set
+    has no differences (size 1).  When it stays, every later set starts
+    the search of the first set from the same state, so it reaches the same
+    first completed set after the same number of nodes, and the last set's
+    search succeeds there too.  The family is then the first set found,
+    repeated, and each later set costs the nodes the first one spent at the
+    hit scope; at every smaller scope the first set never completes, so the
+    cost is that of a single set.  The search therefore recurses through
+    the next set only when the carry changes.
     """
     if mode not in VALID_MODES:
         raise ValueError(f"mode must be one of {VALID_MODES}, got {mode!r}")
@@ -188,41 +233,69 @@ def search_min_scope(
     if num_sets < 1 or set_size < 1:
         raise ValueError("num_sets and set_size must be >= 1")
 
+    strict = mode == "strict"
+    last_set = num_sets - 1
     nodes = 0
     exhausted: list[int] = []
     lowest = min_element + set_size - 1
 
-    def dfs(target: int, sets_done: list[tuple[int, ...]], cur: list[int],
-            cur_mask: int, carry_mask: int):
+    def place(k: int, hi: int, last: int, lst: int, used: int, comp: int,
+              carry: int) -> Optional[list[tuple[int, ...]]]:
+        # Place the next mark of set k in last+1..hi; hi == target for the
+        # set's last mark.
         nonlocal nodes
-        if len(cur) == set_size:
-            done = sets_done + [tuple(cur)]
-            if len(done) == num_sets:
-                return done
-            next_carry = carry_mask | cur_mask if mode == "strict" else 0
-            return dfs(target, done, [], 0, next_carry)
-        lo = cur[-1] + 1 if cur else min_element
-        hi = target - (set_size - len(cur) - 1)
-        for e in range(lo, hi + 1):
-            nodes += 1
-            new_bits = 0
-            ok = True
-            for a in cur:
-                bit = 1 << (e - a)
-                if (cur_mask | carry_mask | new_bits) & bit:
-                    ok = False
-                    break
-                new_bits |= bit
-            if not ok:
-                continue
-            hit = dfs(target, sets_done, cur + [e], cur_mask | new_bits, carry_mask)
+        span = hi - last
+        free = ~(comp >> 1) & ((1 << span) - 1)
+        if hi == target and k == last_set:
+            if free:
+                s = (free & -free).bit_length()
+                nodes += s
+                return [_marks(last + s, lst << s | 1)]
+            nodes += span
+            return None
+        nodes += span
+        if hi < target:
+            while free:
+                low = free & -free
+                free ^= low
+                s = low.bit_length()
+                shifted = lst << s
+                used_next = used | shifted
+                # comp' is exact.  A mark at x > new repeats a difference
+                # when x - b is in used' for a mark b.  For b = new that is
+                # bit x - new of used'.  For an old b with x - b in used it
+                # is bit x - last of comp, i.e. bit x - new of comp >> s.
+                # Otherwise x - b = new - a for an old a, and then
+                # x - new = b - a is a difference of old marks, in used'.
+                hit = place(k, hi + 1, last + s, shifted | 1, used_next,
+                            (comp >> s) | used_next, carry)
+                if hit is not None:
+                    nodes -= span - s
+                    return hit
+            return None
+        while free:
+            low = free & -free
+            free ^= low
+            s = low.bit_length()
+            shifted = lst << s
+            carry_next = used | shifted if strict else carry
+            if carry_next == carry:
+                hit = []
+            else:
+                hit = place(k + 1, first_hi, min_element - 1, 0, carry_next, 0, carry_next)
             if hit is not None:
-                return hit
+                nodes -= span - s
+                return [_marks(last + s, shifted | 1), *hit]
         return None
 
     for target in range(lowest, scope_budget + 1):
-        found = dfs(target, [], [], 0, 0)
+        first_hi = target - set_size + 1
+        before = nodes
+        found = place(0, first_hi, min_element - 1, 0, 0, 0, 0)
         if found is not None:
+            if len(found) < num_sets:  # the carry stayed: see the docstring
+                nodes += (num_sets - 1) * (nodes - before)
+                found *= num_sets
             dts = DifferenceTriangleSet(tuple(found))
             return SearchResult(
                 dts=dts,

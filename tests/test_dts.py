@@ -5,8 +5,11 @@ import random
 
 import pytest
 
+from dts_ldpc.cli import main
 from dts_ldpc.dts import (
     DifferenceTriangleSet,
+    SearchCertificate,
+    SearchResult,
     differences,
     scope,
     search_min_scope,
@@ -53,6 +56,51 @@ def oracle_min_scope(num_sets, set_size, mode, min_element, limit=12):
     return None
 
 
+def oracle_search_min_scope(num_sets, set_size, mode, min_element, scope_budget=32):
+    """Reference DFS: one difference bit per placed mark and candidate, and
+    one recursion level per mark of every set.  It counts one node per
+    candidate element tried, as search_min_scope must."""
+    nodes = 0
+    exhausted = []
+
+    def dfs(target, sets_done, cur, cur_mask, carry_mask):
+        nonlocal nodes
+        if len(cur) == set_size:
+            done = sets_done + [tuple(cur)]
+            if len(done) == num_sets:
+                return done
+            next_carry = carry_mask | cur_mask if mode == "strict" else 0
+            return dfs(target, done, [], 0, next_carry)
+        lo = cur[-1] + 1 if cur else min_element
+        hi = target - (set_size - len(cur) - 1)
+        for e in range(lo, hi + 1):
+            nodes += 1
+            new_bits = 0
+            ok = True
+            for a in cur:
+                bit = 1 << (e - a)
+                if (cur_mask | carry_mask | new_bits) & bit:
+                    ok = False
+                    break
+                new_bits |= bit
+            if not ok:
+                continue
+            hit = dfs(target, sets_done, cur + [e], cur_mask | new_bits, carry_mask)
+            if hit is not None:
+                return hit
+        return None
+
+    for target in range(min_element + set_size - 1, scope_budget + 1):
+        found = dfs(target, [], [], 0, 0)
+        if found is not None:
+            dts = DifferenceTriangleSet(tuple(found))
+            return SearchResult(dts, dts.scope, SearchCertificate(tuple(exhausted), nodes))
+        exhausted.append(target)
+    raise BudgetExhausted(
+        f"no {mode} family of {num_sets} set(s) of size {set_size} with scope <= {scope_budget}"
+    )
+
+
 # ---------------------------------------------------------------------------
 # structure and validation
 # ---------------------------------------------------------------------------
@@ -71,6 +119,9 @@ def test_construction_normalizes_and_checks():
         DifferenceTriangleSet(((-1, 2),))
     with pytest.raises(ValueError):
         DifferenceTriangleSet(())
+    for sets in (((1.9, 2.2, 6),), ((True, 2, 6),), (("3", 4),), ((1, 2.0),)):
+        with pytest.raises(ValueError, match="non-integer"):
+            DifferenceTriangleSet(sets)
 
 
 def test_differences_witnesses():
@@ -197,12 +248,66 @@ def test_search_min_element_zero():
 
 def test_search_finds_optimal_golomb_rulers():
     # one set starting at 0 is a Golomb ruler; known optimal lengths
-    for k, length in zip(range(2, 8), (1, 3, 6, 11, 17, 25)):
-        res = search_min_scope(1, k, "relaxed", 0)
+    # (Atkinson, Santoro & Urrutia 1986)
+    for k, length in zip(range(2, 9), (1, 3, 6, 11, 17, 25, 34)):
+        res = search_min_scope(1, k, "relaxed", 0, scope_budget=length)
         assert res.scope == length
         assert res.dts.sets[0][0] == 0
         assert validate(res.dts, "relaxed").valid
         assert res.certificate.exhausted_scopes == tuple(range(k - 1, length))
+        if k == 7:
+            assert res.certificate.nodes == 180_433
+        if k == 8:
+            assert res.dts.sets == ((0, 1, 4, 9, 15, 22, 32, 34),)
+            assert res.certificate.nodes == 2_425_946
+
+
+# Every shape of up to 4 sets of size up to 5 except the strict families the
+# oracle takes seconds to minutes on (2x5, 3x4, 3x5, 4x3, 4x4, 4x5).
+ORACLE_SHAPES = [
+    (num_sets, set_size, mode)
+    for mode in ("relaxed", "strict")
+    for num_sets in range(1, 5)
+    for set_size in range(1, 6)
+    if mode == "relaxed" or num_sets == 1 or num_sets + set_size <= 6
+]
+
+
+@pytest.mark.parametrize("num_sets,set_size,mode", ORACLE_SHAPES)
+def test_search_matches_oracle_dfs(num_sets, set_size, mode):
+    for min_element in (0, 1):
+        expected = oracle_search_min_scope(num_sets, set_size, mode, min_element)
+        assert search_min_scope(num_sets, set_size, mode, min_element) == expected
+        budget = expected.scope - 1
+        with pytest.raises(BudgetExhausted) as want:
+            oracle_search_min_scope(num_sets, set_size, mode, min_element, budget)
+        with pytest.raises(BudgetExhausted) as got:
+            search_min_scope(num_sets, set_size, mode, min_element, budget)
+        assert str(got.value) == str(want.value)
+
+
+def test_search_repeats_a_set_that_leaves_the_carry_unchanged():
+    # relaxed sizes 1..5: nodes of one set, and of each further set at the
+    # hit scope (measured with the oracle DFS)
+    for size, one, extra in zip(range(1, 6), (1, 2, 7, 51, 838), (1, 2, 4, 10, 34)):
+        single = search_min_scope(1, size, "relaxed").dts.sets[0]
+        for num_sets in (2, 3, 4, 7):
+            res = search_min_scope(num_sets, size, "relaxed")
+            assert res.dts.sets == (single,) * num_sets
+            assert res.certificate.nodes == one + (num_sets - 1) * extra
+    res = search_min_scope(5, 1, "strict", 0)
+    assert res.dts.sets == ((0,),) * 5 and res.certificate.nodes == 5
+
+
+def test_cli_search_long_families(capsys):
+    assert main(["search", "--sets", "600", "--size", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out == ("scope: 2\nsets: " + ";".join(["1,2"] * 600)
+                   + "\nexhausted_scopes: \nnodes: 1200\n")
+    assert main(["search", "--sets", "600", "--size", "1", "--mode", "strict"]) == 0
+    out = capsys.readouterr().out
+    assert out == ("scope: 1\nsets: " + ";".join(["1"] * 600)
+                   + "\nexhausted_scopes: \nnodes: 600\n")
 
 
 def test_search_matches_oracle_grid():
