@@ -13,7 +13,12 @@ Three families of checks, all exact:
   the full-rank condition on their cycle matrices;
 * distances — column distances and the free distance through the span
   criterion: the smallest d such that some column of the first block lies
-  in the span of d-1 other columns, searched in increasing d.
+  in the span of d-1 other columns, searched in increasing d.  The
+  columns of a smallest such combination form a circuit of the column
+  matroid: no row meets them exactly once and their Tanner subgraph is
+  connected.  So supports are grown from the first block, row by row,
+  instead of trying every column combination.  The assumption check
+  tests only the columns that meet the rows it restricts to.
 
 Failing witnesses are reported with 1-based row/column indices of the
 matrix they were found in.
@@ -21,8 +26,10 @@ matrix they were found in.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -318,24 +325,68 @@ def _min_weight_first_block(field: GaloisField, matrix: ExponentMatrix,
     ``ub`` must be a weight achieved by an explicit kernel vector; only
     smaller weights are searched.  Equals the smallest d such that one of
     the first ``n_first`` columns lies in the span of d-1 other columns.
+
+    The search grows column supports instead of trying column
+    combinations.  Let S* be the support of a kernel vector x of the
+    smallest weight d whose first block is nonzero.  Every entry of x on
+    S* is nonzero, so no row meets S* exactly once.  S* is a circuit of
+    the column matroid: a kernel vector y on a proper subset either has a
+    nonzero first block itself, or x minus a multiple of y cancels one
+    entry of x and keeps its first block, and both give a smaller weight.
+    Hence the Tanner subgraph of S* is connected, since its components
+    would carry kernel vectors of their own.  Supports are grown one column at a time from each
+    first-block column: when a row is met exactly once, only the columns
+    of the lowest such row are tried, as S* must cover it again; when no
+    row is met once (S is closed) but S spans no first-block column, every
+    column sharing a row with S is tried, as S* stays connected.  Either
+    way a subset of S* has a child that is a larger subset of S*, so S*
+    is reached.  The branches of S depend on S alone, so each support is
+    visited once per size, level by level.  Only closed supports are
+    tested, on the rows they touch: each column of the circuit S* lies in
+    the span of the others, so the test takes the lowest column, which is
+    in the first block, and a pass at a smaller size would be a smaller
+    weight.  One step is charged per support visited.
     """
-    vectors = [matrix.column(c) for c in range(1, matrix.cols + 1)]
-    masks = [sum(1 << (r - 1) for r in matrix.col_support(c))
-             for c in range(1, matrix.cols + 1)]
+    supports = [matrix.col_support(c) for c in range(1, matrix.cols + 1)]
+    masks = [sum(1 << r for r in rows) for rows in supports]
+    row_cols: dict[int, int] = {}
+    for c, rows in enumerate(supports):
+        for r in rows:
+            row_cols[r] = row_cols.get(r, 0) | 1 << c
+    level = {1 << t for t in range(n_first)}
     for d in range(1, ub):
-        for target in range(n_first):
-            tvec, tmask = vectors[target], masks[target]
-            others = [c for c in range(matrix.cols) if c != target]
-            meter.charge(math.comb(len(others), d - 1))
-            for combo in itertools.combinations(others, d - 1):
-                union = 0
-                for c in combo:
-                    union |= masks[c]
-                if tmask & ~union:
-                    continue
-                if _in_span(field, tvec, [vectors[c] for c in combo]):
+        grown = set()
+        for sup in level:
+            meter.charge(1)
+            cols = _bits(sup)
+            once = more = 0
+            for c in cols:
+                more |= once & masks[c]
+                once = (once ^ masks[c]) & ~more
+            if once:
+                branch = row_cols[(once & -once).bit_length() - 1]
+            else:
+                rows = _bits(more)
+                vecs = [[matrix.get(r, c + 1) for r in rows] for c in cols]
+                if _in_span(field, vecs[0], vecs[1:]):
                     return d
+                branch = 0
+                for r in rows:
+                    branch |= row_cols[r]
+            if d + 1 < ub:
+                grown.update(sup | 1 << c for c in _bits(branch & ~sup))
+        level = grown
     return ub
+
+
+def _bits(x: int) -> list[int]:
+    """Positions of the set bits of x, in increasing order."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
 
 
 def column_distance(spec: CodeSpec, j: int, budget: int | Meter = DEFAULT_BUDGET) -> int:
@@ -411,6 +462,14 @@ def check_distance_assumptions(spec: CodeSpec, budget: int | Meter = DEFAULT_BUD
     must stay outside the span of the other restricted columns.  Since
     that support already has w rows, only |I| = |J| = w occurs and I is
     forced to the support itself.
+
+    Restricted to those rows, a later column either meets them or is
+    zero (idle), so a set of w-1 later columns spans column j1 exactly
+    when its meeting part does.  Each subset of the meeting columns of
+    size up to w-1 is tested once, and each spanning one is padded with
+    every choice of idle columns; the witnesses are listed in the order of
+    their column sets.  One step is charged per subset tested and one per
+    witness listed.
     """
     matrix = spec.sliding_matrix(spec.mu)
     w = spec.w
@@ -419,12 +478,27 @@ def check_distance_assumptions(spec: CodeSpec, budget: int | Meter = DEFAULT_BUD
     for j1 in range(1, spec.n):
         rows = matrix.col_support(j1)
         target = [matrix.get(r, j1) for r in rows]
-        rest = range(j1 + 1, matrix.cols + 1)
-        meter.charge(math.comb(len(rest), w - 1))
-        for combo in itertools.combinations(rest, w - 1):
-            others = [[matrix.get(r, c) for r in rows] for c in combo]
-            if _in_span(spec.field, target, others):
-                witnesses.append(AssumptionWitness(rows=rows, cols=(j1, *combo)))
+        full = (1 << len(rows)) - 1
+        meeting, idle = [], []
+        for c in range(j1 + 1, matrix.cols + 1):
+            vec = [matrix.get(r, c) for r in rows]
+            mask = sum(1 << i for i, x in enumerate(vec) if x is not None)
+            if mask:
+                meeting.append((c, vec, mask))
+            else:
+                idle.append(c)
+        combos = []
+        for size in range(w):
+            meter.charge(math.comb(len(meeting), size))
+            for part in itertools.combinations(meeting, size):
+                # the target is nonzero on every row, so a spanning part covers them all
+                if (functools.reduce(operator.or_, (m for *_, m in part), 0) == full
+                        and _in_span(spec.field, target, [vec for _, vec, _ in part])):
+                    meter.charge(math.comb(len(idle), w - 1 - size))
+                    cols = tuple(c for c, *_ in part)
+                    combos += (tuple(sorted(cols + pad))
+                               for pad in itertools.combinations(idle, w - 1 - size))
+        witnesses += (AssumptionWitness(rows=rows, cols=(j1, *combo)) for combo in sorted(combos))
     return AssumptionReport(holds=not witnesses, witnesses=tuple(witnesses))
 
 

@@ -9,6 +9,7 @@ identical arguments produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -18,7 +19,7 @@ from . import analysis
 from .code import CodeSpec, min_field_params
 from .code import density as block_density
 from .dts import DifferenceTriangleSet, search_min_scope, validate
-from .errors import BudgetExhausted
+from .errors import BudgetExhausted, HorizonTooLarge
 from .formats import matrix_to_json_dict, render_pretty, to_alist
 from .gf import GaloisField, make_field
 
@@ -45,12 +46,14 @@ def _build_spec(args: argparse.Namespace) -> CodeSpec:
     return CodeSpec(_load_dts(args), _parse_field(args.field), args.n)
 
 
+def _env_budget() -> int:
+    env = os.environ.get(BUDGET_ENV)
+    return int(env) if env else analysis.DEFAULT_BUDGET
+
+
 def _default_budget(args: argparse.Namespace) -> analysis.Meter:
     """One work meter for the whole command."""
-    if args.budget is not None:
-        return analysis.Meter(args.budget)
-    env = os.environ.get(BUDGET_ENV)
-    return analysis.Meter(int(env) if env else analysis.DEFAULT_BUDGET)
+    return analysis.Meter(_env_budget() if args.budget is None else args.budget)
 
 
 def _emit_json(payload: dict) -> None:
@@ -155,7 +158,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
     try:
         result = search_min_scope(args.sets, args.size, mode=args.mode,
                                   min_element=args.min_element,
-                                  scope_budget=args.budget)
+                                  scope_budget=args.budget, budget=_env_budget())
+    except HorizonTooLarge:
+        raise
     except BudgetExhausted as exc:
         print(f"search exhausted: {exc}", file=sys.stderr)
         return 1
@@ -211,7 +216,9 @@ def _add_spec_arguments(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--field", required=True, help="field order as 'p^N' or a prime")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="dts-ldpc",
         description="Construct and verify convolutional parity checks "

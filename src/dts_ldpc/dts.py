@@ -23,7 +23,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import BudgetExhausted
+from .errors import BudgetExhausted, HorizonTooLarge
 
 VALID_MODES = ("relaxed", "strict")
 
@@ -185,13 +185,15 @@ def search_min_scope(
     mode: str = "relaxed",
     min_element: int = 1,
     scope_budget: int = 32,
+    budget: int = 10**8,
 ) -> SearchResult:
     """Lexicographically smallest family of minimum scope.
 
     Scopes are tried in increasing order; a depth-first search exhausts
     each scope before moving on, so the first hit is optimal and every
     smaller scope is certified infeasible.  Raises BudgetExhausted when no
-    family exists within scope_budget.
+    family exists within scope_budget, and its subclass HorizonTooLarge
+    once the running node count passes ``budget``.
 
     The search places the marks of each set left to right, the sets in
     order, and keeps the shift-register bit-vectors of optimal Golomb ruler
@@ -212,7 +214,9 @@ def search_min_scope(
     ``certificate.nodes`` counts every candidate element tried, rejected
     ones included: a level whose candidates run up to step ``span`` adds
     ``span``, and a level left on success gives back ``span - s`` for the
-    steps past its hit ``s`` that were never tried.
+    steps past its hit ``s`` that were never tried.  ``budget`` bounds the
+    running count, which can exceed the final ``nodes`` before those
+    give-backs, so a search may be refused with a final count below it.
 
     Whether a completed set changes the carry is the same for every set:
     in relaxed mode the carry stays 0, and in strict mode the set's
@@ -246,14 +250,15 @@ def search_min_scope(
         nonlocal nodes
         span = hi - last
         free = ~(comp >> 1) & ((1 << span) - 1)
+        nodes += span
+        if nodes > budget:
+            raise HorizonTooLarge(f"{nodes} nodes exceed the budget of {budget}")
         if hi == target and k == last_set:
             if free:
                 s = (free & -free).bit_length()
-                nodes += s
+                nodes -= span - s
                 return [_marks(last + s, lst << s | 1)]
-            nodes += span
             return None
-        nodes += span
         if hi < target:
             while free:
                 low = free & -free
@@ -296,6 +301,8 @@ def search_min_scope(
             if len(found) < num_sets:  # the carry stayed: see the docstring
                 nodes += (num_sets - 1) * (nodes - before)
                 found *= num_sets
+            if nodes > budget:
+                raise HorizonTooLarge(f"{nodes} nodes exceed the budget of {budget}")
             dts = DifferenceTriangleSet(tuple(found))
             return SearchResult(
                 dts=dts,

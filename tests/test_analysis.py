@@ -12,7 +12,7 @@ import random
 import pytest
 
 from dts_ldpc import analysis as an
-from dts_ldpc.code import CodeSpec, sliding_entry_origin
+from dts_ldpc.code import CodeSpec, ExponentMatrix, sliding_entry_origin
 from dts_ldpc.dts import DifferenceTriangleSet, validate
 from dts_ldpc.errors import BudgetExhausted, HorizonTooLarge
 from dts_ldpc.gf import ZERO, GaloisField, det, make_field
@@ -33,8 +33,10 @@ REF_B_MINOR3_FAILURES = (
     ((4, 5, 6), (5, 8, 11)),
 )
 
-# Seeded random families compared against the dense sweep.
+# Seeded random families compared against the dense sweep and the
+# combination search.
 FAMILIES = 80
+DISTANCE_FAMILIES = 60
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +161,111 @@ def test_span_criterion_matches_bruteforce(sets, p, deg, n):
     spec = CodeSpec(DifferenceTriangleSet(sets), field, n)
     for j in range(min(spec.mu, 2) + 1):
         assert an.column_distance(spec, j) == _brute_force_column_distance(sets, field, n, j)
+
+
+# ---------------------------------------------------------------------------
+# the combination search as an oracle for the support search
+# ---------------------------------------------------------------------------
+
+def oracle_min_weight_first_block(field, matrix, n_first, ub):
+    """Smallest d such that a first-block column lies in the span of d-1 others."""
+    vectors = [matrix.column(c) for c in range(1, matrix.cols + 1)]
+    masks = [sum(1 << (r - 1) for r in matrix.col_support(c))
+             for c in range(1, matrix.cols + 1)]
+    for d in range(1, ub):
+        for target in range(n_first):
+            tvec, tmask = vectors[target], masks[target]
+            others = [c for c in range(matrix.cols) if c != target]
+            for combo in itertools.combinations(others, d - 1):
+                union = 0
+                for c in combo:
+                    union |= masks[c]
+                if tmask & ~union:
+                    continue
+                if an._in_span(field, tvec, [vectors[c] for c in combo]):
+                    return d
+    return ub
+
+
+def oracle_check_distance_assumptions(spec):
+    """Every set of w-1 later columns tested against each information column."""
+    matrix = spec.sliding_matrix(spec.mu)
+    w = spec.w
+    witnesses = []
+    for j1 in range(1, spec.n):
+        rows = matrix.col_support(j1)
+        target = [matrix.get(r, j1) for r in rows]
+        rest = range(j1 + 1, matrix.cols + 1)
+        for combo in itertools.combinations(rest, w - 1):
+            others = [[matrix.get(r, c) for r in rows] for c in combo]
+            if an._in_span(spec.field, target, others):
+                witnesses.append(an.AssumptionWitness(rows=rows, cols=(j1, *combo)))
+    return an.AssumptionReport(holds=not witnesses, witnesses=tuple(witnesses))
+
+
+def oracle_column_distance(spec, j):
+    ub = an.minimal_column_weight(spec, j) + 1
+    return oracle_min_weight_first_block(spec.field, spec.sliding_matrix(j), spec.n, ub)
+
+
+def oracle_distance_profile(spec):
+    horizon = an.exact_horizon(spec)
+    free = oracle_min_weight_first_block(
+        spec.field, spec.full_sliding_matrix(horizon + 1), spec.n, spec.w + 1)
+    return an.DistanceProfile(
+        column_distances=tuple(oracle_column_distance(spec, j) for j in range(spec.mu + 1)),
+        free=an.FreeDistanceResult(value=free, exact=True, horizon=horizon,
+                                   upper_bound=spec.w + 1),
+        predicted_free=spec.w + 1,
+        predicted_column=tuple(an.minimal_column_weight(spec, j) + 1
+                               for j in range(spec.mu + 1)),
+        assumption_check=oracle_check_distance_assumptions(spec),
+    )
+
+
+def test_support_search_matches_combination_oracle():
+    fields = [make_field(p, e) for p, e in ((2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 5))]
+    rng = random.Random(2009)
+    padded = 0
+    for trial in range(DISTANCE_FAMILIES):
+        field = fields[trial % len(fields)]
+        n, w = rng.randint(2, 4), rng.randint(1, 4)
+        spec = CodeSpec(_random_relaxed_family(rng, n, w), field, n)
+        expected = oracle_distance_profile(spec)
+        assert an.distance_profile(spec) == expected, spec
+        horizon = rng.randrange(an.exact_horizon(spec))
+        assert an.free_distance(spec, horizon) == an.FreeDistanceResult(
+            value=oracle_column_distance(spec, horizon), exact=False, horizon=horizon,
+            upper_bound=w + 1), (spec, horizon)
+        matrix = spec.sliding_matrix(spec.mu)
+        padded += any(all(matrix.get(r, c) is None for r in wit.rows)
+                      for wit in expected.assumption_check.witnesses for c in wit.cols[1:])
+    # some witnesses hold columns that vanish on the support rows
+    assert padded
+
+
+def test_closed_support_that_does_not_span_is_grown():
+    # three pairwise independent columns on the same two rows: {1, c} meets
+    # no row once but spans nothing, and the answer needs all three
+    gf5 = make_field(5, 1)
+    matrix = ExponentMatrix(2, 3, {(1, 1): 0, (1, 2): 0, (1, 3): 0,
+                                   (2, 1): 0, (2, 2): 1, (2, 3): 2}, gf5)
+    meter = an.Meter(an.DEFAULT_BUDGET)
+    assert an._min_weight_first_block(gf5, matrix, 1, 4, meter) == 3
+    assert oracle_min_weight_first_block(gf5, matrix, 1, 4) == 3
+
+
+def test_distance_charges_of_code_a(ref_spec_a):
+    # one step per support visited (column and free distances), per subset
+    # of meeting columns tested and per witness listed (assumption check)
+    def charge(routine, *args):
+        meter = an.Meter(an.DEFAULT_BUDGET)
+        routine(ref_spec_a, *args, budget=meter)
+        return meter.used
+
+    assert [charge(an.column_distance, j) for j in range(6)] == [3, 6, 6, 6, 6, 18]
+    assert charge(an.free_distance) == 18
+    assert charge(an.check_distance_assumptions) == 113
 
 
 # ---------------------------------------------------------------------------

@@ -254,6 +254,14 @@ def test_cli_distance_profile(capsys):
     assert "assumption_holds: yes" in out
 
 
+def test_cli_distance_of_a_wide_family_within_default_budget(capsys):
+    code, out, _ = run_cli(capsys, "distance", "--dts", "1,2,5,10,12;1,4,6,14,15",
+                           "--n", "3", "--field", "2^6")
+    assert code == 0
+    assert "column_distances: 2 2 2 3 3 4 4 4 4 4 4 4 4 5 6" in out
+    assert "free_distance: 6 (exact, upper bound 6)" in out
+
+
 def test_cli_distance_restricted_horizon(capsys):
     code, out, _ = run_cli(capsys, "distance", "--dts", "1,2,6;1,2,4",
                            "--n", "3", "--field", "2^5", "--horizon", "2", "--json")
@@ -286,6 +294,17 @@ def test_cli_search_and_exhaustion(capsys):
                            "--mode", "strict", "--budget", "7")
     assert code == 1
     assert "exhausted" in err
+
+
+def test_cli_search_node_budget_from_env(capsys, monkeypatch):
+    monkeypatch.setenv("DTS_LDPC_BUDGET", "100000")
+    code, out, err = run_cli(capsys, "search", "--sets", "1", "--size", "7",
+                             "--min-element", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith("nodes exceed the budget of 100000\n")
+    code, _, err = run_cli(capsys, "search", "--sets", "1", "--size", "3", "--budget", "3")
+    assert code == 1 and err.startswith("search exhausted: ")
 
 
 def test_cli_search_json(capsys):

@@ -15,7 +15,7 @@ from dts_ldpc.dts import (
     search_min_scope,
     validate,
 )
-from dts_ldpc.errors import BudgetExhausted
+from dts_ldpc.errors import BudgetExhausted, HorizonTooLarge
 
 T126_124 = DifferenceTriangleSet(((1, 2, 6), (1, 2, 4)))
 T126_235 = DifferenceTriangleSet(((1, 2, 6), (2, 3, 5)))
@@ -324,6 +324,16 @@ def test_search_matches_oracle_grid():
 def test_search_budget_exhausted():
     with pytest.raises(BudgetExhausted):
         search_min_scope(2, 3, "strict", 1, scope_budget=7)
+
+
+def test_search_node_budget():
+    with pytest.raises(HorizonTooLarge, match=r"^\d+ nodes exceed the budget of 100000$"):
+        search_min_scope(1, 7, "relaxed", 0, budget=100_000)
+    assert search_min_scope(1, 7, "relaxed", 0, budget=200_000).certificate.nodes == 180_433
+    # the repeated sets of the closed form count against the budget too
+    assert search_min_scope(600, 2, budget=1200).certificate.nodes == 1200
+    with pytest.raises(HorizonTooLarge, match="^1200 nodes exceed the budget of 1199$"):
+        search_min_scope(600, 2, budget=1199)
 
 
 def test_search_rejects_bad_parameters():
