@@ -46,14 +46,27 @@ def _build_spec(args: argparse.Namespace) -> CodeSpec:
     return CodeSpec(_load_dts(args), _parse_field(args.field), args.n)
 
 
+def _budget_value(text: str, name: str) -> int:
+    """A work budget: a nonnegative integer, named ``name`` when refused."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {text!r}")
+    return value
+
+
 def _env_budget() -> int:
     env = os.environ.get(BUDGET_ENV)
-    return int(env) if env else analysis.DEFAULT_BUDGET
+    return _budget_value(env, BUDGET_ENV) if env else analysis.DEFAULT_BUDGET
 
 
 def _default_budget(args: argparse.Namespace) -> analysis.Meter:
     """One work meter for the whole command."""
-    return analysis.Meter(_env_budget() if args.budget is None else args.budget)
+    if args.budget is None:
+        return analysis.Meter(_env_budget())
+    return analysis.Meter(_budget_value(args.budget, "--budget"))
 
 
 def _emit_json(payload: dict) -> None:
@@ -239,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--j", type=int, default=None, help="horizon (default: memory)")
     verify.add_argument("--minors", default="2,3", help="comma list from {2,3}")
     verify.add_argument("--cycles", default="4,6", help="comma list from {4,6}")
-    verify.add_argument("--budget", type=int, default=None)
+    verify.add_argument("--budget", default=None, help="work budget in steps")
     verify.add_argument("--json", action="store_true")
     verify.set_defaults(func=_cmd_verify)
 
@@ -247,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_spec_arguments(distance)
     distance.add_argument("--horizon", type=int, default=None,
                           help="restrict the free-distance search horizon")
-    distance.add_argument("--budget", type=int, default=None)
+    distance.add_argument("--budget", default=None, help="work budget in steps")
     distance.add_argument("--json", action="store_true")
     distance.set_defaults(func=_cmd_distance)
 

@@ -14,7 +14,11 @@ carries an optimality certificate.  Its depth-first search keeps the
 marks, the differences taken and the offsets that would repeat one as
 bit-vectors relative to the last mark, so each candidate element costs a
 few shifts, and its ``nodes`` count is the number of candidate elements
-tried, rejected ones included.
+tried, rejected ones included.  Subtrees whose count is already known
+are added without a walk: a set started from a carry that already failed
+at this scope, and, when the carry never changes (one set, relaxed mode,
+or sets of size 1), every first mark past the smallest, which repeats the
+scope before.
 """
 
 from __future__ import annotations
@@ -229,6 +233,41 @@ def search_min_scope(
     hit scope; at every smaller scope the first set never completes, so the
     cost is that of a single set.  The search therefore recurses through
     the next set only when the carry changes.
+
+    Two kinds of subtree are never walked twice; the count they add is the
+    count they took the first time.
+
+    * Failed carries.  ``place`` depends only on its arguments and on the
+      target, and ``nodes`` only decides when it raises.  The call that
+      starts set k + 1 gets ``(k + 1, first_hi, min_element - 1, 0, carry,
+      0, carry)``, so within one target its outcome and node count depend
+      on ``(k + 1, carry)`` alone.  Translated, mirrored or reordered
+      earlier sets leave the same carry, so the same subtree comes back.  A
+      failed subtree gives no nodes back (give-backs happen only on the way
+      out of a hit), so its count is a constant.  ``failed`` keeps it per
+      target; a repeat adds it instead of recursing.
+    * Scope shift.  When the carry stays (one set, relaxed mode, or sets of
+      size 1), the first set's search is the whole search.  After a first
+      mark m its state is ``last = m``, ``lst = 1``, ``used = comp = 0``
+      with level bound ``first_hi + 1``, and every later step depends only
+      on ``hi - last`` and ``target - hi``.  So first mark m at target T + 1
+      has the subtree of first mark m - 1 at target T, translated by one.
+      T was exhausted, so at T + 1 every first mark past ``min_element``
+      fails, and together those subtrees cost all of T's nodes but its
+      first level of ``span(T)`` candidates.  From the second target on
+      only the first mark ``min_element`` is searched; if it fails, that
+      count is added.  A hit can only come from ``min_element``, so the
+      cost at the hit scope, which the closed form above repeats, is
+      unchanged.
+
+    Refusals are unchanged too.  Up to the final hit the running count
+    never falls, and after it it only falls until the closed form adds and
+    checks.  Each skipped subtree failed, so its own count only grew, and
+    one add followed by a budget check reaches its largest value.  The
+    largest running count is therefore the same as without the reuse, and
+    HorizonTooLarge is raised for exactly the same ``(shape, budget)``;
+    only the count in its message can be larger, as it is read after a
+    bulk add.
     """
     if mode not in VALID_MODES:
         raise ValueError(f"mode must be one of {VALID_MODES}, got {mode!r}")
@@ -239,9 +278,16 @@ def search_min_scope(
 
     strict = mode == "strict"
     last_set = num_sets - 1
+    carry_stays = num_sets == 1 or not strict or set_size == 1
     nodes = 0
     exhausted: list[int] = []
     lowest = min_element + set_size - 1
+
+    def charge(steps: int) -> None:
+        nonlocal nodes
+        nodes += steps
+        if nodes > budget:
+            raise HorizonTooLarge(f"{nodes} nodes exceed the budget of {budget}")
 
     def place(k: int, hi: int, last: int, lst: int, used: int, comp: int,
               carry: int) -> Optional[list[tuple[int, ...]]]:
@@ -284,31 +330,49 @@ def search_min_scope(
             s = low.bit_length()
             shifted = lst << s
             carry_next = used | shifted if strict else carry
+            key = (k + 1, carry_next)
             if carry_next == carry:
                 hit = []
+            elif key in failed:
+                charge(failed[key])
+                continue
             else:
+                start = nodes
                 hit = place(k + 1, first_hi, min_element - 1, 0, carry_next, 0, carry_next)
-            if hit is not None:
-                nodes -= span - s
-                return [_marks(last + s, shifted | 1), *hit]
+                if hit is None:
+                    failed[key] = nodes - start
+                    continue
+            nodes -= span - s
+            return [_marks(last + s, shifted | 1), *hit]
         return None
 
+    spent = 0  # nodes of the last target exhausted
     for target in range(lowest, scope_budget + 1):
         first_hi = target - set_size + 1
+        failed: dict[tuple[int, int], int] = {}
         before = nodes
-        found = place(0, first_hi, min_element - 1, 0, 0, 0, 0)
+        if carry_stays and exhausted:
+            # first marks past min_element repeat target - 1: see the docstring
+            span = first_hi - min_element + 1
+            charge(span)
+            found = place(0, first_hi + 1, min_element, 1, 0, 0, 0)
+            if found is None:
+                charge(spent - (span - 1))
+            else:
+                nodes -= span - 1
+        else:
+            found = place(0, first_hi, min_element - 1, 0, 0, 0, 0)
         if found is not None:
             if len(found) < num_sets:  # the carry stayed: see the docstring
-                nodes += (num_sets - 1) * (nodes - before)
+                charge((num_sets - 1) * (nodes - before))
                 found *= num_sets
-            if nodes > budget:
-                raise HorizonTooLarge(f"{nodes} nodes exceed the budget of {budget}")
             dts = DifferenceTriangleSet(tuple(found))
             return SearchResult(
                 dts=dts,
                 scope=dts.scope,
                 certificate=SearchCertificate(tuple(exhausted), nodes),
             )
+        spent = nodes - before
         exhausted.append(target)
     raise BudgetExhausted(
         f"no {mode} family of {num_sets} set(s) of size {set_size} with scope <= {scope_budget}"

@@ -1,6 +1,10 @@
 """Serialization formats and the command-line interface."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -375,3 +379,42 @@ def test_cli_budget_env_and_flag(capsys, monkeypatch):
                          "--n", "3", "--field", "2^5", "--minors", "2",
                          "--cycles", "4", "--budget", "1000000")
     assert code == 0
+
+
+@pytest.mark.parametrize("value", ["-1", "1e6", "abc", ""])
+def test_cli_budget_flag_refuses_non_integers_and_negatives(capsys, value):
+    spec = ("--dts", "1,2,6;1,2,4", "--n", "3", "--field", "2^5")
+    for command in ("verify", "distance"):
+        code, out, err = run_cli(capsys, command, *spec, "--budget", value)
+        assert code == 2 and out == ""
+        assert err == f"error: --budget must be a nonnegative integer, got {value!r}\n"
+
+
+@pytest.mark.parametrize("value", ["-7", "1e6", "ten"])
+def test_cli_budget_env_refuses_non_integers_and_negatives(capsys, monkeypatch, value):
+    monkeypatch.setenv("DTS_LDPC_BUDGET", value)
+    want = f"error: DTS_LDPC_BUDGET must be a nonnegative integer, got {value!r}\n"
+    for argv in (("search", "--sets", "1", "--size", "3"),
+                 ("verify", "--dts", "1,2,6;1,2,4", "--n", "3", "--field", "2^5")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", want)
+
+
+def test_cli_budget_of_zero_is_a_budget(capsys, monkeypatch):
+    code, _, err = run_cli(capsys, "verify", "--dts", "1,2,6;1,2,4", "--n", "3",
+                           "--field", "2^5", "--budget", "0")
+    assert code == 2 and err == "error: 8 steps exceed the budget of 0\n"
+    monkeypatch.setenv("DTS_LDPC_BUDGET", "0")
+    code, _, err = run_cli(capsys, "search", "--sets", "1", "--size", "3")
+    assert code == 2 and err == "error: 1 nodes exceed the budget of 0\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "dts_ldpc", "search", "--sets", "1", "--size", "3"],
+        cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "scope: 4\nsets: 1,2,4\nexhausted_scopes: 3\nnodes: 7\n"

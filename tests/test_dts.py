@@ -101,6 +101,66 @@ def oracle_search_min_scope(num_sets, set_size, mode, min_element, scope_budget=
     )
 
 
+def oracle_bitvector_search(num_sets, set_size, mode, min_element,
+                            scope_budget=32, budget=10**8):
+    """The bit-vector DFS of search_min_scope without reuse of any subtree:
+    every set is walked, and every target from scratch.  Sets that leave
+    the carry unchanged are still repeated in closed form, as the search
+    has always done.  Returns the result and the peak running count, which
+    decides refusals: HorizonTooLarge is raised iff it passes ``budget``."""
+    strict = mode == "strict"
+    nodes = peak = 0
+    exhausted = []
+
+    def marks(last, lst):
+        return tuple(last - i for i in range(lst.bit_length() - 1, -1, -1) if lst >> i & 1)
+
+    def place(k, hi, last, lst, used, comp, carry):
+        nonlocal nodes, peak
+        span = hi - last
+        free = ~(comp >> 1) & ((1 << span) - 1)
+        nodes += span
+        if nodes > budget:
+            raise HorizonTooLarge(f"{nodes} nodes exceed the budget of {budget}")
+        while free:
+            low = free & -free
+            free ^= low
+            s = low.bit_length()
+            shifted = lst << s
+            if hi < target:
+                used_next = used | shifted
+                hit = place(k, hi + 1, last + s, shifted | 1, used_next,
+                            (comp >> s) | used_next, carry)
+            elif k == num_sets - 1:
+                hit = []
+            else:
+                carry_next = used | shifted if strict else carry
+                hit = [] if carry_next == carry else place(
+                    k + 1, target - set_size + 1, min_element - 1, 0, carry_next, 0, carry_next)
+            if hit is not None:
+                peak = max(peak, nodes)  # the count falls only after a hit
+                nodes -= span - s
+                return [marks(last + s, shifted | 1), *hit] if hi == target else hit
+        return None
+
+    for target in range(min_element + set_size - 1, scope_budget + 1):
+        before = nodes
+        found = place(0, target - set_size + 1, min_element - 1, 0, 0, 0, 0)
+        if found is not None:
+            if len(found) < num_sets:
+                nodes += (num_sets - 1) * (nodes - before)
+                found *= num_sets
+                if nodes > budget:
+                    raise HorizonTooLarge(f"{nodes} nodes exceed the budget of {budget}")
+            dts = DifferenceTriangleSet(tuple(found))
+            certificate = SearchCertificate(tuple(exhausted), nodes)
+            return SearchResult(dts, dts.scope, certificate), max(peak, nodes)
+        exhausted.append(target)
+    raise BudgetExhausted(
+        f"no {mode} family of {num_sets} set(s) of size {set_size} with scope <= {scope_budget}"
+    )
+
+
 # ---------------------------------------------------------------------------
 # structure and validation
 # ---------------------------------------------------------------------------
@@ -249,7 +309,7 @@ def test_search_min_element_zero():
 def test_search_finds_optimal_golomb_rulers():
     # one set starting at 0 is a Golomb ruler; known optimal lengths
     # (Atkinson, Santoro & Urrutia 1986)
-    for k, length in zip(range(2, 9), (1, 3, 6, 11, 17, 25, 34)):
+    for k, length in zip(range(2, 10), (1, 3, 6, 11, 17, 25, 34, 44)):
         res = search_min_scope(1, k, "relaxed", 0, scope_budget=length)
         assert res.scope == length
         assert res.dts.sets[0][0] == 0
@@ -260,6 +320,20 @@ def test_search_finds_optimal_golomb_rulers():
         if k == 8:
             assert res.dts.sets == ((0, 1, 4, 9, 15, 22, 32, 34),)
             assert res.certificate.nodes == 2_425_946
+        if k == 9:
+            assert res.dts.sets == ((0, 1, 5, 12, 25, 27, 35, 41, 44),)
+            assert res.certificate.nodes == 28_921_918
+
+
+def test_search_strict_families_past_the_plain_oracle():
+    # witnesses and node counts recorded with the search before it reused
+    # failed subtrees
+    res = search_min_scope(3, 4, "strict")
+    assert res.dts.sets == ((1, 2, 5, 16), (1, 3, 11, 20), (1, 6, 13, 19))
+    assert res.certificate == SearchCertificate(tuple(range(4, 20)), 31_800_357)
+    res = search_min_scope(2, 5, "strict")
+    assert res.dts.sets == ((1, 2, 14, 21, 23), (1, 4, 9, 15, 19))
+    assert res.certificate == SearchCertificate(tuple(range(5, 23)), 9_485_138)
 
 
 # Every shape of up to 4 sets of size up to 5 except the strict families the
@@ -284,6 +358,35 @@ def test_search_matches_oracle_dfs(num_sets, set_size, mode):
         with pytest.raises(BudgetExhausted) as got:
             search_min_scope(num_sets, set_size, mode, min_element, budget)
         assert str(got.value) == str(want.value)
+
+
+# Shapes where the memo of failed carries (strict families) or the scope
+# shift (rulers, relaxed families) skips subtrees.
+REUSE_SHAPES = (
+    [(1, size, "relaxed") for size in range(1, 8)]
+    + [(3, 3, "strict"), (2, 4, "strict"), (5, 2, "strict"), (6, 2, "strict")]
+    + [(3, 4, "relaxed"), (3, 5, "relaxed")]
+)
+
+
+@pytest.mark.parametrize("num_sets,set_size,mode", REUSE_SHAPES)
+def test_search_matches_bitvector_oracle_and_its_refusals(num_sets, set_size, mode):
+    for min_element in (0, 1):
+        expected, peak = oracle_bitvector_search(num_sets, set_size, mode, min_element)
+        assert search_min_scope(num_sets, set_size, mode, min_element) == expected
+        # the oracle refuses exactly the budgets below its peak
+        with pytest.raises(HorizonTooLarge):
+            oracle_bitvector_search(num_sets, set_size, mode, min_element, budget=peak - 1)
+        assert oracle_bitvector_search(num_sets, set_size, mode, min_element,
+                                       budget=peak)[0] == expected
+        final = expected.certificate.nodes
+        for budget in {final - 1, final, peak - 1, peak}:
+            if budget < peak:
+                with pytest.raises(HorizonTooLarge, match=rf"^\d+ nodes exceed the budget of {budget}$"):
+                    search_min_scope(num_sets, set_size, mode, min_element, budget=budget)
+            else:
+                assert search_min_scope(num_sets, set_size, mode, min_element,
+                                        budget=budget) == expected
 
 
 def test_search_repeats_a_set_that_leaves_the_carry_unchanged():
