@@ -35,10 +35,8 @@ from typing import Optional, Sequence
 
 from . import gf
 from .code import CodeSpec, ExponentMatrix
-from .errors import HorizonTooLarge
+from .errors import DEFAULT_BUDGET, Meter, as_meter
 from .gf import ZERO, FieldElement, GaloisField
-
-DEFAULT_BUDGET = 10**8
 
 PATTERN_FULL = "fully-nonzero"
 PATTERN_CYCLE = "cycle-pattern"
@@ -46,24 +44,6 @@ PATTERN_MIXED = "mixed-pattern"
 
 # The masks (see ``_mask``) of a 6-cycle's columns, in (c12, c23, c13) order:
 _CYCLE_MASKS = (0b011, 0b110, 0b101)
-
-
-class Meter:
-    """Work budget of one command, charged where each exhaustive loop works."""
-
-    def __init__(self, limit: int):
-        self.limit = limit
-        self.used = 0
-
-    def charge(self, steps: int) -> None:
-        self.used += steps
-        if self.used > self.limit:
-            raise HorizonTooLarge(f"{self.used} steps exceed the budget of {self.limit}")
-
-
-def _meter(budget: int | Meter) -> Meter:
-    """The shared meter itself, or a fresh one with ``budget`` as its limit."""
-    return budget if isinstance(budget, Meter) else Meter(budget)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +179,7 @@ def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
     matrix = spec.sliding_matrix(j)
     counts = dict.fromkeys((PATTERN_FULL, PATTERN_CYCLE, PATTERN_MIXED), 0)
     failures = []
-    for rows, sup, meets, col_sets in _vanishable_minors(matrix, size, _meter(budget)):
+    for rows, sup, meets, col_sets in _vanishable_minors(matrix, size, as_meter(budget)):
         common = len(meets[0, 1] & sup[-1])
         if size == 2:
             total, cycle = len(sup[0]) * len(sup[1]) - common, 0
@@ -288,7 +268,7 @@ def enumerate_cycles(spec: CodeSpec, length: int, j: Optional[int] = None,
         j = spec.mu
     matrix = spec.sliding_matrix(j)
     half = length // 2
-    meter = _meter(budget)
+    meter = as_meter(budget)
     cycle_pattern = PATTERN_FULL if half == 2 else PATTERN_CYCLE
     cycles = []
     for rows, sup, _, col_sets in _vanishable_minors(matrix, half, meter):
@@ -397,7 +377,7 @@ def column_distance(spec: CodeSpec, j: int, budget: int | Meter = DEFAULT_BUDGET
     """
     matrix = spec.sliding_matrix(j)
     ub = minimal_column_weight(spec, j) + 1
-    return _min_weight_first_block(spec.field, matrix, spec.n, ub, _meter(budget))
+    return _min_weight_first_block(spec.field, matrix, spec.n, ub, as_meter(budget))
 
 
 @dataclass(frozen=True)
@@ -431,7 +411,7 @@ def free_distance(spec: CodeSpec, horizon: Optional[int] = None,
     exact = horizon >= exact_horizon(spec)
     if exact:
         matrix = spec.full_sliding_matrix(exact_horizon(spec) + 1)
-        value = _min_weight_first_block(spec.field, matrix, spec.n, ub, _meter(budget))
+        value = _min_weight_first_block(spec.field, matrix, spec.n, ub, as_meter(budget))
     else:
         value = column_distance(spec, horizon, budget)
     return FreeDistanceResult(value=value, exact=exact, horizon=horizon, upper_bound=ub)
@@ -473,7 +453,7 @@ def check_distance_assumptions(spec: CodeSpec, budget: int | Meter = DEFAULT_BUD
     """
     matrix = spec.sliding_matrix(spec.mu)
     w = spec.w
-    meter = _meter(budget)
+    meter = as_meter(budget)
     witnesses = []
     for j1 in range(1, spec.n):
         rows = matrix.col_support(j1)
@@ -532,7 +512,7 @@ def distance_profile(spec: CodeSpec, j_max: Optional[int] = None,
                      budget: int | Meter = DEFAULT_BUDGET) -> DistanceProfile:
     if j_max is None:
         j_max = spec.mu
-    meter = _meter(budget)
+    meter = as_meter(budget)
     return DistanceProfile(
         column_distances=tuple(column_distance(spec, j, meter) for j in range(j_max + 1)),
         free=free_distance(spec, budget=meter),

@@ -19,7 +19,7 @@ from . import analysis
 from .code import CodeSpec, min_field_params
 from .code import density as block_density
 from .dts import DifferenceTriangleSet, search_min_scope, validate
-from .errors import BudgetExhausted, HorizonTooLarge
+from .errors import DEFAULT_BUDGET, BudgetExhausted, HorizonTooLarge, Meter
 from .formats import matrix_to_json_dict, render_pretty, to_alist
 from .gf import GaloisField, make_field
 
@@ -57,16 +57,13 @@ def _budget_value(text: str, name: str) -> int:
     return value
 
 
-def _env_budget() -> int:
+def _meter(flag: Optional[str]) -> Meter:
+    """One work meter for the whole command: ``--budget``, else the
+    environment, else the default."""
+    if flag is not None:
+        return Meter(_budget_value(flag, "--budget"))
     env = os.environ.get(BUDGET_ENV)
-    return _budget_value(env, BUDGET_ENV) if env else analysis.DEFAULT_BUDGET
-
-
-def _default_budget(args: argparse.Namespace) -> analysis.Meter:
-    """One work meter for the whole command."""
-    if args.budget is None:
-        return analysis.Meter(_env_budget())
-    return analysis.Meter(_budget_value(args.budget, "--budget"))
+    return Meter(_budget_value(env, BUDGET_ENV) if env else DEFAULT_BUDGET)
 
 
 def _emit_json(payload: dict) -> None:
@@ -101,7 +98,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
-    meter = _default_budget(args)
+    meter = _meter(args.budget)
     j = spec.mu if args.j is None else args.j
     minor_reports = [analysis.check_minors(spec, s, j, meter)
                      for s in _int_list(args.minors, {2, 3}, "minor size")]
@@ -139,7 +136,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_distance(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
-    meter = _default_budget(args)
+    meter = _meter(args.budget)
     if args.horizon is not None and args.horizon < analysis.exact_horizon(spec):
         free = analysis.free_distance(spec, args.horizon, meter)
         if args.json:
@@ -171,7 +168,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     try:
         result = search_min_scope(args.sets, args.size, mode=args.mode,
                                   min_element=args.min_element,
-                                  scope_budget=args.budget, budget=_env_budget())
+                                  scope_budget=args.budget, budget=_meter(None))
     except HorizonTooLarge:
         raise
     except BudgetExhausted as exc:

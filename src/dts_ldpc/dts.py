@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import BudgetExhausted, HorizonTooLarge
+from .errors import DEFAULT_BUDGET, BudgetExhausted, Meter, as_meter
 
 VALID_MODES = ("relaxed", "strict")
 
@@ -189,7 +189,7 @@ def search_min_scope(
     mode: str = "relaxed",
     min_element: int = 1,
     scope_budget: int = 32,
-    budget: int = 10**8,
+    budget: int | Meter = DEFAULT_BUDGET,
 ) -> SearchResult:
     """Lexicographically smallest family of minimum scope.
 
@@ -197,7 +197,7 @@ def search_min_scope(
     each scope before moving on, so the first hit is optimal and every
     smaller scope is certified infeasible.  Raises BudgetExhausted when no
     family exists within scope_budget, and its subclass HorizonTooLarge
-    once the running node count passes ``budget``.
+    once the work charged to the meter ``budget`` passes its limit.
 
     The search places the marks of each set left to right, the sets in
     order, and keeps the shift-register bit-vectors of optimal Golomb ruler
@@ -215,12 +215,14 @@ def search_min_scope(
     (comp >> s) | used'``; the free steps are the clear bits of ``comp >>
     1``, so a candidate costs no loop over the marks placed.
 
-    ``certificate.nodes`` counts every candidate element tried, rejected
-    ones included: a level whose candidates run up to step ``span`` adds
-    ``span``, and a level left on success gives back ``span - s`` for the
-    steps past its hit ``s`` that were never tried.  ``budget`` bounds the
-    running count, which can exceed the final ``nodes`` before those
-    give-backs, so a search may be refused with a final count below it.
+    ``certificate.nodes`` counts every candidate element of the full walk,
+    rejected ones included: a level whose candidates run up to step
+    ``span`` adds ``span``, and a level left on success gives back ``span -
+    s`` for the steps past its hit ``s`` that were never tried.  The meter
+    is charged with the candidates the search walks, the ``span`` of every
+    level it places, and with one step per element of the sets repeated in
+    closed form; the subtrees below that it reuses, and the give-backs,
+    change ``nodes`` only.
 
     Whether a completed set changes the carry is the same for every set:
     in relaxed mode the carry stays 0, and in strict mode the set's
@@ -238,7 +240,7 @@ def search_min_scope(
     count they took the first time.
 
     * Failed carries.  ``place`` depends only on its arguments and on the
-      target, and ``nodes`` only decides when it raises.  The call that
+      target, and the meter only decides when it raises.  The call that
       starts set k + 1 gets ``(k + 1, first_hi, min_element - 1, 0, carry,
       0, carry)``, so within one target its outcome and node count depend
       on ``(k + 1, carry)`` alone.  Translated, mirrored or reordered
@@ -259,15 +261,6 @@ def search_min_scope(
       count is added.  A hit can only come from ``min_element``, so the
       cost at the hit scope, which the closed form above repeats, is
       unchanged.
-
-    Refusals are unchanged too.  Up to the final hit the running count
-    never falls, and after it it only falls until the closed form adds and
-    checks.  Each skipped subtree failed, so its own count only grew, and
-    one add followed by a budget check reaches its largest value.  The
-    largest running count is therefore the same as without the reuse, and
-    HorizonTooLarge is raised for exactly the same ``(shape, budget)``;
-    only the count in its message can be larger, as it is read after a
-    bulk add.
     """
     if mode not in VALID_MODES:
         raise ValueError(f"mode must be one of {VALID_MODES}, got {mode!r}")
@@ -275,34 +268,33 @@ def search_min_scope(
         raise ValueError(f"min_element must be 0 or 1, got {min_element}")
     if num_sets < 1 or set_size < 1:
         raise ValueError("num_sets and set_size must be >= 1")
+    if scope_budget < 0:
+        raise ValueError(f"the scope budget must be nonnegative, got {scope_budget}")
 
     strict = mode == "strict"
     last_set = num_sets - 1
     carry_stays = num_sets == 1 or not strict or set_size == 1
-    nodes = 0
+    meter = as_meter(budget)
+    room = meter.limit - meter.used
+    walked = 0  # the candidates walked: the spans of the levels placed
+    unwalked = 0  # nodes - walked: the subtrees reused, less the give-backs
     exhausted: list[int] = []
     lowest = min_element + set_size - 1
-
-    def charge(steps: int) -> None:
-        nonlocal nodes
-        nodes += steps
-        if nodes > budget:
-            raise HorizonTooLarge(f"{nodes} nodes exceed the budget of {budget}")
 
     def place(k: int, hi: int, last: int, lst: int, used: int, comp: int,
               carry: int) -> Optional[list[tuple[int, ...]]]:
         # Place the next mark of set k in last+1..hi; hi == target for the
         # set's last mark.
-        nonlocal nodes
+        nonlocal walked, unwalked
         span = hi - last
         free = ~(comp >> 1) & ((1 << span) - 1)
-        nodes += span
-        if nodes > budget:
-            raise HorizonTooLarge(f"{nodes} nodes exceed the budget of {budget}")
+        walked += span
+        if walked > room:
+            meter.charge(walked)
         if hi == target and k == last_set:
             if free:
                 s = (free & -free).bit_length()
-                nodes -= span - s
+                unwalked -= span - s
                 return [_marks(last + s, lst << s | 1)]
             return None
         if hi < target:
@@ -321,7 +313,7 @@ def search_min_scope(
                 hit = place(k, hi + 1, last + s, shifted | 1, used_next,
                             (comp >> s) | used_next, carry)
                 if hit is not None:
-                    nodes -= span - s
+                    unwalked -= span - s
                     return hit
             return None
         while free:
@@ -334,15 +326,15 @@ def search_min_scope(
             if carry_next == carry:
                 hit = []
             elif key in failed:
-                charge(failed[key])
+                unwalked += failed[key]
                 continue
             else:
-                start = nodes
+                start = walked + unwalked
                 hit = place(k + 1, first_hi, min_element - 1, 0, carry_next, 0, carry_next)
                 if hit is None:
-                    failed[key] = nodes - start
+                    failed[key] = walked + unwalked - start
                     continue
-            nodes -= span - s
+            unwalked -= span - s
             return [_marks(last + s, shifted | 1), *hit]
         return None
 
@@ -350,30 +342,30 @@ def search_min_scope(
     for target in range(lowest, scope_budget + 1):
         first_hi = target - set_size + 1
         failed: dict[tuple[int, int], int] = {}
-        before = nodes
+        before = walked + unwalked
         if carry_stays and exhausted:
-            # first marks past min_element repeat target - 1: see the docstring
-            span = first_hi - min_element + 1
-            charge(span)
+            # first marks past min_element repeat target - 1 (see the
+            # docstring): a hit counts the first mark min_element alone, a
+            # miss the span(target - 1) + 1 first marks and, past
+            # min_element, the rest of spent
             found = place(0, first_hi + 1, min_element, 1, 0, 0, 0)
-            if found is None:
-                charge(spent - (span - 1))
-            else:
-                nodes -= span - 1
+            unwalked += 1 if found is not None else spent + 1
         else:
             found = place(0, first_hi, min_element - 1, 0, 0, 0, 0)
         if found is not None:
-            if len(found) < num_sets:  # the carry stayed: see the docstring
-                charge((num_sets - 1) * (nodes - before))
-                found *= num_sets
+            copies = num_sets - len(found)  # the carry stayed: see the docstring
+            unwalked += copies * (walked + unwalked - before)
+            meter.charge(walked + copies * set_size)
+            found += found[:1] * copies
             dts = DifferenceTriangleSet(tuple(found))
             return SearchResult(
                 dts=dts,
                 scope=dts.scope,
-                certificate=SearchCertificate(tuple(exhausted), nodes),
+                certificate=SearchCertificate(tuple(exhausted), walked + unwalked),
             )
-        spent = nodes - before
+        spent = walked + unwalked - before
         exhausted.append(target)
+    meter.charge(walked)
     raise BudgetExhausted(
         f"no {mode} family of {num_sets} set(s) of size {set_size} with scope <= {scope_budget}"
     )

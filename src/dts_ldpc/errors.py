@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and the work meter shared across the package."""
+
+DEFAULT_BUDGET = 10**8
 
 
 class NonPrimeCharacteristic(ValueError):
@@ -31,3 +33,21 @@ class BudgetExhausted(RuntimeError):
 
 class HorizonTooLarge(BudgetExhausted):
     """The work done so far by a command exceeds its work budget."""
+
+
+class Meter:
+    """Work budget of one command, charged where each exhaustive loop works."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.used = 0
+
+    def charge(self, steps: int) -> None:
+        self.used += steps
+        if self.used > self.limit:
+            raise HorizonTooLarge(f"{self.used} steps exceed the budget of {self.limit}")
+
+
+def as_meter(budget: int | Meter) -> Meter:
+    """The shared meter itself, or a fresh one with ``budget`` as its limit."""
+    return budget if isinstance(budget, Meter) else Meter(budget)

@@ -301,12 +301,10 @@ def test_cli_search_and_exhaustion(capsys):
 
 
 def test_cli_search_node_budget_from_env(capsys, monkeypatch):
-    monkeypatch.setenv("DTS_LDPC_BUDGET", "100000")
+    monkeypatch.setenv("DTS_LDPC_BUDGET", "50000")
     code, out, err = run_cli(capsys, "search", "--sets", "1", "--size", "7",
                              "--min-element", "0")
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert err.endswith("nodes exceed the budget of 100000\n")
+    assert (code, out, err) == (2, "", "error: 50003 steps exceed the budget of 50000\n")
     code, _, err = run_cli(capsys, "search", "--sets", "1", "--size", "3", "--budget", "3")
     assert code == 1 and err.startswith("search exhausted: ")
 
@@ -315,10 +313,10 @@ def test_cli_search_json(capsys):
     code, out, _ = run_cli(capsys, "search", "--sets", "2", "--size", "3",
                            "--mode", "strict", "--json")
     assert code == 0
-    data = json.loads(out)
-    assert data["scope"] == 8
-    assert data["sets"] == [[1, 2, 5], [1, 3, 8]]
-    assert data["exhausted_scopes"] == [3, 4, 5, 6, 7]
+    assert json.loads(out) == {
+        "schema": "dts-search/v1", "sets": [[1, 2, 5], [1, 3, 8]], "scope": 8,
+        "mode": "strict", "exhausted_scopes": [3, 4, 5, 6, 7], "nodes": 1342,
+    }
 
 
 def test_cli_density(capsys):
@@ -357,6 +355,7 @@ def test_cli_suggest_field_large_scope(capsys):
     ("density", "--n", "-3", "--w", "3", "--mu", "5", "--len", "6"),
     ("density", "--n", "0", "--w", "3", "--mu", "5", "--len", "6"),
     ("search", "--sets", "0", "--size", "3"),
+    ("search", "--sets", "1", "--size", "3", "--budget", "-1"),
 ])
 def test_cli_usage_errors_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -406,7 +405,7 @@ def test_cli_budget_of_zero_is_a_budget(capsys, monkeypatch):
     assert code == 2 and err == "error: 8 steps exceed the budget of 0\n"
     monkeypatch.setenv("DTS_LDPC_BUDGET", "0")
     code, _, err = run_cli(capsys, "search", "--sets", "1", "--size", "3")
-    assert code == 2 and err == "error: 1 nodes exceed the budget of 0\n"
+    assert code == 2 and err == "error: 1 steps exceed the budget of 0\n"
 
 
 def test_python_dash_m_runs_the_cli():

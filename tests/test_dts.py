@@ -15,7 +15,7 @@ from dts_ldpc.dts import (
     search_min_scope,
     validate,
 )
-from dts_ldpc.errors import BudgetExhausted, HorizonTooLarge
+from dts_ldpc.errors import DEFAULT_BUDGET, BudgetExhausted, HorizonTooLarge, Meter
 
 T126_124 = DifferenceTriangleSet(((1, 2, 6), (1, 2, 4)))
 T126_235 = DifferenceTriangleSet(((1, 2, 6), (2, 3, 5)))
@@ -101,27 +101,23 @@ def oracle_search_min_scope(num_sets, set_size, mode, min_element, scope_budget=
     )
 
 
-def oracle_bitvector_search(num_sets, set_size, mode, min_element,
-                            scope_budget=32, budget=10**8):
+def oracle_bitvector_search(num_sets, set_size, mode, min_element, scope_budget=32):
     """The bit-vector DFS of search_min_scope without reuse of any subtree:
     every set is walked, and every target from scratch.  Sets that leave
     the carry unchanged are still repeated in closed form, as the search
-    has always done.  Returns the result and the peak running count, which
-    decides refusals: HorizonTooLarge is raised iff it passes ``budget``."""
+    has always done."""
     strict = mode == "strict"
-    nodes = peak = 0
+    nodes = 0
     exhausted = []
 
     def marks(last, lst):
         return tuple(last - i for i in range(lst.bit_length() - 1, -1, -1) if lst >> i & 1)
 
     def place(k, hi, last, lst, used, comp, carry):
-        nonlocal nodes, peak
+        nonlocal nodes
         span = hi - last
         free = ~(comp >> 1) & ((1 << span) - 1)
         nodes += span
-        if nodes > budget:
-            raise HorizonTooLarge(f"{nodes} nodes exceed the budget of {budget}")
         while free:
             low = free & -free
             free ^= low
@@ -138,7 +134,6 @@ def oracle_bitvector_search(num_sets, set_size, mode, min_element,
                 hit = [] if carry_next == carry else place(
                     k + 1, target - set_size + 1, min_element - 1, 0, carry_next, 0, carry_next)
             if hit is not None:
-                peak = max(peak, nodes)  # the count falls only after a hit
                 nodes -= span - s
                 return [marks(last + s, shifted | 1), *hit] if hi == target else hit
         return None
@@ -150,11 +145,8 @@ def oracle_bitvector_search(num_sets, set_size, mode, min_element,
             if len(found) < num_sets:
                 nodes += (num_sets - 1) * (nodes - before)
                 found *= num_sets
-                if nodes > budget:
-                    raise HorizonTooLarge(f"{nodes} nodes exceed the budget of {budget}")
             dts = DifferenceTriangleSet(tuple(found))
-            certificate = SearchCertificate(tuple(exhausted), nodes)
-            return SearchResult(dts, dts.scope, certificate), max(peak, nodes)
+            return SearchResult(dts, dts.scope, SearchCertificate(tuple(exhausted), nodes))
         exhausted.append(target)
     raise BudgetExhausted(
         f"no {mode} family of {num_sets} set(s) of size {set_size} with scope <= {scope_budget}"
@@ -334,6 +326,11 @@ def test_search_strict_families_past_the_plain_oracle():
     res = search_min_scope(2, 5, "strict")
     assert res.dts.sets == ((1, 2, 14, 21, 23), (1, 4, 9, 15, 19))
     assert res.certificate == SearchCertificate(tuple(range(5, 23)), 9_485_138)
+    # the default budget bounds the 0.6 M candidates walked, not the
+    # full walk's nodes
+    res = search_min_scope(5, 3, "strict")
+    assert res.dts.sets == ((1, 2, 7), (1, 3, 13), (1, 4, 15), (1, 5, 14), (1, 8, 16))
+    assert res.certificate == SearchCertificate(tuple(range(3, 16)), 2_091_106_515)
 
 
 # Every shape of up to 4 sets of size up to 5 except the strict families the
@@ -353,6 +350,10 @@ def test_search_matches_oracle_dfs(num_sets, set_size, mode):
         expected = oracle_search_min_scope(num_sets, set_size, mode, min_element)
         assert search_min_scope(num_sets, set_size, mode, min_element) == expected
         budget = expected.scope - 1
+        if budget < 0:  # no smaller scope to exhaust
+            with pytest.raises(ValueError, match="^the scope budget must be nonnegative"):
+                search_min_scope(num_sets, set_size, mode, min_element, budget)
+            continue
         with pytest.raises(BudgetExhausted) as want:
             oracle_search_min_scope(num_sets, set_size, mode, min_element, budget)
         with pytest.raises(BudgetExhausted) as got:
@@ -372,21 +373,17 @@ REUSE_SHAPES = (
 @pytest.mark.parametrize("num_sets,set_size,mode", REUSE_SHAPES)
 def test_search_matches_bitvector_oracle_and_its_refusals(num_sets, set_size, mode):
     for min_element in (0, 1):
-        expected, peak = oracle_bitvector_search(num_sets, set_size, mode, min_element)
-        assert search_min_scope(num_sets, set_size, mode, min_element) == expected
-        # the oracle refuses exactly the budgets below its peak
-        with pytest.raises(HorizonTooLarge):
-            oracle_bitvector_search(num_sets, set_size, mode, min_element, budget=peak - 1)
-        assert oracle_bitvector_search(num_sets, set_size, mode, min_element,
-                                       budget=peak)[0] == expected
-        final = expected.certificate.nodes
-        for budget in {final - 1, final, peak - 1, peak}:
-            if budget < peak:
-                with pytest.raises(HorizonTooLarge, match=rf"^\d+ nodes exceed the budget of {budget}$"):
-                    search_min_scope(num_sets, set_size, mode, min_element, budget=budget)
-            else:
-                assert search_min_scope(num_sets, set_size, mode, min_element,
-                                        budget=budget) == expected
+        expected = oracle_bitvector_search(num_sets, set_size, mode, min_element)
+        meter = Meter(DEFAULT_BUDGET)
+        assert search_min_scope(num_sets, set_size, mode, min_element, budget=meter) == expected
+        # the meter is charged with the candidates walked, which the reused
+        # subtrees keep at or below the full walk's nodes
+        assert 0 < meter.used <= expected.certificate.nodes
+        assert search_min_scope(num_sets, set_size, mode, min_element,
+                                budget=meter.used) == expected
+        refused = meter.used - 1
+        with pytest.raises(HorizonTooLarge, match=rf"^\d+ steps exceed the budget of {refused}$"):
+            search_min_scope(num_sets, set_size, mode, min_element, budget=refused)
 
 
 def test_search_repeats_a_set_that_leaves_the_carry_unchanged():
@@ -427,16 +424,30 @@ def test_search_matches_oracle_grid():
 def test_search_budget_exhausted():
     with pytest.raises(BudgetExhausted):
         search_min_scope(2, 3, "strict", 1, scope_budget=7)
+    # scope budgets below the lowest scope exhaust nothing, but are no error
+    for scope_budget in (0, 2):
+        with pytest.raises(BudgetExhausted, match=f"with scope <= {scope_budget}$"):
+            search_min_scope(1, 3, scope_budget=scope_budget)
 
 
 def test_search_node_budget():
-    with pytest.raises(HorizonTooLarge, match=r"^\d+ nodes exceed the budget of 100000$"):
-        search_min_scope(1, 7, "relaxed", 0, budget=100_000)
-    assert search_min_scope(1, 7, "relaxed", 0, budget=200_000).certificate.nodes == 180_433
-    # the repeated sets of the closed form count against the budget too
+    # the 7-mark ruler walks 55 594 candidates for its 180 433 nodes
+    with pytest.raises(HorizonTooLarge, match="^50003 steps exceed the budget of 50000$"):
+        search_min_scope(1, 7, "relaxed", 0, budget=50_000)
+    assert search_min_scope(1, 7, "relaxed", 0, budget=55_594).certificate.nodes == 180_433
+    # the sets repeated in closed form cost one step per element
     assert search_min_scope(600, 2, budget=1200).certificate.nodes == 1200
-    with pytest.raises(HorizonTooLarge, match="^1200 nodes exceed the budget of 1199$"):
+    with pytest.raises(HorizonTooLarge, match="^1200 steps exceed the budget of 1199$"):
         search_min_scope(600, 2, budget=1199)
+    # ... charged before the family is built
+    with pytest.raises(HorizonTooLarge, match="^1000000000 steps exceed the budget of 100000000$"):
+        search_min_scope(10**9, 1)
+    # searches sharing a meter draw on one budget
+    meter = Meter(55_594 + 7)
+    search_min_scope(1, 7, "relaxed", 0, budget=meter)
+    assert search_min_scope(1, 3, budget=meter).certificate.nodes == 7
+    with pytest.raises(HorizonTooLarge, match="^55602 steps exceed the budget of 55601$"):
+        search_min_scope(1, 2, budget=meter)
 
 
 def test_search_rejects_bad_parameters():
@@ -446,3 +457,5 @@ def test_search_rejects_bad_parameters():
         search_min_scope(0, 2)
     with pytest.raises(ValueError):
         search_min_scope(1, 2, "loose")
+    with pytest.raises(ValueError, match="^the scope budget must be nonnegative, got -1$"):
+        search_min_scope(1, 3, scope_budget=-1)
