@@ -42,10 +42,6 @@ PATTERN_FULL = "fully-nonzero"
 PATTERN_CYCLE = "cycle-pattern"
 PATTERN_MIXED = "mixed-pattern"
 
-# The masks (see ``_mask``) of a 6-cycle's columns, in (c12, c23, c13) order:
-_CYCLE_MASKS = (0b011, 0b110, 0b101)
-
-
 # ---------------------------------------------------------------------------
 # small linear algebra over the field
 # ---------------------------------------------------------------------------
@@ -144,16 +140,12 @@ def _vanishable_minors(matrix: ExponentMatrix, size: int, meter: Meter):
         yield rows, sup, meets, sorted(found)
 
 
-def _mask(sup: Sequence[set[int]], col: int) -> int:
-    """Bit b is set when the column meets row b of the tuple."""
-    return sum(1 << b for b, s in enumerate(sup) if col in s)
-
-
 def _pattern(sup: Sequence[set[int]], cols: Sequence[int]) -> str:
-    masks = [_mask(sup, c) for c in cols]
+    # bit b of a column's mask is set when the column meets row b
+    masks = [sum(1 << b for b, s in enumerate(sup) if c in s) for c in cols]
     if all(m == (1 << len(sup)) - 1 for m in masks):
         return PATTERN_FULL
-    if sorted(masks) == sorted(_CYCLE_MASKS):
+    if sorted(masks) == [0b011, 0b101, 0b110]:  # the columns of a 6-cycle
         return PATTERN_CYCLE
     return PATTERN_MIXED
 
@@ -269,13 +261,13 @@ def enumerate_cycles(spec: CodeSpec, length: int, j: Optional[int] = None,
     matrix = spec.sliding_matrix(j)
     half = length // 2
     meter = as_meter(budget)
-    cycle_pattern = PATTERN_FULL if half == 2 else PATTERN_CYCLE
     cycles = []
-    for rows, sup, _, col_sets in _vanishable_minors(matrix, half, meter):
-        walks = sorted(
-            tuple(sorted(cols, key=lambda c: _CYCLE_MASKS.index(_mask(sup, c))))
-            for cols in col_sets if _pattern(sup, cols) == cycle_pattern
-        )
+    for rows, sup, meets, _ in _vanishable_minors(matrix, half, meter):
+        if half == 2:
+            walks = itertools.combinations(sorted(meets[0, 1]), 2)
+        else:  # each column meets its two rows and misses the third
+            walks = sorted(itertools.product(meets[0, 1] - sup[2], meets[1, 2] - sup[0],
+                                             meets[0, 2] - sup[1]))
         for walk in walks:
             cols = tuple(sorted(walk))
             grid = matrix.submatrix(rows, cols)
@@ -508,15 +500,12 @@ class DistanceProfile:
         }
 
 
-def distance_profile(spec: CodeSpec, j_max: Optional[int] = None,
-                     budget: int | Meter = DEFAULT_BUDGET) -> DistanceProfile:
-    if j_max is None:
-        j_max = spec.mu
+def distance_profile(spec: CodeSpec, budget: int | Meter = DEFAULT_BUDGET) -> DistanceProfile:
     meter = as_meter(budget)
     return DistanceProfile(
-        column_distances=tuple(column_distance(spec, j, meter) for j in range(j_max + 1)),
+        column_distances=tuple(column_distance(spec, j, meter) for j in range(spec.mu + 1)),
         free=free_distance(spec, budget=meter),
         predicted_free=spec.w + 1,
-        predicted_column=tuple(minimal_column_weight(spec, j) + 1 for j in range(j_max + 1)),
+        predicted_column=tuple(minimal_column_weight(spec, j) + 1 for j in range(spec.mu + 1)),
         assumption_check=check_distance_assumptions(spec, meter),
     )

@@ -70,12 +70,14 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _int_list(text: str, allowed: set[int], what: str) -> list[int]:
+def _int_list(text: str, allowed: set[int], flag: str) -> list[int]:
     out = []
     for part in text.split(","):
         v = int(part)
         if v not in allowed:
-            raise ValueError(f"{what} must be among {sorted(allowed)}, got {v}")
+            raise ValueError(f"{flag} must be among {sorted(allowed)}, got {v}")
+        if v in out:
+            raise ValueError(f"{flag} repeats {v}")
         out.append(v)
     return out
 
@@ -101,9 +103,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     meter = _meter(args.budget)
     j = spec.mu if args.j is None else args.j
     minor_reports = [analysis.check_minors(spec, s, j, meter)
-                     for s in _int_list(args.minors, {2, 3}, "minor size")]
+                     for s in _int_list(args.minors, {2, 3}, "--minors")]
     cycle_reports = [analysis.enumerate_cycles(spec, ln, j, meter)
-                     for ln in _int_list(args.cycles, {4, 6}, "cycle length")]
+                     for ln in _int_list(args.cycles, {4, 6}, "--cycles")]
     total = sum(len(r.failures) for r in minor_reports)
     total += sum(len(r.frc_failures) for r in cycle_reports)
     if args.json:

@@ -140,16 +140,11 @@ def validate(dts: DifferenceTriangleSet, mode: str = "relaxed") -> ValidationRep
     diff_map = differences(dts)
     for value in sorted(diff_map):
         wits = diff_map[value]
-        if mode == "strict":
-            if len(wits) > 1:
-                dups.append(DuplicateDifference(value, tuple(wits)))
-        else:
-            by_set: dict[int, list[Witness]] = {}
-            for w in wits:
-                by_set.setdefault(w[0], []).append(w)
-            offending = [w for ws in by_set.values() if len(ws) > 1 for w in ws]
-            if offending:
-                dups.append(DuplicateDifference(value, tuple(offending)))
+        if mode == "relaxed":  # only a repeat within one set counts
+            owners = [w[0] for w in wits]
+            wits = [w for w in wits if owners.count(w[0]) > 1]
+        if len(wits) > 1:
+            dups.append(DuplicateDifference(value, tuple(wits)))
     return ValidationReport(mode=mode, valid=not dups, duplicates=tuple(dups))
 
 
@@ -224,17 +219,16 @@ def search_min_scope(
     closed form; the subtrees below that it reuses, and the give-backs,
     change ``nodes`` only.
 
-    Whether a completed set changes the carry is the same for every set:
-    in relaxed mode the carry stays 0, and in strict mode the set's
-    differences avoid the carry, so the carry stays exactly when the set
-    has no differences (size 1).  When it stays, every later set starts
-    the search of the first set from the same state, so it reaches the same
-    first completed set after the same number of nodes, and the last set's
-    search succeeds there too.  The family is then the first set found,
-    repeated, and each later set costs the nodes the first one spent at the
-    hit scope; at every smaller scope the first set never completes, so the
-    cost is that of a single set.  The search therefore recurses through
-    the next set only when the carry changes.
+    How many sets are searched is decided once.  A completed set leaves
+    the carry as it was in relaxed mode (the carry stays 0) and when it
+    has no differences (size 1); in strict mode a larger set adds
+    differences that avoid the carry, so the carry grows.  When the carry
+    never changes (one set, relaxed mode, or sets of size 1), every later
+    set would restart the first set's search from the same state and reach
+    the same set after the same nodes.  Such shapes search one set and
+    repeat it: each copy costs the nodes the first set spent at the hit
+    scope, and every smaller scope costs that of a single set.  Otherwise
+    all ``num_sets`` sets are searched.
 
     Two kinds of subtree are never walked twice; the count they add is the
     count they took the first time.
@@ -242,25 +236,23 @@ def search_min_scope(
     * Failed carries.  ``place`` depends only on its arguments and on the
       target, and the meter only decides when it raises.  The call that
       starts set k + 1 gets ``(k + 1, first_hi, min_element - 1, 0, carry,
-      0, carry)``, so within one target its outcome and node count depend
-      on ``(k + 1, carry)`` alone.  Translated, mirrored or reordered
-      earlier sets leave the same carry, so the same subtree comes back.  A
-      failed subtree gives no nodes back (give-backs happen only on the way
-      out of a hit), so its count is a constant.  ``failed`` keeps it per
+      0)``, so within one target its outcome and node count depend on
+      ``(k + 1, carry)`` alone.  Translated, mirrored or reordered earlier
+      sets leave the same carry, so the same subtree comes back.  A failed
+      subtree gives no nodes back (give-backs happen only on the way out
+      of a hit), so its count is a constant.  ``failed`` keeps it per
       target; a repeat adds it instead of recursing.
-    * Scope shift.  When the carry stays (one set, relaxed mode, or sets of
-      size 1), the first set's search is the whole search.  After a first
-      mark m its state is ``last = m``, ``lst = 1``, ``used = comp = 0``
-      with level bound ``first_hi + 1``, and every later step depends only
-      on ``hi - last`` and ``target - hi``.  So first mark m at target T + 1
-      has the subtree of first mark m - 1 at target T, translated by one.
-      T was exhausted, so at T + 1 every first mark past ``min_element``
-      fails, and together those subtrees cost all of T's nodes but its
-      first level of ``span(T)`` candidates.  From the second target on
-      only the first mark ``min_element`` is searched; if it fails, that
-      count is added.  A hit can only come from ``min_element``, so the
-      cost at the hit scope, which the closed form above repeats, is
-      unchanged.
+    * Scope shift.  When one set is searched, its state after a first mark
+      m is ``last = m``, ``lst = 1``, ``used = comp = 0`` with level bound
+      ``first_hi + 1``, and every later step depends only on ``hi - last``
+      and ``target - hi``.  So first mark m at target T + 1 has the subtree
+      of first mark m - 1 at target T, translated by one.  T was
+      exhausted, so at T + 1 every first mark past ``min_element`` fails,
+      and together those subtrees cost all of T's nodes but its first
+      level of ``span(T)`` candidates.  From the second target on only the
+      first mark ``min_element`` is searched; if it fails, that count is
+      added.  A hit can only come from ``min_element``, so the cost at the
+      hit scope, which the repeat above copies, is unchanged.
     """
     if mode not in VALID_MODES:
         raise ValueError(f"mode must be one of {VALID_MODES}, got {mode!r}")
@@ -271,9 +263,9 @@ def search_min_scope(
     if scope_budget < 0:
         raise ValueError(f"the scope budget must be nonnegative, got {scope_budget}")
 
-    strict = mode == "strict"
-    last_set = num_sets - 1
-    carry_stays = num_sets == 1 or not strict or set_size == 1
+    # one set when the carry never changes: see the docstring
+    searched = 1 if num_sets == 1 or mode == "relaxed" or set_size == 1 else num_sets
+    last_set = searched - 1
     meter = as_meter(budget)
     room = meter.limit - meter.used
     walked = 0  # the candidates walked: the spans of the levels placed
@@ -281,8 +273,8 @@ def search_min_scope(
     exhausted: list[int] = []
     lowest = min_element + set_size - 1
 
-    def place(k: int, hi: int, last: int, lst: int, used: int, comp: int,
-              carry: int) -> Optional[list[tuple[int, ...]]]:
+    def place(k: int, hi: int, last: int, lst: int, used: int,
+              comp: int) -> Optional[list[tuple[int, ...]]]:
         # Place the next mark of set k in last+1..hi; hi == target for the
         # set's last mark.
         nonlocal walked, unwalked
@@ -291,19 +283,13 @@ def search_min_scope(
         walked += span
         if walked > room:
             meter.charge(walked)
-        if hi == target and k == last_set:
-            if free:
-                s = (free & -free).bit_length()
-                unwalked -= span - s
-                return [_marks(last + s, lst << s | 1)]
-            return None
-        if hi < target:
-            while free:
-                low = free & -free
-                free ^= low
-                s = low.bit_length()
-                shifted = lst << s
-                used_next = used | shifted
+        while free:
+            low = free & -free
+            free ^= low
+            s = low.bit_length()
+            shifted = lst << s
+            used_next = used | shifted
+            if hi < target:
                 # comp' is exact.  A mark at x > new repeats a difference
                 # when x - b is in used' for a mark b.  For b = new that is
                 # bit x - new of used'.  For an old b with x - b in used it
@@ -311,31 +297,20 @@ def search_min_scope(
                 # Otherwise x - b = new - a for an old a, and then
                 # x - new = b - a is a difference of old marks, in used'.
                 hit = place(k, hi + 1, last + s, shifted | 1, used_next,
-                            (comp >> s) | used_next, carry)
-                if hit is not None:
-                    unwalked -= span - s
-                    return hit
-            return None
-        while free:
-            low = free & -free
-            free ^= low
-            s = low.bit_length()
-            shifted = lst << s
-            carry_next = used | shifted if strict else carry
-            key = (k + 1, carry_next)
-            if carry_next == carry:
+                            (comp >> s) | used_next)
+            elif k == last_set:
                 hit = []
-            elif key in failed:
-                unwalked += failed[key]
+            elif (k + 1, used_next) in failed:
+                unwalked += failed[k + 1, used_next]
                 continue
             else:
                 start = walked + unwalked
-                hit = place(k + 1, first_hi, min_element - 1, 0, carry_next, 0, carry_next)
+                hit = place(k + 1, first_hi, min_element - 1, 0, used_next, 0)
                 if hit is None:
-                    failed[key] = walked + unwalked - start
-                    continue
-            unwalked -= span - s
-            return [_marks(last + s, shifted | 1), *hit]
+                    failed[k + 1, used_next] = walked + unwalked - start
+            if hit is not None:
+                unwalked -= span - s
+                return [_marks(last + s, shifted | 1), *hit] if hi == target else hit
         return None
 
     spent = 0  # nodes of the last target exhausted
@@ -343,17 +318,17 @@ def search_min_scope(
         first_hi = target - set_size + 1
         failed: dict[tuple[int, int], int] = {}
         before = walked + unwalked
-        if carry_stays and exhausted:
+        if searched == 1 and exhausted:
             # first marks past min_element repeat target - 1 (see the
             # docstring): a hit counts the first mark min_element alone, a
             # miss the span(target - 1) + 1 first marks and, past
             # min_element, the rest of spent
-            found = place(0, first_hi + 1, min_element, 1, 0, 0, 0)
+            found = place(0, first_hi + 1, min_element, 1, 0, 0)
             unwalked += 1 if found is not None else spent + 1
         else:
-            found = place(0, first_hi, min_element - 1, 0, 0, 0, 0)
+            found = place(0, first_hi, min_element - 1, 0, 0, 0)
         if found is not None:
-            copies = num_sets - len(found)  # the carry stayed: see the docstring
+            copies = num_sets - searched
             unwalked += copies * (walked + unwalked - before)
             meter.charge(walked + copies * set_size)
             found += found[:1] * copies

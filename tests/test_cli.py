@@ -356,11 +356,22 @@ def test_cli_suggest_field_large_scope(capsys):
     ("density", "--n", "0", "--w", "3", "--mu", "5", "--len", "6"),
     ("search", "--sets", "0", "--size", "3"),
     ("search", "--sets", "1", "--size", "3", "--budget", "-1"),
+    ("verify", "--dts", "1,2,6;1,2,4", "--n", "3", "--field", "2^5", "--minors", "3,3"),
+    ("verify", "--dts", "1,2,6;1,2,4", "--n", "3", "--field", "2^5", "--cycles", "4,4"),
 ])
 def test_cli_usage_errors_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "error" in err
+
+
+def test_cli_repeated_list_value_names_the_flag(capsys):
+    # a repeated size would count each of its failures twice
+    spec = ("--dts", "1,2,6;1,2,4", "--n", "3", "--field", "2^5")
+    assert run_cli(capsys, "verify", *spec, "--minors", "3,3", "--cycles", "6") == (
+        2, "", "error: --minors repeats 3\n")
+    assert run_cli(capsys, "verify", *spec, "--cycles", "6,4,6") == (
+        2, "", "error: --cycles repeats 6\n")
 
 
 def test_cli_unknown_command_exits_2(capsys):

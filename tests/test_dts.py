@@ -386,6 +386,49 @@ def test_search_matches_bitvector_oracle_and_its_refusals(num_sets, set_size, mo
             search_min_scope(num_sets, set_size, mode, min_element, budget=refused)
 
 
+# (num_sets, set_size, mode, min_element): (scope, certificate.nodes,
+# Meter.used, the steps refused at a budget of Meter.used // 2), recorded
+# before the three placement loops of the search were folded into one.
+SEARCH_PINS = {
+    (1, 1, "relaxed", 0): (0, 1, 1, 1),
+    (1, 1, "relaxed", 1): (1, 1, 1, 1),
+    (1, 2, "relaxed", 0): (1, 2, 2, 2),
+    (1, 2, "relaxed", 1): (2, 2, 2, 2),
+    (1, 3, "relaxed", 0): (3, 7, 7, 5),
+    (1, 3, "relaxed", 1): (4, 7, 7, 5),
+    (1, 4, "relaxed", 0): (6, 51, 38, 21),
+    (1, 4, "relaxed", 1): (7, 51, 38, 21),
+    (1, 5, "relaxed", 0): (11, 838, 417, 215),
+    (1, 5, "relaxed", 1): (12, 838, 417, 215),
+    (1, 6, "relaxed", 0): (17, 10_950, 4_194, 2_099),
+    (1, 6, "relaxed", 1): (18, 10_950, 4_194, 2_099),
+    (1, 7, "relaxed", 0): (25, 180_433, 55_594, 27_798),
+    (1, 7, "relaxed", 1): (26, 180_433, 55_594, 27_798),
+    (1, 8, "relaxed", 0): (34, 2_425_946, 633_767, 316_886),
+    (1, 8, "relaxed", 1): (35, 2_425_946, 633_767, 316_886),
+    (3, 4, "relaxed", 1): (7, 71, 46, 24),
+    (600, 2, "relaxed", 1): (2, 1_200, 1_200, 1_200),
+    (2, 2, "strict", 1): (3, 9, 12, 8),
+    (3, 3, "strict", 1): (11, 134_185, 7_575, 3_795),
+    (4, 3, "strict", 1): (13, 6_030_301, 45_649, 22_827),
+    (5, 3, "strict", 1): (16, 2_091_106_515, 594_110, 297_063),
+    (2, 4, "strict", 1): (14, 88_428, 28_406, 14_207),
+    (3, 4, "strict", 1): (20, 31_800_357, 1_313_861, 656_931),
+    (5, 1, "strict", 1): (1, 5, 5, 5),
+}
+
+
+@pytest.mark.parametrize("shape", SEARCH_PINS, ids=lambda shape: "-".join(map(str, shape)))
+def test_search_pins_nodes_and_charges(shape):
+    scope, nodes, used, half = SEARCH_PINS[shape]
+    meter = Meter(DEFAULT_BUDGET)
+    res = search_min_scope(*shape, scope_budget=35, budget=meter)
+    assert (res.scope, res.certificate.nodes, meter.used) == (scope, nodes, used)
+    for budget, steps in ((used - 1, used), (used // 2, half)):
+        with pytest.raises(HorizonTooLarge, match=rf"^{steps} steps exceed the budget of {budget}$"):
+            search_min_scope(*shape, scope_budget=35, budget=budget)
+
+
 def test_search_repeats_a_set_that_leaves_the_carry_unchanged():
     # relaxed sizes 1..5: nodes of one set, and of each further set at the
     # hit scope (measured with the oracle DFS)
