@@ -71,9 +71,12 @@ def _emit_json(payload: dict) -> None:
 
 
 def _int_list(text: str, allowed: set[int], flag: str) -> list[int]:
+    try:
+        values = [int(part) for part in text.split(",")]
+    except ValueError:
+        raise ValueError(f"{flag} must be a comma-separated list of integers, got {text!r}") from None
     out = []
-    for part in text.split(","):
-        v = int(part)
+    for v in values:
         if v not in allowed:
             raise ValueError(f"{flag} must be among {sorted(allowed)}, got {v}")
         if v in out:

@@ -115,9 +115,7 @@ def from_alist(text: str) -> ExponentMatrix:
     return ExponentMatrix(rows, cols, entries, field)
 
 
-def _token(e) -> str:
-    if e is None:
-        return ""
+def _token(e: int) -> str:
     if e == 0:
         return "1"
     if e == 1:
@@ -127,12 +125,18 @@ def _token(e) -> str:
 
 def render_pretty(matrix: ExponentMatrix, zero: str = "0") -> str:
     """Text grid of alpha-power tokens, columns right-aligned."""
-    grid = [[_token(matrix.get(r, c)) or zero for c in range(1, matrix.cols + 1)]
-            for r in range(1, matrix.rows + 1)]
-    if not grid or not grid[0]:
+    if not matrix.rows or not matrix.cols:
         return ""
-    widths = [max(len(row[c]) for row in grid) for c in range(matrix.cols)]
-    return "\n".join(
-        " ".join(tok.rjust(w) for tok, w in zip(row, widths)).rstrip()
-        for row in grid
-    )
+    tokens = {pos: _token(e) for pos, e in matrix.entries.items()}
+    # a column is as wide as its widest token, the zero token counting only
+    # when the column has a zero cell
+    widths, filled = [0] * matrix.cols, [0] * matrix.cols
+    for (_, c), tok in tokens.items():
+        widths[c - 1] = max(widths[c - 1], len(tok))
+        filled[c - 1] += 1
+    widths = [w if n == matrix.rows else max(w, len(zero)) for w, n in zip(widths, filled)]
+    blank = [zero.rjust(w) for w in widths]
+    grid = [blank.copy() for _ in range(matrix.rows)]
+    for (r, c), tok in tokens.items():
+        grid[r - 1][c - 1] = tok.rjust(widths[c - 1])
+    return "\n".join(" ".join(row).rstrip() for row in grid)

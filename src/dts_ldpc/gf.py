@@ -16,25 +16,42 @@ Everything is reproducible without shipping tables:
   primitive, otherwise the first element in polynomial order (again low
   degree first) whose multiplicative order is exactly ``q - 1``.
 
-The tables come from one walk over the powers of ``alpha``, the same for
-every p and N.  A polynomial is packed into an int with one slot of
-``(p-1).bit_length() + 1`` bits per coefficient, so adding two of them mod p
-is a few int operations.  Multiplying by ``alpha`` is GF(p)-linear: two
-tables of ``p**ceil(N/2)`` packed products, one per half of the
-coefficients, give the next power as the sum of two lookups, and one table
-of the same size turns each half back into its base-p value.  Each step of
-the walk is O(1) int work, where a polynomial product would be O(N**2),
-and the set-up tables are spanned from N basis products by packed
-additions.
+A field keeps O(sqrt(q)) state and no table of q entries.  With
+``m = ceil(sqrt(q - 1))`` it keeps the baby steps ``alpha**j`` and the
+giant powers ``alpha**(m*i)`` for ``i, j < m``, so ``alpha**e`` for
+``e = m*i + j`` is one polynomial product of two of them
+(``element_poly``).  A polynomial is packed into an int with one slot of
+bits per coefficient, wide enough that one int product of two packed
+polynomials holds every coefficient of their product; wrapping the top
+N - 1 coefficients around with the packed ``x**d`` mod the modulus, and
+reducing each slot mod p, gives the packed result.
 
-Field orders are capped at ``2**20``: the exponent, ``log`` and Zech tables
-hold q entries each, so a build costs time and memory in proportion to q.
+Multiplying by a fixed element is GF(p)-linear: over an extension field,
+two tables of ``p**ceil(N/2)`` packed products (at most
+``sqrt(p*q)`` entries), one per half of the coefficients and keyed by the
+packed half, give the product as the sum of two lookups and one reduction
+of all slots at once; over a prime field it is one int product mod p.
+The baby steps come from the multiply-by-``alpha`` tables, which are then
+dropped, and the giant powers from the multiply-by-``alpha**m`` tables,
+which are kept for logarithms: the discrete log of a packed element is
+found by baby-step giant-step (Shanks) in at most m giant steps.
+
+Zech logarithms are computed on demand: the first ``add`` that needs
+``Z(k)`` computes ``log(1 + alpha**k)`` and stores the whole orbit of k
+under negation, the Frobenius map and the swap ``Z(Z(k) + s) == k + s``
+(see ``_ZechMemo``); commands read only a handful of entries.
+``make_field`` builds each field once per process and shares it, memo
+included.
+
+Field orders are capped at ``2**20``, which bounds the factoring, the
+irreducibility search and the orders of the arithmetic tables.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Optional
+import math
+from typing import Callable, Iterator, Optional
 
 from .errors import FieldTooLarge, NonPrimeCharacteristic, UnsupportedSize
 
@@ -75,26 +92,6 @@ def _factor_prime_power(q: int) -> Optional[tuple[int, int]]:
     return (q, 1)
 
 
-def _poly_mul(a: tuple[int, ...], b: tuple[int, ...], modulus: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Product of two degree < N coefficient tuples, reduced mod the monic modulus."""
-    n = len(modulus) - 1
-    prod = [0] * (2 * n - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    prod[i + j] = (prod[i + j] + ai * bj) % p
-    for d in range(2 * n - 2, n - 1, -1):
-        c = prod[d]
-        if c:
-            prod[d] = 0
-            base = d - n
-            for k in range(n):
-                if modulus[k]:
-                    prod[base + k] = (prod[base + k] - c * modulus[k]) % p
-    return tuple(prod[:n])
-
-
 def _poly_rem(f: list[int], g: tuple[int, ...], p: int) -> bool:
     """True when the monic polynomial g divides f (coefficients low degree first)."""
     r = list(f)
@@ -129,6 +126,45 @@ def _canonical_modulus(p: int, n: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")  # pragma: no cover
 
 
+class _ZechMemo(dict):
+    """Zech logarithms of one field, each computed the first time it is read.
+
+    Keys are the raw indices ``b - a`` that ``GaloisField.add`` looks up, in
+    ``-(q-2) .. q-2``; a negative index holds the entry of ``k + q - 1``.
+    One discrete logarithm ``z = Z(k)`` gives the whole orbit of k, up to
+    6N entries, under three maps that hold in every field:
+
+    * negation, ``Z(-k) == Z(k) - k``: ``1 + alpha**-k == alpha**-k * (1 + alpha**k)``;
+    * Frobenius, ``Z(p*k) == p*Z(k)``: ``(1 + alpha**k)**p == 1 + alpha**(p*k)``;
+    * the swap ``Z(z + s) == k + s`` with ``alpha**s == -1``:
+      ``1 - alpha**z == 1 - (1 + alpha**k) == -alpha**k``.
+    """
+
+    def __init__(self, field: "GaloisField"):
+        super().__init__()
+        self._field = field
+
+    def __missing__(self, k: int) -> FieldElement:
+        f = self._field
+        p, qm1, s = f.p, f.q - 1, f._neg_shift
+        if k < 0:
+            self[k] = self[k + qm1]
+            return self[k]
+        z = f._zech_log(k)
+        if z is None:  # alpha**k == -1: k == s, an orbit of its own
+            self[k] = None
+            return None
+        # the six images of (k, z) under negation and the swap, then their
+        # Frobenius images
+        orbit = [(k, z), (-k, z - k), (z + s, k + s), (-z - s, k - z),
+                 (z - k + s, s - k), (k - z - s, -z)]
+        for _ in range(f.degree):
+            for a, b in orbit:
+                self[a % qm1] = b % qm1
+            orbit = [(a * p, b * p) for a, b in orbit]
+        return z
+
+
 class GaloisField:
     """GF(p^degree) with log-form elements over the canonical modulus."""
 
@@ -144,42 +180,89 @@ class GaloisField:
         self.degree = degree
         self.q = p**degree
         self.modulus = _canonical_modulus(p, degree)
+        self._set_up_packing()
         self._build_tables(self._find_alpha())
 
     # -- construction helpers ------------------------------------------------
 
-    def _has_full_order(self, digits: tuple[int, ...]) -> bool:
-        for r in _prime_factors(self.q - 1):
-            acc = (1,) + (0,) * (self.degree - 1)
-            base = digits
-            e = (self.q - 1) // r
-            while e:
-                if e & 1:
-                    acc = _poly_mul(acc, base, self.modulus, self.p)
-                base = _poly_mul(base, base, self.modulus, self.p)
-                e >>= 1
-            if acc == (1,) + (0,) * (self.degree - 1):
-                return False
-        return True
+    def _set_up_packing(self) -> None:
+        p, n = self.p, self.degree
+        # one w-bit slot per coefficient, wide enough for a coefficient of a
+        # raw product of two reduced polynomials plus the wrapped-around
+        # terms, at most (2n - 1)(p - 1)**2 < 2**w.  A slot holding the sum
+        # of two digits, at most 2p - 2, reaches 2**top after adding
+        # 2**top - p exactly when the sum reached p, so one shifted mask
+        # reduces all slots of a packed sum
+        w = (2 * n * (p - 1) ** 2).bit_length()
+        top = w - 1
+        self._shifts = range(0, n * w, w)
+        self._slot_mask = (1 << w) - 1
+        self._low_mask = (1 << (n * w)) - 1
+        ones = sum(1 << s for s in self._shifts)
+        self._top, self._top_bits, self._adj = top, ones << top, ones * ((1 << top) - p)
+        # x**d mod the modulus for d = n .. 2n-2, as (slot shift of x**d, packed)
+        x_n = [-c % p for c in self.modulus[:n]]
+        self._wrap = []
+        power = x_n
+        for d in range(n, 2 * n - 1):
+            self._wrap.append((d * w, self._pack(power)))
+            power = [(lo + power[-1] * c) % p for lo, c in zip([0] + power[:-1], x_n)]
 
-    def _find_alpha(self) -> tuple[int, ...]:
+    def _pack(self, digits) -> int:
+        return sum(d << s for d, s in zip(digits, self._shifts))
+
+    def _digits(self, packed: int) -> tuple[int, ...]:
+        mask, p = self._slot_mask, self.p
+        return tuple([((packed >> s) & mask) % p for s in self._shifts])
+
+    def _product(self, a: int, b: int) -> int:
+        """a * b mod the modulus, packed, with slots not yet reduced mod p."""
+        prod = a * b
+        out = prod & self._low_mask
+        mask, p = self._slot_mask, self.p
+        for shift, wrapped in self._wrap:
+            c = (prod >> shift) & mask
+            if c:
+                out += c % p * wrapped
+        return out
+
+    def _mul_packed(self, a: int, b: int) -> int:
+        return self._pack(self._digits(self._product(a, b)))
+
+    def _pow_packed(self, base: int, e: int) -> int:
+        if self.degree == 1:
+            return pow(base, e, self.p)
+        acc = 1
+        while e:
+            if e & 1:
+                acc = self._mul_packed(acc, base)
+            base = self._mul_packed(base, base)
+            e >>= 1
+        return acc
+
+    def _find_alpha(self) -> int:
         # the class of x (zero when the modulus is x itself), then polynomial order
         x = ((0, 1) + (0,) * self.degree)[: self.degree]
         in_order = itertools.product(range(self.p), repeat=self.degree)
+        factors = _prime_factors(self.q - 1)
         for digits in itertools.chain([x], in_order):
-            if any(digits) and self._has_full_order(digits):
-                return digits
+            g = self._pack(digits)
+            if g and all(self._pow_packed(g, (self.q - 1) // r) != 1 for r in factors):
+                return g
         raise AssertionError("no primitive element found")  # pragma: no cover
 
-    def _build_tables(self, alpha: tuple[int, ...]) -> None:
+    def _multiplier(self, c: int) -> Callable[[int], int]:
+        """The GF(p)-linear map y -> c * y on packed elements.
+
+        Over a prime field it is one int product mod p.  Otherwise one table
+        per half of the digits, keyed by the packed half of y and spanned by
+        the products x**k * c, gives c * y as the sum of two lookups; two
+        halves keep the tables at p**ceil(N/2) entries, not q.
+        """
         p, n = self.p, self.degree
-        # one b-bit slot per coefficient: a slot holds the sum of two digits,
-        # at most 2p - 2 < 2**b, and adding 2**top - p to it sets its top bit
-        # exactly when the sum reached p, so one shifted mask reduces all slots
-        b = (p - 1).bit_length() + 1
-        top = b - 1
-        ones = sum(1 << (k * b) for k in range(n))
-        top_bits, adj = ones << top, ones * ((1 << top) - p)
+        if n == 1:
+            return lambda y: y * c % p
+        top, top_bits, adj = self._top, self._top_bits, self._adj
 
         def span(basis: list[int]) -> list[int]:
             # packed sum(d[k] * basis[k]) for every digit string d, listed in
@@ -192,45 +275,63 @@ class GaloisField:
                     out.append(s - (((s + adj) & top_bits) >> top) * p)
             return out
 
-        # alpha * (low + x**half * high) = alpha * low + alpha * x**half * high:
-        # one table per half of the digits, spanned by the products
-        # x**k * alpha, which are the only polynomial products of the walk.
-        # Two halves keep these tables at p**ceil(N/2) entries, not q.
         half = (n + 1) // 2
-        size, shift = p**half, half * b
-        mask = (1 << shift) - 1
-        products = []
-        for k in range(n):
-            digits = _poly_mul(tuple(int(i == k) for i in range(n)), alpha, self.modulus, p)
-            products.append(sum(d << (i * b) for i, d in enumerate(digits)))
-        times_low, times_high = span(products[:half]), span(products[half:])
-        # the packed slots of one half -> their base-p value
-        unpack = dict(zip(span([1 << (k * b) for k in range(half)]), range(size)))
-        exp = []
-        log: list[Optional[int]] = [None] * self.q
-        low, high = 1, 0
-        for e in range(self.q - 1):
-            enc = low + high * size
-            log[enc] = e
-            exp.append(enc)
-            s = times_low[low] + times_high[high]
-            s -= (((s + adj) & top_bits) >> top) * p
-            low, high = unpack[s & mask], unpack[s >> shift]
-        # a power met twice leaves more than the zero encoding without a log
-        if log.count(None) != 1:
-            raise AssertionError("alpha is not primitive")  # pragma: no cover
-        # base-p encoding of alpha**e; adding 1 only touches digit 0
-        self._exp = exp
-        # Zech logarithm: 1 + alpha**k == alpha**_zech[k], None when it is zero
-        self._zech = [log[enc - enc % p + (enc + 1) % p] for enc in exp]
+        units = [1 << s for s in self._shifts]
+        products = [self._mul_packed(u, c) for u in units]
+        low = dict(zip(span(units[:half]), span(products[:half])))
+        high = dict(zip(span(units[: n - half]), span(products[half:])))
+        shift = self._shifts[half]
+        low_mask = (1 << shift) - 1
+
+        def times(y: int) -> int:
+            s = low[y & low_mask] + high[y >> shift]
+            return s - (((s + adj) & top_bits) >> top) * p
+
+        return times
+
+    def _build_tables(self, alpha: int) -> None:
+        p, q = self.p, self.q
+        # baby steps alpha**0 .. alpha**(m-1) and giant powers alpha**(m*i),
+        # i < m, with m = ceil(sqrt(q - 1)): every exponent e <= q - 2 is
+        # m*i + j with i, j < m, so alpha**e is one product of two of them
+        m = math.isqrt(q - 2) + 1
+        times_alpha = self._multiplier(alpha)
+        babies = [1]
+        for _ in range(m - 1):
+            babies.append(times_alpha(babies[-1]))
+        self._giant_step = times_alpha_m = self._multiplier(times_alpha(babies[-1]))
+        giants = [1]
+        for _ in range(m - 1):
+            giants.append(times_alpha_m(giants[-1]))
+        self._m, self._babies, self._giants = m, babies, giants
+        self._baby_log = {y: j for j, y in enumerate(babies)}
         # exponent shift implementing negation: -1 == alpha**_neg_shift
-        self._neg_shift = log[p - 1]
+        self._neg_shift = (q - 1) // 2 if p > 2 else 0
+        # Zech logarithms, computed on first use: 1 + alpha**k == alpha**_zech[k]
+        self._zech = _ZechMemo(self)
+
+    def _log(self, y: int) -> int:
+        """Exponent of the nonzero packed element y, by baby-step giant-step.
+
+        ``y * alpha**(m*i)`` is a baby step ``alpha**j`` for some ``i <= m``,
+        and then ``y == alpha**(j - m*i)``.
+        """
+        baby, step, i = self._baby_log, self._giant_step, 0
+        while y not in baby:
+            y, i = step(y), i + 1
+        return (baby[y] - i * self._m) % (self.q - 1)
+
+    def _zech_log(self, k: int) -> FieldElement:
+        """log(1 + alpha**k), None when the sum is zero."""
+        digits = self.element_poly(k)
+        one_plus = self._pack(((digits[0] + 1) % self.p,) + digits[1:])
+        return self._log(one_plus) if one_plus else None
 
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        # alpha**a + alpha**b == alpha**a * (1 + alpha**(b - a)); for exponents
-        # in 0..q-2 a negative index b - a already wraps to (b - a) mod (q - 1)
+        # alpha**a + alpha**b == alpha**a * (1 + alpha**(b - a)); the memo
+        # keys a negative b - a like (b - a) mod (q - 1)
         if a is None:
             return b
         if b is None:
@@ -265,12 +366,10 @@ class GaloisField:
 
     def element_poly(self, a: FieldElement) -> tuple[int, ...]:
         """Coefficient tuple (low degree first) of the polynomial representative."""
-        enc = 0 if a is None else self._exp[a]
-        digits = []
-        for _ in range(self.degree):
-            enc, d = divmod(enc, self.p)
-            digits.append(d)
-        return tuple(digits)
+        if a is None:
+            return (0,) * self.degree
+        i, j = divmod(a, self._m)
+        return self._digits(self._product(self._giants[i], self._babies[j]))
 
     # -- identity and serialization -------------------------------------------
 
@@ -281,7 +380,7 @@ class GaloisField:
     def from_descriptor(cls, d: dict) -> "GaloisField":
         if not isinstance(d, dict) or not all(type(d.get(k)) is int for k in ("p", "N")):
             raise ValueError('field descriptor must be an object with integer "p" and "N"')
-        field = cls(d["p"], d["N"])
+        field = make_field(d["p"], d["N"])
         if "modulus" in d and d["modulus"] != list(field.modulus):
             raise ValueError(
                 f"modulus {d['modulus']} is not the canonical modulus for GF({field.q})"
@@ -298,8 +397,14 @@ class GaloisField:
         return f"GF({self.q})" if self.degree == 1 else f"GF({self.p}^{self.degree})"
 
 
+_FIELDS: dict[tuple[int, int], GaloisField] = {}
+
+
 def make_field(p: int, degree: int) -> GaloisField:
-    return GaloisField(p, degree)
+    """The canonical GF(p^degree), built once per process and then shared."""
+    if (p, degree) not in _FIELDS:
+        _FIELDS[p, degree] = GaloisField(p, degree)
+    return _FIELDS[p, degree]
 
 
 def det(field: GaloisField, grid: list[list[FieldElement]]) -> FieldElement:

@@ -374,6 +374,14 @@ def test_cli_repeated_list_value_names_the_flag(capsys):
         2, "", "error: --cycles repeats 6\n")
 
 
+def test_cli_malformed_list_names_the_flag(capsys):
+    spec = ("--dts", "1,2,6;1,2,4", "--n", "3", "--field", "2^5")
+    assert run_cli(capsys, "verify", *spec, "--minors", "2,") == (
+        2, "", "error: --minors must be a comma-separated list of integers, got '2,'\n")
+    assert run_cli(capsys, "verify", *spec, "--cycles", "x") == (
+        2, "", "error: --cycles must be a comma-separated list of integers, got 'x'\n")
+
+
 def test_cli_unknown_command_exits_2(capsys):
     assert main(["nonsense"]) == 2
     capsys.readouterr()

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
@@ -93,10 +94,54 @@ def test_powers_of_alpha_match_oracle_walk(p, n):
         (7, 6, "0ec81f2f892c8908b0f7130f442869e3683f7b123645e9bcf7d6d9584cac11a6"),
     ],
 )
-def test_big_field_powers_of_alpha_are_pinned(p, n, digest):
+def test_big_field_powers_of_alpha_are_pinned(p, n, digest, capsys):
     f = GaloisField(p, n)
     polys = [f.element_poly(e) for e in range(f.q - 1)]
     assert hashlib.sha256(repr(polys).encode()).hexdigest() == digest
+    # oracle_powers is too slow here; the pinned walk serves as the oracle
+    assert_lazy_zech_matches(polys, f, capsys)
+
+
+def assert_lazy_zech_matches(polys, fresh, capsys):
+    """Zech logarithms of a fresh field, and of the shared field after a
+    command used it, against the table ``polys`` of a walk of its powers."""
+    from dts_ldpc.cli import main
+
+    p, n = fresh.p, fresh.degree
+    log = {poly: e for e, poly in enumerate(polys)}
+    # 1 + alpha**k, read off the walk: adding 1 only touches the constant term
+    zech = [log.get(((poly[0] + 1) % p,) + poly[1:]) for poly in polys]
+    assert not fresh._zech
+    assert [fresh.add(0, k) for k in range(fresh.q - 1)] == zech
+    # the shared field keeps the entries the command computed
+    field_arg = f"{p}^{n}" if n > 1 else str(p)
+    assert main(["distance", "--dts", "1,2,6;1,2,4", "--n", "3", "--field", field_arg]) == 0
+    capsys.readouterr()
+    used = make_field(p, n)
+    assert used is make_field(p, n) and used is not fresh and used._zech
+    assert [used.add(0, k) for k in range(used.q - 1)] == zech
+    # alpha**k + 1 looks up the negative raw index -k
+    assert [used.add(k, 0) for k in range(used.q - 1)] == zech
+
+
+@pytest.mark.parametrize(
+    "p,n", [(2, 1), (3, 1), (2, 8), (3, 6), (7, 3), (5, 3), (113, 2), (12289, 1)],
+)
+def test_lazy_zech_table_matches_oracle_walk(p, n, capsys):
+    f = GaloisField(p, n)
+    assert_lazy_zech_matches(oracle_powers(f), f, capsys)
+
+
+def test_field_state_is_o_sqrt_q():
+    # no container the field keeps holds more than 4 * ceil(sqrt(q)) entries
+    # right after construction, the tables its multiply closures hold
+    # included, and no Zech logarithm is computed yet
+    f = GaloisField(2, 20)
+    held = list(vars(f).values())
+    held += [cell.cell_contents for v in vars(f).values() for cell in getattr(v, "__closure__", None) or ()]
+    sizes = [len(v) for v in held if isinstance(v, (list, dict, bytes, tuple, set))]
+    assert sizes and max(sizes) <= 4 * (math.isqrt(f.q - 1) + 1)
+    assert not f._zech
 
 
 def test_gf9_alpha_has_order_eight():
@@ -305,3 +350,5 @@ def test_det_unsupported_size():
 
 def test_make_field_alias():
     assert make_field(2, 5) == GaloisField(2, 5)
+    assert make_field(2, 5) is make_field(2, 5)
+    assert GaloisField.from_descriptor(make_field(3, 2).descriptor()) is make_field(3, 2)
