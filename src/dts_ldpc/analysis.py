@@ -9,7 +9,7 @@ Three families of checks, all exact:
   count comes from inclusion-exclusion over the row supports;
 * cycles — 4-cycles (two rows sharing two columns) and 6-cycles (row and
   column triples whose submatrix has exactly two nonzeros per row and per
-  column), drawn from the same enumeration as the minors, together with
+  column), walked over the same row tuples as the minors, together with
   the full-rank condition on their cycle matrices;
 * distances — column distances and the free distance through the span
   criterion: the smallest d such that some column of the first block lies
@@ -109,35 +109,37 @@ class MinorReport:
         }
 
 
-def _vanishable_minors(matrix: ExponentMatrix, size: int, meter: Meter):
-    """Per row tuple: the row supports, their meets and the column sets that can vanish.
-
-    Yields ``(rows, sup, meets, col_sets)`` for every tuple of ``size`` rows
-    in lexicographic order: the row supports as sets, ``meets[a, b] ==
-    sup[a] & sup[b]`` for a < b, and, sorted, every column set whose
-    submatrix has two or more nonzero transversals.  Two transversals of a
-    minor of side at most 3 differ on a 4-cycle or a 6-cycle, so these are
-    the 4-cycles of two rows, completed by a column of every other row, and
-    the 6-cycles c12, c23, c13 through three rows (chords allowed).
-    """
+def _row_tuples(matrix: ExponentMatrix, size: int):
+    """``(rows, sup, meets)`` for each tuple of ``size`` rows in lexicographic
+    order: the row supports as sets and their pair meets ``meets[a, b]``."""
     supports = {r: set(matrix.row_support(r)) for r in range(1, matrix.rows + 1)}
-    for rows in itertools.combinations(range(1, matrix.rows + 1), size):
+    pairs = list(itertools.combinations(range(size), 2))
+    for rows in itertools.combinations(supports, size):
         sup = [supports[r] for r in rows]
-        meets = {(a, b): sup[a] & sup[b] for a, b in itertools.combinations(range(size), 2)}
-        found = set()
+        yield rows, sup, {(a, b): sup[a] & sup[b] for a, b in pairs}
+
+
+def _walks(sup: Sequence[set[int]], meets: dict) -> list[tuple[int, ...]]:
+    """Sorted column walks of the Tanner cycles through two or three rows: meet
+    pairs, or chordless (c12, c23, c13), each column missing the third row."""
+    if len(sup) == 2:
+        return list(itertools.combinations(sorted(meets[0, 1]), 2))
+    return sorted(itertools.product(meets[0, 1] - sup[2], meets[1, 2] - sup[0],
+                                    meets[0, 2] - sup[1]))
+
+
+def _vanishable(sup: Sequence[set[int]], meets: dict) -> list[tuple[int, ...]]:
+    """Sorted column sets whose submatrix has two or more nonzero transversals:
+    the walks and, for three rows, the 4-cycles of a row pair completed by a
+    column of the third row.  Two such transversals differ on a 4-cycle or a
+    6-cycle, and a 6-cycle with a chord contains a 4-cycle, so it is already
+    one of the completed ones."""
+    found = {tuple(sorted(walk)) for walk in _walks(sup, meets)}
+    if len(sup) == 3:
         for (a, b), meet in meets.items():
-            rest = [sup[k] for k in range(size) if k not in (a, b)]
-            for pair in itertools.combinations(sorted(meet), 2):
-                for extra in itertools.product(*rest):
-                    cols = set(pair).union(extra)
-                    if len(cols) == size:
-                        found.add(tuple(sorted(cols)))
-        if size == 3:
-            for cyc in itertools.product(meets[0, 1], meets[1, 2], meets[0, 2]):
-                if len(set(cyc)) == 3:
-                    found.add(tuple(sorted(cyc)))
-        meter.charge(1 + len(set().union(*sup)) + len(found))
-        yield rows, sup, meets, sorted(found)
+            for pair in itertools.combinations(meet, 2):
+                found.update(tuple(sorted({*pair, c})) for c in sup[3 - a - b] - set(pair))
+    return sorted(found)
 
 
 def _pattern(sup: Sequence[set[int]], cols: Sequence[int]) -> str:
@@ -169,9 +171,12 @@ def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
     if j is None:
         j = spec.mu
     matrix = spec.sliding_matrix(j)
+    meter = as_meter(budget)
     counts = dict.fromkeys((PATTERN_FULL, PATTERN_CYCLE, PATTERN_MIXED), 0)
     failures = []
-    for rows, sup, meets, col_sets in _vanishable_minors(matrix, size, as_meter(budget)):
+    for rows, sup, meets in _row_tuples(matrix, size):
+        col_sets = _vanishable(sup, meets)
+        meter.charge(1 + len(set().union(*sup)) + len(col_sets))
         common = len(meets[0, 1] & sup[-1])
         if size == 2:
             total, cycle = len(sup[0]) * len(sup[1]) - common, 0
@@ -234,14 +239,12 @@ class CycleReport:
 
 
 def _girth(matrix: ExponentMatrix, meter: Meter) -> Optional[int]:
-    """4 or 6, or None when the Tanner graph has no cycle that short.
-
-    Without a 4-cycle the only 3x3 sets with two transversals are 6-cycles,
-    and those are chordless.
-    """
+    """4 or 6, or None (with no 4-cycle, every 6-cycle is chordless, so walked)."""
     for size in (2, 3):
-        if any(col_sets for *_, col_sets in _vanishable_minors(matrix, size, meter)):
-            return 2 * size
+        for _, sup, meets in _row_tuples(matrix, size):
+            meter.charge(1 + len(set().union(*sup)))
+            if _walks(sup, meets):
+                return 2 * size
     return None
 
 
@@ -259,15 +262,11 @@ def enumerate_cycles(spec: CodeSpec, length: int, j: Optional[int] = None,
     if j is None:
         j = spec.mu
     matrix = spec.sliding_matrix(j)
-    half = length // 2
     meter = as_meter(budget)
     cycles = []
-    for rows, sup, meets, _ in _vanishable_minors(matrix, half, meter):
-        if half == 2:
-            walks = itertools.combinations(sorted(meets[0, 1]), 2)
-        else:  # each column meets its two rows and misses the third
-            walks = sorted(itertools.product(meets[0, 1] - sup[2], meets[1, 2] - sup[0],
-                                             meets[0, 2] - sup[1]))
+    for rows, sup, meets in _row_tuples(matrix, length // 2):
+        walks = _walks(sup, meets)
+        meter.charge(1 + len(set().union(*sup)) + len(walks))
         for walk in walks:
             cols = tuple(sorted(walk))
             grid = matrix.submatrix(rows, cols)

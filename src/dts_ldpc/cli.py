@@ -39,7 +39,10 @@ def _load_dts(args: argparse.Namespace) -> DifferenceTriangleSet:
     if getattr(args, "dts", None):
         return DifferenceTriangleSet.from_inline(args.dts)
     with open(args.dts_file, encoding="utf-8") as fh:
-        return DifferenceTriangleSet.from_json_dict(json.load(fh))
+        try:
+            return DifferenceTriangleSet.from_json_dict(json.load(fh))
+        except ValueError as exc:
+            raise ValueError(f"cannot parse DTS file {args.dts_file!r}: {exc}") from None
 
 
 def _build_spec(args: argparse.Namespace) -> CodeSpec:

@@ -73,10 +73,13 @@ class DifferenceTriangleSet:
     @classmethod
     def from_inline(cls, text: str) -> "DifferenceTriangleSet":
         """Parse the inline form ``"1,2,6;1,2,4"``."""
-        groups = [g for g in text.split(";") if g.strip()]
-        if not groups:
+        try:
+            sets = tuple(tuple(int(a) for a in g.split(",")) for g in text.split(";") if g.strip())
+        except ValueError:
+            sets = ()
+        if not sets:
             raise ValueError(f"cannot parse DTS from {text!r}")
-        return cls(tuple(tuple(int(a) for a in g.split(",")) for g in groups))
+        return cls(sets)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "DifferenceTriangleSet":

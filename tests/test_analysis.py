@@ -487,6 +487,48 @@ def test_enumeration_matches_dense_sweep():
     assert failure_patterns == {an.PATTERN_FULL, an.PATTERN_CYCLE, an.PATTERN_MIXED}
 
 
+def _vanishable_oracle(sup, meets):
+    """The column sets of two or more nonzero transversals, built directly:
+    the 4-cycles of two rows completed by a column of every other row, and
+    the 6-cycles c12, c23, c13 through three rows, chords allowed."""
+    size, found = len(sup), set()
+    for (a, b), meet in meets.items():
+        rest = [sup[k] for k in range(size) if k not in (a, b)]
+        for pair in itertools.combinations(sorted(meet), 2):
+            for extra in itertools.product(*rest):
+                cols = set(pair).union(extra)
+                if len(cols) == size:
+                    found.add(tuple(sorted(cols)))
+    if size == 3:
+        for cyc in itertools.product(meets[0, 1], meets[1, 2], meets[0, 2]):
+            if len(set(cyc)) == 3:
+                found.add(tuple(sorted(cyc)))
+    return sorted(found)
+
+
+def test_vanishable_sets_walks_and_charges_past_the_dense_sweep(ref_spec_a, ref_spec_b):
+    fields = [make_field(p, e) for p, e in ((2, 2), (5, 1), (7, 1), (2, 3), (3, 3), (2, 5))]
+    rng = random.Random(2014)
+    cases = [(ref_spec_a, 25), (ref_spec_b, 25)]
+    for trial in range(40):
+        n, w = rng.randint(2, 4), rng.randint(1, 4)
+        spec = CodeSpec(_random_relaxed_family(rng, n, w), fields[trial % len(fields)], n)
+        cases.append((spec, rng.randint(5, 14)))
+    for spec, j in cases:
+        matrix = spec.sliding_matrix(j)
+        for size in (2, 3):
+            for _, sup, meets in an._row_tuples(matrix, size):
+                assert an._vanishable(sup, meets) == _vanishable_oracle(sup, meets)
+        meters = [an.Meter(an.DEFAULT_BUDGET) for _ in range(3)]
+        minors = an.check_minors(spec, 2, j, meters[0])
+        assert minors.class_counts[an.PATTERN_FULL] == len(
+            an.enumerate_cycles(spec, 4, j, meters[1]).cycles)
+        an._girth(matrix, meters[2])
+        assert meters[1].used == meters[0].used + meters[2].used
+        assert an.check_minors(spec, 3, j).class_counts[an.PATTERN_CYCLE] == len(
+            an.enumerate_cycles(spec, 6, j).cycles)
+
+
 # ---------------------------------------------------------------------------
 # adversarial small field
 # ---------------------------------------------------------------------------
@@ -573,12 +615,24 @@ def test_minor_counts_and_charges_at_horizon_25(sets, p, deg, size, checked, cou
     assert meter.used == used
 
 
-@pytest.mark.parametrize("length, count, frc_failures, used", [(4, 25, 0, 4520),
-                                                               (6, 322, 65, 55184)])
+@pytest.mark.parametrize("length, count, frc_failures, used", [(4, 25, 0, 4519),
+                                                               (6, 322, 65, 51261)])
 def test_cycle_counts_and_charges_at_horizon_25(ref_spec_a, length, count, frc_failures, used):
     meter = an.Meter(an.DEFAULT_BUDGET)
     rep = an.enumerate_cycles(ref_spec_a, length, 25, meter)
     assert (len(rep.cycles), len(rep.frc_failures), rep.girth) == (count, frc_failures, 4)
+    assert meter.used == used
+
+
+# The strict family that `search --sets 2 --size 3 --mode strict` finds has
+# no 4-cycle, so its girth is found among the 6-cycles.
+@pytest.mark.parametrize("length, count, frc_failures, used", [(4, 0, 0, 1908),
+                                                               (6, 85, 12, 5844)])
+def test_girth_6_cycle_counts_and_charges_at_horizon_12(gf32, length, count, frc_failures, used):
+    spec = CodeSpec(DifferenceTriangleSet.from_inline("1,2,5;1,3,8"), gf32, 3)
+    meter = an.Meter(an.DEFAULT_BUDGET)
+    rep = an.enumerate_cycles(spec, length, 12, meter)
+    assert (len(rep.cycles), len(rep.frc_failures), rep.girth) == (count, frc_failures, 6)
     assert meter.used == used
 
 

@@ -358,11 +358,25 @@ def test_cli_suggest_field_large_scope(capsys):
     ("search", "--sets", "1", "--size", "3", "--budget", "-1"),
     ("verify", "--dts", "1,2,6;1,2,4", "--n", "3", "--field", "2^5", "--minors", "3,3"),
     ("verify", "--dts", "1,2,6;1,2,4", "--n", "3", "--field", "2^5", "--cycles", "4,4"),
+    ("verify", "--dts", "1,2,,6;1,2,4", "--n", "3", "--field", "2^5"),
+    ("verify", "--dts", "1,2,x", "--n", "3", "--field", "2^5"),
+    ("verify", "--dts", "1.5,2", "--n", "3", "--field", "2^5"),
 ])
 def test_cli_usage_errors_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "error" in err
+
+
+def test_cli_malformed_dts_names_the_input(capsys, tmp_path):
+    spec = ("--n", "3", "--field", "2^5")
+    assert run_cli(capsys, "verify", "--dts", "1,2,,6;1,2,4", *spec) == (
+        2, "", "error: cannot parse DTS from '1,2,,6;1,2,4'\n")
+    path = tmp_path / "dts.json"
+    path.write_text('{"sets": [[1, 2')
+    assert run_cli(capsys, "verify", "--dts-file", str(path), *spec) == (
+        2, "", f"error: cannot parse DTS file {str(path)!r}: "
+               "Expecting ',' delimiter: line 1 column 16 (char 15)\n")
 
 
 def test_cli_repeated_list_value_names_the_flag(capsys):

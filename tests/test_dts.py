@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -254,8 +255,9 @@ def test_inline_round_trip():
     d = T126_124.to_json_dict("relaxed")
     assert d == {"sets": [[1, 2, 6], [1, 2, 4]], "mode": "relaxed"}
     assert DifferenceTriangleSet.from_json_dict(d) == T126_124
-    with pytest.raises(ValueError):
-        DifferenceTriangleSet.from_inline(";")
+    for text in (";", "1,2,,6;1,2,4", "1,2,x", "1.5,2"):
+        with pytest.raises(ValueError, match=f"^cannot parse DTS from '{re.escape(text)}'$"):
+            DifferenceTriangleSet.from_inline(text)
 
 
 # ---------------------------------------------------------------------------
