@@ -17,8 +17,9 @@ Three families of checks, all exact:
   columns of a smallest such combination form a circuit of the column
   matroid: no row meets them exactly once and their Tanner subgraph is
   connected.  So supports are grown from the first block, row by row,
-  instead of trying every column combination.  The assumption check
-  tests only the columns that meet the rows it restricts to.
+  instead of trying every column combination.  The assumption check runs
+  the same search on the rows of each information column and pads the
+  spanning supports it finds into witnesses.
 
 Failing witnesses are reported with 1-based row/column indices of the
 matrix they were found in.
@@ -26,10 +27,8 @@ matrix they were found in.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -289,34 +288,28 @@ def minimal_column_weight(spec: CodeSpec, j: int) -> int:
     return min(sum(1 for a in t if a <= j + 1) for t in spec.dts.sets)
 
 
-def _min_weight_first_block(field: GaloisField, matrix: ExponentMatrix,
-                            n_first: int, ub: int, meter: Meter) -> int:
-    """Smallest weight of a kernel vector whose first block is nonzero.
+def _spanning_supports(field: GaloisField, matrix: ExponentMatrix,
+                       n_first: int, ub: int, meter: Meter):
+    """``(d, cols)`` for each closed support of d < ub columns (0-based,
+    sorted) whose lowest column, one of the first ``n_first``, lies in the
+    span of the others; level by level, in increasing d.
 
-    ``ub`` must be a weight achieved by an explicit kernel vector; only
-    smaller weights are searched.  Equals the smallest d such that one of
-    the first ``n_first`` columns lies in the span of d-1 other columns.
-
-    The search grows column supports instead of trying column
-    combinations.  Let S* be the support of a kernel vector x of the
-    smallest weight d whose first block is nonzero.  Every entry of x on
-    S* is nonzero, so no row meets S* exactly once.  S* is a circuit of
-    the column matroid: a kernel vector y on a proper subset either has a
-    nonzero first block itself, or x minus a multiple of y cancels one
-    entry of x and keeps its first block, and both give a smaller weight.
-    Hence the Tanner subgraph of S* is connected, since its components
-    would carry kernel vectors of their own.  Supports are grown one column at a time from each
-    first-block column: when a row is met exactly once, only the columns
-    of the lowest such row are tried, as S* must cover it again; when no
-    row is met once (S is closed) but S spans no first-block column, every
-    column sharing a row with S is tried, as S* stays connected.  Either
-    way a subset of S* has a child that is a larger subset of S*, so S*
-    is reached.  The branches of S depend on S alone, so each support is
-    visited once per size, level by level.  Only closed supports are
-    tested, on the rows they touch: each column of the circuit S* lies in
-    the span of the others, so the test takes the lowest column, which is
-    in the first block, and a pass at a smaller size would be a smaller
-    weight.  One step is charged per support visited.
+    A column t lies in the span of a set S exactly when some circuit C of
+    the column matroid has t in C and C within S + {t}.  A circuit carries
+    a kernel vector nonzero on all of it, so no row meets C exactly once,
+    and its Tanner subgraph is connected, since its components would carry
+    kernel vectors of their own.  Supports are grown one column at a time
+    from each first-block column: when a row is met exactly once, only the
+    columns of the lowest such row are tried, as C must cover it again;
+    when no row is met once (the support is closed) but its lowest column
+    is outside the span of the others, every column sharing a row with it
+    is tried, as C stays connected.  Either way a subset of C through its
+    lowest column has a child that is a larger subset of C, so C is
+    reached.  A spanning support is yielded and not grown further, which
+    cuts no path to a circuit: no proper subset of C through t spans t.
+    The branches of a support depend on it alone, so each is visited once
+    per size.  Only closed supports are tested, on the rows they touch.
+    One step is charged per support visited.
     """
     supports = [matrix.col_support(c) for c in range(1, matrix.cols + 1)]
     masks = [sum(1 << r for r in rows) for rows in supports]
@@ -340,14 +333,29 @@ def _min_weight_first_block(field: GaloisField, matrix: ExponentMatrix,
                 rows = _bits(more)
                 vecs = [[matrix.get(r, c + 1) for r in rows] for c in cols]
                 if _in_span(field, vecs[0], vecs[1:]):
-                    return d
+                    yield d, cols
+                    continue
                 branch = 0
                 for r in rows:
                     branch |= row_cols[r]
             if d + 1 < ub:
                 grown.update(sup | 1 << c for c in _bits(branch & ~sup))
         level = grown
-    return ub
+
+
+def _min_weight_first_block(field: GaloisField, matrix: ExponentMatrix,
+                            n_first: int, ub: int, meter: Meter) -> int:
+    """Smallest weight of a kernel vector whose first block is nonzero.
+
+    ``ub`` must be a weight achieved by an explicit kernel vector; only
+    smaller weights are searched.  Equals the smallest d such that one of
+    the first ``n_first`` columns lies in the span of d-1 other columns:
+    the size of the first spanning support, since the support of a least
+    such kernel vector is a circuit whose lowest column is in the first
+    block (a kernel vector on a proper subset either has a nonzero first
+    block itself, or cancels one entry while keeping the first block).
+    """
+    return next((d for d, _ in _spanning_supports(field, matrix, n_first, ub, meter)), ub)
 
 
 def _bits(x: int) -> list[int]:
@@ -434,13 +442,14 @@ def check_distance_assumptions(spec: CodeSpec, budget: int | Meter = DEFAULT_BUD
     that support already has w rows, only |I| = |J| = w occurs and I is
     forced to the support itself.
 
-    Restricted to those rows, a later column either meets them or is
-    zero (idle), so a set of w-1 later columns spans column j1 exactly
-    when its meeting part does.  Each subset of the meeting columns of
-    size up to w-1 is tested once, and each spanning one is padded with
-    every choice of idle columns; the witnesses are listed in the order of
-    their column sets.  One step is charged per subset tested and one per
-    witness listed.
+    ``_spanning_supports`` runs from column j1 alone, on its rows, with the
+    later columns after it.  A set S of w-1 later columns spans j1 exactly
+    when some circuit through j1 lies within S + {j1}, and each such
+    circuit is yielded, so the witnesses are the (w-1)-sets that contain a
+    yielded support less j1: each is padded with every choice of the other
+    later columns, and the witnesses are listed in the order of their
+    column sets.  One step is charged per support visited and one per
+    padded column set.
     """
     matrix = spec.sliding_matrix(spec.mu)
     w = spec.w
@@ -448,27 +457,17 @@ def check_distance_assumptions(spec: CodeSpec, budget: int | Meter = DEFAULT_BUD
     witnesses = []
     for j1 in range(1, spec.n):
         rows = matrix.col_support(j1)
-        target = [matrix.get(r, j1) for r in rows]
-        full = (1 << len(rows)) - 1
-        meeting, idle = [], []
-        for c in range(j1 + 1, matrix.cols + 1):
-            vec = [matrix.get(r, c) for r in rows]
-            mask = sum(1 << i for i, x in enumerate(vec) if x is not None)
-            if mask:
-                meeting.append((c, vec, mask))
-            else:
-                idle.append(c)
-        combos = []
-        for size in range(w):
-            meter.charge(math.comb(len(meeting), size))
-            for part in itertools.combinations(meeting, size):
-                # the target is nonzero on every row, so a spanning part covers them all
-                if (functools.reduce(operator.or_, (m for *_, m in part), 0) == full
-                        and _in_span(spec.field, target, [vec for _, vec, _ in part])):
-                    meter.charge(math.comb(len(idle), w - 1 - size))
-                    cols = tuple(c for c, *_ in part)
-                    combos += (tuple(sorted(cols + pad))
-                               for pad in itertools.combinations(idle, w - 1 - size))
+        # column j1 becomes column 1 and each later column c column c - j1 + 1
+        entries = {(i, c - j1 + 1): matrix.entries[r, c]
+                   for i, r in enumerate(rows, start=1) for c in matrix.row_support(r) if c >= j1}
+        restricted = ExponentMatrix(len(rows), matrix.cols - j1 + 1, entries, spec.field)
+        combos = set()
+        for d, cols in _spanning_supports(spec.field, restricted, 1, w + 1, meter):
+            part = {j1 + c for c in cols[1:]}
+            others = [c for c in range(j1 + 1, matrix.cols + 1) if c not in part]
+            meter.charge(math.comb(len(others), w - d))
+            combos.update(tuple(sorted(part.union(pad)))
+                          for pad in itertools.combinations(others, w - d))
         witnesses += (AssumptionWitness(rows=rows, cols=(j1, *combo)) for combo in sorted(combos))
     return AssumptionReport(holds=not witnesses, witnesses=tuple(witnesses))
 

