@@ -25,6 +25,7 @@ from .code import (
     CodeSpec,
     ExponentMatrix,
     MinFieldParams,
+    SlidingMatrix,
     build_base_matrix,
     density,
     min_field_params,
@@ -80,6 +81,7 @@ __all__ = [
     "ONE",
     "SearchResult",
     "SetCountMismatch",
+    "SlidingMatrix",
     "TannerCycle",
     "UnsupportedSize",
     "ValidationReport",

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import gf
-from .code import CodeSpec, ExponentMatrix
+from .code import CodeSpec, ExponentMatrix, Memo
 from .errors import DEFAULT_BUDGET, Meter, as_meter
 from .gf import ZERO, FieldElement, GaloisField
 
@@ -108,12 +108,24 @@ class MinorReport:
         }
 
 
+def _increasing(high: int, size: int):
+    """The increasing pairs (size 2) or triples of 1..high in lexicographic
+    order, one at a time (``itertools.combinations`` would first copy the
+    whole range)."""
+    if size == 2:
+        return ((a, b) for a in range(1, high + 1) for b in range(a + 1, high + 1))
+    return ((a, b, c) for a in range(1, high + 1)
+            for b in range(a + 1, high + 1) for c in range(b + 1, high + 1))
+
+
 def _row_tuples(matrix: ExponentMatrix, size: int):
     """``(rows, sup, meets)`` for each tuple of ``size`` rows in lexicographic
-    order: the row supports as sets and their pair meets ``meets[a, b]``."""
-    supports = {r: set(matrix.row_support(r)) for r in range(1, matrix.rows + 1)}
+    order: the row supports as sets and their pair meets ``meets[a, b]``.
+    Tuples and row supports are made as the walk reaches them, so a caller
+    charging per tuple pays before the rows are read, at any horizon."""
+    supports = Memo(lambda r: set(matrix.row_support(r)))
     pairs = list(itertools.combinations(range(size), 2))
-    for rows in itertools.combinations(supports, size):
+    for rows in _increasing(matrix.rows, size):
         sup = [supports[r] for r in rows]
         yield rows, sup, {(a, b): sup[a] & sup[b] for a, b in pairs}
 
@@ -458,7 +470,7 @@ def check_distance_assumptions(spec: CodeSpec, budget: int | Meter = DEFAULT_BUD
     for j1 in range(1, spec.n):
         rows = matrix.col_support(j1)
         # column j1 becomes column 1 and each later column c column c - j1 + 1
-        entries = {(i, c - j1 + 1): matrix.entries[r, c]
+        entries = {(i, c - j1 + 1): matrix.get(r, c)
                    for i, r in enumerate(rows, start=1) for c in matrix.row_support(r) if c >= j1}
         restricted = ExponentMatrix(len(rows), matrix.cols - j1 + 1, entries, spec.field)
         combos = set()

@@ -10,16 +10,18 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from . import analysis
 from .code import CodeSpec, min_field_params
 from .code import density as block_density
 from .dts import DifferenceTriangleSet, search_min_scope, validate
-from .errors import DEFAULT_BUDGET, BudgetExhausted, HorizonTooLarge, Meter
+from .errors import DEFAULT_BUDGET, BudgetExhausted, HorizonTooLarge, Meter, parse_digits
 from .formats import matrix_to_json_dict, render_pretty, to_alist
 from .gf import GaloisField, make_field
 
@@ -28,7 +30,7 @@ BUDGET_ENV = "DTS_LDPC_BUDGET"
 
 def _parse_field(text: str) -> GaloisField:
     try:
-        p, deg = map(int, text.split("^")) if "^" in text else (int(text), 1)
+        p, deg = map(parse_digits, text.split("^")) if "^" in text else (parse_digits(text), 1)
     except ValueError:
         raise ValueError(f"field must look like 'p^N' or 'p', got {text!r}") from None
     return make_field(p, deg)
@@ -51,12 +53,9 @@ def _build_spec(args: argparse.Namespace) -> CodeSpec:
 def _budget_value(text: str, name: str) -> int:
     """A work budget: a nonnegative integer, named ``name`` when refused."""
     try:
-        value = int(text)
+        return parse_digits(text)
     except ValueError:
-        value = -1
-    if value < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {text!r}")
-    return value
+        raise ValueError(f"{name} must be a nonnegative integer, got {text!r}") from None
 
 
 def _meter(flag: Optional[str]) -> Meter:
@@ -69,12 +68,46 @@ def _meter(flag: Optional[str]) -> Meter:
 
 
 def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_json_text(payload))
+
+
+def _ints(values) -> bool:
+    return {*map(type, values)} == {int}
+
+
+def _json_text(value, indent: str = "") -> str:
+    """The bytes of ``json.dumps(value, indent=2, sort_keys=True)``.
+
+    A list of ints, and a list of nonempty int lists such as the entries
+    of a matrix, is joined in one ``str.join`` over ``map(str, ...)``
+    instead of element by element.
+    """
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if isinstance(value, dict) and value:
+        body = sep.join(f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
+                        for k, v in sorted(value.items()))
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if isinstance(value, (list, tuple)) and value:
+        if _ints(value):
+            body = sep.join(map(str, value))
+        elif {*map(type, value)} == {list} and all(value) and _ints(itertools.chain.from_iterable(value)):
+            deeper = inner + "  "
+            rows = map((",\n" + deeper).join, map(functools.partial(map, str), value))
+            body = f"[\n{deeper}" + f"\n{inner}]{sep}[\n{deeper}".join(rows) + f"\n{inner}]"
+        else:
+            body = sep.join(_json_text(v, inner) for v in value)
+        return f"[\n{inner}{body}\n{indent}]"
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return str(value)
+    return json.dumps(value)  # null, true, false, a float, or an empty container
 
 
 def _int_list(text: str, allowed: set[int], flag: str) -> list[int]:
     try:
-        values = [int(part) for part in text.split(",")]
+        values = [parse_digits(part) for part in text.split(",")]
     except ValueError:
         raise ValueError(f"{flag} must be a comma-separated list of integers, got {text!r}") from None
     out = []

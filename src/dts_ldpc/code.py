@@ -10,8 +10,12 @@ memory is mu = scope - 1 and the syndrome former degree is delta = mu.
 
 Sliding matrices stack shifted copies of the coefficient rows; the
 truncated variant keeps the first j+1 block rows, the untruncated variant
-keeps every row its block columns touch.  The last code symbol of each
-block is the parity; the encoder is systematic.
+keeps every row its block columns touch.  Either is a view of the base
+matrix (``SlidingMatrix``): the base is laid out once per code, after
+which a view of any horizon is made in constant time and memory, entries
+and supports are read off the base on demand, and the entry dict is built
+only when asked for.  The last code symbol of each block is the parity;
+the encoder is systematic.
 
 Indexing note: matrix rows and columns are 1-based everywhere, matching
 the reports.  Entry exponents depend on the 1-based row index, so this is
@@ -20,14 +24,28 @@ load-bearing, not cosmetic.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .dts import DifferenceTriangleSet, validate
 from .errors import IncompleteBlock, SetCountMismatch, ZeroElementInDTS
 from .gf import ZERO, FieldElement, GaloisField, _prime_factors
+
+
+class Memo(dict):
+    """``fn(key)`` for each key, computed on first use and kept."""
+
+    def __init__(self, fn: Callable):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 class ExponentMatrix:
@@ -82,7 +100,8 @@ class ExponentMatrix:
     def to_dense(self) -> list[list[FieldElement]]:
         return self.submatrix(range(1, self.rows + 1), range(1, self.cols + 1))
 
-    def items(self) -> list[tuple[int, int, int]]:
+    def items(self) -> Iterable[tuple[int, int, int]]:
+        """``(row, col, exponent)`` of every nonzero entry, in row-major order."""
         return sorted((r, c, e) for (r, c), e in self.entries.items())
 
     def __eq__(self, other: object) -> bool:
@@ -126,6 +145,95 @@ def sliding_entry_origin(n: int, row: int, col: int) -> tuple[int, int]:
     block, within = divmod(col - 1, n)
     base_row = row - block
     return base_row, 0 if within == n - 1 else within + 1
+
+
+class _Tiling:
+    """A base matrix laid out for the sliding matrices built on it.
+
+    Base entry (i, c) lands in row r of a sliding matrix at column
+    r*n + (c - i*n), for the base rows r - num_blocks < i <= r.  Ordered by
+    descending i, then by c, the entries of row r are a contiguous run in
+    column order.  ``by_index`` lists the (row, exponent) pairs of each base
+    column by its unified index, the parity column as 0.
+    """
+
+    def __init__(self, base: ExponentMatrix):
+        self.field = base.field
+        self.n = n = base.cols
+        pattern = sorted(base.entries.items(), key=lambda item: (-item[0][0], item[0][1]))
+        self.neg_rows = [-i for (i, _), _ in pattern]
+        self.offsets = [c - i * n for (i, c), _ in pattern]
+        self.exponents = [e for _, e in pattern]
+        self.by_index: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+        for (i, c), e in reversed(pattern):
+            self.by_index[c % n].append((i, e))
+
+
+class SlidingMatrix(ExponentMatrix):
+    """A sliding matrix as a view of its base matrix.
+
+    Block column t (columns tn+1..tn+n) holds the base matrix moved down t
+    rows and cut at ``rows``.  Only the base is kept, laid out once per
+    code, so a view is made in O(1) at any horizon and checks no entry
+    again.  A column is its base column shifted by ``sliding_entry_origin``,
+    kept once read, since minor sweeps read the same columns again and
+    again; a row is a run of base entries shifted, and ``items()`` runs in
+    row-major order with no sort.  ``entries`` is built on first use only.
+    """
+
+    def __init__(self, tiling: _Tiling, num_blocks: int, rows: int):
+        self.rows = rows
+        self.cols = cols = num_blocks * tiling.n
+        self.field = tiling.field
+        self._tiling = tiling
+        self._blocks = num_blocks
+        n, by_index, neg_rows, offsets = tiling.n, tiling.by_index, tiling.neg_rows, tiling.offsets
+
+        def shifted_column(c: int) -> dict[int, int]:
+            # the base column moved down to where row 1 has its origin
+            if not 1 <= c <= cols:
+                return {}
+            top, index = sliding_entry_origin(n, 1, c)
+            return {i + 1 - top: e for i, e in by_index[index] if i + 1 - top <= rows}
+
+        def run(r: int) -> slice:
+            # the base entries that land in row r
+            if not 1 <= r <= rows:
+                return slice(0)
+            return slice(bisect.bisect_left(neg_rows, -r), bisect.bisect_left(neg_rows, num_blocks - r))
+
+        # the columns (row -> exponent) and row supports read so far
+        self._columns = Memo(shifted_column)
+        self._rows = Memo(lambda r: tuple(map((r * n).__add__, offsets[run(r)])))
+        self._run = run
+
+    def get(self, r: int, c: int) -> FieldElement:
+        return self._columns[c].get(r)
+
+    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> list[list[FieldElement]]:
+        columns = [self._columns[c] for c in cols]
+        return [[col.get(r) for col in columns] for r in rows]
+
+    @property
+    def nonzero_count(self) -> int:
+        # base row i = -neg is shifted into rows i..min(i + blocks - 1, rows)
+        return sum(max(0, min(self._blocks, self.rows + 1 + neg)) for neg in self._tiling.neg_rows)
+
+    @cached_property
+    def entries(self) -> dict[tuple[int, int], int]:
+        return {(r, c): e for r, c, e in self.items()}
+
+    def row_support(self, r: int) -> tuple[int, ...]:
+        return self._rows[r]
+
+    def col_support(self, c: int) -> tuple[int, ...]:
+        return tuple(self._columns[c])
+
+    def items(self) -> Iterator[tuple[int, int, int]]:
+        n, offsets, exponents = self._tiling.n, self._tiling.offsets, self._tiling.exponents
+        for r in range(1, self.rows + 1):
+            run = self._run(r)
+            yield from zip(itertools.repeat(r), map((r * n).__add__, offsets[run]), exponents[run])
 
 
 @dataclass(frozen=True)
@@ -204,37 +312,19 @@ class CodeSpec:
         self.scope = dts.scope
         self.mu = self.scope - 1
         self.delta = self.scope - 1
+        self._tiling = _Tiling(self.base)
 
-    def coefficients(self) -> list[ExponentMatrix]:
-        """Block coefficients H_0..H_mu, each 1 x n (row i+1 of the base)."""
-        out = []
-        for i in range(self.mu + 1):
-            entries = {
-                (1, c): e for (r, c), e in self.base.entries.items() if r == i + 1
-            }
-            out.append(ExponentMatrix(1, self.n, entries, self.field))
-        return out
-
-    def sliding_matrix(self, j: int) -> ExponentMatrix:
+    def sliding_matrix(self, j: int) -> SlidingMatrix:
         """Truncated sliding matrix: j+1 rows, n(j+1) columns."""
         if j < 0:
             raise ValueError("horizon j must be >= 0")
-        return self._stack(num_blocks=j + 1, rows=j + 1)
+        return SlidingMatrix(self._tiling, num_blocks=j + 1, rows=j + 1)
 
-    def full_sliding_matrix(self, num_blocks: int) -> ExponentMatrix:
+    def full_sliding_matrix(self, num_blocks: int) -> SlidingMatrix:
         """Untruncated sliding matrix: every block column is complete."""
         if num_blocks < 1:
             raise ValueError("need at least one block column")
-        return self._stack(num_blocks=num_blocks, rows=num_blocks + self.mu)
-
-    def _stack(self, num_blocks: int, rows: int) -> ExponentMatrix:
-        entries: dict[tuple[int, int], int] = {}
-        for (i, c), e in self.base.entries.items():
-            for t in range(num_blocks):
-                r = i + t
-                if r <= rows:
-                    entries[(r, t * self.n + c)] = e
-        return ExponentMatrix(rows, num_blocks * self.n, entries, self.field)
+        return SlidingMatrix(self._tiling, num_blocks=num_blocks, rows=num_blocks + self.mu)
 
     def encode(self, message: Sequence[Sequence[FieldElement]]) -> list[tuple[FieldElement, ...]]:
         """Systematic encoding: each output block is (u_t, p_t).

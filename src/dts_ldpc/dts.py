@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import DEFAULT_BUDGET, BudgetExhausted, Meter, as_meter
+from .errors import DEFAULT_BUDGET, BudgetExhausted, Meter, as_meter, parse_digits
 
 VALID_MODES = ("relaxed", "strict")
 
@@ -74,7 +74,7 @@ class DifferenceTriangleSet:
     def from_inline(cls, text: str) -> "DifferenceTriangleSet":
         """Parse the inline form ``"1,2,6;1,2,4"``."""
         try:
-            sets = tuple(tuple(int(a) for a in g.split(",")) for g in text.split(";"))
+            sets = tuple(tuple(map(parse_digits, g.split(","))) for g in text.split(";"))
         except ValueError:
             raise ValueError(f"cannot parse DTS from {text!r}") from None
         return cls(sets)

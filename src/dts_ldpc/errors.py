@@ -1,4 +1,5 @@
-"""Exception types and the work meter shared across the package."""
+"""Exception types, the work meter and the integer parser shared across
+the package."""
 
 DEFAULT_BUDGET = 10**8
 
@@ -51,3 +52,11 @@ class Meter:
 def as_meter(budget: int | Meter) -> Meter:
     """The shared meter itself, or a fresh one with ``budget`` as its limit."""
     return budget if isinstance(budget, Meter) else Meter(budget)
+
+
+def parse_digits(text: str) -> int:
+    """A nonnegative integer written as ASCII digits only: no blank, sign
+    or ``_``, all of which ``int`` would accept."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"not a string of digits: {text!r}")
+    return int(text)

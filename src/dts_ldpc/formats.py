@@ -48,19 +48,23 @@ def matrix_from_json_dict(data: dict) -> ExponentMatrix:
 
 
 def to_alist(matrix: ExponentMatrix) -> str:
-    cols_sup = [matrix.col_support(c) for c in range(1, matrix.cols + 1)]
-    rows_sup = [matrix.row_support(r) for r in range(1, matrix.rows + 1)]
+    # one pass in row-major order: each column's pairs come out by row
+    col_pairs: list[list[str]] = [[] for _ in range(matrix.cols)]
+    row_pairs: list[list[str]] = [[] for _ in range(matrix.rows)]
+    for r, c, e in matrix.items():
+        value = e + 1
+        col_pairs[c - 1].append(f"{r} {value}")
+        row_pairs[r - 1].append(f"{c} {value}")
+    col_weights = [len(s) for s in col_pairs]
+    row_weights = [len(s) for s in row_pairs]
     lines = [
         f"{matrix.cols} {matrix.rows} {matrix.field.q}",
-        f"{max((len(s) for s in cols_sup), default=0)} "
-        f"{max((len(s) for s in rows_sup), default=0)}",
-        " ".join(str(len(s)) for s in cols_sup),
-        " ".join(str(len(s)) for s in rows_sup),
+        f"{max(col_weights, default=0)} {max(row_weights, default=0)}",
+        " ".join(map(str, col_weights)),
+        " ".join(map(str, row_weights)),
+        *map(" ".join, col_pairs),
+        *map(" ".join, row_pairs),
     ]
-    for c, sup in enumerate(cols_sup, start=1):
-        lines.append(" ".join(f"{r} {matrix.get(r, c) + 1}" for r in sup))
-    for r, sup in enumerate(rows_sup, start=1):
-        lines.append(" ".join(f"{c} {matrix.get(r, c) + 1}" for c in sup))
     return "\n".join(lines) + "\n"
 
 
@@ -127,16 +131,16 @@ def render_pretty(matrix: ExponentMatrix, zero: str = "0") -> str:
     """Text grid of alpha-power tokens, columns right-aligned."""
     if not matrix.rows or not matrix.cols:
         return ""
-    tokens = {pos: _token(e) for pos, e in matrix.entries.items()}
+    cells = [(r, c, _token(e)) for r, c, e in matrix.items()]
     # a column is as wide as its widest token, the zero token counting only
     # when the column has a zero cell
     widths, filled = [0] * matrix.cols, [0] * matrix.cols
-    for (_, c), tok in tokens.items():
+    for _, c, tok in cells:
         widths[c - 1] = max(widths[c - 1], len(tok))
         filled[c - 1] += 1
     widths = [w if n == matrix.rows else max(w, len(zero)) for w, n in zip(widths, filled)]
     blank = [zero.rjust(w) for w in widths]
     grid = [blank.copy() for _ in range(matrix.rows)]
-    for (r, c), tok in tokens.items():
+    for r, c, tok in cells:
         grid[r - 1][c - 1] = tok.rjust(widths[c - 1])
     return "\n".join(" ".join(row).rstrip() for row in grid)

@@ -8,6 +8,7 @@ patterns over characteristic-2 fields is asserted as ground truth.
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -608,6 +609,26 @@ def test_budget_guards(ref_spec_a):
         an.column_distance(ref_spec_a, 5, budget=10)
     with pytest.raises(BudgetExhausted):
         an.check_distance_assumptions(ref_spec_a, budget=3)
+
+
+def test_budget_refusal_reads_no_more_rows_than_it_charges(ref_spec_a):
+    # verify --j 1000000 --minors 2 --budget 10: the first two row pairs
+    # charge 8 and 9 steps, and the sliding matrix is never written out
+    tracemalloc.start()
+    try:
+        with pytest.raises(HorizonTooLarge, match="^17 steps exceed the budget of 10$"):
+            an.check_minors(ref_spec_a, 2, 10**6, budget=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
+def test_row_tuples_come_in_combinations_order():
+    for high in range(9):
+        for size in (2, 3):
+            assert list(an._increasing(high, size)) == \
+                list(itertools.combinations(range(1, high + 1), size))
 
 
 def test_meter_charges_up_to_its_limit():

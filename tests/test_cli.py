@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from dts_ldpc import formats, gf
+from dts_ldpc import cli, formats, gf
 from dts_ldpc.cli import main
 from dts_ldpc.code import build_base_matrix
 from dts_ldpc.errors import FieldTooLarge
@@ -366,6 +366,10 @@ def test_cli_suggest_field_large_scope(capsys):
     ("construct", "--dts", "1,2,6;1,2,4", "--n", "3", "--field", "2^"),
     ("construct", "--dts", "1,2,6;1,2,4", "--n", "3", "--field", "^5"),
     ("construct", "--dts", "1,2,6;1,2,4", "--n", "3", "--field", "x"),
+    ("construct", "--dts", "1,2,6;1,2,4", "--n", "3", "--field", " +2^5_0"),
+    ("construct", "--dts", "1,2,1_0;1,2,4", "--n", "3", "--field", "2^5"),
+    ("verify", "--dts", "1,2,6;1,2,4", "--n", "3", "--field", "2^5", "--budget", " +1_000"),
+    ("verify", "--dts", "1,2,6;1,2,4", "--n", "3", "--field", "2^5", "--minors", " +2"),
 ])
 def test_cli_usage_errors_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -389,6 +393,45 @@ def test_cli_malformed_dts_names_the_input(capsys, tmp_path):
     assert run_cli(capsys, "verify", "--dts-file", str(path), *spec) == (
         2, "", f"error: cannot parse DTS file {str(path)!r}: "
                "Expecting ',' delimiter: line 1 column 16 (char 15)\n")
+
+
+def test_json_text_is_json_dumps_on_every_schema(capsys, monkeypatch):
+    # every --json payload the commands print, as the commands built it
+    payloads = []
+    emit = cli._emit_json
+    monkeypatch.setattr(cli, "_emit_json", lambda payload: (payloads.append(payload), emit(payload)))
+    spec = ("--dts", "1,2,6;1,2,4", "--n", "3", "--field", "2^5")
+    for argv in (("construct", *spec, "--j", "5", "--out", "json"),
+                 ("verify", *spec, "--json"),
+                 ("distance", *spec, "--json"),
+                 ("distance", *spec, "--horizon", "2", "--json"),
+                 ("search", "--sets", "2", "--size", "3", "--mode", "strict", "--json"),
+                 ("density", "--n", "3", "--w", "3", "--mu", "5", "--len", "18", "--json"),
+                 ("suggest-field", "--n", "3", "--scope", "6", "--w", "3", "--json")):
+        _, out, _ = run_cli(capsys, *argv)
+        assert out == json.dumps(payloads[-1], indent=2, sort_keys=True) + "\n"
+    schemas = {p["schema"] for p in payloads}
+    assert schemas == {"exponent-matrix/v1", "verify-report/v1", "distance-profile/v1",
+                       "dts-search/v1", "density/v1", "field-suggestion/v1"}
+    # the verify report nests minor and cycle reports, failures among them
+    assert payloads[1]["minors"][1]["failures"] and payloads[1]["cycles"][1]["frc_failures"]
+
+
+def test_cli_integers_are_ascii_digits_only(capsys, monkeypatch):
+    # int() would take each of these: blanks, a sign, digit underscores
+    spec = ("--n", "3", "--field", "2^5")
+    dts = ("--dts", "1,2,6;1,2,4")
+    assert run_cli(capsys, "construct", *dts, "--n", "3", "--field", " +2^5_0") == (
+        2, "", "error: field must look like 'p^N' or 'p', got ' +2^5_0'\n")
+    assert run_cli(capsys, "construct", "--dts", "1,2,1_0;1,2,4", *spec) == (
+        2, "", "error: cannot parse DTS from '1,2,1_0;1,2,4'\n")
+    assert run_cli(capsys, "verify", *dts, *spec, "--budget", " +1_000") == (
+        2, "", "error: --budget must be a nonnegative integer, got ' +1_000'\n")
+    assert run_cli(capsys, "verify", *dts, *spec, "--minors", " +2") == (
+        2, "", "error: --minors must be a comma-separated list of integers, got ' +2'\n")
+    monkeypatch.setenv("DTS_LDPC_BUDGET", "１０")  # fullwidth digits
+    assert run_cli(capsys, "verify", *dts, *spec) == (
+        2, "", "error: DTS_LDPC_BUDGET must be a nonnegative integer, got '１０'\n")
 
 
 def test_cli_repeated_list_value_names_the_flag(capsys):

@@ -1,10 +1,13 @@
 """Construction, encoder and parameter-formula tests."""
 
+import json
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from dts_ldpc.cli import _json_text
 from dts_ldpc.code import (
     CodeSpec,
     ExponentMatrix,
@@ -13,8 +16,9 @@ from dts_ldpc.code import (
     min_field_params,
     sliding_entry_origin,
 )
-from dts_ldpc.dts import DifferenceTriangleSet, search_min_scope
+from dts_ldpc.dts import DifferenceTriangleSet, search_min_scope, validate
 from dts_ldpc.errors import IncompleteBlock, SetCountMismatch, ZeroElementInDTS
+from dts_ldpc.formats import matrix_to_json_dict, render_pretty, to_alist
 from dts_ldpc.gf import ZERO, GaloisField, _factor_prime_power
 
 # frozen golden base matrices, entries (row, col) -> exponent
@@ -85,17 +89,6 @@ def test_spec_parameters(gf32, dts_126_124):
     assert spec.mu == 5 and spec.delta == 5
 
 
-def test_coefficients(gf32, dts_126_235):
-    spec = CodeSpec(dts_126_235, gf32, 3)
-    coeff = spec.coefficients()
-    assert len(coeff) == 6
-    assert coeff[0].entries == {(1, 1): 1, (1, 3): 0}
-    assert coeff[1].entries == {(1, 1): 2, (1, 2): 4}
-    assert coeff[2].entries == {(1, 2): 6}
-    assert coeff[3].entries == {}
-    assert coeff[5].entries == {(1, 1): 6}
-
-
 def test_sliding_matrix_horizon_zero(gf32, dts_126_124):
     spec = CodeSpec(dts_126_124, gf32, 3)
     h0 = spec.sliding_matrix(0)
@@ -135,6 +128,82 @@ def test_full_sliding_matrix_shape(gf32, dts_126_124):
         per_block = sum(1 for (r, c) in full.entries if (c - 1) // 3 == t)
         assert per_block == 7
     assert full.nonzero_count == 42
+
+
+def oracle_stack(spec, num_blocks, rows):
+    """The sliding matrix written out entry by entry: block t is the base
+    matrix moved down t rows, cut at ``rows``."""
+    entries = {}
+    for (i, c), e in spec.base.entries.items():
+        for t in range(num_blocks):
+            if i + t <= rows:
+                entries[(i + t, t * spec.n + c)] = e
+    return ExponentMatrix(rows, num_blocks * spec.n, entries, spec.field)
+
+
+def _seeded_family(rng, n, w, mode):
+    while True:
+        dts = DifferenceTriangleSet(tuple(tuple(sorted(rng.sample(range(1, 4 * w + 4), w)))
+                                          for _ in range(n - 1)))
+        if validate(dts, mode).valid:
+            return dts
+
+
+def test_sliding_view_matches_written_out_stack():
+    fields = [GaloisField(p, e) for p, e in ((2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 5))]
+    rng = random.Random(2016)
+    cases = []
+    for trial in range(40):
+        strict = trial % 4 == 3
+        # strict families keep to two sets of at most 3, which a random draw finds quickly
+        n, w = rng.randint(2, 3 if strict else 4), rng.randint(1, 3 if strict else 4)
+        dts = _seeded_family(rng, n, w, "strict" if strict else "relaxed")
+        spec = CodeSpec(dts, fields[trial % len(fields)], n)
+        j = 60 if trial == 0 else rng.randint(0, 60)
+        cases.append((spec.sliding_matrix(j), oracle_stack(spec, j + 1, j + 1)))
+        blocks = rng.randint(1, 12)
+        cases.append((spec.full_sliding_matrix(blocks),
+                      oracle_stack(spec, blocks, blocks + spec.mu)))
+    for view, oracle in cases:
+        assert (view.rows, view.cols, view.field) == (oracle.rows, oracle.cols, oracle.field)
+        for r in range(view.rows + 2):
+            assert [view.get(r, c) for c in range(view.cols + 2)] == \
+                [oracle.get(r, c) for c in range(view.cols + 2)]
+            assert view.row_support(r) == oracle.row_support(r)
+        for c in range(view.cols + 2):
+            assert view.col_support(c) == oracle.col_support(c)
+        assert list(view.items()) == oracle.items()
+        assert view.nonzero_count == oracle.nonzero_count
+        assert view.entries == oracle.entries
+        assert view == oracle and oracle == view
+        assert to_alist(view) == to_alist(oracle)
+        assert _json_text(matrix_to_json_dict(view)) == json.dumps(
+            matrix_to_json_dict(oracle), indent=2, sort_keys=True)
+        assert render_pretty(view, zero=".") == render_pretty(oracle, zero=".")
+    # an entry of the view differs from an otherwise equal matrix
+    view, oracle = cases[0]
+    (r, c), e = next(iter(oracle.entries.items()))
+    other = (e + 1) % (oracle.field.q - 1)
+    changed = ExponentMatrix(oracle.rows, oracle.cols, {**oracle.entries, (r, c): other},
+                             oracle.field)
+    assert view != changed and changed != view
+
+
+def test_sliding_view_costs_the_base_at_any_horizon(ref_spec_a):
+    tracemalloc.start()
+    try:
+        full = ref_spec_a.full_sliding_matrix(10**9)
+        view = ref_spec_a.sliding_matrix(10**9 - 1)  # 10**9 rows and blocks
+        assert view.nonzero_count == 7 * 10**9 - 10
+        assert view.row_support(10**9) == tuple(
+            3 * (10**9 - i) + c for i, c in ((6, 1), (4, 2), (2, 1), (2, 2), (1, 1), (1, 2), (1, 3)))
+        assert view.col_support(3 * 10**9 - 2) == (10**9,)
+        assert full.col_support(3 * 10**9 - 2) == (10**9, 10**9 + 1, 10**9 + 5)
+        assert view.get(10**9, 3 * 10**9) == 0 and view.get(10**9, 3 * 10**9 - 3) is ZERO
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5
 
 
 def test_encode_single_symbol_golden(gf32, dts_126_235):

@@ -13,6 +13,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from dts_ldpc import gf  # noqa: E402
+from dts_ldpc.cli import _json_text  # noqa: E402
 from dts_ldpc.code import ExponentMatrix  # noqa: E402
 from dts_ldpc.dts import DifferenceTriangleSet  # noqa: E402
 from dts_ldpc.formats import (  # noqa: E402
@@ -83,6 +84,27 @@ def test_alist_and_json_round_trip(matrix):
     assert from_alist(to_alist(matrix)) == matrix
     data = json.loads(json.dumps(matrix_to_json_dict(matrix)))
     assert matrix_from_json_dict(data) == matrix
+
+
+# Payloads for the CLI's JSON emitter: str keys; empty lists and lists of
+# int lists; big and negative ints, bools and None; strings with quotes,
+# backslashes, control characters and non-ASCII text.
+payload_strings = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f é€\u2028😀') | st.characters(),
+                          max_size=6)
+payload_ints = st.integers() | st.integers(-2**80, 2**80)
+payload_values = st.recursive(
+    st.none() | st.booleans() | payload_ints | payload_strings,
+    lambda kids: (st.lists(kids, max_size=4)
+                  | st.lists(st.lists(payload_ints, max_size=4), max_size=4)
+                  | st.dictionaries(payload_strings, kids, max_size=4)),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(payload_strings, payload_values, max_size=5))
+def test_json_text_is_json_dumps(payload):
+    assert _json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 
 @FUZZ
