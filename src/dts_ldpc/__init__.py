@@ -25,7 +25,6 @@ from .code import (
     CodeSpec,
     ExponentMatrix,
     MinFieldParams,
-    SlidingMatrix,
     build_base_matrix,
     density,
     min_field_params,
@@ -81,7 +80,6 @@ __all__ = [
     "ONE",
     "SearchResult",
     "SetCountMismatch",
-    "SlidingMatrix",
     "TannerCycle",
     "UnsupportedSize",
     "ValidationReport",

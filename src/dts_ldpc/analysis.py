@@ -300,18 +300,19 @@ def minimal_column_weight(spec: CodeSpec, j: int) -> int:
     return min(sum(1 for a in t if a <= j + 1) for t in spec.dts.sets)
 
 
-def _spanning_supports(field: GaloisField, matrix: ExponentMatrix,
-                       n_first: int, ub: int, meter: Meter):
-    """``(d, cols)`` for each closed support of d < ub columns (0-based,
-    sorted) whose lowest column, one of the first ``n_first``, lies in the
-    span of the others; level by level, in increasing d.
+def _spanning_supports(field: GaloisField, matrix: ExponentMatrix, rows: Sequence[int],
+                       first: int, n_first: int, ub: int, meter: Meter):
+    """``(d, cols)`` for each closed support of d < ub columns whose lowest
+    column, one of the ``n_first`` from column ``first`` on, lies in the
+    span of the others on ``rows``, level by level in increasing d.  Only
+    the row supports of ``rows`` are read; columns count from 0 at ``first``.
 
     A column t lies in the span of a set S exactly when some circuit C of
     the column matroid has t in C and C within S + {t}.  A circuit carries
     a kernel vector nonzero on all of it, so no row meets C exactly once,
     and its Tanner subgraph is connected, since its components would carry
     kernel vectors of their own.  Supports are grown one column at a time
-    from each first-block column: when a row is met exactly once, only the
+    from each first column: when a row is met exactly once, only the
     columns of the lowest such row are tried, as C must cover it again;
     when no row is met once (the support is closed) but its lowest column
     is outside the span of the others, every column sharing a row with it
@@ -323,12 +324,13 @@ def _spanning_supports(field: GaloisField, matrix: ExponentMatrix,
     per size.  Only closed supports are tested, on the rows they touch.
     One step is charged per support visited.
     """
-    supports = [matrix.col_support(c) for c in range(1, matrix.cols + 1)]
-    masks = [sum(1 << r for r in rows) for rows in supports]
-    row_cols: dict[int, int] = {}
-    for c, rows in enumerate(supports):
-        for r in rows:
-            row_cols[r] = row_cols.get(r, 0) | 1 << c
+    # column c meets rows[b]: bit b of masks[c] and bit c of row_cols[b]
+    met = [[c - first for c in matrix.row_support(r) if c >= first] for r in rows]
+    row_cols = [sum(1 << c for c in cols) for cols in met]
+    masks = [0] * (matrix.cols - first + 1)
+    for b, cols in enumerate(met):
+        for c in cols:
+            masks[c] |= 1 << b
     level = {1 << t for t in range(n_first)}
     for d in range(1, ub):
         grown = set()
@@ -342,14 +344,14 @@ def _spanning_supports(field: GaloisField, matrix: ExponentMatrix,
             if once:
                 branch = row_cols[(once & -once).bit_length() - 1]
             else:
-                rows = _bits(more)
-                vecs = [[matrix.get(r, c + 1) for r in rows] for c in cols]
+                touched = _bits(more)
+                vecs = [[matrix.get(rows[b], first + c) for b in touched] for c in cols]
                 if _in_span(field, vecs[0], vecs[1:]):
                     yield d, cols
                     continue
                 branch = 0
-                for r in rows:
-                    branch |= row_cols[r]
+                for b in touched:
+                    branch |= row_cols[b]
             if d + 1 < ub:
                 grown.update(sup | 1 << c for c in _bits(branch & ~sup))
         level = grown
@@ -367,7 +369,8 @@ def _min_weight_first_block(field: GaloisField, matrix: ExponentMatrix,
     block (a kernel vector on a proper subset either has a nonzero first
     block itself, or cancels one entry while keeping the first block).
     """
-    return next((d for d, _ in _spanning_supports(field, matrix, n_first, ub, meter)), ub)
+    rows = range(1, matrix.rows + 1)
+    return next((d for d, _ in _spanning_supports(field, matrix, rows, 1, n_first, ub, meter)), ub)
 
 
 def _bits(x: int) -> list[int]:
@@ -454,14 +457,14 @@ def check_distance_assumptions(spec: CodeSpec, budget: int | Meter = DEFAULT_BUD
     that support already has w rows, only |I| = |J| = w occurs and I is
     forced to the support itself.
 
-    ``_spanning_supports`` runs from column j1 alone, on its rows, with the
-    later columns after it.  A set S of w-1 later columns spans j1 exactly
-    when some circuit through j1 lies within S + {j1}, and each such
-    circuit is yielded, so the witnesses are the (w-1)-sets that contain a
-    yielded support less j1: each is padded with every choice of the other
-    later columns, and the witnesses are listed in the order of their
-    column sets.  One step is charged per support visited and one per
-    padded column set.
+    ``_spanning_supports`` runs on the sliding matrix from column j1 alone,
+    on its rows, reading the columns from j1 on.  A set S of w-1 later
+    columns spans j1 exactly when some circuit through j1 lies within
+    S + {j1}, and each such circuit is yielded, so the witnesses are the
+    (w-1)-sets that contain a yielded support less j1: each is padded with
+    every choice of the other later columns, and the witnesses are listed
+    in the order of their column sets.  One step is charged per support
+    visited and one per padded column set.
     """
     matrix = spec.sliding_matrix(spec.mu)
     w = spec.w
@@ -469,12 +472,8 @@ def check_distance_assumptions(spec: CodeSpec, budget: int | Meter = DEFAULT_BUD
     witnesses = []
     for j1 in range(1, spec.n):
         rows = matrix.col_support(j1)
-        # column j1 becomes column 1 and each later column c column c - j1 + 1
-        entries = {(i, c - j1 + 1): matrix.get(r, c)
-                   for i, r in enumerate(rows, start=1) for c in matrix.row_support(r) if c >= j1}
-        restricted = ExponentMatrix(len(rows), matrix.cols - j1 + 1, entries, spec.field)
         combos = set()
-        for d, cols in _spanning_supports(spec.field, restricted, 1, w + 1, meter):
+        for d, cols in _spanning_supports(spec.field, matrix, rows, j1, 1, w + 1, meter):
             part = {j1 + c for c in cols[1:]}
             others = [c for c in range(j1 + 1, matrix.cols + 1) if c not in part]
             meter.charge(math.comb(len(others), w - d))

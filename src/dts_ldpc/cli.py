@@ -58,6 +58,14 @@ def _budget_value(text: str, name: str) -> int:
         raise ValueError(f"{name} must be a nonnegative integer, got {text!r}") from None
 
 
+def _integer(text: str) -> int:
+    """An integer option: ASCII digits, or ``-`` then digits for the command to refuse."""
+    try:
+        return -parse_digits(text[1:]) if text.startswith("-") else parse_digits(text)
+    except ValueError:  # in argparse's words for type=int
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _meter(flag: Optional[str]) -> Meter:
     """One work meter for the whole command: ``--budget``, else the
     environment, else the default."""
@@ -261,7 +269,7 @@ def _add_spec_arguments(sub: argparse.ArgumentParser) -> None:
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--dts", help="inline sets, e.g. '1,2,6;1,2,4'")
     group.add_argument("--dts-file", help="JSON file with a 'sets' list")
-    sub.add_argument("--n", type=int, required=True, help="code block length n")
+    sub.add_argument("--n", type=_integer, required=True, help="code block length n")
     sub.add_argument("--field", required=True, help="field order as 'p^N' or a prime")
 
 
@@ -277,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     construct = subs.add_parser("construct", help="emit the base or sliding matrix")
     _add_spec_arguments(construct)
-    construct.add_argument("--j", type=int, default=None,
+    construct.add_argument("--j", type=_integer, default=None,
                            help="horizon for the sliding matrix; omit for the base matrix")
     construct.add_argument("--out", choices=("pretty", "json", "alist"), default="pretty")
     construct.add_argument("--zero", default="0", help="token for zero entries in pretty output")
@@ -285,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = subs.add_parser("verify", help="check minors and cycle full-rank conditions")
     _add_spec_arguments(verify)
-    verify.add_argument("--j", type=int, default=None, help="horizon (default: memory)")
+    verify.add_argument("--j", type=_integer, default=None, help="horizon (default: memory)")
     verify.add_argument("--minors", default="2,3", help="comma list from {2,3}")
     verify.add_argument("--cycles", default="4,6", help="comma list from {4,6}")
     verify.add_argument("--budget", default=None, help="work budget in steps")
@@ -294,33 +302,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
     distance = subs.add_parser("distance", help="column and free distance profile")
     _add_spec_arguments(distance)
-    distance.add_argument("--horizon", type=int, default=None,
+    distance.add_argument("--horizon", type=_integer, default=None,
                           help="restrict the free-distance search horizon")
     distance.add_argument("--budget", default=None, help="work budget in steps")
     distance.add_argument("--json", action="store_true")
     distance.set_defaults(func=_cmd_distance)
 
     search = subs.add_parser("search", help="minimum-scope difference triangle set")
-    search.add_argument("--sets", type=int, required=True)
-    search.add_argument("--size", type=int, required=True)
+    search.add_argument("--sets", type=_integer, required=True)
+    search.add_argument("--size", type=_integer, required=True)
     search.add_argument("--mode", choices=("relaxed", "strict"), default="relaxed")
-    search.add_argument("--min-element", type=int, default=1, choices=(0, 1))
-    search.add_argument("--budget", type=int, default=32, help="largest scope to try")
+    search.add_argument("--min-element", type=_integer, default=1, choices=(0, 1))
+    search.add_argument("--budget", type=_integer, default=32, help="largest scope to try")
     search.add_argument("--json", action="store_true")
     search.set_defaults(func=_cmd_search)
 
     density = subs.add_parser("density", help="sliding-matrix density as a fraction")
-    density.add_argument("--n", type=int, required=True)
-    density.add_argument("--w", type=int, required=True)
-    density.add_argument("--mu", type=int, required=True)
-    density.add_argument("--len", type=int, required=True, help="message length in symbols")
+    density.add_argument("--n", type=_integer, required=True)
+    density.add_argument("--w", type=_integer, required=True)
+    density.add_argument("--mu", type=_integer, required=True)
+    density.add_argument("--len", type=_integer, required=True, help="message length in symbols")
     density.add_argument("--json", action="store_true")
     density.set_defaults(func=_cmd_density)
 
     suggest = subs.add_parser("suggest-field", help="field-size bounds for a DTS shape")
-    suggest.add_argument("--n", type=int, required=True)
-    suggest.add_argument("--scope", type=int, required=True)
-    suggest.add_argument("--w", type=int, required=True)
+    suggest.add_argument("--n", type=_integer, required=True)
+    suggest.add_argument("--scope", type=_integer, required=True)
+    suggest.add_argument("--w", type=_integer, required=True)
     suggest.add_argument("--json", action="store_true")
     suggest.set_defaults(func=_cmd_suggest_field)
 

@@ -10,12 +10,11 @@ memory is mu = scope - 1 and the syndrome former degree is delta = mu.
 
 Sliding matrices stack shifted copies of the coefficient rows; the
 truncated variant keeps the first j+1 block rows, the untruncated variant
-keeps every row its block columns touch.  Either is a view of the base
-matrix (``SlidingMatrix``): the base is laid out once per code, after
-which a view of any horizon is made in constant time and memory, entries
-and supports are read off the base on demand, and the entry dict is built
-only when asked for.  The last code symbol of each block is the parity;
-the encoder is systematic.
+keeps every row its block columns touch.  Either is a tiling of the base
+matrix by ``ExponentMatrix``, the one matrix class: made in constant time
+and memory at any horizon, its entries and supports read off the base on
+demand.  The last code symbol of each block is the parity; the encoder
+is systematic.
 
 Indexing note: matrix rows and columns are 1-based everywhere, matching
 the reports.  Entry exponents depend on the 1-based row index, so this is
@@ -51,8 +50,16 @@ class Memo(dict):
 class ExponentMatrix:
     """Sparse matrix over a field, entries stored as exponents of alpha.
 
-    ``entries`` maps 1-based (row, col) to the exponent of the nonzero
-    entry; absent positions are zero.
+    A matrix is ``blocks`` copies of one pattern, copy t moved down t rows
+    and right t times the pattern's width, cut at ``rows``.  The matrix
+    ``ExponentMatrix(rows, cols, entries, field)`` is one copy; ``entries``
+    maps 1-based (row, col) to the exponent of each nonzero, all checked.
+    The pattern is laid out once, in (-row, col) order, and shared by its
+    tilings: pattern entry (i, c) lands in row r at column r*width +
+    (c - i*width) for r - blocks < i <= r, so row r is a contiguous run of
+    the layout shifted and ``items()`` needs no sort.  A column is its
+    pattern column moved down, kept once read, since minor sweeps read the
+    same columns again and again.  ``entries`` is built on first use only.
     """
 
     def __init__(self, rows: int, cols: int, entries: dict[tuple[int, int], int],
@@ -62,47 +69,86 @@ class ExponentMatrix:
                 raise ValueError(f"entry ({r}, {c}) outside {rows} x {cols}")
             if not (0 <= e <= field.q - 2):
                 raise ValueError(f"exponent {e} out of range for {field!r}")
-        self.rows = rows
-        self.cols = cols
-        self.entries = dict(entries)
-        self.field = field
+        pattern = sorted(entries.items(), key=lambda item: (-item[0][0], item[0][1]))
+        by_col: dict[int, list[tuple[int, int]]] = {}
+        for (i, c), e in reversed(pattern):
+            by_col.setdefault(c - 1, []).append((i, e))
+        # width; negated row, column offset and exponent of each entry in
+        # layout order; the (row, exponent) pairs of each nonempty column
+        self._layout = (cols, [-i for (i, _), _ in pattern],
+                        [c - i * cols for (i, c), _ in pattern], [e for _, e in pattern], by_col)
+        self.field, self._is_tiling = field, False
+        self.rows, self.cols, self._blocks = rows, cols, 1
+
+    def _tiled(self, blocks: int, rows: int) -> ExponentMatrix:
+        """``blocks`` copies of this one-copy matrix, cut at ``rows``.  A
+        tiling shares its pattern's layout, so tiling it again would tile
+        the pattern, not the tiling: it is refused, even of one block."""
+        if self._is_tiling:
+            raise ValueError("only a one-copy matrix can be tiled")
+        tiled = object.__new__(ExponentMatrix)
+        tiled.field, tiled._layout, tiled._is_tiling = self.field, self._layout, True
+        tiled.rows, tiled.cols, tiled._blocks = rows, blocks * self.cols, blocks
+        return tiled
+
+    @cached_property
+    def _columns(self) -> Memo:
+        """The columns read so far, row -> exponent."""
+        width, _, _, _, by_col = self._layout
+        rows, cols = self.rows, self.cols
+
+        def moved_column(c: int) -> dict[int, int]:
+            if not 1 <= c <= cols:
+                return {}
+            t, k = divmod(c - 1, width)
+            return {i + t: e for i, e in by_col.get(k, ()) if i + t <= rows}
+
+        return Memo(moved_column)
+
+    def _run(self, r: int) -> slice:
+        """The layout entries that land in row r."""
+        if not 1 <= r <= self.rows:
+            return slice(0)
+        neg_rows = self._layout[1]
+        return slice(bisect.bisect_left(neg_rows, -r), bisect.bisect_left(neg_rows, self._blocks - r))
 
     def get(self, r: int, c: int) -> FieldElement:
-        return self.entries.get((r, c))
+        return self._columns[c].get(r)
 
     @property
     def nonzero_count(self) -> int:
-        return len(self.entries)
+        # pattern row i = -neg is moved into rows i..min(i + blocks - 1, rows)
+        return sum(max(0, min(self._blocks, self.rows + 1 + neg)) for neg in self._layout[1])
 
     @cached_property
-    def _supports(self) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]:
-        """Sorted supports of every nonempty row and column, built on first use."""
-        rows: dict[int, list[int]] = {}
-        cols: dict[int, list[int]] = {}
-        for r, c in sorted(self.entries):
-            rows.setdefault(r, []).append(c)
-            cols.setdefault(c, []).append(r)
-        return ({r: tuple(s) for r, s in rows.items()},
-                {c: tuple(s) for c, s in cols.items()})
+    def entries(self) -> dict[tuple[int, int], int]:
+        return {(r, c): e for r, c, e in self.items()}
 
     def row_support(self, r: int) -> tuple[int, ...]:
-        return self._supports[0].get(r, ())
+        width, _, offsets, _, _ = self._layout
+        return tuple(map((r * width).__add__, offsets[self._run(r)]))
 
     def col_support(self, c: int) -> tuple[int, ...]:
-        return self._supports[1].get(c, ())
+        return tuple(self._columns[c])
 
     def column(self, c: int) -> list[FieldElement]:
         return [self.get(r, c) for r in range(1, self.rows + 1)]
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> list[list[FieldElement]]:
-        return [[self.get(r, c) for c in cols] for r in rows]
+        columns = [self._columns[c] for c in cols]
+        return [[col.get(r) for col in columns] for r in rows]
 
     def to_dense(self) -> list[list[FieldElement]]:
         return self.submatrix(range(1, self.rows + 1), range(1, self.cols + 1))
 
-    def items(self) -> Iterable[tuple[int, int, int]]:
+    def items(self) -> Iterator[tuple[int, int, int]]:
         """``(row, col, exponent)`` of every nonzero entry, in row-major order."""
-        return sorted((r, c, e) for (r, c), e in self.entries.items())
+        width, neg_rows, offsets, exponents, _ = self._layout
+        r = 0  # the last row written; pattern row i fills rows i..i + blocks - 1
+        for i in sorted({-neg for neg in neg_rows}):
+            for r in range(max(r + 1, i), min(i + self._blocks - 1, self.rows) + 1):
+                run = self._run(r)
+                yield from zip(itertools.repeat(r), map((r * width).__add__, offsets[run]), exponents[run])
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -145,95 +191,6 @@ def sliding_entry_origin(n: int, row: int, col: int) -> tuple[int, int]:
     block, within = divmod(col - 1, n)
     base_row = row - block
     return base_row, 0 if within == n - 1 else within + 1
-
-
-class _Tiling:
-    """A base matrix laid out for the sliding matrices built on it.
-
-    Base entry (i, c) lands in row r of a sliding matrix at column
-    r*n + (c - i*n), for the base rows r - num_blocks < i <= r.  Ordered by
-    descending i, then by c, the entries of row r are a contiguous run in
-    column order.  ``by_index`` lists the (row, exponent) pairs of each base
-    column by its unified index, the parity column as 0.
-    """
-
-    def __init__(self, base: ExponentMatrix):
-        self.field = base.field
-        self.n = n = base.cols
-        pattern = sorted(base.entries.items(), key=lambda item: (-item[0][0], item[0][1]))
-        self.neg_rows = [-i for (i, _), _ in pattern]
-        self.offsets = [c - i * n for (i, c), _ in pattern]
-        self.exponents = [e for _, e in pattern]
-        self.by_index: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for (i, c), e in reversed(pattern):
-            self.by_index[c % n].append((i, e))
-
-
-class SlidingMatrix(ExponentMatrix):
-    """A sliding matrix as a view of its base matrix.
-
-    Block column t (columns tn+1..tn+n) holds the base matrix moved down t
-    rows and cut at ``rows``.  Only the base is kept, laid out once per
-    code, so a view is made in O(1) at any horizon and checks no entry
-    again.  A column is its base column shifted by ``sliding_entry_origin``,
-    kept once read, since minor sweeps read the same columns again and
-    again; a row is a run of base entries shifted, and ``items()`` runs in
-    row-major order with no sort.  ``entries`` is built on first use only.
-    """
-
-    def __init__(self, tiling: _Tiling, num_blocks: int, rows: int):
-        self.rows = rows
-        self.cols = cols = num_blocks * tiling.n
-        self.field = tiling.field
-        self._tiling = tiling
-        self._blocks = num_blocks
-        n, by_index, neg_rows, offsets = tiling.n, tiling.by_index, tiling.neg_rows, tiling.offsets
-
-        def shifted_column(c: int) -> dict[int, int]:
-            # the base column moved down to where row 1 has its origin
-            if not 1 <= c <= cols:
-                return {}
-            top, index = sliding_entry_origin(n, 1, c)
-            return {i + 1 - top: e for i, e in by_index[index] if i + 1 - top <= rows}
-
-        def run(r: int) -> slice:
-            # the base entries that land in row r
-            if not 1 <= r <= rows:
-                return slice(0)
-            return slice(bisect.bisect_left(neg_rows, -r), bisect.bisect_left(neg_rows, num_blocks - r))
-
-        # the columns (row -> exponent) and row supports read so far
-        self._columns = Memo(shifted_column)
-        self._rows = Memo(lambda r: tuple(map((r * n).__add__, offsets[run(r)])))
-        self._run = run
-
-    def get(self, r: int, c: int) -> FieldElement:
-        return self._columns[c].get(r)
-
-    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> list[list[FieldElement]]:
-        columns = [self._columns[c] for c in cols]
-        return [[col.get(r) for col in columns] for r in rows]
-
-    @property
-    def nonzero_count(self) -> int:
-        # base row i = -neg is shifted into rows i..min(i + blocks - 1, rows)
-        return sum(max(0, min(self._blocks, self.rows + 1 + neg)) for neg in self._tiling.neg_rows)
-
-    @cached_property
-    def entries(self) -> dict[tuple[int, int], int]:
-        return {(r, c): e for r, c, e in self.items()}
-
-    def row_support(self, r: int) -> tuple[int, ...]:
-        return self._rows[r]
-
-    def col_support(self, c: int) -> tuple[int, ...]:
-        return tuple(self._columns[c])
-
-    def items(self) -> Iterator[tuple[int, int, int]]:
-        n, offsets, exponents = self._tiling.n, self._tiling.offsets, self._tiling.exponents
-        for r in range(1, self.rows + 1):
-            run = self._run(r)
-            yield from zip(itertools.repeat(r), map((r * n).__add__, offsets[run]), exponents[run])
 
 
 @dataclass(frozen=True)
@@ -312,19 +269,18 @@ class CodeSpec:
         self.scope = dts.scope
         self.mu = self.scope - 1
         self.delta = self.scope - 1
-        self._tiling = _Tiling(self.base)
 
-    def sliding_matrix(self, j: int) -> SlidingMatrix:
+    def sliding_matrix(self, j: int) -> ExponentMatrix:
         """Truncated sliding matrix: j+1 rows, n(j+1) columns."""
         if j < 0:
             raise ValueError("horizon j must be >= 0")
-        return SlidingMatrix(self._tiling, num_blocks=j + 1, rows=j + 1)
+        return self.base._tiled(j + 1, j + 1)
 
-    def full_sliding_matrix(self, num_blocks: int) -> SlidingMatrix:
+    def full_sliding_matrix(self, num_blocks: int) -> ExponentMatrix:
         """Untruncated sliding matrix: every block column is complete."""
         if num_blocks < 1:
             raise ValueError("need at least one block column")
-        return SlidingMatrix(self._tiling, num_blocks=num_blocks, rows=num_blocks + self.mu)
+        return self.base._tiled(num_blocks, num_blocks + self.mu)
 
     def encode(self, message: Sequence[Sequence[FieldElement]]) -> list[tuple[FieldElement, ...]]:
         """Systematic encoding: each output block is (u_t, p_t).
@@ -355,8 +311,7 @@ class CodeSpec:
         H_i, so information blocks skip the parity column.
         """
         f = self.field
-        coeff = [[self.base.get(i + 1, c) for c in range(1, self.n + 1)]
-                 for i in range(self.mu + 1)]
+        coeff = self.base.to_dense()  # row i + 1 is H_i
         out = []
         for t in range(len(blocks) + self.mu):
             acc: FieldElement = ZERO

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from . import gf
 from .code import ExponentMatrix
-from .errors import FieldTooLarge
+from .errors import FieldTooLarge, parse_digits
 from .gf import GaloisField, _factor_prime_power, make_field
 
 JSON_SCHEMA = "exponent-matrix/v1"
@@ -72,7 +72,7 @@ def _read_section(lines: list[str], weights: list[int], what: str) -> dict[tuple
     """(line number, index) -> exponent for the column or the row section."""
     entries: dict[tuple[int, int], int] = {}
     for i, (line, weight) in enumerate(zip(lines, weights), start=1):
-        parts = [int(x) for x in line.split()]
+        parts = [parse_digits(x) for x in line.split()]
         if len(parts) != 2 * weight:
             raise ValueError(f"{what} {i}: expected {weight} index/value pairs")
         for j, v in zip(parts[::2], parts[1::2]):
@@ -91,7 +91,7 @@ def from_alist(text: str) -> ExponentMatrix:
     head = lines[0].split()
     if len(head) != 3:
         raise ValueError("alist header must be 'cols rows q'")
-    cols, rows, q = (int(x) for x in head)
+    cols, rows, q = map(parse_digits, head)
     # the size goes first: factoring q takes time growing as sqrt(q)
     if q > gf.MAX_FIELD_ORDER:
         raise FieldTooLarge(f"alist field order {q} exceeds {gf.MAX_FIELD_ORDER}")
@@ -99,14 +99,14 @@ def from_alist(text: str) -> ExponentMatrix:
     if factored is None:
         raise ValueError(f"alist field order {q} is not a prime power")
     field = make_field(*factored)
-    col_weights = [int(x) for x in lines[2].split()]
+    col_weights = [parse_digits(x) for x in lines[2].split()]
     if len(col_weights) != cols:
         raise ValueError(f"expected {cols} column weights, got {len(col_weights)}")
-    row_weights = [int(x) for x in lines[3].split()]
+    row_weights = [parse_digits(x) for x in lines[3].split()]
     if len(row_weights) != rows:
         raise ValueError(f"expected {rows} row weights, got {len(row_weights)}")
     maxima = [max(col_weights, default=0), max(row_weights, default=0)]
-    if [int(x) for x in lines[1].split()] != maxima:
+    if [parse_digits(x) for x in lines[1].split()] != maxima:
         raise ValueError("maximum-weight line disagrees with the weight lines")
     if len(lines) < 4 + cols + rows:
         raise ValueError(f"alist input truncated before {cols} column and {rows} row lines")

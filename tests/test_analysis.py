@@ -263,6 +263,9 @@ def test_assumption_check_matches_combination_oracle():
     for trial in range(12):
         n, w = rng.randint(2, 3), rng.randint(2, 3)
         specs.append(CodeSpec(_random_strict_family(rng, n, w), fields[trial % len(fields)], n))
+    # w = 5, with 198 and 19 witnesses
+    specs.append(CodeSpec(DifferenceTriangleSet.from_inline("1,2,5,10,12;1,2,5,10,12"), fields[0], 3))
+    specs.append(CodeSpec(DifferenceTriangleSet.from_inline("1,2,5,10,12;1,3,8,11,12"), fields[3], 3))
     droppable = 0
     for spec in specs:
         expected = oracle_check_distance_assumptions(spec)

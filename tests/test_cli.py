@@ -122,6 +122,9 @@ def test_alist_value_mapping(ref_spec_a):
     "1 2 2\n2 1\n2\n1\n1 1 2 1\n1 1\n1 1\n",  # one row weight for two rows
     "2 1 2\n1 2\n1 1\n2\n1 1\n1 1\n1 1 1 1\n",  # duplicate column in a row
     "1 2 2\n2 1\n2\n1 1\n1 1 2 1\n1 1\n1 1\n5 5 5\n",  # a line after the row section
+    "+1 2 2\n2 1\n2\n1 1\n1 1 2 1\n1 1\n1 1\n",  # a sign
+    "1 2 0_2\n2 1\n2\n1 1\n1 1 2 1\n1 1\n1 1\n",  # an underscore
+    "\u0661 2 2\n2 1\n2\n1 1\n1 1 2 1\n1 1\n1 1\n",  # an Arabic-Indic digit
 ])
 def test_alist_rejects_malformed(text):
     with pytest.raises(ValueError):
@@ -370,6 +373,9 @@ def test_cli_suggest_field_large_scope(capsys):
     ("construct", "--dts", "1,2,1_0;1,2,4", "--n", "3", "--field", "2^5"),
     ("verify", "--dts", "1,2,6;1,2,4", "--n", "3", "--field", "2^5", "--budget", " +1_000"),
     ("verify", "--dts", "1,2,6;1,2,4", "--n", "3", "--field", "2^5", "--minors", " +2"),
+    ("construct", "--dts", "1,2,6;1,2,4", "--n", "3", "--field", "2^5", "--j", "1_0"),
+    ("construct", "--dts", "1,2,6;1,2,4", "--n", "3", "--field", "2^5", "--j", "+3"),
+    ("construct", "--dts", "1,2,6;1,2,4", "--n", "3", "--field", "2^5", "--j", "\uff13"),
 ])
 def test_cli_usage_errors_exit_2(capsys, argv):
     code, _, err = run_cli(capsys, *argv)

@@ -41,7 +41,12 @@ def test_exponent_matrix_basics(gf32):
     assert m.row_support(1) == (1,) and m.col_support(3) == (2,)
     assert m.column(3) == [ZERO, 0]
     assert m.to_dense() == [[5, None, None], [None, None, 0]]
-    assert m.items() == [(1, 1, 5), (2, 3, 0)]
+    assert list(m.items()) == [(1, 1, 5), (2, 3, 0)]
+    # a huge shape costs nothing: items() walks only the rows with entries,
+    # and the layout keeps only the nonempty columns
+    huge = ExponentMatrix(10**12, 10**12, {(1, 1): 5, (10**12, 10**12): 0}, gf32)
+    assert list(huge.items()) == [(1, 1, 5), (10**12, 10**12, 0)] and huge.nonzero_count == 2
+    assert huge.col_support(10**12) == (10**12,) and huge.row_support(10**12) == (10**12,)
     with pytest.raises(ValueError):
         ExponentMatrix(2, 3, {(3, 1): 0}, gf32)
     with pytest.raises(ValueError):
@@ -131,14 +136,30 @@ def test_full_sliding_matrix_shape(gf32, dts_126_124):
 
 
 def oracle_stack(spec, num_blocks, rows):
-    """The sliding matrix written out entry by entry: block t is the base
-    matrix moved down t rows, cut at ``rows``."""
+    """The sliding matrix written out entry by entry from the DTS: block t
+    is the base matrix moved down t rows, cut at ``rows``."""
+    base = {(i, k): spec.field.alpha_pow(i * k)
+            for k, t_k in enumerate(spec.dts.sets, start=1) for i in t_k}
+    base[(1, spec.n)] = 0
     entries = {}
-    for (i, c), e in spec.base.entries.items():
+    for (i, c), e in base.items():
         for t in range(num_blocks):
             if i + t <= rows:
                 entries[(i + t, t * spec.n + c)] = e
-    return ExponentMatrix(rows, num_blocks * spec.n, entries, spec.field)
+    return entries
+
+
+def assert_matches_stack(matrix, entries):
+    """Every reader of ``matrix`` against the written-out entry dict."""
+    for r in range(matrix.rows + 2):
+        assert [matrix.get(r, c) for c in range(matrix.cols + 2)] == \
+            [entries.get((r, c)) for c in range(matrix.cols + 2)]
+        assert matrix.row_support(r) == tuple(sorted(c for (i, c) in entries if i == r))
+    for c in range(matrix.cols + 2):
+        assert matrix.col_support(c) == tuple(sorted(r for (r, j) in entries if j == c))
+    assert list(matrix.items()) == sorted((r, c, e) for (r, c), e in entries.items())
+    assert matrix.nonzero_count == len(entries)
+    assert matrix.entries == entries
 
 
 def _seeded_family(rng, n, w, mode):
@@ -160,32 +181,28 @@ def test_sliding_view_matches_written_out_stack():
         dts = _seeded_family(rng, n, w, "strict" if strict else "relaxed")
         spec = CodeSpec(dts, fields[trial % len(fields)], n)
         j = 60 if trial == 0 else rng.randint(0, 60)
-        cases.append((spec.sliding_matrix(j), oracle_stack(spec, j + 1, j + 1)))
+        cases.append((spec.sliding_matrix(j), (j + 1, n * (j + 1)),
+                      oracle_stack(spec, j + 1, j + 1)))
         blocks = rng.randint(1, 12)
-        cases.append((spec.full_sliding_matrix(blocks),
+        cases.append((spec.full_sliding_matrix(blocks), (blocks + spec.mu, n * blocks),
                       oracle_stack(spec, blocks, blocks + spec.mu)))
-    for view, oracle in cases:
-        assert (view.rows, view.cols, view.field) == (oracle.rows, oracle.cols, oracle.field)
-        for r in range(view.rows + 2):
-            assert [view.get(r, c) for c in range(view.cols + 2)] == \
-                [oracle.get(r, c) for c in range(view.cols + 2)]
-            assert view.row_support(r) == oracle.row_support(r)
-        for c in range(view.cols + 2):
-            assert view.col_support(c) == oracle.col_support(c)
-        assert list(view.items()) == oracle.items()
-        assert view.nonzero_count == oracle.nonzero_count
-        assert view.entries == oracle.entries
+    for view, shape, entries in cases:
+        assert (view.rows, view.cols) == shape
+        assert_matches_stack(view, entries)
+        oracle = ExponentMatrix(view.rows, view.cols, entries, view.field)
         assert view == oracle and oracle == view
         assert to_alist(view) == to_alist(oracle)
         assert _json_text(matrix_to_json_dict(view)) == json.dumps(
             matrix_to_json_dict(oracle), indent=2, sort_keys=True)
         assert render_pretty(view, zero=".") == render_pretty(oracle, zero=".")
+        # a tiling shares its pattern's layout, so it is not tiled again
+        with pytest.raises(ValueError, match="one-copy"):
+            view._tiled(1, view.rows)
     # an entry of the view differs from an otherwise equal matrix
-    view, oracle = cases[0]
-    (r, c), e = next(iter(oracle.entries.items()))
-    other = (e + 1) % (oracle.field.q - 1)
-    changed = ExponentMatrix(oracle.rows, oracle.cols, {**oracle.entries, (r, c): other},
-                             oracle.field)
+    view, _, entries = cases[0]
+    (r, c), e = next(iter(entries.items()))
+    other = (e + 1) % (view.field.q - 1)
+    changed = ExponentMatrix(view.rows, view.cols, {**entries, (r, c): other}, view.field)
     assert view != changed and changed != view
 
 

@@ -23,6 +23,7 @@ from dts_ldpc.formats import (  # noqa: E402
     matrix_to_json_dict,
     to_alist,
 )
+from test_code import assert_matches_stack  # noqa: E402
 
 FIELDS = {q: gf.make_field(p, n) for q, p, n in [
     (2, 2, 1), (3, 3, 1), (4, 2, 2), (5, 5, 1), (7, 7, 1), (8, 2, 3), (9, 3, 2),
@@ -41,13 +42,18 @@ small_ints = st.integers(-2, 6)
 
 
 @st.composite
-def matrices(draw):
+def patterns(draw):
+    """``(rows, cols, entries, field)`` of a small matrix, entries anywhere."""
     field = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
     rows, cols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
     entries = draw(st.dictionaries(
         st.tuples(st.integers(1, rows), st.integers(1, cols)),
         st.integers(0, field.q - 2), max_size=rows * cols))
-    return ExponentMatrix(rows, cols, entries, field)
+    return rows, cols, entries, field
+
+
+def matrices():
+    return patterns().map(lambda args: ExponentMatrix(*args))
 
 
 # JSON shaped like an exponent matrix, each part either plausible or arbitrary.
@@ -84,6 +90,19 @@ def test_alist_and_json_round_trip(matrix):
     assert from_alist(to_alist(matrix)) == matrix
     data = json.loads(json.dumps(matrix_to_json_dict(matrix)))
     assert matrix_from_json_dict(data) == matrix
+
+
+@FUZZ
+@given(patterns(), st.integers(1, 4), st.data())
+def test_tiling_is_its_written_out_stack(pattern, blocks, data):
+    height, width, entries, field = pattern
+    rows = data.draw(st.integers(0, height + blocks))
+    # copy t is the pattern moved down t rows and right t times its width
+    stack = {(r + t, t * width + c): e for (r, c), e in entries.items()
+             for t in range(blocks) if r + t <= rows}
+    tiled = ExponentMatrix(height, width, entries, field)._tiled(blocks, rows)
+    assert (tiled.rows, tiled.cols) == (rows, blocks * width)
+    assert_matches_stack(tiled, stack)
 
 
 # Payloads for the CLI's JSON emitter: str keys; empty lists and lists of
