@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import gf
 from .code import CodeSpec, ExponentMatrix, Memo
@@ -118,25 +118,29 @@ def _increasing(high: int, size: int):
             for b in range(a + 1, high + 1) for c in range(b + 1, high + 1))
 
 
-def _row_tuples(matrix: ExponentMatrix, size: int):
-    """``(rows, sup, meets)`` for each tuple of ``size`` rows in lexicographic
-    order: the row supports as sets and their pair meets ``meets[a, b]``.
-    Tuples and row supports are made as the walk reaches them, so a caller
-    charging per tuple pays before the rows are read, at any horizon."""
+def _row_tuples(matrix: ExponentMatrix, size: int, meter: Meter, listed: Callable):
+    """``(rows, sup, meets, found)`` for each tuple of ``size`` rows in
+    lexicographic order: the row supports as sets, their pair meets
+    ``meets[a, b]`` and ``found = listed(sup, meets)``.  Each tuple is charged
+    ``1 + |union of sup| + len(found)`` before it is yielded, the one charge of
+    the minor, cycle and girth sweeps; rows are read only as the walk reaches them."""
     supports = Memo(lambda r: set(matrix.row_support(r)))
     pairs = list(itertools.combinations(range(size), 2))
     for rows in _increasing(matrix.rows, size):
         sup = [supports[r] for r in rows]
-        yield rows, sup, {(a, b): sup[a] & sup[b] for a, b in pairs}
+        meets = {(a, b): sup[a] & sup[b] for a, b in pairs}
+        found = listed(sup, meets)
+        meter.charge(1 + len(set().union(*sup)) + len(found))
+        yield rows, sup, meets, found
 
 
 def _walks(sup: Sequence[set[int]], meets: dict) -> list[tuple[int, ...]]:
-    """Sorted column walks of the Tanner cycles through two or three rows: meet
-    pairs, or chordless (c12, c23, c13), each column missing the third row."""
+    """Sorted column tuples of the Tanner cycles through two or three rows, in walk
+    order: meet pairs, or chordless (c12, c23, c13), each column missing the third row."""
     if len(sup) == 2:
         return list(itertools.combinations(sorted(meets[0, 1]), 2))
-    return sorted(itertools.product(meets[0, 1] - sup[2], meets[1, 2] - sup[0],
-                                    meets[0, 2] - sup[1]))
+    return [tuple(sorted(walk)) for walk in sorted(itertools.product(
+        meets[0, 1] - sup[2], meets[1, 2] - sup[0], meets[0, 2] - sup[1]))]
 
 
 def _vanishable(sup: Sequence[set[int]], meets: dict) -> list[tuple[int, ...]]:
@@ -145,7 +149,7 @@ def _vanishable(sup: Sequence[set[int]], meets: dict) -> list[tuple[int, ...]]:
     column of the third row.  Two such transversals differ on a 4-cycle or a
     6-cycle, and a 6-cycle with a chord contains a 4-cycle, so it is already
     one of the completed ones."""
-    found = {tuple(sorted(walk)) for walk in _walks(sup, meets)}
+    found = set(_walks(sup, meets))
     if len(sup) == 3:
         for (a, b), meet in meets.items():
             for pair in itertools.combinations(meet, 2):
@@ -179,15 +183,12 @@ def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
     """
     if size not in (2, 3):
         raise ValueError(f"minor size must be 2 or 3, got {size}")
-    if j is None:
-        j = spec.mu
+    j = spec.mu if j is None else j
     matrix = spec.sliding_matrix(j)
     meter = as_meter(budget)
     counts = dict.fromkeys((PATTERN_FULL, PATTERN_CYCLE, PATTERN_MIXED), 0)
     failures = []
-    for rows, sup, meets in _row_tuples(matrix, size):
-        col_sets = _vanishable(sup, meets)
-        meter.charge(1 + len(set().union(*sup)) + len(col_sets))
+    for rows, sup, meets, col_sets in _row_tuples(matrix, size, meter, _vanishable):
         common = len(meets[0, 1] & sup[-1])
         if size == 2:
             total, cycle = len(sup[0]) * len(sup[1]) - common, 0
@@ -249,16 +250,6 @@ class CycleReport:
         }
 
 
-def _girth(matrix: ExponentMatrix, meter: Meter) -> Optional[int]:
-    """4 or 6, or None (with no 4-cycle, every 6-cycle is chordless, so walked)."""
-    for size in (2, 3):
-        for _, sup, meets in _row_tuples(matrix, size):
-            meter.charge(1 + len(set().union(*sup)))
-            if _walks(sup, meets):
-                return 2 * size
-    return None
-
-
 def enumerate_cycles(spec: CodeSpec, length: int, j: Optional[int] = None,
                      budget: int | Meter = DEFAULT_BUDGET) -> CycleReport:
     """All Tanner-graph cycles of the given length with their cycle matrices.
@@ -270,24 +261,24 @@ def enumerate_cycles(spec: CodeSpec, length: int, j: Optional[int] = None,
     """
     if length not in (4, 6):
         raise ValueError(f"cycle length must be 4 or 6, got {length}")
-    if j is None:
-        j = spec.mu
+    j = spec.mu if j is None else j
     matrix = spec.sliding_matrix(j)
     meter = as_meter(budget)
     cycles = []
-    for rows, sup, meets in _row_tuples(matrix, length // 2):
-        walks = _walks(sup, meets)
-        meter.charge(1 + len(set().union(*sup)) + len(walks))
-        for walk in walks:
-            cols = tuple(sorted(walk))
-            grid = matrix.submatrix(rows, cols)
-            cycles.append(TannerCycle(
-                rows=rows, cols=cols, matrix=tuple(tuple(row) for row in grid),
-                singular=gf.det(spec.field, grid) is ZERO,
-            ))
+    for rows, _, _, walks in _row_tuples(matrix, length // 2, meter, _walks):
+        for cols in walks:
+            grid = tuple(map(tuple, matrix.submatrix(rows, cols)))
+            cycles.append(TannerCycle(rows, cols, grid, gf.det(spec.field, grid) is ZERO))
+    # the girth: with no 4-cycle, every 6-cycle is chordless, so walked; the
+    # other length is walked only when it decides, up to its first cycle
+    others = (walks for *_, walks in _row_tuples(matrix, 5 - length // 2, meter, _walks))
+    if length == 4:
+        girth = 4 if cycles else 6 if any(others) else None
+    else:
+        girth = 4 if any(others) else 6 if cycles else None
     return CycleReport(
         length=length, horizon=j, cycles=tuple(cycles),
-        frc_failures=tuple(c for c in cycles if c.singular), girth=_girth(matrix, meter),
+        frc_failures=tuple(c for c in cycles if c.singular), girth=girth,
     )
 
 

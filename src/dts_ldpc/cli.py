@@ -135,6 +135,9 @@ def _int_list(text: str, allowed: set[int], flag: str) -> list[int]:
 def _cmd_construct(args: argparse.Namespace) -> int:
     spec = _build_spec(args)
     matrix = spec.base if args.j is None else spec.sliding_matrix(args.j)
+    size = (matrix.rows * matrix.cols if args.out == "pretty"
+            else matrix.rows + matrix.cols + matrix.nonzero_count)
+    _meter(None).charge(size)  # the size of the output, before any of it is built
     if args.out == "json":
         _emit_json(matrix_to_json_dict(matrix))
     elif args.out == "alist":
@@ -245,6 +248,10 @@ def _cmd_density(args: argparse.Namespace) -> int:
 def _cmd_suggest_field(args: argparse.Namespace) -> int:
     params = min_field_params(args.n, args.scope, args.w)
     if args.json:
+        # q >= 2**n, so a q far past the digits str() prints is not computed
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and not (params.n < 4 * limit and params.q < 10**limit):
+            raise ValueError(f"q = {params.p}^{params.n} has more than {limit} digits to print")
         _emit_json({
             "schema": "field-suggestion/v1",
             "q_2x2": params.q_2x2,

@@ -224,15 +224,15 @@ def min_field_params(n: int, scope: int, w: int) -> MinFieldParams:
     q_case_ii = max(2, 2 * (n - 3) + 2 * (delta - 2) * (n - 2) + 2)
     min_deg = n_3x3 if w >= 3 else 1
     q = max(3, q_2x2)
-    # the smallest p**e >= q with e >= min_deg: for each e the least prime
-    # p with p**e >= q; an e past the first with 2**e >= q cannot win
+    # the smallest p**e >= q with e >= min_deg: for each e the least prime p with
+    # p**e >= q; no e past the first with 2**e >= q wins (if min_deg is, 2^min_deg)
     candidates = []
-    for e in range(min_deg, max(min_deg, (q - 1).bit_length()) + 1):
+    for e in range(min_deg, (q - 1).bit_length() + 1):
         p = _ceil_root(q, e)
         while _prime_factors(p) != [p]:
             p += 1
         candidates.append((p**e, p, e))
-    _, p, e = min(candidates)
+    _, p, e = min(candidates, default=(q, 2, min_deg))
     return MinFieldParams(q_2x2=q_2x2, n_3x3=n_3x3, q_case_ii=q_case_ii, p=p, n=e)
 
 

@@ -553,13 +553,16 @@ def test_vanishable_sets_walks_and_charges_past_the_dense_sweep(ref_spec_a, ref_
     for spec, j in cases:
         matrix = spec.sliding_matrix(j)
         for size in (2, 3):
-            for _, sup, meets in an._row_tuples(matrix, size):
-                assert an._vanishable(sup, meets) == _vanishable_oracle(sup, meets)
+            meter = an.Meter(an.DEFAULT_BUDGET)
+            for _, sup, meets, found in an._row_tuples(matrix, size, meter, an._vanishable):
+                assert found == _vanishable_oracle(sup, meets)
         meters = [an.Meter(an.DEFAULT_BUDGET) for _ in range(3)]
         minors = an.check_minors(spec, 2, j, meters[0])
-        assert minors.class_counts[an.PATTERN_FULL] == len(
-            an.enumerate_cycles(spec, 4, j, meters[1]).cycles)
-        an._girth(matrix, meters[2])
+        cycles = an.enumerate_cycles(spec, 4, j, meters[1])
+        assert minors.class_counts[an.PATTERN_FULL] == len(cycles.cycles)
+        # with no 4-cycle, the girth walks the row triples up to its first walk
+        if not cycles.cycles:
+            any(walks for *_, walks in an._row_tuples(matrix, 3, meters[2], an._walks))
         assert meters[1].used == meters[0].used + meters[2].used
         assert an.check_minors(spec, 3, j).class_counts[an.PATTERN_CYCLE] == len(
             an.enumerate_cycles(spec, 6, j).cycles)
@@ -671,8 +674,8 @@ def test_minor_counts_and_charges_at_horizon_25(sets, p, deg, size, checked, cou
     assert meter.used == used
 
 
-@pytest.mark.parametrize("length, count, frc_failures, used", [(4, 25, 0, 4519),
-                                                               (6, 322, 65, 51261)])
+@pytest.mark.parametrize("length, count, frc_failures, used", [(4, 25, 0, 4512),
+                                                               (6, 322, 65, 51262)])
 def test_cycle_counts_and_charges_at_horizon_25(ref_spec_a, length, count, frc_failures, used):
     meter = an.Meter(an.DEFAULT_BUDGET)
     rep = an.enumerate_cycles(ref_spec_a, length, 25, meter)
@@ -682,14 +685,36 @@ def test_cycle_counts_and_charges_at_horizon_25(ref_spec_a, length, count, frc_f
 
 # The strict family that `search --sets 2 --size 3 --mode strict` finds has
 # no 4-cycle, so its girth is found among the 6-cycles.
-@pytest.mark.parametrize("length, count, frc_failures, used", [(4, 0, 0, 1908),
-                                                               (6, 85, 12, 5844)])
+@pytest.mark.parametrize("length, count, frc_failures, used", [(4, 0, 0, 960),
+                                                               (6, 85, 12, 5834)])
 def test_girth_6_cycle_counts_and_charges_at_horizon_12(gf32, length, count, frc_failures, used):
     spec = CodeSpec(DifferenceTriangleSet.from_inline("1,2,5;1,3,8"), gf32, 3)
     meter = an.Meter(an.DEFAULT_BUDGET)
     rep = an.enumerate_cycles(spec, length, 12, meter)
     assert (len(rep.cycles), len(rep.frc_failures), rep.girth) == (count, frc_failures, 6)
     assert meter.used == used
+
+
+def test_cycle_report_walks_its_own_row_pairs_once(ref_spec_a):
+    # with a 4-cycle the girth is read from the cycles just listed, so the
+    # 4-cycle report charges one walk of the row pairs, as the 2x2 minors do
+    fields = [make_field(p, e) for p, e in ((2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 5))]
+    rng = random.Random(2018)
+    cases = [(ref_spec_a, 25)]
+    for trial in range(40):
+        field = fields[trial % len(fields)]
+        n, w = rng.randint(2, 4), rng.randint(1, 4)
+        cases.append((CodeSpec(_random_relaxed_family(rng, n, w), field, n), rng.randint(3, 14)))
+        n, w = rng.randint(2, 3), rng.randint(2, 3)
+        cases.append((CodeSpec(_random_strict_family(rng, n, w), field, n), rng.randint(3, 14)))
+    charged = []
+    for spec, j in cases:
+        meters = [an.Meter(an.DEFAULT_BUDGET) for _ in range(2)]
+        if an.enumerate_cycles(spec, 4, j, meters[0]).cycles:
+            an.check_minors(spec, 2, j, meters[1])
+            assert meters[0].used == meters[1].used, (spec.dts, j)
+            charged.append(meters[0].used)
+    assert charged[0] == 4512 and len(charged) >= 20
 
 
 def test_distance_profile_charges_one_budget(ref_spec_a):

@@ -131,6 +131,16 @@ def test_alist_rejects_malformed(text):
         from_alist(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    # each differs from the valid "1 2 2\n2 1\n2\n1 1\n1 1 2 1\n1 1\n1 1\n"
+    ("1 2 2\n2 1\n2\n1 1\n1 1 2\n1 1\n1 1\n", "column 1: expected 2 index/value pairs"),
+    ("1 2 2\n2 1\n2\n1 1\n1 1 2 1\n1 1\n1 1 2 1\n", "row 2: expected 1 index/value pairs"),
+])
+def test_alist_refuses_a_line_of_the_wrong_weight(text, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        from_alist(text)
+
+
 def test_alist_bounds_q_before_factoring_it(monkeypatch):
     # trial division of a q near 10**18 would take about a minute
     def factor(q):
@@ -344,6 +354,48 @@ def test_cli_suggest_field_large_scope(capsys):
                            "--scope", "30", "--w", "3")
     assert code == 0
     assert out == "q_2x2=60\nN_3x3=29\ncase_ii_q=56\nsuggested=2^29\n"
+
+
+def test_cli_suggest_field_answers_a_huge_scope_without_its_power(capsys):
+    # 2^9999999999 >= q_2x2, so no larger exponent can win and none is computed
+    code, out, _ = run_cli(capsys, "suggest-field", "--n", "3",
+                           "--scope", "10000000000", "--w", "3")
+    assert code == 0
+    assert out == ("q_2x2=20000000000\nN_3x3=9999999999\ncase_ii_q=19999999996\n"
+                   "suggested=2^9999999999\n")
+
+
+def test_cli_suggest_field_json_refuses_a_q_too_long_to_print(capsys):
+    code, out, err = run_cli(capsys, "suggest-field", "--n", "3",
+                             "--scope", "20000", "--w", "3", "--json")
+    assert (code, out, err) == (2, "", "error: q = 2^19999 has more than 4300 digits to print\n")
+
+
+def test_cli_construct_charges_its_output_before_building_it(capsys, monkeypatch):
+    monkeypatch.setenv("DTS_LDPC_BUDGET", "1000")
+    spec = ("--dts", "1,2,6;1,2,4", "--n", "3", "--field", "2^5", "--j", "1000")
+    # pretty: rows * cols = 1001 * 3003; alist and json: rows + cols + nonzeros
+    assert run_cli(capsys, "construct", *spec, "--out", "pretty") == (
+        2, "", "error: 3006003 steps exceed the budget of 1000\n")
+    for out in ("alist", "json"):
+        assert run_cli(capsys, "construct", *spec, "--out", out) == (
+            2, "", "error: 11001 steps exceed the budget of 1000\n")
+    monkeypatch.setenv("DTS_LDPC_BUDGET", "16")  # the base: 6 + 3 + 7
+    assert run_cli(capsys, "construct", *spec[:6], "--out", "alist")[0] == 0
+    monkeypatch.setenv("DTS_LDPC_BUDGET", "15")
+    assert run_cli(capsys, "construct", *spec[:6], "--out", "json") == (
+        2, "", "error: 16 steps exceed the budget of 15\n")
+
+
+def test_cli_construct_refuses_a_negative_horizon(capsys):
+    assert run_cli(capsys, "construct", "--dts", "1,2,6;1,2,4", "--n", "3",
+                   "--field", "2^5", "--j", "-1") == (2, "", "error: horizon j must be >= 0\n")
+
+
+def test_cli_distance_text_lower_bound(capsys):
+    assert run_cli(capsys, "distance", "--dts", "1,2,6;1,2,4", "--n", "3",
+                   "--field", "2^5", "--horizon", "2") == (
+        0, "free_distance: >= 3 (horizon 2, upper bound 4)\n", "")
 
 
 @pytest.mark.parametrize("argv", [

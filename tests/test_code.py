@@ -133,6 +133,8 @@ def test_full_sliding_matrix_shape(gf32, dts_126_124):
         per_block = sum(1 for (r, c) in full.entries if (c - 1) // 3 == t)
         assert per_block == 7
     assert full.nonzero_count == 42
+    with pytest.raises(ValueError, match="^need at least one block column$"):
+        spec.full_sliding_matrix(0)
 
 
 def oracle_stack(spec, num_blocks, rows):

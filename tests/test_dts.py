@@ -197,6 +197,9 @@ def test_validate_modes_on_shared_difference():
     # the two sets share differences 1, 2 and 4: {1,4,5} vs {1,2,3} share 1 only
     assert dup_values == [1]
     assert set(strict.duplicates[0].witnesses) == {(1, 2, 1), (2, 2, 1)}
+    assert strict.to_json_dict() == {
+        "schema": "dts-validation/v1", "mode": "strict", "valid": False,
+        "duplicates": [{"value": 1, "witnesses": [[1, 2, 1], [2, 2, 1]]}]}
 
 
 def test_validate_within_set_duplicate_fails_both_modes():
