@@ -17,9 +17,10 @@ Three families of checks, all exact:
   columns of a smallest such combination form a circuit of the column
   matroid: no row meets them exactly once and their Tanner subgraph is
   connected.  So supports are grown from the first block, row by row,
-  instead of trying every column combination.  The assumption check runs
-  the same search on the rows of each information column and pads the
-  spanning supports it finds into witnesses.
+  instead of trying every column combination.  The assumption check is
+  closed-form over the columns that meet the rows of an information
+  column once, and when it holds the distance profile reads the free
+  distance and the last column distance off it.
 
 Failing witnesses are reported with 1-based row/column indices of the
 matrix they were found in.
@@ -291,37 +292,38 @@ def minimal_column_weight(spec: CodeSpec, j: int) -> int:
     return min(sum(1 for a in t if a <= j + 1) for t in spec.dts.sets)
 
 
-def _spanning_supports(field: GaloisField, matrix: ExponentMatrix, rows: Sequence[int],
-                       first: int, n_first: int, ub: int, meter: Meter):
-    """``(d, cols)`` for each closed support of d < ub columns whose lowest
-    column, one of the ``n_first`` from column ``first`` on, lies in the
-    span of the others on ``rows``, level by level in increasing d.  Only
-    the row supports of ``rows`` are read; columns count from 0 at ``first``.
+def _min_weight_first_block(field: GaloisField, matrix: ExponentMatrix,
+                            n_first: int, ub: int, meter: Meter) -> int:
+    """Smallest weight of a kernel vector whose first block is nonzero.
+
+    ``ub`` must be a weight achieved by an explicit kernel vector; only
+    smaller weights are searched.  Equals the smallest d such that one of
+    the first ``n_first`` columns lies in the span of d-1 other columns:
+    the size of the first spanning support found below, since the support
+    of a least such kernel vector is a circuit whose lowest column is in the
+    first block (a kernel vector on a proper subset either has a nonzero
+    first block itself, or cancels one entry while keeping the first block).
 
     A column t lies in the span of a set S exactly when some circuit C of
     the column matroid has t in C and C within S + {t}.  A circuit carries
     a kernel vector nonzero on all of it, so no row meets C exactly once,
     and its Tanner subgraph is connected, since its components would carry
     kernel vectors of their own.  Supports are grown one column at a time
-    from each first column: when a row is met exactly once, only the
-    columns of the lowest such row are tried, as C must cover it again;
-    when no row is met once (the support is closed) but its lowest column
-    is outside the span of the others, every column sharing a row with it
-    is tried, as C stays connected.  Either way a subset of C through its
-    lowest column has a child that is a larger subset of C, so C is
-    reached.  A spanning support is yielded and not grown further, which
-    cuts no path to a circuit: no proper subset of C through t spans t.
-    The branches of a support depend on it alone, so each is visited once
-    per size.  Only closed supports are tested, on the rows they touch.
-    One step is charged per support visited.
+    from each first column, level by level in increasing size: when a row
+    is met exactly once, only the columns of the lowest such row are tried,
+    as C must cover it again; when no row is met once (the support is
+    closed) but its lowest column is outside the span of the others, every
+    column sharing a row with it is tried, as C stays connected.  Either
+    way a subset of C through its lowest column has a child that is a
+    larger subset of C, so C is reached, and no proper subset of C through
+    t spans t.  The branches of a support depend on it alone, so each is
+    visited once per size.  Only closed supports are tested, on the rows
+    they touch.  A column's rows and a row's columns are read when the
+    search first reaches them.  One step is charged per support visited.
     """
-    # column c meets rows[b]: bit b of masks[c] and bit c of row_cols[b]
-    met = [[c - first for c in matrix.row_support(r) if c >= first] for r in rows]
-    row_cols = [sum(1 << c for c in cols) for cols in met]
-    masks = [0] * (matrix.cols - first + 1)
-    for b, cols in enumerate(met):
-        for c in cols:
-            masks[c] |= 1 << b
+    # column c + 1 meets row b + 1: bit b of masks[c] and bit c of row_cols[b]
+    masks = Memo(lambda c: sum(1 << (r - 1) for r in matrix.col_support(c + 1)))
+    row_cols = Memo(lambda b: sum(1 << (c - 1) for c in matrix.row_support(b + 1)))
     level = {1 << t for t in range(n_first)}
     for d in range(1, ub):
         grown = set()
@@ -336,32 +338,16 @@ def _spanning_supports(field: GaloisField, matrix: ExponentMatrix, rows: Sequenc
                 branch = row_cols[(once & -once).bit_length() - 1]
             else:
                 touched = _bits(more)
-                vecs = [[matrix.get(rows[b], first + c) for b in touched] for c in cols]
+                vecs = [[matrix.get(b + 1, c + 1) for b in touched] for c in cols]
                 if _in_span(field, vecs[0], vecs[1:]):
-                    yield d, cols
-                    continue
+                    return d
                 branch = 0
                 for b in touched:
                     branch |= row_cols[b]
             if d + 1 < ub:
                 grown.update(sup | 1 << c for c in _bits(branch & ~sup))
         level = grown
-
-
-def _min_weight_first_block(field: GaloisField, matrix: ExponentMatrix,
-                            n_first: int, ub: int, meter: Meter) -> int:
-    """Smallest weight of a kernel vector whose first block is nonzero.
-
-    ``ub`` must be a weight achieved by an explicit kernel vector; only
-    smaller weights are searched.  Equals the smallest d such that one of
-    the first ``n_first`` columns lies in the span of d-1 other columns:
-    the size of the first spanning support, since the support of a least
-    such kernel vector is a circuit whose lowest column is in the first
-    block (a kernel vector on a proper subset either has a nonzero first
-    block itself, or cancels one entry while keeping the first block).
-    """
-    rows = range(1, matrix.rows + 1)
-    return next((d for d, _ in _spanning_supports(field, matrix, rows, 1, n_first, ub, meter)), ub)
+    return ub
 
 
 def _bits(x: int) -> list[int]:
@@ -438,6 +424,24 @@ class AssumptionReport:
     witnesses: tuple[AssumptionWitness, ...]
 
 
+def _span_pairs(multi: dict[int, list[int]], single: set[int], w: int):
+    """The pairs (P, R') one span test each decides in the assumption check:
+    P a nonempty set of the multi-row columns, mapped by ``multi`` to the
+    positions of the rows they meet, and R' a set of the row positions in
+    ``single``, met by a single-row column, holding every row that P
+    misses, with |P| + |R'| <= w-1.  P comes in increasing size and, for
+    each P, R' too, so a pair comes after every pair it holds."""
+    for size in range(1, w):
+        for part in map(set, itertools.combinations(sorted(multi), size)):
+            missed = set(range(w)).difference(*(multi[c] for c in part))
+            room = w - 1 - size - len(missed)
+            if room >= 0 and missed <= single:
+                optional = sorted(single - missed)
+                for m in range(room + 1):
+                    for extra in itertools.combinations(optional, m):
+                        yield part, missed.union(extra)
+
+
 def check_distance_assumptions(spec: CodeSpec, budget: int | Meter = DEFAULT_BUDGET) -> AssumptionReport:
     """Hypothesis test for the distance formulas.
 
@@ -446,16 +450,41 @@ def check_distance_assumptions(spec: CodeSpec, budget: int | Meter = DEFAULT_BUD
     size containing the support of column j1, the restricted column j1
     must stay outside the span of the other restricted columns.  Since
     that support already has w rows, only |I| = |J| = w occurs and I is
-    forced to the support itself.
+    forced to the support itself, the rows R of T_j1.  So a witness is j1
+    with w-1 later columns of the sliding matrix at horizon mu spanning it
+    on R.
 
-    ``_spanning_supports`` runs on the sliding matrix from column j1 alone,
-    on its rows, reading the columns from j1 on.  A set S of w-1 later
-    columns spans j1 exactly when some circuit through j1 lies within
-    S + {j1}, and each such circuit is yielded, so the witnesses are the
-    (w-1)-sets that contain a yielded support less j1: each is padded with
-    every choice of the other later columns, and the witnesses are listed
-    in the order of their column sets.  One step is charged per support
-    visited and one per padded column set.
+    The check is closed-form over the single-row columns.  On R, a later
+    column is zero, a multiple of one unit vector e_r (single-row, on row
+    r) or nonzero on several rows (multi-row); the columns meeting R are
+    read from the row supports of R.  Let a column set S hold the
+    multi-row columns P and single-row columns on the rows R'.  Its span
+    is span(P) + span{e_r : r in R'}, and deleting the coordinates R'
+    maps that sum onto span(P) on the rows outside R', with kernel
+    span{e_r : r in R'}; so S spans j1 exactly when j1 lies in span(P) on
+    the rows outside R'.  Column j1 is nonzero on every row of R, so a
+    row outside R' that P misses rules the span out: R' holds every row
+    P misses, and an empty P never spans, as |R'| <= w-1 < |R|.  Hence
+    one span test decides each pair of ``_span_pairs``.  The witnesses are
+    the (w-1)-sets holding P and one single-row column per row of R' for
+    a spanning pair: such a set spans, as adding columns keeps a span,
+    and a spanning S holds its own pair.  So each spanning pair that holds
+    no earlier spanning pair is expanded with every choice of one
+    single-row column per row of R', padded with every choice of the
+    other later columns, and the witnesses are listed in the order of
+    their column sets.
+
+    A multi-row column meets rows r < r' of R and lies s blocks to the
+    right of the first with a set T_k (a parity column meets one row), so
+    r - s and r' - s are in T_k and r' - r is a difference of both T_j1
+    and T_k.  Differences within one set are distinct, so k = j1 would
+    give s = 0, the column j1 itself: T_j1 and another set share a
+    difference.  So a strict-valid DTS has no multi-row column, and its
+    check holds with no span test.
+
+    One step is charged per later column meeting R, one per pair tested
+    and one per padded column set, charged a pair at a time before the
+    sets are listed.
     """
     matrix = spec.sliding_matrix(spec.mu)
     w = spec.w
@@ -463,13 +492,38 @@ def check_distance_assumptions(spec: CodeSpec, budget: int | Meter = DEFAULT_BUD
     witnesses = []
     for j1 in range(1, spec.n):
         rows = matrix.col_support(j1)
+        met: dict[int, list[int]] = {}  # later column -> positions in rows it meets
+        for b, r in enumerate(rows):
+            for c in matrix.row_support(r):
+                if c > j1:
+                    met.setdefault(c, []).append(b)
+        meter.charge(len(met))
+        single: dict[int, list[int]] = {}  # position in rows -> its single-row columns
+        multi: dict[int, list[int]] = {}  # multi-row column -> the positions it meets
+        for c in sorted(met):
+            if len(met[c]) == 1:
+                single.setdefault(met[c][0], []).append(c)
+            else:
+                multi[c] = met[c]
+        target = [matrix.get(r, j1) for r in rows]
+        spanning: list[tuple[set[int], set[int]]] = []
         combos = set()
-        for d, cols in _spanning_supports(spec.field, matrix, rows, j1, 1, w + 1, meter):
-            part = {j1 + c for c in cols[1:]}
-            others = [c for c in range(j1 + 1, matrix.cols + 1) if c not in part]
-            meter.charge(math.comb(len(others), w - d))
-            combos.update(tuple(sorted(part.union(pad)))
-                          for pad in itertools.combinations(others, w - d))
+        for part, deleted in _span_pairs(multi, set(single), w):
+            if any(p <= part and d <= deleted for p, d in spanning):
+                continue
+            meter.charge(1)
+            kept = [b for b in range(w) if b not in deleted]
+            vecs = [[matrix.get(rows[b], c) for b in kept] for c in sorted(part)]
+            if not _in_span(spec.field, [target[b] for b in kept], vecs):
+                continue
+            spanning.append((part, deleted))
+            for picks in itertools.product(*(single[b] for b in sorted(deleted))):
+                chosen = part.union(picks)
+                others = [c for c in range(j1 + 1, matrix.cols + 1) if c not in chosen]
+                pad = w - 1 - len(chosen)
+                meter.charge(math.comb(len(others), pad))
+                combos.update(tuple(sorted(chosen.union(extra)))
+                              for extra in itertools.combinations(others, pad))
         witnesses += (AssumptionWitness(rows=rows, cols=(j1, *combo)) for combo in sorted(combos))
     return AssumptionReport(holds=not witnesses, witnesses=tuple(witnesses))
 
@@ -501,11 +555,44 @@ class DistanceProfile:
 
 
 def distance_profile(spec: CodeSpec, budget: int | Meter = DEFAULT_BUDGET) -> DistanceProfile:
+    """Column distances for j = 0..mu, the exact free distance and the
+    assumption check, charged to one meter.
+
+    The check runs first.  When it holds, the column distance at j = mu
+    and the free distance are both w + 1, read off it with no search.
+    Take a kernel vector of weight d <= w with a nonzero first block, of
+    the truncated sliding matrix at horizon mu or of the untruncated one
+    that ``free_distance`` searches.  Later blocks start below row 1, so
+    row 1 meets only columns of the first block; if the vector's lowest
+    nonzero column were the parity column, it would be the only column of
+    the vector's support on row 1, which then would not sum to zero.  So
+    its lowest nonzero column is an information column j1 of the first
+    block.  On
+    the rows of T_j1, all at most mu + 1, the kernel relation puts j1 in
+    the span of the d - 1 later columns of the support.  A column of a
+    block past mu + 1 is zero on those rows, and a column of a block up to
+    mu + 1 agrees there with the same column of the sliding matrix at
+    horizon mu.  That matrix has at least n*mu + 1 >= w - 1 columns after
+    j1 (mu >= w - 1), so the nonzero ones among those d - 1 columns,
+    padded to w - 1, are a witness, against the check.  So both distances
+    are at least w + 1, and the single-symbol codeword of weight w + 1
+    gives equality.  The column distances for j < mu are still searched;
+    when the check fails, every distance is.
+    """
     meter = as_meter(budget)
+    check = check_distance_assumptions(spec, meter)
+    searched = spec.mu if check.holds else spec.mu + 1
+    columns = tuple(column_distance(spec, j, meter) for j in range(searched))
+    if check.holds:
+        columns += (spec.w + 1,)
+        free = FreeDistanceResult(value=spec.w + 1, exact=True, horizon=exact_horizon(spec),
+                                  upper_bound=spec.w + 1)
+    else:
+        free = free_distance(spec, budget=meter)
     return DistanceProfile(
-        column_distances=tuple(column_distance(spec, j, meter) for j in range(spec.mu + 1)),
-        free=free_distance(spec, budget=meter),
+        column_distances=columns,
+        free=free,
         predicted_free=spec.w + 1,
         predicted_column=tuple(minimal_column_weight(spec, j) + 1 for j in range(spec.mu + 1)),
-        assumption_check=check_distance_assumptions(spec, meter),
+        assumption_check=check,
     )

@@ -247,11 +247,18 @@ def _cmd_density(args: argparse.Namespace) -> int:
 
 def _cmd_suggest_field(args: argparse.Namespace) -> int:
     params = min_field_params(args.n, args.scope, args.w)
-    if args.json:
-        # q >= 2**n, so a q far past the digits str() prints is not computed
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if limit and not (params.n < 4 * limit and params.q < 10**limit):
+    # str() refuses ints past its digit limit; the exponent is at most
+    # N_3x3 or the bit length of q_2x2, so it prints once they do, and
+    # q >= 2**n, so a q far past the limit is not computed
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        for name, value in (("q_2x2", params.q_2x2), ("N_3x3", params.n_3x3),
+                            ("case_ii_q", params.q_case_ii)):
+            if value >= 10**limit:
+                raise ValueError(f"{name} has more than {limit} digits to print")
+        if args.json and not (params.n < 4 * limit and params.q < 10**limit):
             raise ValueError(f"q = {params.p}^{params.n} has more than {limit} digits to print")
+    if args.json:
         _emit_json({
             "schema": "field-suggestion/v1",
             "q_2x2": params.q_2x2,

@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .dts import DifferenceTriangleSet, validate
 from .errors import IncompleteBlock, SetCountMismatch, ZeroElementInDTS
-from .gf import ZERO, FieldElement, GaloisField, _prime_factors
+from .gf import ZERO, FieldElement, GaloisField, _is_prime
 
 
 class Memo(dict):
@@ -229,7 +229,7 @@ def min_field_params(n: int, scope: int, w: int) -> MinFieldParams:
     candidates = []
     for e in range(min_deg, (q - 1).bit_length() + 1):
         p = _ceil_root(q, e)
-        while _prime_factors(p) != [p]:
+        while not _is_prime(p):
             p += 1
         candidates.append((p**e, p, e))
     _, p, e = min(candidates, default=(q, 2, min_deg))

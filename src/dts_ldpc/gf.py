@@ -78,6 +78,36 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+# Miller-Rabin with the primes up to 41 as bases decides every n below
+# this exactly, and this n is a strong pseudoprime to all of them
+# (Sorenson and Webster, Math. Comp. 2017)
+_PRIME_TEST_BOUND = 3317044064679887385961981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n is prime, by Miller-Rabin over ``_PRIME_BASES``; exact for
+    every n below ``_PRIME_TEST_BOUND``, and a larger n is refused."""
+    if n >= _PRIME_TEST_BOUND:
+        raise ValueError(f"primality of a {n.bit_length()}-bit number is decided "
+                         f"exactly only below {_PRIME_TEST_BOUND}")
+    if n < 2 or any(n % b == 0 for b in _PRIME_BASES):
+        return n in _PRIME_BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
+    d = (n - 1) >> s
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def _factor_prime_power(q: int) -> Optional[tuple[int, int]]:
     """(p, e) with q = p**e for a prime p, or None when q is no prime power."""
     p = 2
@@ -171,10 +201,10 @@ class GaloisField:
     def __init__(self, p: int, degree: int):
         if degree < 1:
             raise ValueError(f"degree must be >= 1, got {degree}")
-        # the size goes first: a huge p is never factored, a huge power never formed
+        # the size goes first: a huge p is never tested, a huge power never formed
         if p > 1 and (degree >= MAX_FIELD_ORDER.bit_length() or p**degree > MAX_FIELD_ORDER):
             raise FieldTooLarge(f"q = {p}^{degree} exceeds {MAX_FIELD_ORDER}")
-        if _prime_factors(p) != [p]:
+        if not _is_prime(p):
             raise NonPrimeCharacteristic(f"{p} is not prime")
         self.p = p
         self.degree = degree

@@ -227,13 +227,14 @@ def oracle_distance_profile(spec):
 def test_support_search_matches_combination_oracle():
     fields = [make_field(p, e) for p, e in ((2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 5))]
     rng = random.Random(2009)
-    padded = 0
+    padded = failing = 0
     for trial in range(DISTANCE_FAMILIES):
         field = fields[trial % len(fields)]
         n, w = rng.randint(2, 4), rng.randint(1, 4)
         spec = CodeSpec(_random_relaxed_family(rng, n, w), field, n)
         expected = oracle_distance_profile(spec)
         assert an.distance_profile(spec) == expected, spec
+        failing += not expected.assumption_check.holds
         horizon = rng.randrange(an.exact_horizon(spec))
         assert an.free_distance(spec, horizon) == an.FreeDistanceResult(
             value=oracle_column_distance(spec, horizon), exact=False, horizon=horizon,
@@ -241,8 +242,9 @@ def test_support_search_matches_combination_oracle():
         matrix = spec.sliding_matrix(spec.mu)
         padded += any(all(matrix.get(r, c) is None for r in wit.rows)
                       for wit in expected.assumption_check.witnesses for c in wit.cols[1:])
-    # some witnesses hold columns that vanish on the support rows
-    assert padded
+    # some witnesses hold columns that vanish on the support rows, and
+    # some profiles search every distance, as their check fails
+    assert padded and failing
 
 
 def _random_strict_family(rng, n, w):
@@ -291,17 +293,20 @@ def test_closed_support_that_does_not_span_is_grown():
     assert oracle_min_weight_first_block(gf5, matrix, 1, 4) == 3
 
 
-def test_distance_charges_of_code_a(ref_spec_a):
-    # one step per support visited, and in the assumption check one per
-    # padded column set
-    def charge(routine, *args):
-        meter = an.Meter(an.DEFAULT_BUDGET)
-        routine(ref_spec_a, *args, budget=meter)
-        return meter.used
+def _charge(routine, spec, *args):
+    meter = an.Meter(an.DEFAULT_BUDGET)
+    routine(spec, *args, budget=meter)
+    return meter.used
 
-    assert [charge(an.column_distance, j) for j in range(6)] == [3, 6, 6, 6, 6, 18]
-    assert charge(an.free_distance) == 18
-    assert charge(an.check_distance_assumptions) == 18
+
+def test_distance_charges_of_code_a(ref_spec_a):
+    # one step per support visited; the assumption check charges one per
+    # later column meeting the support rows (11 for column 1, 9 for column
+    # 2) and one per span test (column 2 of block 1 meets rows 1 and 2 of
+    # column 1, so P = {2} with R' = {6} is the one pair)
+    assert [_charge(an.column_distance, ref_spec_a, j) for j in range(6)] == [3, 6, 6, 6, 6, 18]
+    assert _charge(an.free_distance, ref_spec_a) == 18
+    assert _charge(an.check_distance_assumptions, ref_spec_a) == 21
 
 
 # ---------------------------------------------------------------------------
@@ -718,15 +723,88 @@ def test_cycle_report_walks_its_own_row_pairs_once(ref_spec_a):
 
 
 def test_distance_profile_charges_one_budget(ref_spec_a):
-    def charge(routine, *args):
-        meter = an.Meter(an.DEFAULT_BUDGET)
-        routine(ref_spec_a, *args, budget=meter)
-        return meter.used
-
-    charges = [charge(an.column_distance, j) for j in range(6)]
-    charges += [charge(an.free_distance), charge(an.check_distance_assumptions)]
-    assert charge(an.distance_profile) == sum(charges)
+    # when the check holds, the profile charges it and the column distances
+    # for j < mu, and reads d_mu and the free distance off it
+    charges = [_charge(an.check_distance_assumptions, ref_spec_a)]
+    charges += [_charge(an.column_distance, ref_spec_a, j) for j in range(5)]
+    assert charges == [21, 3, 6, 6, 6, 6]
+    assert _charge(an.distance_profile, ref_spec_a) == sum(charges) == 48
     budget = (max(charges) + sum(charges)) // 2
-    an.free_distance(ref_spec_a, budget=budget)
+    an.check_distance_assumptions(ref_spec_a, budget=budget)
     with pytest.raises(HorizonTooLarge):
         an.distance_profile(ref_spec_a, budget=budget)
+
+
+def test_failing_check_profile_searches_every_distance():
+    # two equal information columns fail the check, so every distance is
+    # searched, on one meter, and the profile still equals the oracle's
+    spec = CodeSpec(DifferenceTriangleSet(((3, 6), (3, 6))), make_field(2, 2), 3)
+    charges = [_charge(an.check_distance_assumptions, spec), _charge(an.free_distance, spec)]
+    charges += [_charge(an.column_distance, spec, j) for j in range(spec.mu + 1)]
+    assert charges == [11, 6, 0, 0, 3, 3, 3, 6]
+    assert _charge(an.distance_profile, spec) == sum(charges) == 32
+    profile = an.distance_profile(spec)
+    assert not profile.assumption_check.holds and profile.free.value == 2
+    assert profile == oracle_distance_profile(spec)
+
+
+# n = 3 families at the distance frontier: a w = 5 DTS over GF(2^6), and
+# the optimal 6- and 7-mark rulers shifted to start at 1, each taken twice,
+# over GF(2^8) and GF(3^6).  Every check holds, so every column distance
+# and the free distance are as predicted; the steps are those of the check
+# and the column distances for j < mu.
+FRONTIER = [
+    ("1,2,5,10,12;1,4,6,14,15", 2, 6, 299,
+     (2, 2, 2, 3, 3, 4, 4, 4, 4, 4, 4, 4, 4, 5, 6)),
+    ("1,2,5,11,13,18;1,2,5,11,13,18", 2, 8, 10211,
+     (2, 3, 3, 3, 4, 4, 4, 4, 4, 4, 5, 5, 6, 6, 6, 6, 6, 7)),
+    ("1,2,5,11,19,24,26;1,2,5,11,19,24,26", 3, 6, 77515,
+     (2, 3, 3, 3, 4, 4, 4, 4, 4, 4, 5, 5, 5, 5, 5, 5, 5, 5, 6, 6, 6, 6, 6, 7, 7, 8)),
+]
+
+
+@pytest.mark.parametrize("sets, p, deg, used, columns", FRONTIER)
+def test_distance_profile_at_the_frontier(sets, p, deg, used, columns):
+    spec = CodeSpec(DifferenceTriangleSet.from_inline(sets), make_field(p, deg), 3)
+    meter = an.Meter(an.DEFAULT_BUDGET)
+    assert an.distance_profile(spec, meter) == an.DistanceProfile(
+        column_distances=columns,
+        free=an.FreeDistanceResult(value=spec.w + 1, exact=True,
+                                   horizon=(spec.w - 1) * spec.mu + 1, upper_bound=spec.w + 1),
+        predicted_free=spec.w + 1,
+        predicted_column=columns,
+        assumption_check=an.AssumptionReport(holds=True, witnesses=()),
+    )
+    assert meter.used == used
+
+
+def test_strict_profile_runs_no_span_test_in_the_check_and_no_search_at_mu(monkeypatch):
+    # a strict-valid DTS has no multi-row column: its check tests no span,
+    # and the profile searches the column distances for j < mu alone
+    spans, searched = [], []
+    in_span, search = an._in_span, an._min_weight_first_block
+
+    def counted_in_span(*args):
+        spans.append(args)
+        return in_span(*args)
+
+    def recorded_search(field, matrix, *args):
+        searched.append(matrix.rows)
+        return search(field, matrix, *args)
+
+    monkeypatch.setattr(an, "_in_span", counted_in_span)
+    monkeypatch.setattr(an, "_min_weight_first_block", recorded_search)
+    fields = [make_field(p, e) for p, e in ((2, 3), (3, 2), (2, 5), (7, 1))]
+    rng = random.Random(19)
+    specs = [CodeSpec(DifferenceTriangleSet.from_inline("1,2,5;1,3,8"), fields[2], 3)]
+    specs += [CodeSpec(_random_strict_family(rng, n, w), fields[trial % len(fields)], n)
+              for trial, (n, w) in enumerate(((2, 4), (3, 2), (3, 3), (4, 2), (4, 3)))]
+    for spec in specs:
+        spans.clear()
+        assert an.check_distance_assumptions(spec).holds
+        assert not spans, spec
+        searched.clear()
+        profile = an.distance_profile(spec)
+        assert searched == list(range(1, spec.mu + 1)), spec
+        assert profile.free.value == spec.w + 1
+        assert profile == oracle_distance_profile(spec), spec

@@ -279,6 +279,21 @@ def test_cli_distance_of_a_wide_family_within_default_budget(capsys):
     assert "free_distance: 6 (exact, upper bound 6)" in out
 
 
+def test_cli_distance_row_reads_grow_linearly_in_mu(capsys, monkeypatch):
+    # mu = 1999: the column distance at each j < mu reads one row, and the
+    # check holds, so d_mu and the free distance need no search
+    reads = []
+    row_support = ExponentMatrix.row_support
+    monkeypatch.setattr(ExponentMatrix, "row_support",
+                        lambda self, r: reads.append(r) or row_support(self, r))
+    code, out, _ = run_cli(capsys, "distance", "--dts", "1,2000", "--n", "2",
+                           "--field", "2^5")
+    assert code == 0
+    assert out.endswith("free_distance: 3 (exact, upper bound 3)\npredicted_free: 3\n"
+                        "assumption_holds: yes\n")
+    assert len(reads) <= 2 * 2000
+
+
 def test_cli_distance_restricted_horizon(capsys):
     code, out, _ = run_cli(capsys, "distance", "--dts", "1,2,6;1,2,4",
                            "--n", "3", "--field", "2^5", "--horizon", "2", "--json")
@@ -369,6 +384,33 @@ def test_cli_suggest_field_json_refuses_a_q_too_long_to_print(capsys):
     code, out, err = run_cli(capsys, "suggest-field", "--n", "3",
                              "--scope", "20000", "--w", "3", "--json")
     assert (code, out, err) == (2, "", "error: q = 2^19999 has more than 4300 digits to print\n")
+
+
+def test_cli_suggest_field_answers_a_scope_past_trial_division(capsys):
+    # the candidate primes near 2 * 10^20 are decided by Miller-Rabin, not
+    # by about 10^10 trial divisions each
+    code, out, _ = run_cli(capsys, "suggest-field", "--n", "3",
+                           "--scope", "100000000000000000000", "--w", "2")
+    assert code == 0
+    assert out == ("q_2x2=200000000000000000000\nN_3x3=99999999999999999999\n"
+                   "case_ii_q=199999999999999999996\nsuggested=200000000000000000089^1\n")
+
+
+def test_cli_suggest_field_refuses_a_prime_past_the_exact_test(capsys):
+    code, out, err = run_cli(capsys, "suggest-field", "--n", "3",
+                             "--scope", "1" + "0" * 27, "--w", "2")
+    assert (code, out) == (2, "")
+    assert err == ("error: primality of a 91-bit number is decided exactly only "
+                   "below 3317044064679887385961981\n")
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_cli_suggest_field_refuses_a_bound_too_long_to_print(capsys, json_flag):
+    # 2,200 ones for n and the scope make q_2x2 about 4,400 digits long
+    ones = "1" * 2200
+    code, out, err = run_cli(capsys, "suggest-field", "--n", ones,
+                             "--scope", ones, "--w", "3", *json_flag)
+    assert (code, out, err) == (2, "", "error: q_2x2 has more than 4300 digits to print\n")
 
 
 def test_cli_construct_charges_its_output_before_building_it(capsys, monkeypatch):

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from dts_ldpc.errors import FieldTooLarge, NonPrimeCharacteristic, UnsupportedSize
-from dts_ldpc.gf import ONE, ZERO, GaloisField, det, make_field
+from dts_ldpc.gf import ONE, ZERO, GaloisField, _is_prime, _prime_factors, det, make_field
 
 
 # ---------------------------------------------------------------------------
@@ -38,6 +38,19 @@ def oracle_powers(f):
     for _ in range(f.q - 2):
         table.append(oracle_poly_mul(table[-1], alpha, f.modulus, f.p))
     return table
+
+
+def test_miller_rabin_is_exact_below_its_bound():
+    assert [n for n in range(20000) if _is_prime(n)] == \
+        [n for n in range(2, 20000) if _prime_factors(n) == [n]]
+    # strong pseudoprimes to every prime base up to 37 (only base 41
+    # catches the second); Mersenne and near-power primes
+    assert not _is_prime(3825123056546413051)
+    assert not _is_prime(318665857834031151167461)
+    assert _is_prime(2**61 - 1) and _is_prime(2**80 - 65)
+    # the bound is a strong pseudoprime to all 13 bases
+    with pytest.raises(ValueError, match="decided exactly only below 3317044064679887385961981"):
+        _is_prime(3317044064679887385961981)
 
 
 def test_gf9_canonical_data_matches_frozen_values():
