@@ -19,8 +19,8 @@ Three families of checks, all exact:
   connected.  So supports are grown from the first block, row by row,
   instead of trying every column combination.  The assumption check is
   closed-form over the columns that meet the rows of an information
-  column once, and when it holds the distance profile reads the free
-  distance and the last column distance off it.
+  column once, and when it holds the distance profile reads every column
+  distance and the free distance off it.
 
 Failing witnesses are reported with 1-based row/column indices of the
 matrix they were found in.
@@ -558,41 +558,49 @@ def distance_profile(spec: CodeSpec, budget: int | Meter = DEFAULT_BUDGET) -> Di
     """Column distances for j = 0..mu, the exact free distance and the
     assumption check, charged to one meter.
 
-    The check runs first.  When it holds, the column distance at j = mu
-    and the free distance are both w + 1, read off it with no search.
-    Take a kernel vector of weight d <= w with a nonzero first block, of
-    the truncated sliding matrix at horizon mu or of the untruncated one
-    that ``free_distance`` searches.  Later blocks start below row 1, so
-    row 1 meets only columns of the first block; if the vector's lowest
-    nonzero column were the parity column, it would be the only column of
-    the vector's support on row 1, which then would not sum to zero.  So
-    its lowest nonzero column is an information column j1 of the first
-    block.  On
-    the rows of T_j1, all at most mu + 1, the kernel relation puts j1 in
-    the span of the d - 1 later columns of the support.  A column of a
-    block past mu + 1 is zero on those rows, and a column of a block up to
-    mu + 1 agrees there with the same column of the sliding matrix at
-    horizon mu.  That matrix has at least n*mu + 1 >= w - 1 columns after
-    j1 (mu >= w - 1), so the nonzero ones among those d - 1 columns,
-    padded to w - 1, are a witness, against the check.  So both distances
-    are at least w + 1, and the single-symbol codeword of weight w + 1
-    gives equality.  The column distances for j < mu are still searched;
-    when the check fails, every distance is.
+    The check runs first.  When it holds, every column distance is
+    w_j + 1, the smallest weight an information column keeps after j + 1
+    rows plus one, and the free distance is w + 1, all read off it with
+    no search.  Take a kernel vector of weight d with a nonzero first
+    block, of the truncated sliding matrix at a horizon j <= mu or of the
+    untruncated one that ``free_distance`` searches.  Later blocks start
+    below row 1, so row 1 meets only columns of the first block; if the
+    vector's lowest nonzero column were the parity column, it would be the
+    only column of the vector's support on row 1, which then would not sum
+    to zero.  So its lowest nonzero column is an information column j1 of
+    the first block.  Let R be the w rows of T_j1, all at most mu + 1, and
+    R_j the i of them at most j + 1 (i = w, R_j = R, for the free
+    distance).  On R_j the kernel relation puts j1 in the span of the
+    d - 1 later columns of the support.  A column of a block past mu + 1
+    is zero on those rows, and a column of a block up to mu + 1 agrees
+    there with the same column of the sliding matrix at horizon mu.  For
+    each row r of R outside R_j, the parity column of block r meets row r
+    alone, so it is the unit vector e_r on R; it is later than j1 and
+    present at horizon mu.  On R, j1 less its combination of the support
+    columns vanishes on R_j, so it is a combination of these w - i unit
+    vectors, and j1 lies on all of R in the span of at most d - 1 + w - i
+    later columns of the sliding matrix at horizon mu.  If d <= i, that is at most
+    w - 1 columns; the matrix has at least n*mu + 1 >= w - 1 columns after
+    j1 (mu >= w - 1), so the nonzero ones among them, padded to w - 1,
+    are a witness, against the check.  So when the check holds,
+    d >= i + 1 >= w_j + 1, and the single-symbol codeword truncated at j
+    gives equality; at j = mu and for the free distance that is w + 1.
+    When the check fails, every distance is searched.
     """
     meter = as_meter(budget)
     check = check_distance_assumptions(spec, meter)
-    searched = spec.mu if check.holds else spec.mu + 1
-    columns = tuple(column_distance(spec, j, meter) for j in range(searched))
+    predicted = tuple(minimal_column_weight(spec, j) + 1 for j in range(spec.mu + 1))
     if check.holds:
-        columns += (spec.w + 1,)
+        columns = predicted
         free = FreeDistanceResult(value=spec.w + 1, exact=True, horizon=exact_horizon(spec),
                                   upper_bound=spec.w + 1)
     else:
+        columns = tuple(column_distance(spec, j, meter) for j in range(spec.mu + 1))
         free = free_distance(spec, budget=meter)
     return DistanceProfile(
         column_distances=columns,
         free=free,
         predicted_free=spec.w + 1,
-        predicted_column=tuple(minimal_column_weight(spec, j) + 1 for j in range(spec.mu + 1)),
+        predicted_column=predicted,
         assumption_check=check,
     )

@@ -186,6 +186,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_distance(args: argparse.Namespace) -> int:
+    if args.horizon is not None and args.horizon < 0:
+        raise ValueError(f"--horizon must be >= 0, got {args.horizon}")
     spec = _build_spec(args)
     meter = _meter(args.budget)
     if args.horizon is not None and args.horizon < analysis.exact_horizon(spec):

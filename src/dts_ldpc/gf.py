@@ -145,11 +145,20 @@ def _irreducible(f: tuple[int, ...], p: int) -> bool:
     return True
 
 
+def _in_order(lowest: range, p: int, n: int) -> Iterator[tuple[int, ...]]:
+    """The n-tuples of digits below p, the first one in ``lowest``, in
+    lexicographic order; the first digit is walked lazily, as
+    ``itertools.product`` would first copy its range, all of GF(p) when
+    n = 1."""
+    for c in lowest:
+        for rest in itertools.product(range(p), repeat=n - 1):
+            yield (c, *rest)
+
+
 def _canonical_modulus(p: int, n: int) -> tuple[int, ...]:
     # x divides every candidate with a zero constant term, so past degree 1
     # the constant term starts at 1
-    lowest = range(min(1, n - 1), p)
-    for lower in itertools.product(lowest, *[range(p)] * (n - 1)):
+    for lower in _in_order(range(min(1, n - 1), p), p, n):
         cand = lower + (1,)
         if _irreducible(cand, p):
             return cand
@@ -273,7 +282,7 @@ class GaloisField:
     def _find_alpha(self) -> int:
         # the class of x (zero when the modulus is x itself), then polynomial order
         x = ((0, 1) + (0,) * self.degree)[: self.degree]
-        in_order = itertools.product(range(self.p), repeat=self.degree)
+        in_order = _in_order(range(self.p), self.p, self.degree)
         factors = _prime_factors(self.q - 1)
         for digits in itertools.chain([x], in_order):
             g = self._pack(digits)

@@ -723,16 +723,13 @@ def test_cycle_report_walks_its_own_row_pairs_once(ref_spec_a):
 
 
 def test_distance_profile_charges_one_budget(ref_spec_a):
-    # when the check holds, the profile charges it and the column distances
-    # for j < mu, and reads d_mu and the free distance off it
-    charges = [_charge(an.check_distance_assumptions, ref_spec_a)]
-    charges += [_charge(an.column_distance, ref_spec_a, j) for j in range(5)]
-    assert charges == [21, 3, 6, 6, 6, 6]
-    assert _charge(an.distance_profile, ref_spec_a) == sum(charges) == 48
-    budget = (max(charges) + sum(charges)) // 2
-    an.check_distance_assumptions(ref_spec_a, budget=budget)
+    # when the check holds, the profile charges the check alone and reads
+    # every distance off it
+    check = _charge(an.check_distance_assumptions, ref_spec_a)
+    assert _charge(an.distance_profile, ref_spec_a) == check == 21
+    an.distance_profile(ref_spec_a, budget=check)
     with pytest.raises(HorizonTooLarge):
-        an.distance_profile(ref_spec_a, budget=budget)
+        an.distance_profile(ref_spec_a, budget=check - 1)
 
 
 def test_failing_check_profile_searches_every_distance():
@@ -749,17 +746,20 @@ def test_failing_check_profile_searches_every_distance():
 
 
 # n = 3 families at the distance frontier: a w = 5 DTS over GF(2^6), and
-# the optimal 6- and 7-mark rulers shifted to start at 1, each taken twice,
-# over GF(2^8) and GF(3^6).  Every check holds, so every column distance
-# and the free distance are as predicted; the steps are those of the check
-# and the column distances for j < mu.
+# the optimal 6-, 7- and 8-mark rulers shifted to start at 1, each taken
+# twice, over GF(2^8), GF(3^6) and GF(3^7).  Every check holds, so every
+# column distance and the free distance are as predicted; the steps are
+# those of the check alone.
 FRONTIER = [
-    ("1,2,5,10,12;1,4,6,14,15", 2, 6, 299,
+    ("1,2,5,10,12;1,4,6,14,15", 2, 6, 89,
      (2, 2, 2, 3, 3, 4, 4, 4, 4, 4, 4, 4, 4, 5, 6)),
-    ("1,2,5,11,13,18;1,2,5,11,13,18", 2, 8, 10211,
+    ("1,2,5,11,13,18;1,2,5,11,13,18", 2, 8, 130,
      (2, 3, 3, 3, 4, 4, 4, 4, 4, 4, 5, 5, 6, 6, 6, 6, 6, 7)),
-    ("1,2,5,11,19,24,26;1,2,5,11,19,24,26", 3, 6, 77515,
+    ("1,2,5,11,19,24,26;1,2,5,11,19,24,26", 3, 6, 219,
      (2, 3, 3, 3, 4, 4, 4, 4, 4, 4, 5, 5, 5, 5, 5, 5, 5, 5, 6, 6, 6, 6, 6, 7, 7, 8)),
+    ("1,2,5,10,16,23,33,35;1,2,5,10,16,23,33,35", 3, 7, 376,
+     (2, 3, 3, 3, 4, 4, 4, 4, 4, 5, 5, 5, 5, 5, 5, 6, 6, 6, 6, 6, 6, 6, 7, 7, 7, 7, 7, 7,
+      7, 7, 7, 7, 8, 8, 9)),
 ]
 
 
@@ -780,7 +780,7 @@ def test_distance_profile_at_the_frontier(sets, p, deg, used, columns):
 
 def test_strict_profile_runs_no_span_test_in_the_check_and_no_search_at_mu(monkeypatch):
     # a strict-valid DTS has no multi-row column: its check tests no span,
-    # and the profile searches the column distances for j < mu alone
+    # and the profile searches no distance at any horizon
     spans, searched = [], []
     in_span, search = an._in_span, an._min_weight_first_block
 
@@ -801,10 +801,37 @@ def test_strict_profile_runs_no_span_test_in_the_check_and_no_search_at_mu(monke
               for trial, (n, w) in enumerate(((2, 4), (3, 2), (3, 3), (4, 2), (4, 3)))]
     for spec in specs:
         spans.clear()
-        assert an.check_distance_assumptions(spec).holds
-        assert not spans, spec
         searched.clear()
         profile = an.distance_profile(spec)
-        assert searched == list(range(1, spec.mu + 1)), spec
+        assert profile.assumption_check.holds
+        assert not spans and not searched, spec
         assert profile.free.value == spec.w + 1
         assert profile == oracle_distance_profile(spec), spec
+
+
+def test_column_distances_when_the_check_holds_match_the_search():
+    # the profile's closed form against the exhaustive searches: where the
+    # check holds, each column distance is w_j + 1 and the free distance
+    # w + 1; where it fails, the profile is the oracle's
+    fields = [make_field(p, e) for p, e in ((2, 2), (3, 1), (5, 1), (2, 3), (3, 2), (7, 1))]
+    rng = random.Random(20)
+    specs = [CodeSpec(DifferenceTriangleSet(((3, 6), (3, 6))), fields[0], 3)]
+    for trial in range(36):
+        field = fields[trial % len(fields)]
+        n, w = rng.randint(2, 4), rng.randint(1, 4)
+        specs.append(CodeSpec(_random_relaxed_family(rng, n, w), field, n))
+        n, w = rng.randint(2, 3), rng.randint(2, 4)
+        specs.append(CodeSpec(_random_strict_family(rng, n, w), field, n))
+    held = {2: 0, 3: 0}
+    failed = {2: 0, 3: 0}
+    for spec in specs:
+        parity = 2 if spec.field.p == 2 else 3
+        if an.check_distance_assumptions(spec).holds:
+            held[parity] += 1
+            assert [an.column_distance(spec, j) for j in range(spec.mu + 1)] == [
+                an.minimal_column_weight(spec, j) + 1 for j in range(spec.mu + 1)], spec
+            assert an.free_distance(spec).value == spec.w + 1, spec
+        else:
+            failed[parity] += 1
+            assert an.distance_profile(spec) == oracle_distance_profile(spec), spec
+    assert all(held.values()) and all(failed.values()), (held, failed)

@@ -434,6 +434,12 @@ def test_cli_construct_refuses_a_negative_horizon(capsys):
                    "--field", "2^5", "--j", "-1") == (2, "", "error: horizon j must be >= 0\n")
 
 
+def test_cli_distance_refuses_a_negative_horizon(capsys):
+    assert run_cli(capsys, "distance", "--dts", "1,2,6;1,2,4", "--n", "3",
+                   "--field", "2^5", "--horizon", "-1") == (
+        2, "", "error: --horizon must be >= 0, got -1\n")
+
+
 def test_cli_distance_text_lower_bound(capsys):
     assert run_cli(capsys, "distance", "--dts", "1,2,6;1,2,4", "--n", "3",
                    "--field", "2^5", "--horizon", "2") == (

@@ -219,6 +219,23 @@ def test_canonical_alpha_for_prime_fields():
     assert GaloisField(7, 1).element_poly(GaloisField(7, 1).alpha_pow(1)) == (3,)
 
 
+def _smallest_primitive_root(p):
+    """Walk the powers of each candidate until they return to 1."""
+    for g in range(1, p):
+        order, x = 1, g
+        while x != 1:
+            x, order = x * g % p, order + 1
+        if order == p - 1:
+            return g
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 23, 41, 191, 257, 16381, 65521, 1048573])
+def test_prime_field_alpha_is_the_smallest_primitive_root(p):
+    f = GaloisField(p, 1)
+    assert f.modulus == (0, 1)
+    assert f.element_poly(f.alpha_pow(1)) == (_smallest_primitive_root(p),)
+
+
 def test_gf2_degenerate_exponents():
     f = GaloisField(2, 1)
     assert f.q == 2
