@@ -420,8 +420,11 @@ class AssumptionWitness:
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    holds: bool
     witnesses: tuple[AssumptionWitness, ...]
+
+    @property
+    def holds(self) -> bool:
+        return not self.witnesses
 
 
 def _span_pairs(multi: dict[int, list[int]], single: set[int], w: int):
@@ -450,9 +453,10 @@ def check_distance_assumptions(spec: CodeSpec, budget: int | Meter = DEFAULT_BUD
     size containing the support of column j1, the restricted column j1
     must stay outside the span of the other restricted columns.  Since
     that support already has w rows, only |I| = |J| = w occurs and I is
-    forced to the support itself, the rows R of T_j1.  So a witness is j1
-    with w-1 later columns of the sliding matrix at horizon mu spanning it
-    on R.
+    forced to the support itself, the rows R of T_j1.  So the check fails
+    when at most w-1 later columns of the sliding matrix at horizon mu
+    span j1 on R (j1 has n*mu + 1 >= w-1 later ones to pad them with), and
+    a witness is j1 with an inclusion-minimal set of them.
 
     The check is closed-form over the single-row columns.  On R, a later
     column is zero, a multiple of one unit vector e_r (single-row, on row
@@ -465,14 +469,13 @@ def check_distance_assumptions(spec: CodeSpec, budget: int | Meter = DEFAULT_BUD
     the rows outside R'.  Column j1 is nonzero on every row of R, so a
     row outside R' that P misses rules the span out: R' holds every row
     P misses, and an empty P never spans, as |R'| <= w-1 < |R|.  Hence
-    one span test decides each pair of ``_span_pairs``.  The witnesses are
-    the (w-1)-sets holding P and one single-row column per row of R' for
-    a spanning pair: such a set spans, as adding columns keeps a span,
-    and a spanning S holds its own pair.  So each spanning pair that holds
-    no earlier spanning pair is expanded with every choice of one
-    single-row column per row of R', padded with every choice of the
-    other later columns, and the witnesses are listed in the order of
-    their column sets.
+    one span test decides each pair of ``_span_pairs``.  Two single-row
+    columns on one row are multiples of the same e_r, so the minimal
+    spanning sets hold one single-row column per row of R' for a spanning
+    pair (P, R') that holds no other spanning pair, and each such set is
+    minimal, as dropping a column shrinks its pair.  A pair comes after
+    the pairs it holds, so these are the spanning pairs holding no earlier
+    one; the witnesses are their column sets, listed in order.
 
     A multi-row column meets rows r < r' of R and lies s blocks to the
     right of the first with a set T_k (a parity column meets one row), so
@@ -483,13 +486,12 @@ def check_distance_assumptions(spec: CodeSpec, budget: int | Meter = DEFAULT_BUD
     check holds with no span test.
 
     One step is charged per later column meeting R, one per pair tested
-    and one per padded column set, charged a pair at a time before the
-    sets are listed.
+    and one per witness, charged for every witness before any is listed.
     """
     matrix = spec.sliding_matrix(spec.mu)
     w = spec.w
     meter = as_meter(budget)
-    witnesses = []
+    minimal = []  # (rows, j1, P, the single-row columns of each row of R') per minimal pair
     for j1 in range(1, spec.n):
         rows = matrix.col_support(j1)
         met: dict[int, list[int]] = {}  # later column -> positions in rows it meets
@@ -507,25 +509,19 @@ def check_distance_assumptions(spec: CodeSpec, budget: int | Meter = DEFAULT_BUD
                 multi[c] = met[c]
         target = [matrix.get(r, j1) for r in rows]
         spanning: list[tuple[set[int], set[int]]] = []
-        combos = set()
         for part, deleted in _span_pairs(multi, set(single), w):
             if any(p <= part and d <= deleted for p, d in spanning):
                 continue
             meter.charge(1)
             kept = [b for b in range(w) if b not in deleted]
             vecs = [[matrix.get(rows[b], c) for b in kept] for c in sorted(part)]
-            if not _in_span(spec.field, [target[b] for b in kept], vecs):
-                continue
-            spanning.append((part, deleted))
-            for picks in itertools.product(*(single[b] for b in sorted(deleted))):
-                chosen = part.union(picks)
-                others = [c for c in range(j1 + 1, matrix.cols + 1) if c not in chosen]
-                pad = w - 1 - len(chosen)
-                meter.charge(math.comb(len(others), pad))
-                combos.update(tuple(sorted(chosen.union(extra)))
-                              for extra in itertools.combinations(others, pad))
-        witnesses += (AssumptionWitness(rows=rows, cols=(j1, *combo)) for combo in sorted(combos))
-    return AssumptionReport(holds=not witnesses, witnesses=tuple(witnesses))
+            if _in_span(spec.field, [target[b] for b in kept], vecs):
+                spanning.append((part, deleted))
+        minimal += ((rows, j1, part, [single[b] for b in sorted(deleted)]) for part, deleted in spanning)
+    meter.charge(sum(math.prod(map(len, picks)) for *_, picks in minimal))
+    witnesses = (AssumptionWitness(rows=rows, cols=(j1, *sorted(part.union(chosen))))
+                 for rows, j1, part, picks in minimal for chosen in itertools.product(*picks))
+    return AssumptionReport(witnesses=tuple(sorted(witnesses, key=lambda wit: wit.cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -579,10 +575,9 @@ def distance_profile(spec: CodeSpec, budget: int | Meter = DEFAULT_BUDGET) -> Di
     present at horizon mu.  On R, j1 less its combination of the support
     columns vanishes on R_j, so it is a combination of these w - i unit
     vectors, and j1 lies on all of R in the span of at most d - 1 + w - i
-    later columns of the sliding matrix at horizon mu.  If d <= i, that is at most
-    w - 1 columns; the matrix has at least n*mu + 1 >= w - 1 columns after
-    j1 (mu >= w - 1), so the nonzero ones among them, padded to w - 1,
-    are a witness, against the check.  So when the check holds,
+    later columns of the sliding matrix at horizon mu.  If d <= i, at most
+    w - 1 later columns span j1 on R, so they hold a minimal spanning set,
+    a witness, against the check.  So when the check holds,
     d >= i + 1 >= w_j + 1, and the single-symbol codeword truncated at j
     gives equality; at j = mu and for the free distance that is w + 1.
     When the check fails, every distance is searched.

@@ -280,14 +280,18 @@ class GaloisField:
         return acc
 
     def _find_alpha(self) -> int:
-        # the class of x (zero when the modulus is x itself), then polynomial order
-        x = ((0, 1) + (0,) * self.degree)[: self.degree]
-        in_order = _in_order(range(self.p), self.p, self.degree)
-        factors = _prime_factors(self.q - 1)
-        for digits in itertools.chain([x], in_order):
-            g = self._pack(digits)
-            if g and all(self._pow_packed(g, (self.q - 1) // r) != 1 for r in factors):
-                return g
+        # the class of x (zero when the modulus is x itself), then polynomial
+        # order.  With c the lowest nonzero digit, (c * g0)**e = 1 exactly
+        # when g0**e is the constant c**-e, so g0's powers serve its multiples
+        p, x = self.p, ((0, 1) + (0,) * self.degree)[: self.degree]
+        exponents = [(self.q - 1) // r for r in _prime_factors(self.q - 1)]
+        kept: dict[tuple[int, int], int] = {}  # (g0, e) -> g0**e, packed
+        for digits in itertools.chain([x], _in_order(range(p), p, self.degree)):
+            inv = pow(next((d for d in digits if d), 1), -1, p)
+            g0 = self._pack([d * inv % p for d in digits])
+            if g0 and all((kept.get((g0, e)) or kept.setdefault((g0, e), self._pow_packed(g0, e)))
+                          != pow(inv, e, p) for e in exponents):
+                return self._pack(digits)
         raise AssertionError("no primitive element found")  # pragma: no cover
 
     def _multiplier(self, c: int) -> Callable[[int], int]:

@@ -189,19 +189,22 @@ def oracle_min_weight_first_block(field, matrix, n_first, ub):
 
 
 def oracle_check_distance_assumptions(spec):
-    """Every set of w-1 later columns tested against each information column."""
+    """Every set of 1..w-1 later columns tested against each information
+    column, kept when it spans and no column of it can be dropped."""
     matrix = spec.sliding_matrix(spec.mu)
-    w = spec.w
     witnesses = []
     for j1 in range(1, spec.n):
         rows = matrix.col_support(j1)
         target = [matrix.get(r, j1) for r in rows]
         rest = range(j1 + 1, matrix.cols + 1)
-        for combo in itertools.combinations(rest, w - 1):
-            others = [[matrix.get(r, c) for r in rows] for c in combo]
-            if an._in_span(spec.field, target, others):
-                witnesses.append(an.AssumptionWitness(rows=rows, cols=(j1, *combo)))
-    return an.AssumptionReport(holds=not witnesses, witnesses=tuple(witnesses))
+        for size in range(1, spec.w):
+            for combo in itertools.combinations(rest, size):
+                vecs = [[matrix.get(r, c) for r in rows] for c in combo]
+                if an._in_span(spec.field, target, vecs) and not any(
+                        an._in_span(spec.field, target, vecs[:k] + vecs[k + 1:])
+                        for k in range(size)):
+                    witnesses.append(an.AssumptionWitness(rows=rows, cols=(j1, *combo)))
+    return an.AssumptionReport(witnesses=tuple(sorted(witnesses, key=lambda wit: wit.cols)))
 
 
 def oracle_column_distance(spec, j):
@@ -227,7 +230,7 @@ def oracle_distance_profile(spec):
 def test_support_search_matches_combination_oracle():
     fields = [make_field(p, e) for p, e in ((2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 5))]
     rng = random.Random(2009)
-    padded = failing = 0
+    failing = 0
     for trial in range(DISTANCE_FAMILIES):
         field = fields[trial % len(fields)]
         n, w = rng.randint(2, 4), rng.randint(1, 4)
@@ -240,11 +243,11 @@ def test_support_search_matches_combination_oracle():
             value=oracle_column_distance(spec, horizon), exact=False, horizon=horizon,
             upper_bound=w + 1), (spec, horizon)
         matrix = spec.sliding_matrix(spec.mu)
-        padded += any(all(matrix.get(r, c) is None for r in wit.rows)
-                      for wit in expected.assumption_check.witnesses for c in wit.cols[1:])
-    # some witnesses hold columns that vanish on the support rows, and
+        assert not any(all(matrix.get(r, c) is None for r in wit.rows)
+                       for wit in expected.assumption_check.witnesses for c in wit.cols[1:]), spec
+    # no witness holds a column that vanishes on the support rows, and
     # some profiles search every distance, as their check fails
-    assert padded and failing
+    assert failing
 
 
 def _random_strict_family(rng, n, w):
@@ -265,21 +268,21 @@ def test_assumption_check_matches_combination_oracle():
     for trial in range(12):
         n, w = rng.randint(2, 3), rng.randint(2, 3)
         specs.append(CodeSpec(_random_strict_family(rng, n, w), fields[trial % len(fields)], n))
-    # w = 5, with 198 and 19 witnesses
+    # w = 5, with 198 and 19 witnesses, all of w - 1 columns
     specs.append(CodeSpec(DifferenceTriangleSet.from_inline("1,2,5,10,12;1,2,5,10,12"), fields[0], 3))
     specs.append(CodeSpec(DifferenceTriangleSet.from_inline("1,2,5,10,12;1,3,8,11,12"), fields[3], 3))
-    droppable = 0
+    failing = 0
     for spec in specs:
         expected = oracle_check_distance_assumptions(spec)
         assert an.check_distance_assumptions(spec) == expected, spec
+        failing += not expected.holds
         matrix = spec.sliding_matrix(spec.mu)
         for wit in expected.witnesses:
             target, *vecs = ([matrix.get(r, c) for r in wit.rows] for c in wit.cols)
-            droppable += any(any(x is not None for x in vec) and an._in_span(
-                spec.field, target, vecs[:k] + vecs[k + 1:]) for k, vec in enumerate(vecs))
-    # some witness holds a column that meets the support rows yet can be
-    # dropped: its set comes from padding a smaller spanning support
-    assert droppable
+            assert not any(an._in_span(spec.field, target, vecs[:k] + vecs[k + 1:])
+                           for k in range(len(vecs))), (spec, wit)
+    # no witness column can be dropped, and some seeded checks fail
+    assert failing
 
 
 def test_closed_support_that_does_not_span_is_grown():
@@ -773,9 +776,33 @@ def test_distance_profile_at_the_frontier(sets, p, deg, used, columns):
                                    horizon=(spec.w - 1) * spec.mu + 1, upper_bound=spec.w + 1),
         predicted_free=spec.w + 1,
         predicted_column=columns,
-        assumption_check=an.AssumptionReport(holds=True, witnesses=()),
+        assumption_check=an.AssumptionReport(witnesses=()),
     )
     assert meter.used == used
+
+
+# the 7- and 8-mark rulers, each taken twice, over GF(4) and GF(8): both
+# checks fail, and list only their minimal spanning sets
+FAILING_FRONTIER = [
+    ("1,2,5,11,19,24,26;1,2,5,11,19,24,26", 2, 2, 15114, 15323),
+    ("1,2,5,10,16,23,33,35;1,2,5,10,16,23,33,35", 2, 3, 38010, 38383),
+]
+
+
+@pytest.mark.parametrize("sets, p, deg, witnesses, used", FAILING_FRONTIER)
+def test_failing_check_at_the_frontier(sets, p, deg, witnesses, used, monkeypatch):
+    spec = CodeSpec(DifferenceTriangleSet.from_inline(sets), make_field(p, deg), 3)
+    meter = an.Meter(an.DEFAULT_BUDGET)
+    report = an.check_distance_assumptions(spec, meter)
+    assert len(report.witnesses) == witnesses and meter.used == used
+    # the listing is charged whole, so a budget one step short of it is
+    # refused before any witness is built
+    built = []
+    witness = an.AssumptionWitness
+    monkeypatch.setattr(an, "AssumptionWitness", lambda **kw: built.append(kw) or witness(**kw))
+    with pytest.raises(HorizonTooLarge):
+        an.check_distance_assumptions(spec, used - 1)
+    assert not built
 
 
 def test_strict_profile_runs_no_span_test_in_the_check_and_no_search_at_mu(monkeypatch):

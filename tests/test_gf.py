@@ -200,11 +200,13 @@ def test_canonical_modulus(p, n, modulus):
 
 @pytest.mark.parametrize(
     "p,n,alpha",
-    # x is not primitive in these fields: x**14 + x**15, x**6 + 2x**8 + x**9, x**4 + x**5
+    # x is not primitive in these fields: x**14 + x**15, x**6 + 2x**8 + x**9,
+    # x**4 + x**5, and 1 + 9x after every multiple c*x of x, tested through x
     [
         (2, 16, (0,) * 14 + (1, 1)),
         (3, 10, (0,) * 6 + (1, 0, 2, 1)),
         (7, 6, (0, 0, 0, 0, 1, 1)),
+        (1021, 2, (1, 9)),
     ],
 )
 def test_canonical_alpha_for_big_fields(p, n, alpha):
