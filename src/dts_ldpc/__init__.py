@@ -10,7 +10,6 @@ from .analysis import (
     AssumptionReport,
     CycleReport,
     DistanceProfile,
-    FreeDistanceResult,
     MinorReport,
     TannerCycle,
     check_distance_assumptions,
@@ -70,7 +69,6 @@ __all__ = [
     "ExponentMatrix",
     "FieldElement",
     "FieldTooLarge",
-    "FreeDistanceResult",
     "GaloisField",
     "HorizonTooLarge",
     "IncompleteBlock",

@@ -79,16 +79,18 @@ class MinorFailure:
     rows: tuple[int, ...]
     cols: tuple[int, ...]
     pattern: str
-    determinant: FieldElement
 
 
 @dataclass(frozen=True)
 class MinorReport:
     size: int
     horizon: int
-    checked: int
     class_counts: dict[str, int]
     failures: tuple[MinorFailure, ...]
+
+    @property
+    def checked(self) -> int:
+        return sum(self.class_counts.values())
 
     @property
     def ok(self) -> bool:
@@ -103,7 +105,7 @@ class MinorReport:
             "class_counts": dict(sorted(self.class_counts.items())),
             "failures": [
                 {"rows": list(f.rows), "cols": list(f.cols),
-                 "pattern": f.pattern, "determinant": f.determinant}
+                 "pattern": f.pattern, "determinant": None}
                 for f in self.failures
             ],
         }
@@ -201,17 +203,15 @@ def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
         for cols in col_sets:
             total -= sum(all(col in s for col, s in zip(perm, sup))
                          for perm in itertools.permutations(cols)) - 1
-            d = gf.det(spec.field, matrix.submatrix(rows, cols))
-            if d is ZERO:
-                failures.append(MinorFailure(rows, cols, _pattern(sup, cols), d))
+            if gf.det(spec.field, matrix.submatrix(rows, cols)) is ZERO:
+                failures.append(MinorFailure(rows, cols, _pattern(sup, cols)))
         full = math.comb(common, size)
         counts[PATTERN_FULL] += full
         counts[PATTERN_CYCLE] += cycle
         counts[PATTERN_MIXED] += total - full - cycle
     if size == 2:
         del counts[PATTERN_CYCLE]
-    return MinorReport(size=size, horizon=j, checked=sum(counts.values()),
-                       class_counts=counts, failures=tuple(failures))
+    return MinorReport(size=size, horizon=j, class_counts=counts, failures=tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +222,6 @@ def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
 class TannerCycle:
     rows: tuple[int, ...]
     cols: tuple[int, ...]
-    matrix: tuple[tuple[FieldElement, ...], ...]
     singular: bool
 
 
@@ -231,8 +230,11 @@ class CycleReport:
     length: int
     horizon: int
     cycles: tuple[TannerCycle, ...]
-    frc_failures: tuple[TannerCycle, ...]
     girth: Optional[int]
+
+    @property
+    def frc_failures(self) -> tuple[TannerCycle, ...]:
+        return tuple(c for c in self.cycles if c.singular)
 
     @property
     def ok(self) -> bool:
@@ -253,7 +255,7 @@ class CycleReport:
 
 def enumerate_cycles(spec: CodeSpec, length: int, j: Optional[int] = None,
                      budget: int | Meter = DEFAULT_BUDGET) -> CycleReport:
-    """All Tanner-graph cycles of the given length with their cycle matrices.
+    """All Tanner-graph cycles of the given length, each marked singular or not.
 
     A cycle of length 2d is recorded through the d rows and d columns it
     touches; the full-rank condition fails exactly when the determinant of
@@ -267,9 +269,8 @@ def enumerate_cycles(spec: CodeSpec, length: int, j: Optional[int] = None,
     meter = as_meter(budget)
     cycles = []
     for rows, _, _, walks in _row_tuples(matrix, length // 2, meter, _walks):
-        for cols in walks:
-            grid = tuple(map(tuple, matrix.submatrix(rows, cols)))
-            cycles.append(TannerCycle(rows, cols, grid, gf.det(spec.field, grid) is ZERO))
+        cycles += (TannerCycle(rows, cols, gf.det(spec.field, matrix.submatrix(rows, cols)) is ZERO)
+                   for cols in walks)
     # the girth: with no 4-cycle, every 6-cycle is chordless, so walked; the
     # other length is walked only when it decides, up to its first cycle
     others = (walks for *_, walks in _row_tuples(matrix, 5 - length // 2, meter, _walks))
@@ -277,10 +278,7 @@ def enumerate_cycles(spec: CodeSpec, length: int, j: Optional[int] = None,
         girth = 4 if cycles else 6 if any(others) else None
     else:
         girth = 4 if any(others) else 6 if cycles else None
-    return CycleReport(
-        length=length, horizon=j, cycles=tuple(cycles),
-        frc_failures=tuple(c for c in cycles if c.singular), girth=girth,
-    )
+    return CycleReport(length=length, horizon=j, cycles=tuple(cycles), girth=girth)
 
 
 # ---------------------------------------------------------------------------
@@ -371,41 +369,23 @@ def column_distance(spec: CodeSpec, j: int, budget: int | Meter = DEFAULT_BUDGET
     return _min_weight_first_block(spec.field, matrix, spec.n, ub, as_meter(budget))
 
 
-@dataclass(frozen=True)
-class FreeDistanceResult:
-    value: int
-    exact: bool
-    horizon: int
-    upper_bound: int
-
-
 def exact_horizon(spec: CodeSpec) -> int:
     """Smallest search horizon at which ``free_distance`` is exact."""
     return (spec.w - 1) * spec.mu + 1
 
 
-def free_distance(spec: CodeSpec, horizon: Optional[int] = None,
-                  budget: int | Meter = DEFAULT_BUDGET) -> FreeDistanceResult:
-    """Free distance, exact whenever the search horizon covers it.
+def free_distance(spec: CodeSpec, budget: int | Meter = DEFAULT_BUDGET) -> int:
+    """Exact free distance.
 
     A weight-(w+1) codeword always exists (one information symbol plus the
     w parities its column forces), so only weights up to w are searched.
     A minimum-weight codeword splits into two shorter ones as soon as its
     information word has mu consecutive zero blocks, hence searching
-    degrees up to (w-1)*mu is exhaustive and the result exact; a larger
-    horizon is searched only that far.  With a smaller explicit horizon the
-    column distance at that horizon is returned as a certified lower bound.
+    degrees up to (w-1)*mu, the ``exact_horizon``, is exhaustive.  The
+    column distance at a smaller horizon is a lower bound on it.
     """
-    if horizon is None:
-        horizon = exact_horizon(spec)
-    ub = spec.w + 1
-    exact = horizon >= exact_horizon(spec)
-    if exact:
-        matrix = spec.full_sliding_matrix(exact_horizon(spec) + 1)
-        value = _min_weight_first_block(spec.field, matrix, spec.n, ub, as_meter(budget))
-    else:
-        value = column_distance(spec, horizon, budget)
-    return FreeDistanceResult(value=value, exact=exact, horizon=horizon, upper_bound=ub)
+    matrix = spec.full_sliding_matrix(exact_horizon(spec) + 1)
+    return _min_weight_first_block(spec.field, matrix, spec.n, spec.w + 1, as_meter(budget))
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +511,8 @@ def check_distance_assumptions(spec: CodeSpec, budget: int | Meter = DEFAULT_BUD
 @dataclass(frozen=True)
 class DistanceProfile:
     column_distances: tuple[int, ...]
-    free: FreeDistanceResult
+    free: int
+    horizon: int
     predicted_free: int
     predicted_column: tuple[int, ...]
     assumption_check: AssumptionReport
@@ -540,10 +521,10 @@ class DistanceProfile:
         return {
             "schema": "distance-profile/v1",
             "column_distances": list(self.column_distances),
-            "free_distance": self.free.value,
-            "free_distance_exact": self.free.exact,
-            "free_distance_upper_bound": self.free.upper_bound,
-            "horizon": self.free.horizon,
+            "free_distance": self.free,
+            "free_distance_exact": True,
+            "free_distance_upper_bound": self.predicted_free,
+            "horizon": self.horizon,
             "predicted_free": self.predicted_free,
             "predicted_column": list(self.predicted_column),
             "assumption_holds": self.assumption_check.holds,
@@ -554,10 +535,12 @@ def distance_profile(spec: CodeSpec, budget: int | Meter = DEFAULT_BUDGET) -> Di
     """Column distances for j = 0..mu, the exact free distance and the
     assumption check, charged to one meter.
 
-    The check runs first.  When it holds, every column distance is
-    w_j + 1, the smallest weight an information column keeps after j + 1
-    rows plus one, and the free distance is w + 1, all read off it with
-    no search.  Take a kernel vector of weight d with a nonzero first
+    One step is charged per column distance reported, mu + 1 of them,
+    before anything is built, so a budget below that is refused at once;
+    then the check runs.  When it holds, every column distance is w_j + 1,
+    the smallest weight an information column keeps after j + 1 rows plus
+    one, and the free distance is w + 1, all read off it with no search.
+    Take a kernel vector of weight d with a nonzero first
     block, of the truncated sliding matrix at a horizon j <= mu or of the
     untruncated one that ``free_distance`` searches.  Later blocks start
     below row 1, so row 1 meets only columns of the first block; if the
@@ -583,18 +566,18 @@ def distance_profile(spec: CodeSpec, budget: int | Meter = DEFAULT_BUDGET) -> Di
     When the check fails, every distance is searched.
     """
     meter = as_meter(budget)
+    meter.charge(spec.mu + 1)
     check = check_distance_assumptions(spec, meter)
     predicted = tuple(minimal_column_weight(spec, j) + 1 for j in range(spec.mu + 1))
     if check.holds:
-        columns = predicted
-        free = FreeDistanceResult(value=spec.w + 1, exact=True, horizon=exact_horizon(spec),
-                                  upper_bound=spec.w + 1)
+        columns, free = predicted, spec.w + 1
     else:
         columns = tuple(column_distance(spec, j, meter) for j in range(spec.mu + 1))
-        free = free_distance(spec, budget=meter)
+        free = free_distance(spec, meter)
     return DistanceProfile(
         column_distances=columns,
         free=free,
+        horizon=exact_horizon(spec),
         predicted_free=spec.w + 1,
         predicted_column=predicted,
         assumption_check=check,

@@ -46,7 +46,14 @@ def _load_dts(args: argparse.Namespace) -> DifferenceTriangleSet:
             raise ValueError(f"cannot parse DTS file {args.dts_file!r}: {exc}") from None
 
 
+def _at_least(value: Optional[int], low: int, flag: str) -> None:
+    """Refuse an integer option below ``low``, naming its flag; ``None`` is unset."""
+    if value is not None and value < low:
+        raise ValueError(f"{flag} must be >= {low}, got {value}")
+
+
 def _build_spec(args: argparse.Namespace) -> CodeSpec:
+    _at_least(args.n, 2, "--n")
     return CodeSpec(_load_dts(args), _parse_field(args.field), args.n)
 
 
@@ -133,6 +140,7 @@ def _int_list(text: str, allowed: set[int], flag: str) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def _cmd_construct(args: argparse.Namespace) -> int:
+    _at_least(args.j, 0, "--j")
     spec = _build_spec(args)
     matrix = spec.base if args.j is None else spec.sliding_matrix(args.j)
     size = (matrix.rows * matrix.cols if args.out == "pretty"
@@ -148,6 +156,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    _at_least(args.j, 0, "--j")
     spec = _build_spec(args)
     meter = _meter(args.budget)
     j = spec.mu if args.j is None else args.j
@@ -186,22 +195,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_distance(args: argparse.Namespace) -> int:
-    if args.horizon is not None and args.horizon < 0:
-        raise ValueError(f"--horizon must be >= 0, got {args.horizon}")
+    _at_least(args.horizon, 0, "--horizon")
     spec = _build_spec(args)
     meter = _meter(args.budget)
     if args.horizon is not None and args.horizon < analysis.exact_horizon(spec):
-        free = analysis.free_distance(spec, args.horizon, meter)
+        # the column distance at the horizon bounds the free distance below
+        bound = analysis.column_distance(spec, args.horizon, meter)
         if args.json:
             _emit_json({
                 "schema": "distance-profile/v1",
-                "free_distance_lower_bound": free.value,
-                "free_distance_upper_bound": free.upper_bound,
-                "horizon": free.horizon,
+                "free_distance_lower_bound": bound,
+                "free_distance_upper_bound": spec.w + 1,
+                "horizon": args.horizon,
             })
         else:
-            print(f"free_distance: >= {free.value} (horizon {free.horizon}, "
-                  f"upper bound {free.upper_bound})")
+            print(f"free_distance: >= {bound} (horizon {args.horizon}, upper bound {spec.w + 1})")
         return 0
     profile = analysis.distance_profile(spec, budget=meter)
     if args.json:
@@ -209,8 +217,7 @@ def _cmd_distance(args: argparse.Namespace) -> int:
     else:
         print("column_distances:", " ".join(map(str, profile.column_distances)))
         print("predicted_column:", " ".join(map(str, profile.predicted_column)))
-        print(f"free_distance: {profile.free.value} (exact, "
-              f"upper bound {profile.free.upper_bound})")
+        print(f"free_distance: {profile.free} (exact, upper bound {profile.predicted_free})")
         print(f"predicted_free: {profile.predicted_free}")
         print("assumption_holds:", "yes" if profile.assumption_check.holds else "no")
     return 0

@@ -96,16 +96,16 @@ def test_criterion_02_reference_distance_profiles(ref_spec_a, ref_spec_b):
         elapsed = time.perf_counter() - t0
         results.append((name, got, want, free, elapsed))
     ok = all(
-        got == want and free.exact and free.value == 4 and elapsed < 10.0
+        got == want and free == 4 and elapsed < 10.0
         for _, got, want, free, elapsed in results
     )
     _line(2, ok, "; ".join(
-        f"{name}: d^c={got} d_free={free.value} in {elapsed:.2f}s"
+        f"{name}: d^c={got} d_free={free} in {elapsed:.2f}s"
         for name, got, _, free, elapsed in results
     ))
     for name, got, want, free, elapsed in results:
         assert got == want, name
-        assert free.exact and free.value == 4, name
+        assert free == 4, name
         assert elapsed < 10.0, name
 
 
@@ -120,8 +120,8 @@ def test_criterion_03_distance_predictions_across_sweep(gf32):
             continue
         held += 1
         free = an.free_distance(spec)
-        if not (free.exact and free.value == spec.w + 1):
-            misses.append((n, dts.sets, "free", free.value))
+        if free != spec.w + 1:
+            misses.append((n, dts.sets, "free", free))
             continue
         for j in range(spec.mu + 1):
             if an.column_distance(spec, j) != an.minimal_column_weight(spec, j) + 1:

@@ -7,12 +7,14 @@ patterns over characteristic-2 fields is asserted as ground truth.
 """
 
 import itertools
+import json
 import random
 import tracemalloc
 
 import pytest
 
 from dts_ldpc import analysis as an
+from dts_ldpc.cli import main
 from dts_ldpc.code import CodeSpec, ExponentMatrix, sliding_entry_origin
 from dts_ldpc.dts import DifferenceTriangleSet, validate
 from dts_ldpc.errors import BudgetExhausted, HorizonTooLarge
@@ -51,10 +53,7 @@ def test_reference_column_distance_sequences(ref_spec_a, ref_spec_b):
 
 def test_free_distance_of_references(ref_spec_a, ref_spec_b):
     for spec in (ref_spec_a, ref_spec_b):
-        res = an.free_distance(spec)
-        assert res.value == 4 == spec.w + 1
-        assert res.exact
-        assert res.upper_bound == 4
+        assert an.free_distance(spec) == 4 == spec.w + 1
 
 
 def test_minimal_column_weight_sequence(ref_spec_b):
@@ -64,13 +63,15 @@ def test_minimal_column_weight_sequence(ref_spec_b):
 def test_distance_profile_predictions_and_json(ref_spec_a):
     prof = an.distance_profile(ref_spec_a)
     assert prof.column_distances == prof.predicted_column == (2, 3, 3, 3, 3, 4)
-    assert prof.free.value == prof.predicted_free == 4
+    assert prof.free == prof.predicted_free == 4
+    assert prof.horizon == an.exact_horizon(ref_spec_a) == 11
     assert prof.assumption_check.holds
     d = prof.to_json_dict()
     assert d["schema"] == "distance-profile/v1"
     assert d["column_distances"] == [2, 3, 3, 3, 3, 4]
-    assert d["free_distance"] == 4
+    assert d["free_distance"] == d["free_distance_upper_bound"] == 4
     assert d["free_distance_exact"] is True
+    assert d["horizon"] == 11
     assert d["assumption_holds"] is True
 
 
@@ -82,46 +83,19 @@ def test_assumption_fails_on_identical_columns():
     assert not report.holds
     assert report.witnesses[0].rows == (3, 6)
     assert report.witnesses[0].cols == (1, 2)
-    res = an.free_distance(spec)
-    assert res.exact and res.value == 2 < spec.w + 1
+    assert an.free_distance(spec) == 2 < spec.w + 1
 
 
 def test_column_distances_nondecreasing_and_saturating(ref_spec_a, ref_spec_b):
     for spec in (ref_spec_a, ref_spec_b):
         seq = [an.column_distance(spec, j) for j in range(spec.mu + 1)]
         assert all(a <= b for a, b in zip(seq, seq[1:]))
-        assert seq[-1] == an.free_distance(spec).value
-
-
-@pytest.mark.parametrize("sets, p, deg", [
-    ("1,2,6;1,2,4", 2, 5),
-    ("1,2,6;2,3,5", 2, 5),
-    ("1,2,5,7;1,3,7,8", 2, 3),
-])
-def test_free_distance_past_the_exactness_threshold(sets, p, deg):
-    dts = DifferenceTriangleSet.from_inline(sets)
-    spec = CodeSpec(dts, make_field(p, deg), dts.num_sets + 1)
-    threshold = an.exact_horizon(spec)
-    outcomes = set()
-    for horizon in (threshold, threshold + 1, 40):
-        meter = an.Meter(an.DEFAULT_BUDGET)
-        res = an.free_distance(spec, horizon, meter)
-        assert res.exact and res.horizon == horizon
-        outcomes.add((res.value, meter.used))
-    assert len(outcomes) == 1
-
-
-def test_free_distance_lower_bound_mode(ref_spec_a):
-    res = an.free_distance(ref_spec_a, horizon=2)
-    assert not res.exact
-    assert res.value == 3 == an.column_distance(ref_spec_a, 2)
-    assert res.upper_bound == 4
+        assert seq[-1] == an.free_distance(spec)
 
 
 def test_trivial_code_free_distance(gf7):
     spec = CodeSpec(DifferenceTriangleSet(((1,),)), gf7, 2)
-    res = an.free_distance(spec)
-    assert res.exact and res.value == 2
+    assert an.free_distance(spec) == 2
 
 
 def _brute_force_column_distance(sets, field, n, j):
@@ -218,8 +192,8 @@ def oracle_distance_profile(spec):
         spec.field, spec.full_sliding_matrix(horizon + 1), spec.n, spec.w + 1)
     return an.DistanceProfile(
         column_distances=tuple(oracle_column_distance(spec, j) for j in range(spec.mu + 1)),
-        free=an.FreeDistanceResult(value=free, exact=True, horizon=horizon,
-                                   upper_bound=spec.w + 1),
+        free=free,
+        horizon=horizon,
         predicted_free=spec.w + 1,
         predicted_column=tuple(an.minimal_column_weight(spec, j) + 1
                                for j in range(spec.mu + 1)),
@@ -238,16 +212,41 @@ def test_support_search_matches_combination_oracle():
         expected = oracle_distance_profile(spec)
         assert an.distance_profile(spec) == expected, spec
         failing += not expected.assumption_check.holds
+        # a horizon below the exactness threshold, where `distance --horizon`
+        # reports the column distance as a lower bound on the free distance
         horizon = rng.randrange(an.exact_horizon(spec))
-        assert an.free_distance(spec, horizon) == an.FreeDistanceResult(
-            value=oracle_column_distance(spec, horizon), exact=False, horizon=horizon,
-            upper_bound=w + 1), (spec, horizon)
+        assert an.column_distance(spec, horizon) == oracle_column_distance(spec, horizon), (
+            spec, horizon)
         matrix = spec.sliding_matrix(spec.mu)
         assert not any(all(matrix.get(r, c) is None for r in wit.rows)
                        for wit in expected.assumption_check.witnesses for c in wit.cols[1:]), spec
     # no witness holds a column that vanishes on the support rows, and
     # some profiles search every distance, as their check fails
     assert failing
+
+
+def test_distance_below_the_threshold_prints_the_column_distance(capsys):
+    # below the exactness threshold, `distance --horizon H` reports the
+    # column distance at H as a lower bound on the free distance, and w + 1
+    # as an upper bound, in text and in JSON
+    fields = [make_field(p, e) for p, e in ((2, 2), (5, 1), (3, 2), (2, 3), (7, 1))]
+    rng = random.Random(22)
+    specs = [CodeSpec(DifferenceTriangleSet.from_inline("1,2,6;1,2,4"), make_field(2, 5), 3)]
+    for field in fields:
+        n, w = rng.randint(2, 4), rng.randint(1, 4)
+        specs.append(CodeSpec(_random_relaxed_family(rng, n, w), field, n))
+    for spec in specs:
+        argv = ["distance", "--dts", spec.dts.inline(), "--n", str(spec.n),
+                "--field", f"{spec.field.p}^{spec.field.degree}"]
+        for horizon in range(an.exact_horizon(spec)):
+            bound, upper = an.column_distance(spec, horizon), spec.w + 1
+            assert main([*argv, "--horizon", str(horizon)]) == 0
+            assert capsys.readouterr().out == (
+                f"free_distance: >= {bound} (horizon {horizon}, upper bound {upper})\n")
+            assert main([*argv, "--horizon", str(horizon), "--json"]) == 0
+            assert json.loads(capsys.readouterr().out) == {
+                "schema": "distance-profile/v1", "free_distance_lower_bound": bound,
+                "free_distance_upper_bound": upper, "horizon": horizon}
 
 
 def _random_strict_family(rng, n, w):
@@ -332,7 +331,8 @@ def test_minors_3x3_char2_cycle_collapses(ref_spec_a, ref_spec_b):
                                an.PATTERN_MIXED: 2415}
     assert tuple((f.rows, f.cols) for f in ra.failures) == REF_A_MINOR3_FAILURES
     assert all(f.pattern == an.PATTERN_CYCLE for f in ra.failures)
-    assert all(f.determinant is ZERO for f in ra.failures)
+    matrix = ref_spec_a.sliding_matrix(5)
+    assert all(det(ref_spec_a.field, matrix.submatrix(f.rows, f.cols)) is ZERO for f in ra.failures)
     rb = an.check_minors(ref_spec_b, 3)
     assert rb.checked == 1754
     assert rb.class_counts == {an.PATTERN_FULL: 0, an.PATTERN_CYCLE: 14,
@@ -401,12 +401,14 @@ def test_cycle_counts_girth_and_pattern_invariant(ref_spec_a, ref_spec_b):
         c6 = an.enumerate_cycles(spec, 6)
         assert (len(c4.cycles), len(c6.cycles)) == expected[id(spec)]
         assert c4.girth == c6.girth == 4
+        matrix = spec.sliding_matrix(spec.mu)
         for cyc in c4.cycles:
-            assert all(e is not None for row in cyc.matrix for e in row)
+            assert all(e is not None for row in matrix.submatrix(cyc.rows, cyc.cols) for e in row)
         for cyc in c6.cycles:
-            assert all(sum(e is not None for e in row) == 2 for row in cyc.matrix)
+            grid = matrix.submatrix(cyc.rows, cyc.cols)
+            assert all(sum(e is not None for e in row) == 2 for row in grid)
             for col in range(3):
-                assert sum(cyc.matrix[r][col] is not None for r in range(3)) == 2
+                assert sum(grid[r][col] is not None for r in range(3)) == 2
 
 
 def test_cycle_frc_failures_match_char2_collapses(ref_spec_a, ref_spec_b):
@@ -485,21 +487,18 @@ def _dense_sweep(spec, size, j):
             else:
                 pattern = an.PATTERN_MIXED
             counts[pattern] += 1
-            d = det(spec.field, grid)
-            if d is ZERO:
-                failures.append(an.MinorFailure(rows, cols, pattern, d))
+            singular = det(spec.field, grid) is ZERO
+            if singular:
+                failures.append(an.MinorFailure(rows, cols, pattern))
             if pattern == (an.PATTERN_FULL if size == 2 else an.PATTERN_CYCLE):
                 walk = cols
                 if size == 3:
                     # c12 meets rows 1 and 2, c23 rows 2 and 3, c13 rows 1 and 3
                     met = [nz[0][k] + 2 * nz[1][k] + 4 * nz[2][k] for k in range(3)]
                     walk = tuple(cols[met.index(m)] for m in (0b011, 0b110, 0b101))
-                walks.append((walk, an.TannerCycle(
-                    rows=rows, cols=cols, matrix=tuple(tuple(row) for row in grid),
-                    singular=d is ZERO)))
+                walks.append((walk, an.TannerCycle(rows=rows, cols=cols, singular=singular)))
         cycles += [cyc for _, cyc in sorted(walks, key=lambda wc: wc[0])]
-    report = an.MinorReport(size=size, horizon=j, checked=sum(counts.values()),
-                            class_counts=counts, failures=tuple(failures))
+    report = an.MinorReport(size=size, horizon=j, class_counts=counts, failures=tuple(failures))
     return report, cycles
 
 
@@ -525,8 +524,7 @@ def test_enumeration_matches_dense_sweep():
         for size, (report, cycles) in dense.items():
             assert an.check_minors(spec, size, j) == report, (spec, size, j)
             assert an.enumerate_cycles(spec, 2 * size, j) == an.CycleReport(
-                length=2 * size, horizon=j, cycles=tuple(cycles),
-                frc_failures=tuple(c for c in cycles if c.singular), girth=girth)
+                length=2 * size, horizon=j, cycles=tuple(cycles), girth=girth)
             failure_patterns |= {f.pattern for f in report.failures}
     assert failure_patterns == {an.PATTERN_FULL, an.PATTERN_CYCLE, an.PATTERN_MIXED}
 
@@ -726,13 +724,23 @@ def test_cycle_report_walks_its_own_row_pairs_once(ref_spec_a):
 
 
 def test_distance_profile_charges_one_budget(ref_spec_a):
-    # when the check holds, the profile charges the check alone and reads
-    # every distance off it
+    # when the check holds, the profile charges one step per column
+    # distance it reports and the check, and reads every distance off it
     check = _charge(an.check_distance_assumptions, ref_spec_a)
-    assert _charge(an.distance_profile, ref_spec_a) == check == 21
-    an.distance_profile(ref_spec_a, budget=check)
+    assert _charge(an.distance_profile, ref_spec_a) == ref_spec_a.mu + 1 + check == 27
+    an.distance_profile(ref_spec_a, budget=27)
     with pytest.raises(HorizonTooLarge):
-        an.distance_profile(ref_spec_a, budget=check - 1)
+        an.distance_profile(ref_spec_a, budget=26)
+
+
+def test_distance_profile_charges_its_size_before_the_check(ref_spec_a, monkeypatch):
+    # a budget below mu + 1 is refused before the check or a prediction runs
+    ran = []
+    monkeypatch.setattr(an, "check_distance_assumptions", lambda *args: ran.append(args))
+    monkeypatch.setattr(an, "minimal_column_weight", lambda *args: ran.append(args))
+    with pytest.raises(HorizonTooLarge, match="^6 steps exceed the budget of 5$"):
+        an.distance_profile(ref_spec_a, budget=5)
+    assert not ran
 
 
 def test_failing_check_profile_searches_every_distance():
@@ -742,9 +750,9 @@ def test_failing_check_profile_searches_every_distance():
     charges = [_charge(an.check_distance_assumptions, spec), _charge(an.free_distance, spec)]
     charges += [_charge(an.column_distance, spec, j) for j in range(spec.mu + 1)]
     assert charges == [11, 6, 0, 0, 3, 3, 3, 6]
-    assert _charge(an.distance_profile, spec) == sum(charges) == 32
+    assert _charge(an.distance_profile, spec) == spec.mu + 1 + sum(charges) == 38
     profile = an.distance_profile(spec)
-    assert not profile.assumption_check.holds and profile.free.value == 2
+    assert not profile.assumption_check.holds and profile.free == 2
     assert profile == oracle_distance_profile(spec)
 
 
@@ -752,15 +760,15 @@ def test_failing_check_profile_searches_every_distance():
 # the optimal 6-, 7- and 8-mark rulers shifted to start at 1, each taken
 # twice, over GF(2^8), GF(3^6) and GF(3^7).  Every check holds, so every
 # column distance and the free distance are as predicted; the steps are
-# those of the check alone.
+# mu + 1, one per column distance, and those of the check.
 FRONTIER = [
-    ("1,2,5,10,12;1,4,6,14,15", 2, 6, 89,
+    ("1,2,5,10,12;1,4,6,14,15", 2, 6, 104,
      (2, 2, 2, 3, 3, 4, 4, 4, 4, 4, 4, 4, 4, 5, 6)),
-    ("1,2,5,11,13,18;1,2,5,11,13,18", 2, 8, 130,
+    ("1,2,5,11,13,18;1,2,5,11,13,18", 2, 8, 148,
      (2, 3, 3, 3, 4, 4, 4, 4, 4, 4, 5, 5, 6, 6, 6, 6, 6, 7)),
-    ("1,2,5,11,19,24,26;1,2,5,11,19,24,26", 3, 6, 219,
+    ("1,2,5,11,19,24,26;1,2,5,11,19,24,26", 3, 6, 245,
      (2, 3, 3, 3, 4, 4, 4, 4, 4, 4, 5, 5, 5, 5, 5, 5, 5, 5, 6, 6, 6, 6, 6, 7, 7, 8)),
-    ("1,2,5,10,16,23,33,35;1,2,5,10,16,23,33,35", 3, 7, 376,
+    ("1,2,5,10,16,23,33,35;1,2,5,10,16,23,33,35", 3, 7, 411,
      (2, 3, 3, 3, 4, 4, 4, 4, 4, 5, 5, 5, 5, 5, 5, 6, 6, 6, 6, 6, 6, 6, 7, 7, 7, 7, 7, 7,
       7, 7, 7, 7, 8, 8, 9)),
 ]
@@ -772,8 +780,8 @@ def test_distance_profile_at_the_frontier(sets, p, deg, used, columns):
     meter = an.Meter(an.DEFAULT_BUDGET)
     assert an.distance_profile(spec, meter) == an.DistanceProfile(
         column_distances=columns,
-        free=an.FreeDistanceResult(value=spec.w + 1, exact=True,
-                                   horizon=(spec.w - 1) * spec.mu + 1, upper_bound=spec.w + 1),
+        free=spec.w + 1,
+        horizon=(spec.w - 1) * spec.mu + 1,
         predicted_free=spec.w + 1,
         predicted_column=columns,
         assumption_check=an.AssumptionReport(witnesses=()),
@@ -832,7 +840,7 @@ def test_strict_profile_runs_no_span_test_in_the_check_and_no_search_at_mu(monke
         profile = an.distance_profile(spec)
         assert profile.assumption_check.holds
         assert not spans and not searched, spec
-        assert profile.free.value == spec.w + 1
+        assert profile.free == spec.w + 1
         assert profile == oracle_distance_profile(spec), spec
 
 
@@ -857,7 +865,7 @@ def test_column_distances_when_the_check_holds_match_the_search():
             held[parity] += 1
             assert [an.column_distance(spec, j) for j in range(spec.mu + 1)] == [
                 an.minimal_column_weight(spec, j) + 1 for j in range(spec.mu + 1)], spec
-            assert an.free_distance(spec).value == spec.w + 1, spec
+            assert an.free_distance(spec) == spec.w + 1, spec
         else:
             failed[parity] += 1
             assert an.distance_profile(spec) == oracle_distance_profile(spec), spec

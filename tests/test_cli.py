@@ -431,7 +431,27 @@ def test_cli_construct_charges_its_output_before_building_it(capsys, monkeypatch
 
 def test_cli_construct_refuses_a_negative_horizon(capsys):
     assert run_cli(capsys, "construct", "--dts", "1,2,6;1,2,4", "--n", "3",
-                   "--field", "2^5", "--j", "-1") == (2, "", "error: horizon j must be >= 0\n")
+                   "--field", "2^5", "--j", "-1") == (2, "", "error: --j must be >= 0, got -1\n")
+
+
+def test_cli_verify_refuses_a_negative_horizon(capsys):
+    assert run_cli(capsys, "verify", "--dts", "1,2,6;1,2,4", "--n", "3",
+                   "--field", "2^5", "--j", "-1") == (2, "", "error: --j must be >= 0, got -1\n")
+
+
+@pytest.mark.parametrize("command", ["construct", "verify", "distance"])
+@pytest.mark.parametrize("n", ["-3", "0", "1"])
+def test_cli_refuses_a_block_length_below_2(capsys, command, n):
+    assert run_cli(capsys, command, "--dts", "1,2,6;1,2,4", "--n", n, "--field", "2^5") == (
+        2, "", f"error: --n must be >= 2, got {n}\n")
+
+
+def test_cli_distance_charges_its_profile_before_building_it(capsys):
+    # mu = 2999999: the profile reports 3000000 column distances, refused
+    # before any is built
+    assert run_cli(capsys, "distance", "--dts", "1,3000000", "--n", "2", "--field", "2^5",
+                   "--budget", "1000") == (
+        2, "", "error: 3000000 steps exceed the budget of 1000\n")
 
 
 def test_cli_distance_refuses_a_negative_horizon(capsys):
