@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from . import gf
-from .code import CodeSpec, ExponentMatrix, Memo
-from .errors import DEFAULT_BUDGET, Meter, as_meter
+from .code import CodeSpec, ExponentMatrix
+from .errors import DEFAULT_BUDGET, Memo, Meter, as_meter
 from .gf import ZERO, FieldElement, GaloisField
 
 PATTERN_FULL = "fully-nonzero"

@@ -224,6 +224,8 @@ def _cmd_distance(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    _at_least(args.sets, 1, "--sets")
+    _at_least(args.size, 1, "--size")
     try:
         result = search_min_scope(args.sets, args.size, mode=args.mode,
                                   min_element=args.min_element,
@@ -245,6 +247,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_density(args: argparse.Namespace) -> int:
+    for value, low, flag in ((args.n, 2, "--n"), (args.w, 1, "--w"), (args.mu, 0, "--mu")):
+        _at_least(value, low, flag)
     value = block_density(args.n, args.w, args.mu, args.len)
     if args.json:
         _emit_json({"schema": "density/v1", "density": str(value),
@@ -255,6 +259,8 @@ def _cmd_density(args: argparse.Namespace) -> int:
 
 
 def _cmd_suggest_field(args: argparse.Namespace) -> int:
+    for value, low, flag in ((args.n, 2, "--n"), (args.scope, 1, "--scope"), (args.w, 1, "--w")):
+        _at_least(value, low, flag)
     params = min_field_params(args.n, args.scope, args.w)
     # str() refuses ints past its digit limit; the exponent is at most
     # N_3x3 or the bit length of q_2x2, so it prints once they do, and

@@ -14,7 +14,8 @@ keeps every row its block columns touch.  Either is a tiling of the base
 matrix by ``ExponentMatrix``, the one matrix class: made in constant time
 and memory at any horizon, its entries and supports read off the base on
 demand.  The last code symbol of each block is the parity; the encoder
-is systematic.
+is systematic, and it and the syndrome multiply by the untruncated
+sliding matrix, the same tiling that the analyses read.
 
 Indexing note: matrix rows and columns are 1-based everywhere, matching
 the reports.  Entry exponents depend on the 1-based row index, so this is
@@ -28,23 +29,11 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .dts import DifferenceTriangleSet, validate
-from .errors import IncompleteBlock, SetCountMismatch, ZeroElementInDTS
+from .errors import IncompleteBlock, Memo, SetCountMismatch, ZeroElementInDTS
 from .gf import ZERO, FieldElement, GaloisField, _is_prime
-
-
-class Memo(dict):
-    """``fn(key)`` for each key, computed on first use and kept."""
-
-    def __init__(self, fn: Callable):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
 
 
 class ExponentMatrix:
@@ -131,15 +120,9 @@ class ExponentMatrix:
     def col_support(self, c: int) -> tuple[int, ...]:
         return tuple(self._columns[c])
 
-    def column(self, c: int) -> list[FieldElement]:
-        return [self.get(r, c) for r in range(1, self.rows + 1)]
-
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> list[list[FieldElement]]:
         columns = [self._columns[c] for c in cols]
         return [[col.get(r) for col in columns] for r in rows]
-
-    def to_dense(self) -> list[list[FieldElement]]:
-        return self.submatrix(range(1, self.rows + 1), range(1, self.cols + 1))
 
     def items(self) -> Iterator[tuple[int, int, int]]:
         """``(row, col, exponent)`` of every nonzero entry, in row-major order."""
@@ -285,47 +268,32 @@ class CodeSpec:
     def encode(self, message: Sequence[Sequence[FieldElement]]) -> list[tuple[FieldElement, ...]]:
         """Systematic encoding: each output block is (u_t, p_t).
 
-        The parity of block t cancels the weighted sum of the current and
-        the mu previous information blocks, so the codeword extends mu
-        blocks past the message.
+        Block t's parity column meets row t + 1 alone, as 1, so p_t is minus
+        row t + 1 of the syndrome of the message with every parity zero; the
+        codeword extends mu blocks past the message.
         """
-        info = [self._check_block(b) for b in message]
+        info = [tuple(b) for b in message]
+        for b in info:
+            if len(b) != self.n - 1:
+                raise ValueError(f"information blocks have {self.n - 1} symbols, got {len(b)}")
         if not info:
             return []
-        pad = (ZERO,) * (self.n - 1)
-        return [(info[t] if t < len(info) else pad) + (self.field.neg(acc),)
-                for t, acc in enumerate(self._convolve(info))]
+        syndrome = self.syndrome([b + (ZERO,) for b in info])
+        info += [(ZERO,) * (self.n - 1)] * self.mu
+        return [b + (self.field.neg(s),) for b, s in zip(info, syndrome)]
 
     def syndrome(self, word: Sequence[Sequence[FieldElement]]) -> list[FieldElement]:
-        """Full sliding product; all-zero exactly when the word is a codeword."""
-        blocks = [tuple(b) for b in word]
-        for b in blocks:
+        """The word times the untruncated sliding matrix, one entry per row;
+        all-zero exactly when the word is a codeword."""
+        word = [tuple(b) for b in word]
+        for b in word:
             if len(b) != self.n:
                 raise ValueError(f"code blocks have {self.n} symbols, got {len(b)}")
-        return self._convolve(blocks)
-
-    def _convolve(self, blocks: Sequence[Sequence[FieldElement]]) -> list[FieldElement]:
-        """Block convolution sum_i H_i . blocks[t-i] for t < len(blocks) + mu.
-
-        Blocks shorter than n meet only the leading coefficients of each
-        H_i, so information blocks skip the parity column.
-        """
-        f = self.field
-        coeff = self.base.to_dense()  # row i + 1 is H_i
-        out = []
-        for t in range(len(blocks) + self.mu):
-            acc: FieldElement = ZERO
-            for i in range(max(0, t - len(blocks) + 1), min(t, self.mu) + 1):
-                for h, v in zip(coeff[i], blocks[t - i]):
-                    acc = f.add(acc, f.mul(h, v))
-            out.append(acc)
+        f, out = self.field, [ZERO] * (len(word) + self.mu)
+        for r, c, e in self.full_sliding_matrix(len(word)).items() if word else ():
+            t, k = divmod(c - 1, self.n)
+            out[r - 1] = f.add(out[r - 1], f.mul(e, word[t][k]))
         return out
-
-    def _check_block(self, block: Iterable[FieldElement]) -> tuple[FieldElement, ...]:
-        b = tuple(block)
-        if len(b) != self.n - 1:
-            raise ValueError(f"information blocks have {self.n - 1} symbols, got {len(b)}")
-        return b
 
     def __repr__(self) -> str:
         return f"CodeSpec(n={self.n}, w={self.w}, mu={self.mu}, {self.field!r})"

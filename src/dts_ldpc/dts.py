@@ -24,7 +24,7 @@ scope before.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DEFAULT_BUDGET, BudgetExhausted, Meter, as_meter, parse_digits

@@ -1,5 +1,7 @@
-"""Exception types, the work meter and the integer parser shared across
-the package."""
+"""Exception types, the work meter, the memo dict and the integer parser
+shared across the package."""
+
+from typing import Callable
 
 DEFAULT_BUDGET = 10**8
 
@@ -47,6 +49,18 @@ class Meter:
         self.used += steps
         if self.used > self.limit:
             raise HorizonTooLarge(f"{self.used} steps exceed the budget of {self.limit}")
+
+
+class Memo(dict):
+    """``fn(key)`` for each key, computed on first use and kept."""
+
+    def __init__(self, fn: Callable):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
 
 
 def as_meter(budget: int | Meter) -> Meter:

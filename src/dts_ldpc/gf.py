@@ -53,7 +53,7 @@ import itertools
 import math
 from typing import Callable, Iterator, Optional
 
-from .errors import FieldTooLarge, NonPrimeCharacteristic, UnsupportedSize
+from .errors import FieldTooLarge, Memo, NonPrimeCharacteristic, UnsupportedSize
 
 # Log-form field element: None is zero, an int e in 0..q-2 is alpha**e.
 FieldElement = Optional[int]
@@ -110,16 +110,11 @@ def _is_prime(n: int) -> bool:
 
 def _factor_prime_power(q: int) -> Optional[tuple[int, int]]:
     """(p, e) with q = p**e for a prime p, or None when q is no prime power."""
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            e = 0
-            while q % p == 0:
-                q //= p
-                e += 1
-            return (p, e) if q == 1 else None
-        p += 1 if p == 2 else 2
-    return (q, 1)
+    factors = _prime_factors(q)
+    if len(factors) != 1:
+        return None
+    # q is an exact power of p, so the float logarithm is off by far less than 1/2
+    return factors[0], round(math.log(q, factors[0]))
 
 
 def _poly_rem(f: list[int], g: tuple[int, ...], p: int) -> bool:
@@ -285,12 +280,11 @@ class GaloisField:
         # when g0**e is the constant c**-e, so g0's powers serve its multiples
         p, x = self.p, ((0, 1) + (0,) * self.degree)[: self.degree]
         exponents = [(self.q - 1) // r for r in _prime_factors(self.q - 1)]
-        kept: dict[tuple[int, int], int] = {}  # (g0, e) -> g0**e, packed
+        powers = Memo(lambda key: self._pow_packed(*key))  # (g0, e) -> g0**e, packed
         for digits in itertools.chain([x], _in_order(range(p), p, self.degree)):
             inv = pow(next((d for d in digits if d), 1), -1, p)
             g0 = self._pack([d * inv % p for d in digits])
-            if g0 and all((kept.get((g0, e)) or kept.setdefault((g0, e), self._pow_packed(g0, e)))
-                          != pow(inv, e, p) for e in exponents):
+            if g0 and all(powers[g0, e] != pow(inv, e, p) for e in exponents):
                 return self._pack(digits)
         raise AssertionError("no primitive element found")  # pragma: no cover
 
@@ -440,13 +434,11 @@ class GaloisField:
         return f"GF({self.q})" if self.degree == 1 else f"GF({self.p}^{self.degree})"
 
 
-_FIELDS: dict[tuple[int, int], GaloisField] = {}
+_FIELDS = Memo(lambda key: GaloisField(*key))  # (p, degree) -> the shared field
 
 
 def make_field(p: int, degree: int) -> GaloisField:
     """The canonical GF(p^degree), built once per process and then shared."""
-    if (p, degree) not in _FIELDS:
-        _FIELDS[p, degree] = GaloisField(p, degree)
     return _FIELDS[p, degree]
 
 

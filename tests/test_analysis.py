@@ -144,7 +144,8 @@ def test_span_criterion_matches_bruteforce(sets, p, deg, n):
 
 def oracle_min_weight_first_block(field, matrix, n_first, ub):
     """Smallest d such that a first-block column lies in the span of d-1 others."""
-    vectors = [matrix.column(c) for c in range(1, matrix.cols + 1)]
+    vectors = [[matrix.get(r, c) for r in range(1, matrix.rows + 1)]
+               for c in range(1, matrix.cols + 1)]
     masks = [sum(1 << (r - 1) for r in matrix.col_support(c))
              for c in range(1, matrix.cols + 1)]
     for d in range(1, ub):

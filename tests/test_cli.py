@@ -152,6 +152,12 @@ def test_alist_bounds_q_before_factoring_it(monkeypatch):
             from_alist(f"1 1 {q}\n1 1\n1\n1\n1 1\n1 1\n")
 
 
+@pytest.mark.parametrize("q", [0, 1, 6, 12])
+def test_alist_refuses_a_field_order_that_is_no_prime_power(q):
+    with pytest.raises(ValueError, match=f"^alist field order {q} is not a prime power$"):
+        from_alist(f"1 1 {q}\n1 1\n1\n1\n1 1\n1 1\n")
+
+
 def test_render_pretty_reference_base(dts_126_235, gf32):
     matrix = build_base_matrix(dts_126_235, gf32, 3)
     assert render_pretty(matrix) == EXAMPLE_B_PRETTY
@@ -444,6 +450,20 @@ def test_cli_verify_refuses_a_negative_horizon(capsys):
 def test_cli_refuses_a_block_length_below_2(capsys, command, n):
     assert run_cli(capsys, command, "--dts", "1,2,6;1,2,4", "--n", n, "--field", "2^5") == (
         2, "", f"error: --n must be >= 2, got {n}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("search", "--sets", "0", "--size", "3"), "--sets must be >= 1, got 0"),
+    (("search", "--sets", "1", "--size", "-2"), "--size must be >= 1, got -2"),
+    (("density", "--n", "1", "--w", "3", "--mu", "5", "--len", "6"), "--n must be >= 2, got 1"),
+    (("density", "--n", "3", "--w", "0", "--mu", "5", "--len", "6"), "--w must be >= 1, got 0"),
+    (("density", "--n", "3", "--w", "3", "--mu", "-9", "--len", "6"), "--mu must be >= 0, got -9"),
+    (("suggest-field", "--n", "-3", "--scope", "6", "--w", "3"), "--n must be >= 2, got -3"),
+    (("suggest-field", "--n", "3", "--scope", "0", "--w", "3"), "--scope must be >= 1, got 0"),
+    (("suggest-field", "--n", "3", "--scope", "6", "--w", "0"), "--w must be >= 1, got 0"),
+])
+def test_cli_range_refusals_name_the_flag(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
 def test_cli_distance_charges_its_profile_before_building_it(capsys):

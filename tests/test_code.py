@@ -39,8 +39,8 @@ def test_exponent_matrix_basics(gf32):
     assert m.get(1, 1) == 5 and m.get(1, 2) is ZERO
     assert m.nonzero_count == 2
     assert m.row_support(1) == (1,) and m.col_support(3) == (2,)
-    assert m.column(3) == [ZERO, 0]
-    assert m.to_dense() == [[5, None, None], [None, None, 0]]
+    assert m.submatrix([1, 2], [3]) == [[ZERO], [0]]
+    assert m.submatrix([1, 2], [1, 2, 3]) == [[5, None, None], [None, None, 0]]
     assert list(m.items()) == [(1, 1, 5), (2, 3, 0)]
     # a huge shape costs nothing: items() walks only the rows with entries,
     # and the layout keeps only the nonempty columns
@@ -285,6 +285,40 @@ def test_encode_syndrome_random_messages(gf32, gf7, dts_126_124, dts_126_235):
         assert all(s is ZERO for s in spec.syndrome(word))
         for t, block in enumerate(word[: len(msg)]):
             assert block[: spec.n - 1] == msg[t]
+
+
+def oracle_syndrome(spec, word):
+    """The word times the untruncated sliding matrix, written entry by entry
+    from ``sliding_entry_origin``: alpha^(base_row * index) where base_row
+    is in the support of the column's set, the parity's being {1}."""
+    f, symbols = spec.field, [x for block in word for x in block]
+    out = []
+    for r in range(1, len(word) + spec.mu + 1):
+        acc = ZERO
+        for c, x in enumerate(symbols, start=1):
+            base_row, index = sliding_entry_origin(spec.n, r, c)
+            if base_row in (spec.dts.sets[index - 1] if index else (1,)):
+                acc = f.add(acc, f.mul(f.alpha_pow(base_row * index), x))
+        out.append(acc)
+    return out
+
+
+def test_syndrome_matches_the_entrywise_oracle(ref_spec_a, ref_spec_b, gf7):
+    rng = random.Random(41)
+    specs = [ref_spec_a, ref_spec_b]
+    for field in (gf7, GaloisField(3, 2)):
+        n, w = rng.randint(3, 4), rng.randint(3, 4)
+        sets = []
+        while len(sets) < n - 1:
+            s = tuple(sorted(rng.sample(range(1, w + 4), w)))
+            if validate(DifferenceTriangleSet((s,)), "relaxed").valid:
+                sets.append(s)
+        specs.append(CodeSpec(DifferenceTriangleSet(tuple(sets)), field, n))
+    for trial in range(400):
+        spec = specs[trial % len(specs)]
+        els = list(spec.field.elements())
+        word = [tuple(rng.choice(els) for _ in range(spec.n)) for _ in range(rng.randint(0, 6))]
+        assert spec.syndrome(word) == oracle_syndrome(spec, word), (spec, word)
 
 
 def test_nonzero_syndrome_for_non_codeword(gf32, dts_126_124):

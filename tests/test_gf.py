@@ -8,7 +8,16 @@ import random
 import pytest
 
 from dts_ldpc.errors import FieldTooLarge, NonPrimeCharacteristic, UnsupportedSize
-from dts_ldpc.gf import ONE, ZERO, GaloisField, _is_prime, _prime_factors, det, make_field
+from dts_ldpc.gf import (
+    ONE,
+    ZERO,
+    GaloisField,
+    _factor_prime_power,
+    _is_prime,
+    _prime_factors,
+    det,
+    make_field,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +60,20 @@ def test_miller_rabin_is_exact_below_its_bound():
     # the bound is a strong pseudoprime to all 13 bases
     with pytest.raises(ValueError, match="decided exactly only below 3317044064679887385961981"):
         _is_prime(3317044064679887385961981)
+
+
+def test_factor_prime_power_matches_the_listed_powers():
+    # every prime power below 2**14, listed as the powers of each prime;
+    # 0 and 1 are no prime power
+    limit = 1 << 14
+    powers = {}
+    for p in range(2, limit):
+        if all(p % d for d in range(2, math.isqrt(p) + 1)):
+            q, e = p, 1
+            while q < limit:
+                powers[q] = (p, e)
+                q, e = q * p, e + 1
+    assert [_factor_prime_power(q) for q in range(limit)] == [powers.get(q) for q in range(limit)]
 
 
 def test_gf9_canonical_data_matches_frozen_values():
