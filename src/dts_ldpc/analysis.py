@@ -30,8 +30,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from . import gf
 from .code import CodeSpec, ExponentMatrix
@@ -74,15 +73,13 @@ def _in_span(field: GaloisField, target: Sequence[FieldElement],
 # minors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MinorFailure:
+class MinorFailure(NamedTuple):
     rows: tuple[int, ...]
     cols: tuple[int, ...]
     pattern: str
 
 
-@dataclass(frozen=True)
-class MinorReport:
+class MinorReport(NamedTuple):
     size: int
     horizon: int
     class_counts: dict[str, int]
@@ -218,15 +215,13 @@ def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
 # cycles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TannerCycle:
+class TannerCycle(NamedTuple):
     rows: tuple[int, ...]
     cols: tuple[int, ...]
     singular: bool
 
 
-@dataclass(frozen=True)
-class CycleReport:
+class CycleReport(NamedTuple):
     length: int
     horizon: int
     cycles: tuple[TannerCycle, ...]
@@ -392,14 +387,12 @@ def free_distance(spec: CodeSpec, budget: int | Meter = DEFAULT_BUDGET) -> int:
 # distance assumption check
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AssumptionWitness:
+class AssumptionWitness(NamedTuple):
     rows: tuple[int, ...]
     cols: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
+class AssumptionReport(NamedTuple):
     witnesses: tuple[AssumptionWitness, ...]
 
     @property
@@ -508,8 +501,7 @@ def check_distance_assumptions(spec: CodeSpec, budget: int | Meter = DEFAULT_BUD
 # combined profile
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DistanceProfile:
+class DistanceProfile(NamedTuple):
     column_distances: tuple[int, ...]
     free: int
     horizon: int

@@ -249,6 +249,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
 def _cmd_density(args: argparse.Namespace) -> int:
     for value, low, flag in ((args.n, 2, "--n"), (args.w, 1, "--w"), (args.mu, 0, "--mu")):
         _at_least(value, low, flag)
+    if args.w > args.mu + 1:
+        raise ValueError(f"--w must be <= --mu + 1 = {args.mu + 1}, got {args.w}")
     value = block_density(args.n, args.w, args.mu, args.len)
     if args.json:
         _emit_json({"schema": "density/v1", "density": str(value),

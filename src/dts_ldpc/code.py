@@ -26,10 +26,8 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .dts import DifferenceTriangleSet, validate
 from .errors import IncompleteBlock, Memo, SetCountMismatch, ZeroElementInDTS
@@ -176,8 +174,7 @@ def sliding_entry_origin(n: int, row: int, col: int) -> tuple[int, int]:
     return base_row, 0 if within == n - 1 else within + 1
 
 
-@dataclass(frozen=True)
-class MinFieldParams:
+class MinFieldParams(NamedTuple):
     """Field-size requirements for a given (n, scope) pair.
 
     q_2x2 and n_3x3 are the smallest values clearing the 2x2 and 3x3 minor
@@ -235,8 +232,12 @@ def density(n: int, w: int, mu: int, message_length: int) -> Fraction:
     """Fraction of nonzero entries in the untruncated parity-check matrix."""
     if n < 2 or w < 1 or mu < 0:
         raise ValueError("need n >= 2, w >= 1, mu >= 0")
+    if w > mu + 1:  # the marks lie in 1..mu+1
+        raise ValueError(f"need w <= mu + 1, got w = {w}, mu = {mu}")
     if message_length <= 0 or message_length % n:
         raise IncompleteBlock(f"message length {message_length} is not a multiple of n = {n}")
+    from fractions import Fraction  # here, as it loads decimal, which no other command needs
+
     return Fraction(w * (n - 1) + 1, mu * n + message_length)
 
 

@@ -24,8 +24,7 @@ scope before.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import DEFAULT_BUDGET, BudgetExhausted, Meter, as_meter, parse_digits
 
@@ -36,13 +35,17 @@ VALID_MODES = ("relaxed", "strict")
 Witness = tuple[int, int, int]
 
 
-@dataclass(frozen=True)
-class DifferenceTriangleSet:
+# a NamedTuple may not define __new__ in its own body, so the checks
+# live in a subclass
+class _Sets(NamedTuple):
     sets: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        norm = tuple(tuple(s) for s in self.sets)
-        object.__setattr__(self, "sets", norm)
+
+class DifferenceTriangleSet(_Sets):
+    __slots__ = ()
+
+    def __new__(cls, sets):
+        norm = tuple(tuple(s) for s in sets)
         if not norm:
             raise ValueError("at least one set is required")
         size = len(norm[0])
@@ -57,6 +60,11 @@ class DifferenceTriangleSet:
                 raise ValueError(f"set {i} contains a negative element")
             if any(b <= a for a, b in zip(s, s[1:])):
                 raise ValueError(f"set {i} is not strictly increasing")
+        return super().__new__(cls, norm)
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace validates too
+        return cls(*iterable)
 
     @property
     def num_sets(self) -> int:
@@ -109,14 +117,12 @@ def scope(dts: DifferenceTriangleSet) -> int:
     return dts.scope
 
 
-@dataclass(frozen=True)
-class DuplicateDifference:
+class DuplicateDifference(NamedTuple):
     value: int
     witnesses: tuple[Witness, ...]
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     mode: str
     valid: bool
     duplicates: tuple[DuplicateDifference, ...]
@@ -149,16 +155,14 @@ def validate(dts: DifferenceTriangleSet, mode: str = "relaxed") -> ValidationRep
     return ValidationReport(mode=mode, valid=not dups, duplicates=tuple(dups))
 
 
-@dataclass(frozen=True)
-class SearchCertificate:
+class SearchCertificate(NamedTuple):
     """Scopes proven infeasible by exhaustion before the minimum was found."""
 
     exhausted_scopes: tuple[int, ...]
     nodes: int
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     dts: DifferenceTriangleSet
     scope: int
     certificate: SearchCertificate

@@ -335,6 +335,10 @@ def test_density_golden_and_errors():
     for n, w, mu in [(3, 0, 5), (3, 3, -9), (-3, 3, 5), (0, 3, 5), (1, 3, 5)]:
         with pytest.raises(ValueError, match="need n >= 2"):
             density(n, w, mu, 6)
+    # the w marks lie in 1..mu+1
+    assert density(3, 3, 2, 3) == Fraction(7, 9)
+    with pytest.raises(ValueError, match=r"need w <= mu \+ 1, got w = 3, mu = 0"):
+        density(3, 3, 0, 3)
 
 
 def test_density_matches_untruncated_count():
