@@ -458,10 +458,10 @@ def test_cli_refuses_a_block_length_below_2(capsys, command, n):
     (("density", "--n", "1", "--w", "3", "--mu", "5", "--len", "6"), "--n must be >= 2, got 1"),
     (("density", "--n", "3", "--w", "0", "--mu", "5", "--len", "6"), "--w must be >= 1, got 0"),
     (("density", "--n", "3", "--w", "3", "--mu", "-9", "--len", "6"), "--mu must be >= 0, got -9"),
-    (("density", "--n", "3", "--w", "3", "--mu", "0", "--len", "3"), "--w must be <= --mu + 1 = 1, got 3"),
     (("suggest-field", "--n", "-3", "--scope", "6", "--w", "3"), "--n must be >= 2, got -3"),
     (("suggest-field", "--n", "3", "--scope", "0", "--w", "3"), "--scope must be >= 1, got 0"),
     (("suggest-field", "--n", "3", "--scope", "6", "--w", "0"), "--w must be >= 1, got 0"),
+    (("density", "--n", "3", "--w", "3", "--mu", "0", "--len", "3"), "--w must be <= --mu + 1 = 1, got 3"),
 ])
 def test_cli_range_refusals_name_the_flag(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
