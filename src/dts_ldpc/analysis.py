@@ -5,12 +5,14 @@ Three families of checks, all exact:
 * minors — every 2x2 or 3x3 submatrix of a sliding matrix whose zero
   pattern admits a nonzero transversal (one entry per row and column) is
   checked; any vanishing determinant is a failure witness.  Only those
-  with two or more nonzero transversals can vanish and are evaluated; the
-  count comes from inclusion-exclusion over the row supports;
+  with two or more nonzero transversals can vanish; those with exactly two
+  are decided by a divisibility test on their exponents, the rest are
+  evaluated; the count comes from inclusion-exclusion over the row supports;
 * cycles — 4-cycles (two rows sharing two columns) and 6-cycles (row and
   column triples whose submatrix has exactly two nonzeros per row and per
   column), walked over the same row tuples as the minors, together with
-  the full-rank condition on their cycle matrices;
+  the full-rank condition on their cycle matrices, decided by the same
+  two-term test;
 * distances — column distances and the free distance through the span
   criterion: the smallest d such that some column of the first block lies
   in the span of d-1 other columns, searched in increasing d.  The
@@ -167,6 +169,33 @@ def _pattern(sup: Sequence[set[int]], cols: Sequence[int]) -> str:
     return PATTERN_MIXED
 
 
+# the row permutations of a 2x2 or 3x3 minor, each with its parity
+_SIGNED_PERMUTATIONS = {
+    2: (((0, 1), 0), ((1, 0), 1)),
+    3: (((0, 1, 2), 0), ((0, 2, 1), 1), ((1, 0, 2), 1),
+        ((1, 2, 0), 0), ((2, 0, 1), 0), ((2, 1, 0), 1)),
+}
+
+
+def _transversals(grid: list[list[FieldElement]]) -> list[tuple[int, int]]:
+    """``(E, sigma)`` for each nonzero transversal of a square grid of
+    exponents: E the sum of its exponents and sigma the parity of its
+    permutation, so that it adds (-1)**sigma * alpha**E to the determinant."""
+    found = []
+    for perm, odd in _SIGNED_PERMUTATIONS[len(grid)]:
+        picked = list(map(list.__getitem__, grid, perm))
+        if None not in picked:
+            found.append((sum(picked), odd))
+    return found
+
+
+def _two_terms_cancel(field: GaloisField, terms: list[tuple[int, int]]) -> bool:
+    """Whether the two transversals ``terms`` sum to zero: with D = E1 - E2,
+    D = 0 mod (q - 1) when their parities differ, D = log(-1) when they agree."""
+    (e1, odd1), (e2, odd2) = terms
+    return (e1 - e2 - (field._neg_shift if odd1 == odd2 else 0)) % (field.q - 1) == 0
+
+
 def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
                  budget: int | Meter = DEFAULT_BUDGET) -> MinorReport:
     """Check every not-trivially-zero size x size minor of the sliding matrix.
@@ -177,14 +206,28 @@ def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
     rows, |A||B||C| - |A&B||C| - |A&C||B| - |B&C||A| + 2|A&B&C| for three.
     A column set with t nonzero transversals takes t of them, so the
     minors that admit one number T less the sum of t - 1 over the sets
-    with t >= 2.  Only those sets can vanish, and only they are evaluated.
+    with t >= 2.  Only those sets can vanish, and only they are decided.
     Fully-nonzero minors number C(|A&B(&C)|, size) and cycle-pattern ones
     the product over the row pairs of |pair meet| - |A&B&C|.
+
+    Every entry is a power of alpha, so a transversal whose exponents sum
+    to E and whose permutation has parity sigma adds (-1)**sigma * alpha**E
+    to the determinant, and one walk of the permutations over the exponents
+    gives t and these terms.  Two terms cancel exactly when
+    alpha**D = -(-1)**(sigma1 - sigma2) with D = E1 - E2: alpha**D = 1
+    when the parities differ and alpha**D = -1 when they agree.  Alpha has
+    order q - 1, so alpha**D = 1 iff D = 0 mod (q - 1).  For odd p, -1 is
+    the one element of order 2, alpha**((q - 1)/2); in characteristic 2,
+    -1 = 1 = alpha**0.  With s that exponent (``field._neg_shift``),
+    alpha**D = -1 iff D = s mod (q - 1).  So a set with two transversals is
+    decided by one divisibility test and no field operation; only sets of
+    three or more, which occur for 3x3 minors alone, are evaluated by
+    ``gf.det``.
     """
     if size not in (2, 3):
         raise ValueError(f"minor size must be 2 or 3, got {size}")
     j = spec.mu if j is None else j
-    matrix = spec.sliding_matrix(j)
+    matrix, field = spec.sliding_matrix(j), spec.field
     meter = as_meter(budget)
     counts = dict.fromkeys((PATTERN_FULL, PATTERN_CYCLE, PATTERN_MIXED), 0)
     failures = []
@@ -198,9 +241,11 @@ def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
             total = a * b * c - ab * c - ac * b - bc * a + 2 * common
             cycle = (ab - common) * (bc - common) * (ac - common)
         for cols in col_sets:
-            total -= sum(all(col in s for col, s in zip(perm, sup))
-                         for perm in itertools.permutations(cols)) - 1
-            if gf.det(spec.field, matrix.submatrix(rows, cols)) is ZERO:
+            grid = matrix.submatrix(rows, cols)
+            terms = _transversals(grid)
+            total -= len(terms) - 1
+            if (_two_terms_cancel(field, terms) if len(terms) == 2
+                    else gf.det(field, grid) is ZERO):
                 failures.append(MinorFailure(rows, cols, _pattern(sup, cols)))
         full = math.comb(common, size)
         counts[PATTERN_FULL] += full
@@ -256,6 +301,14 @@ def enumerate_cycles(spec: CodeSpec, length: int, j: Optional[int] = None,
     touches; the full-rank condition fails exactly when the determinant of
     that submatrix is zero.  Within a row triple, 6-cycles are ordered by
     their columns (c12, c23, c13) along the walk.
+
+    Each cycle is decided by the two-term rule of ``check_minors``, with no
+    field operation.  A 4-cycle's 2x2 submatrix is fully nonzero: its two
+    transversals are the identity (even) and the swap (odd), so it is
+    singular iff D = 0 mod (q - 1).  A chordless 6-cycle's 3x3 submatrix
+    has two nonzeros per row and column: its two transversals are the two
+    3-cycles, both even, so it is singular iff D = s mod (q - 1), with
+    alpha**s = -1; in characteristic 2, s = 0 and equal exponent sums cancel.
     """
     if length not in (4, 6):
         raise ValueError(f"cycle length must be 4 or 6, got {length}")
@@ -264,8 +317,8 @@ def enumerate_cycles(spec: CodeSpec, length: int, j: Optional[int] = None,
     meter = as_meter(budget)
     cycles = []
     for rows, _, _, walks in _row_tuples(matrix, length // 2, meter, _walks):
-        cycles += (TannerCycle(rows, cols, gf.det(spec.field, matrix.submatrix(rows, cols)) is ZERO)
-                   for cols in walks)
+        cycles += (TannerCycle(rows, cols, _two_terms_cancel(spec.field, _transversals(
+            matrix.submatrix(rows, cols)))) for cols in walks)
     # the girth: with no 4-cycle, every 6-cycle is chordless, so walked; the
     # other length is walked only when it decides, up to its first cycle
     others = (walks for *_, walks in _row_tuples(matrix, 5 - length // 2, meter, _walks))

@@ -263,6 +263,8 @@ def _cmd_density(args: argparse.Namespace) -> int:
 def _cmd_suggest_field(args: argparse.Namespace) -> int:
     for value, low, flag in ((args.n, 2, "--n"), (args.scope, 1, "--scope"), (args.w, 1, "--w")):
         _at_least(value, low, flag)
+    if args.w > args.scope:
+        raise ValueError(f"--w must be <= --scope = {args.scope}, got {args.w}")
     params = min_field_params(args.n, args.scope, args.w)
     # str() refuses ints past its digit limit; the exponent is at most
     # N_3x3 or the bit length of q_2x2, so it prints once they do, and

@@ -198,6 +198,8 @@ class MinFieldParams(NamedTuple):
 def min_field_params(n: int, scope: int, w: int) -> MinFieldParams:
     if n < 2 or scope < 1 or w < 1:
         raise ValueError("need n >= 2, scope >= 1, w >= 1")
+    if w > scope:  # the marks lie in 1..scope
+        raise ValueError(f"need w <= scope, got w = {w}, scope = {scope}")
     delta = scope - 1
     q_2x2 = (n - 1) * delta + 2
     n_3x3 = max(1, (delta - 1) * (n - 2) + 1)

@@ -8,6 +8,7 @@ patterns over characteristic-2 fields is asserted as ground truth.
 
 import itertools
 import json
+import math
 import random
 import tracemalloc
 
@@ -512,11 +513,18 @@ def _random_relaxed_family(rng, n, w):
     return DifferenceTriangleSet(tuple(sets))
 
 
+# Both parities: characteristic 2, where -1 = 1, and odd q = 1 and 3 mod 4,
+# where -1 = alpha**((q-1)/2) is a square and a non-square.
+DENSE_SWEEP_FIELDS = ((2, 2), (2, 3), (2, 5), (2, 8), (5, 1), (3, 2), (13, 1), (5, 2),
+                      (7, 1), (3, 3), (3, 5))
+DENSE_SWEEP_FAMILIES = 8 * len(DENSE_SWEEP_FIELDS)
+
+
 def test_enumeration_matches_dense_sweep():
-    fields = [make_field(p, e) for p, e in ((2, 2), (5, 1), (7, 1), (2, 3), (3, 3), (2, 5))]
+    fields = [make_field(p, e) for p, e in DENSE_SWEEP_FIELDS]
     rng = random.Random(2006)
-    failure_patterns = set()
-    for trial in range(FAMILIES):
+    failure_patterns = {2: set(), "odd": set()}  # by characteristic
+    for trial in range(DENSE_SWEEP_FAMILIES):
         field = fields[trial % len(fields)]
         n, w, j = rng.randint(2, 4), rng.randint(1, 4), rng.randint(0, 4)
         spec = CodeSpec(_random_relaxed_family(rng, n, w), field, n)
@@ -526,8 +534,68 @@ def test_enumeration_matches_dense_sweep():
             assert an.check_minors(spec, size, j) == report, (spec, size, j)
             assert an.enumerate_cycles(spec, 2 * size, j) == an.CycleReport(
                 length=2 * size, horizon=j, cycles=tuple(cycles), girth=girth)
-            failure_patterns |= {f.pattern for f in report.failures}
-    assert failure_patterns == {an.PATTERN_FULL, an.PATTERN_CYCLE, an.PATTERN_MIXED}
+            failure_patterns[2 if field.p == 2 else "odd"] |= {f.pattern for f in report.failures}
+    assert set().union(*failure_patterns.values()) == {an.PATTERN_FULL, an.PATTERN_CYCLE,
+                                                       an.PATTERN_MIXED}
+    # a 6-cycle cancels at alpha**D = -1, which is 1 in characteristic 2; odd
+    # fields also fail 2x2 minors, which cancel at alpha**D = 1
+    assert an.PATTERN_CYCLE in failure_patterns[2]
+    assert {an.PATTERN_FULL, an.PATTERN_CYCLE} <= failure_patterns["odd"]
+
+
+# Code A has no vanishable 3x3 set of three or more nonzero transversals at
+# j = 25, so gf.det never runs for it; the w = 4 family has 281 of them.
+@pytest.mark.parametrize("sets, failures, three_or_more", [("1,2,6;1,2,4", 65, 0),
+                                                           ("1,2,5,7;1,3,7,8", 342, 281)])
+def test_only_sets_of_three_or_more_transversals_are_evaluated(gf32, monkeypatch, sets,
+                                                               failures, three_or_more):
+    # at j = 25 over GF(32): two transversals are decided by their exponents,
+    # so gf.det runs once per set of three or more, and never for a cycle
+    spec = CodeSpec(DifferenceTriangleSet.from_inline(sets), gf32, 3)
+    counted = 0
+    for _, sup, _, col_sets in an._row_tuples(spec.sliding_matrix(25), 3,
+                                              an.Meter(an.DEFAULT_BUDGET), an._vanishable):
+        for cols in col_sets:
+            t = sum(all(c in s for c, s in zip(perm, sup)) for perm in itertools.permutations(cols))
+            counted += t >= 3
+    calls = []
+    monkeypatch.setattr(an.gf, "det", lambda field, grid: calls.append(grid) or det(field, grid))
+    assert len(an.check_minors(spec, 3, 25).failures) == failures
+    assert len(calls) == counted == three_or_more
+    calls.clear()
+    for length in (4, 6):
+        an.enumerate_cycles(spec, length, 25)
+    assert calls == []
+
+
+def _integer_exponent_sums(spec, rows, cols):
+    """The integer exponent sums of the nonzero transversals of a minor: an
+    entry is alpha**(base_row * index) for every field (``sliding_entry_origin``)."""
+    matrix = spec.sliding_matrix(max(rows) - 1)
+    return [sum(math.prod(sliding_entry_origin(spec.n, r, c)) for r, c in zip(rows, perm))
+            for perm in itertools.permutations(cols)
+            if all(matrix.get(r, c) is not None for r, c in zip(rows, perm))]
+
+
+def test_char2_3x3_failures_are_the_equal_sum_cycle_patterns(dts_126_124, dts_126_235):
+    # predicted with no field: the chordless 6-cycles at j = mu whose two
+    # transversals, both even, carry equal integer exponent sums, so their
+    # determinant is 2 * alpha**E, zero in every field of characteristic 2
+    for dts, expected in ((dts_126_124, REF_A_MINOR3_FAILURES),
+                          (dts_126_235, REF_B_MINOR3_FAILURES)):
+        pattern = CodeSpec(dts, make_field(2, 5), 3)
+        predicted = tuple(
+            (rows, cols)
+            for rows, _, _, walks in an._row_tuples(pattern.sliding_matrix(pattern.mu), 3,
+                                                    an.Meter(an.DEFAULT_BUDGET), an._walks)
+            for cols in walks
+            if len(set(_integer_exponent_sums(pattern, rows, cols))) == 1)
+        assert predicted == expected
+        assert all(len(_integer_exponent_sums(pattern, *f)) == 2 for f in expected)
+        for k in range(3, 14):
+            report = an.check_minors(CodeSpec(dts, make_field(2, k), 3), 3)
+            assert tuple((f.rows, f.cols) for f in report.failures) == expected, k
+            assert {f.pattern for f in report.failures} == {an.PATTERN_CYCLE}
 
 
 def _vanishable_oracle(sup, meets):

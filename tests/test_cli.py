@@ -462,6 +462,7 @@ def test_cli_refuses_a_block_length_below_2(capsys, command, n):
     (("suggest-field", "--n", "3", "--scope", "0", "--w", "3"), "--scope must be >= 1, got 0"),
     (("suggest-field", "--n", "3", "--scope", "6", "--w", "0"), "--w must be >= 1, got 0"),
     (("density", "--n", "3", "--w", "3", "--mu", "0", "--len", "3"), "--w must be <= --mu + 1 = 1, got 3"),
+    (("suggest-field", "--n", "3", "--scope", "2", "--w", "3"), "--w must be <= --scope = 2, got 3"),
 ])
 def test_cli_range_refusals_name_the_flag(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")

@@ -360,9 +360,12 @@ def test_min_field_params_golden():
     got = min_field_params(3, 6, 3)
     assert (got.q_2x2, got.n_3x3) == (12, 5)
     assert (got.p, got.n, got.q) == (2, 5, 32)
-    small = min_field_params(3, 2, 3)
+    small = min_field_params(3, 2, 2)
     assert (small.q_2x2, small.n_3x3) == (4, 1)
     assert small.q == 4
+    # no set of marks >= 1 has more marks than its scope
+    with pytest.raises(ValueError, match="^need w <= scope, got w = 3, scope = 2$"):
+        min_field_params(3, 2, 3)
     # rate 1/2 never constrains the extension degree
     assert min_field_params(2, 9, 3).n_3x3 == 1
 
@@ -388,7 +391,10 @@ def oracle_suggested_field(n, scope, w):
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_min_field_params_matches_stepping_oracle(n):
     for scope in range(1, 13):
-        for w in range(1, 5):
+        for w in range(scope + 1, 5):
+            with pytest.raises(ValueError):
+                min_field_params(n, scope, w)
+        for w in range(1, min(scope, 4) + 1):
             got = min_field_params(n, scope, w)
             if w >= 3 and got.n_3x3 > 16:
                 # the oracle would step through 2**N_3x3 values; 2**N_3x3 is
