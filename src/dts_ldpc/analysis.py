@@ -7,12 +7,14 @@ Three families of checks, all exact:
   checked; any vanishing determinant is a failure witness.  Only those
   with two or more nonzero transversals can vanish; those with exactly two
   are decided by a divisibility test on their exponents, the rest are
-  evaluated; the count comes from inclusion-exclusion over the row supports;
+  evaluated.  Only the row pairs and triples that meet are walked, a
+  number linear in the horizon; the count and the 3x3 completions of a
+  4-cycle by a row it misses come in closed form;
 * cycles — 4-cycles (two rows sharing two columns) and 6-cycles (row and
   column triples whose submatrix has exactly two nonzeros per row and per
-  column), walked over the same row tuples as the minors, together with
-  the full-rank condition on their cycle matrices, decided by the same
-  two-term test;
+  column), walked over the same row pairs and triples as the minors,
+  together with the full-rank condition on their cycle matrices, decided
+  by the same two-term test;
 * distances — column distances and the free distance through the span
   criterion: the smallest d such that some column of the first block lies
   in the span of d-1 other columns, searched in increasing d.  The
@@ -110,30 +112,72 @@ class MinorReport(NamedTuple):
         }
 
 
-def _increasing(high: int, size: int):
-    """The increasing pairs (size 2) or triples of 1..high in lexicographic
-    order, one at a time (``itertools.combinations`` would first copy the
-    whole range)."""
-    if size == 2:
-        return ((a, b) for a in range(1, high + 1) for b in range(a + 1, high + 1))
-    return ((a, b, c) for a in range(1, high + 1)
-            for b in range(a + 1, high + 1) for c in range(b + 1, high + 1))
+def _meets(matrix: ExponentMatrix, meter: Meter):
+    """``(supports, columns, meets)``: the support of row r as the set
+    ``supports[r]`` (``supports[0]`` is empty), the rows of column c in
+    increasing order ``columns[c]``, and the nonempty pair meets
+    ``meets[a, b]``, a < b, the sets of columns that rows a and b share.
+
+    Locality: column c of block t is its pattern column moved down t rows,
+    and the pattern has scope = mu + 1 rows, so the rows of a column lie
+    within mu + 1 consecutive rows, and rows more than mu apart share no
+    column.  So a row meets at most 2 mu others, and the supports, the
+    columns and the meets, built from the columns, take work linear in j.
+    The sweep is charged rows + cols before a row is read, so that a
+    horizon far past the budget is refused at once, then one step per meet
+    column, the sum of |M_ab|, which is the sum over the columns of
+    C(|col|, 2), before the meets are built.
+    """
+    meter.charge(matrix.rows + matrix.cols)
+    supports = [set()] + [set(matrix.row_support(r)) for r in range(1, matrix.rows + 1)]
+    columns: dict[int, list[int]] = {}
+    for r, sup in enumerate(supports):
+        for c in sup:
+            columns.setdefault(c, []).append(r)
+    meter.charge(sum(math.comb(len(rows), 2) for rows in columns.values()))
+    meets: dict[tuple[int, int], set[int]] = {}
+    for c, rows in columns.items():
+        for pair in itertools.combinations(rows, 2):
+            meets.setdefault(pair, set()).add(c)
+    return supports, columns, meets
 
 
-def _row_tuples(matrix: ExponentMatrix, size: int, meter: Meter, listed: Callable):
-    """``(rows, sup, meets, found)`` for each tuple of ``size`` rows in
-    lexicographic order: the row supports as sets, their pair meets
-    ``meets[a, b]`` and ``found = listed(sup, meets)``.  Each tuple is charged
-    ``1 + |union of sup| + len(found)`` before it is yielded, the one charge of
-    the minor, cycle and girth sweeps; rows are read only as the walk reaches them."""
-    supports = Memo(lambda r: set(matrix.row_support(r)))
-    pairs = list(itertools.combinations(range(size), 2))
-    for rows in _increasing(matrix.rows, size):
+def _triples(meets: dict, least: int) -> list[tuple[int, int, int]]:
+    """The row triples with ``least`` (2 or 3) or more nonempty pair meets,
+    in increasing order.  Such a triple has a row meeting both others, so
+    it is found from that row's neighbours, at most C(2 mu, 2) pairs of them
+    per row: their number is linear in j.
+
+    The other triples hold nothing to walk.  A 6-cycle needs all three
+    meets, and so do the fully-nonzero and cycle-pattern minors.  A triple
+    whose one nonempty meet is M_ab holds no 4-cycle of another pair, and
+    its third row r shares no column with a or b, so every completion of a
+    4-cycle of (a, b) by a column of r is factorable (``check_minors``)."""
+    neighbours: dict[int, list[int]] = {}
+    for a, b in meets:
+        neighbours.setdefault(a, []).append(b)
+        neighbours.setdefault(b, []).append(a)
+    found = set()
+    for row, near in neighbours.items():
+        for pair in itertools.combinations(sorted(near), 2):
+            if least == 2 or pair in meets:
+                found.add(tuple(sorted((row, *pair))))
+    return sorted(found)
+
+
+def _local_tuples(tuples, supports: list[set[int]], meets: dict, meter: Meter,
+                  listed: Callable):
+    """``(rows, sup, local, found)`` for each row tuple of ``tuples``: the
+    row supports, the pair meets ``local[a, b]`` by position in the tuple
+    and ``found = listed(sup, local)``.  Each tuple is charged
+    ``1 + len(found)`` before it is yielded."""
+    for rows in tuples:
         sup = [supports[r] for r in rows]
-        meets = {(a, b): sup[a] & sup[b] for a, b in pairs}
-        found = listed(sup, meets)
-        meter.charge(1 + len(set().union(*sup)) + len(found))
-        yield rows, sup, meets, found
+        local = {(a, b): meets.get((rows[a], rows[b]), set())
+                 for a, b in itertools.combinations(range(len(rows)), 2)}
+        found = listed(sup, local)
+        meter.charge(1 + len(found))
+        yield rows, sup, local, found
 
 
 def _walks(sup: Sequence[set[int]], meets: dict) -> list[tuple[int, ...]]:
@@ -145,17 +189,30 @@ def _walks(sup: Sequence[set[int]], meets: dict) -> list[tuple[int, ...]]:
         meets[0, 1] - sup[2], meets[1, 2] - sup[0], meets[0, 2] - sup[1]))]
 
 
-def _vanishable(sup: Sequence[set[int]], meets: dict) -> list[tuple[int, ...]]:
-    """Sorted column sets whose submatrix has two or more nonzero transversals:
-    the walks and, for three rows, the 4-cycles of a row pair completed by a
-    column of the third row.  Two such transversals differ on a 4-cycle or a
-    6-cycle, and a 6-cycle with a chord contains a 4-cycle, so it is already
-    one of the completed ones."""
+def _cycles(matrix: ExponentMatrix, supports: list[set[int]], meets: dict, meter: Meter,
+            tuples) -> list[TannerCycle]:
+    """The Tanner cycles through the row tuples ``tuples``, in order, each
+    decided by the two-term rule (``enumerate_cycles``)."""
+    return [TannerCycle(rows, cols, _two_terms_cancel(matrix.field, _transversals(
+        matrix.submatrix(rows, cols))))
+        for rows, *_, walks in _local_tuples(tuples, supports, meets, meter, _walks)
+        for cols in walks]
+
+
+def _near(sup: Sequence[set[int]], meets: dict) -> list[tuple[int, ...]]:
+    """Sorted column sets of a row triple with two or more nonzero
+    transversals that are not factorable (``check_minors``): its 6-cycles,
+    and the completions of a 4-cycle (c1, c2) of a row pair by a column c
+    of the third row, where that row meets c1 or c2 and c meets the pair.
+    Two transversals differ on a 4-cycle or a 6-cycle, and a 6-cycle with a
+    chord holds a 4-cycle, so these and the factorable completions are all
+    the column sets with two or more."""
     found = set(_walks(sup, meets))
-    if len(sup) == 3:
-        for (a, b), meet in meets.items():
-            for pair in itertools.combinations(meet, 2):
-                found.update(tuple(sorted({*pair, c})) for c in sup[3 - a - b] - set(pair))
+    for (a, b), meet in meets.items():
+        third, pair_rows = sup[3 - a - b], sup[a] | sup[b]
+        for pair in itertools.combinations(meet, 2):
+            if not third.isdisjoint(pair):
+                found.update(tuple(sorted({*pair, c})) for c in third & pair_rows - set(pair))
     return sorted(found)
 
 
@@ -196,6 +253,15 @@ def _two_terms_cancel(field: GaloisField, terms: list[tuple[int, int]]) -> bool:
     return (e1 - e2 - (field._neg_shift if odd1 == odd2 else 0)) % (field.q - 1) == 0
 
 
+def _elementary(weights: Sequence[int], size: int) -> int:
+    """The elementary symmetric sum of degree ``size`` of ``weights``."""
+    sums = [1] + [0] * size
+    for w in weights:
+        for k in range(size, 0, -1):
+            sums[k] += sums[k - 1] * w
+    return sums[size]
+
+
 def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
                  budget: int | Meter = DEFAULT_BUDGET) -> MinorReport:
     """Check every not-trivially-zero size x size minor of the sliding matrix.
@@ -210,6 +276,37 @@ def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
     Fully-nonzero minors number C(|A&B(&C)|, size) and cycle-pattern ones
     the product over the row pairs of |pair meet| - |A&B&C|.
 
+    Summed over all tuples in closed form, with w_r the row weights, W
+    their sum and M_ab the pair meets (``_meets``): T sums to
+    e2(w) - sum |M_ab| over the pairs.  Over the triples, the terms
+    |A&B||C| sum to sum over the row pairs of |M_ab| (W - w_a - w_b), as
+    each pair meets every other row once as the third, and |A&B&C| sums to
+    the number of column triples sharing a column: sum over the columns of
+    C(|col|, 3).  So T sums to e3(w) - sum |M_ab| (W - w_a - w_b)
+    + 2 sum C(|col|, 3), with only the pairs that meet in the second sum.
+    The fully-nonzero and cycle-pattern counts need all three meets, so
+    they are summed over the local triples (``_triples``) alone.
+
+    Factorable completions.  Take a 4-cycle (c1, c2) of rows a, b and a
+    column c of a third row r.  If row r is zero on c1 and c2, expanding
+    along row r gives det = +-entry(r, c) * det(rows a, b; cols c1, c2); if
+    column c is zero on rows a and b, expanding along column c gives the
+    same.  So the set has exactly two transversals, it vanishes exactly
+    when the 4-cycle does, and it is no 6-cycle, as row r, or column c,
+    has one nonzero in it.  It completes no other 4-cycle.  In the first
+    case, a 4-cycle of the set avoids row r, so it lies on rows a, b, and
+    the column completing it is r's one nonzero c: it is (c1, c2).  In the
+    second, a 4-cycle avoids column c, so it is (c1, c2), and the row
+    completing it meets c, so it is r and the 4-cycle lies on a, b.  So per
+    4-cycle, the third rows that meet neither c1 nor c2, every row but a
+    few within mu of a and b, give w_r factorable completions, and the rows
+    that meet c1 or c2 give w_r - |sup_r & (sup_a | sup_b)|; this count is
+    taken off T in closed form.  The rest, the near completions and the
+    6-cycles (``_near``), lie in the local triples and are evaluated one by
+    one.  Every failing factorable completion is a mixed pattern, listed
+    from the singular 4-cycles and charged one step each before it is
+    listed; the failures are sorted once, by rows and then columns.
+
     Every entry is a power of alpha, so a transversal whose exponents sum
     to E and whose permutation has parity sigma adds (-1)**sigma * alpha**E
     to the determinant, and one walk of the permutations over the exponents
@@ -221,25 +318,47 @@ def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
     -1 = 1 = alpha**0.  With s that exponent (``field._neg_shift``),
     alpha**D = -1 iff D = s mod (q - 1).  So a set with two transversals is
     decided by one divisibility test and no field operation; only sets of
-    three or more, which occur for 3x3 minors alone, are evaluated by
-    ``gf.det``.
+    three or more, which are near completions of 3x3 minors, are evaluated
+    by ``gf.det``.
+
+    Charges: those of ``_meets``, then 1 per meeting row pair and 1 per
+    4-cycle, then for 3x3 minors 1 per local triple and 1 per set it
+    evaluates, and 1 per failing factorable completion.
     """
     if size not in (2, 3):
         raise ValueError(f"minor size must be 2 or 3, got {size}")
     j = spec.mu if j is None else j
     matrix, field = spec.sliding_matrix(j), spec.field
     meter = as_meter(budget)
-    counts = dict.fromkeys((PATTERN_FULL, PATTERN_CYCLE, PATTERN_MIXED), 0)
+    supports, columns, meets = _meets(matrix, meter)
+    weights = list(map(len, supports))
+    four_cycles = _cycles(matrix, supports, meets, meter, sorted(meets))
+    if size == 2:
+        total = _elementary(weights, 2) - sum(map(len, meets.values())) - len(four_cycles)
+        failures = [MinorFailure(c.rows, c.cols, PATTERN_FULL) for c in four_cycles if c.singular]
+        counts = {PATTERN_FULL: len(four_cycles), PATTERN_MIXED: total - len(four_cycles)}
+        return MinorReport(size=size, horizon=j, class_counts=counts, failures=tuple(failures))
+    weight = sum(weights)
+    total = (_elementary(weights, 3) + 2 * sum(math.comb(len(rows), 3) for rows in columns.values())
+             - sum(len(m) * (weight - weights[a] - weights[b]) for (a, b), m in meets.items()))
     failures = []
-    for rows, sup, meets, col_sets in _row_tuples(matrix, size, meter, _vanishable):
-        common = len(meets[0, 1] & sup[-1])
-        if size == 2:
-            total, cycle = len(sup[0]) * len(sup[1]) - common, 0
-        else:
-            a, b, c = map(len, sup)
-            ab, bc, ac = (len(meets[k]) for k in ((0, 1), (1, 2), (0, 2)))
-            total = a * b * c - ab * c - ac * b - bc * a + 2 * common
-            cycle = (ab - common) * (bc - common) * (ac - common)
+    for (a, b), (c1, c2), singular in four_cycles:
+        pair_rows = supports[a] | supports[b]
+        near = {*columns[c1], *columns[c2]} - {a, b}
+        factorable = (weight - weights[a] - weights[b]
+                      - sum(len(supports[r] & pair_rows) for r in near))
+        total -= factorable
+        if singular:
+            meter.charge(factorable)
+            failures += (MinorFailure(tuple(sorted((a, b, r))), tuple(sorted((c1, c2, c))),
+                                      PATTERN_MIXED)
+                         for r in range(1, matrix.rows + 1) if r not in (a, b)
+                         for c in (supports[r] - pair_rows if r in near else supports[r]))
+    full = cycle = 0
+    for rows, sup, local, col_sets in _local_tuples(_triples(meets, 2), supports, meets, meter, _near):
+        common = len(local[0, 1] & sup[2])
+        full += math.comb(common, 3)
+        cycle += math.prod(len(m) - common for m in local.values())
         for cols in col_sets:
             grid = matrix.submatrix(rows, cols)
             terms = _transversals(grid)
@@ -247,13 +366,8 @@ def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
             if (_two_terms_cancel(field, terms) if len(terms) == 2
                     else gf.det(field, grid) is ZERO):
                 failures.append(MinorFailure(rows, cols, _pattern(sup, cols)))
-        full = math.comb(common, size)
-        counts[PATTERN_FULL] += full
-        counts[PATTERN_CYCLE] += cycle
-        counts[PATTERN_MIXED] += total - full - cycle
-    if size == 2:
-        del counts[PATTERN_CYCLE]
-    return MinorReport(size=size, horizon=j, class_counts=counts, failures=tuple(failures))
+    counts = {PATTERN_FULL: full, PATTERN_CYCLE: cycle, PATTERN_MIXED: total - full - cycle}
+    return MinorReport(size=size, horizon=j, class_counts=counts, failures=tuple(sorted(failures)))
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +414,10 @@ def enumerate_cycles(spec: CodeSpec, length: int, j: Optional[int] = None,
     A cycle of length 2d is recorded through the d rows and d columns it
     touches; the full-rank condition fails exactly when the determinant of
     that submatrix is zero.  Within a row triple, 6-cycles are ordered by
-    their columns (c12, c23, c13) along the walk.
+    their columns (c12, c23, c13) along the walk.  4-cycles are walked over
+    the row pairs that meet and 6-cycles over the row triples whose three
+    pair meets are nonempty (``_meets``, ``_triples``), charged as in
+    ``check_minors``, so a 4-cycle report charges what the 2x2 minors do.
 
     Each cycle is decided by the two-term rule of ``check_minors``, with no
     field operation.  A 4-cycle's 2x2 submatrix is fully nonzero: its two
@@ -315,17 +432,16 @@ def enumerate_cycles(spec: CodeSpec, length: int, j: Optional[int] = None,
     j = spec.mu if j is None else j
     matrix = spec.sliding_matrix(j)
     meter = as_meter(budget)
-    cycles = []
-    for rows, _, _, walks in _row_tuples(matrix, length // 2, meter, _walks):
-        cycles += (TannerCycle(rows, cols, _two_terms_cancel(spec.field, _transversals(
-            matrix.submatrix(rows, cols)))) for cols in walks)
-    # the girth: with no 4-cycle, every 6-cycle is chordless, so walked; the
-    # other length is walked only when it decides, up to its first cycle
-    others = (walks for *_, walks in _row_tuples(matrix, 5 - length // 2, meter, _walks))
+    supports, _, meets = _meets(matrix, meter)
+    cycles = _cycles(matrix, supports, meets, meter,
+                     sorted(meets) if length == 4 else _triples(meets, 3))
+    # the girth: a 4-cycle is a meet of two columns; with none, every
+    # 6-cycle is chordless, so walked, up to the first
     if length == 4:
-        girth = 4 if cycles else 6 if any(others) else None
+        girth = 4 if cycles else 6 if any(walks for *_, walks in _local_tuples(
+            _triples(meets, 3), supports, meets, meter, _walks)) else None
     else:
-        girth = 4 if any(others) else 6 if cycles else None
+        girth = 4 if any(len(meet) > 1 for meet in meets.values()) else 6 if cycles else None
     return CycleReport(length=length, horizon=j, cycles=tuple(cycles), girth=girth)
 
 

@@ -6,6 +6,7 @@ sequences and with cycle/minor inventories recomputed here independently
 patterns over characteristic-2 fields is asserted as ground truth.
 """
 
+import collections
 import itertools
 import json
 import math
@@ -457,6 +458,137 @@ def test_cycle_report_json(ref_spec_b):
 
 
 # ---------------------------------------------------------------------------
+# the dense walk: every row tuple, as an oracle for the local sweeps
+# ---------------------------------------------------------------------------
+
+def _increasing(high, size):
+    """The increasing pairs (size 2) or triples of 1..high in lexicographic
+    order, one at a time."""
+    if size == 2:
+        return ((a, b) for a in range(1, high + 1) for b in range(a + 1, high + 1))
+    return ((a, b, c) for a in range(1, high + 1)
+            for b in range(a + 1, high + 1) for c in range(b + 1, high + 1))
+
+
+def _row_tuples(matrix, size, listed):
+    """``(rows, sup, meets, found)`` for every tuple of ``size`` rows in
+    lexicographic order: the row supports as sets, their pair meets
+    ``meets[a, b]`` and ``found = listed(sup, meets)``."""
+    supports = [None] + [set(matrix.row_support(r)) for r in range(1, matrix.rows + 1)]
+    pairs = list(itertools.combinations(range(size), 2))
+    for rows in _increasing(matrix.rows, size):
+        sup = [supports[r] for r in rows]
+        meets = {(a, b): sup[a] & sup[b] for a, b in pairs}
+        yield rows, sup, meets, listed(sup, meets)
+
+
+def _vanishable(sup, meets, walks=None):
+    """Sorted column sets whose submatrix has two or more nonzero transversals:
+    the walks (``walks``, when given) and, for three rows, the 4-cycles of a
+    row pair completed by a column of the third row."""
+    found = set(an._walks(sup, meets) if walks is None else walks)
+    if len(sup) == 3:
+        for (a, b), meet in meets.items():
+            for pair in itertools.combinations(meet, 2):
+                found.update(tuple(sorted({*pair, c})) for c in sup[3 - a - b] - set(pair))
+    return sorted(found)
+
+
+def _walked_reports(spec, j):
+    """The minor reports of both sizes and the cycle reports of both
+    lengths, keyed 2, 3, 4 and 6, from one walk of every row pair and
+    triple: per tuple, inclusion-exclusion over the row supports for the
+    counts, and every column set of two or more nonzero transversals
+    decided by the two-term rule or ``det``."""
+    matrix, field = spec.sliding_matrix(j), spec.field
+    reports = {}
+
+    def listed(sup, meets):
+        walks = an._walks(sup, meets)
+        return walks, _vanishable(sup, meets, walks)
+
+    for size in (2, 3):
+        counts = dict.fromkeys((an.PATTERN_FULL, an.PATTERN_CYCLE, an.PATTERN_MIXED), 0)
+        failures, cycles = [], []
+        for rows, sup, meets, (walks, col_sets) in _row_tuples(matrix, size, listed):
+            common = len(meets[0, 1] & sup[-1])
+            if size == 2:
+                total, cycle = len(sup[0]) * len(sup[1]) - common, 0
+            else:
+                a, b, c = map(len, sup)
+                ab, bc, ac = len(meets[0, 1]), len(meets[1, 2]), len(meets[0, 2])
+                total = a * b * c - ab * c - ac * b - bc * a + 2 * common
+                cycle = (ab - common) * (bc - common) * (ac - common)
+            singular = {}
+            for cols in col_sets:
+                grid = matrix.submatrix(rows, cols)
+                terms = an._transversals(grid)
+                total -= len(terms) - 1
+                singular[cols] = (an._two_terms_cancel(field, terms) if len(terms) == 2
+                                  else det(field, grid) is ZERO)
+                if singular[cols]:
+                    failures.append(an.MinorFailure(rows, cols, an._pattern(sup, cols)))
+            cycles += (an.TannerCycle(rows, cols, singular[cols]) for cols in walks)
+            full = math.comb(common, size)
+            counts[an.PATTERN_FULL] += full
+            counts[an.PATTERN_CYCLE] += cycle
+            counts[an.PATTERN_MIXED] += total - full - cycle
+        if size == 2:
+            del counts[an.PATTERN_CYCLE]
+        reports[size] = an.MinorReport(size, j, counts, tuple(failures))
+        reports[2 * size] = cycles
+    girth = 4 if reports[4] else 6 if reports[6] else None
+    for length in (4, 6):
+        reports[length] = an.CycleReport(length, j, tuple(reports[length]), girth)
+    return reports
+
+
+def _meet_count(matrix, rows):
+    """The number of pairs of ``rows`` that share a column."""
+    return sum(not set(matrix.row_support(a)).isdisjoint(matrix.row_support(b))
+               for a, b in itertools.combinations(rows, 2))
+
+
+def _factorable(grid):
+    """Whether a row or a column of a 3x3 grid has one nonzero entry."""
+    lines = [*grid, *zip(*grid)]
+    return any(sum(e is not None for e in line) == 1 for line in lines)
+
+
+def test_local_sweeps_match_the_dense_walk_up_to_horizon_60(ref_spec_a, ref_spec_b):
+    # one seeded family per horizon j = 0..60, relaxed and strict in turn,
+    # over every field of DENSE_SWEEP_FIELDS; then families with singular
+    # 4-cycles over small fields, so that factorable completions fail, far
+    # ones included, and the reference codes
+    fields = [make_field(p, e) for p, e in DENSE_SWEEP_FIELDS]
+    rng = random.Random(2026)
+    cases = []
+    for j in range(61):
+        field = fields[j % len(fields)]
+        if j % 2:
+            n, w = rng.randint(2, 3), rng.randint(2, 3)
+            cases.append((CodeSpec(_random_strict_family(rng, n, w), field, n), j))
+        else:
+            n, w = rng.randint(2, 3), rng.randint(1, 3)
+            cases.append((CodeSpec(_random_relaxed_family(rng, n, w), field, n), j))
+    for sets, p, e, j in (("1,7;1,7", 7, 1, 30), ("1,2,5,7;1,3,7,8", 2, 2, 16)):
+        cases.append((CodeSpec(DifferenceTriangleSet.from_inline(sets), make_field(p, e), 3), j))
+    cases += [(ref_spec_a, 25), (ref_spec_b, 25)]
+    kinds = collections.Counter()
+    for spec, j in cases:
+        walked = _walked_reports(spec, j)
+        for size in (2, 3):
+            assert an.check_minors(spec, size, j) == walked[size], (spec, size, j)
+            assert an.enumerate_cycles(spec, 2 * size, j) == walked[2 * size], (spec, j)
+        matrix = spec.sliding_matrix(j)
+        for f in walked[3].failures:
+            meets = _meet_count(matrix, f.rows)
+            kinds["far" if meets == 1 else "local-factorable"
+                  if _factorable(matrix.submatrix(f.rows, f.cols)) else "near"] += 1
+    assert set(kinds) == {"far", "local-factorable", "near"}, kinds
+
+
+# ---------------------------------------------------------------------------
 # the dense sweep as an oracle for the minor and cycle enumeration
 # ---------------------------------------------------------------------------
 
@@ -553,8 +685,7 @@ def test_only_sets_of_three_or_more_transversals_are_evaluated(gf32, monkeypatch
     # so gf.det runs once per set of three or more, and never for a cycle
     spec = CodeSpec(DifferenceTriangleSet.from_inline(sets), gf32, 3)
     counted = 0
-    for _, sup, _, col_sets in an._row_tuples(spec.sliding_matrix(25), 3,
-                                              an.Meter(an.DEFAULT_BUDGET), an._vanishable):
+    for _, sup, _, col_sets in _row_tuples(spec.sliding_matrix(25), 3, _vanishable):
         for cols in col_sets:
             t = sum(all(c in s for c, s in zip(perm, sup)) for perm in itertools.permutations(cols))
             counted += t >= 3
@@ -586,8 +717,7 @@ def test_char2_3x3_failures_are_the_equal_sum_cycle_patterns(dts_126_124, dts_12
         pattern = CodeSpec(dts, make_field(2, 5), 3)
         predicted = tuple(
             (rows, cols)
-            for rows, _, _, walks in an._row_tuples(pattern.sliding_matrix(pattern.mu), 3,
-                                                    an.Meter(an.DEFAULT_BUDGET), an._walks)
+            for rows, _, _, walks in _row_tuples(pattern.sliding_matrix(pattern.mu), 3, an._walks)
             for cols in walks
             if len(set(_integer_exponent_sums(pattern, rows, cols))) == 1)
         assert predicted == expected
@@ -628,16 +758,26 @@ def test_vanishable_sets_walks_and_charges_past_the_dense_sweep(ref_spec_a, ref_
     for spec, j in cases:
         matrix = spec.sliding_matrix(j)
         for size in (2, 3):
-            meter = an.Meter(an.DEFAULT_BUDGET)
-            for _, sup, meets, found in an._row_tuples(matrix, size, meter, an._vanishable):
+            for rows, sup, meets, found in _row_tuples(matrix, size, _vanishable):
                 assert found == _vanishable_oracle(sup, meets)
+                if size == 3:
+                    # the sets evaluated one by one are those in which no row
+                    # and no column has a single nonzero: none outside the
+                    # triples with two or more nonempty pair meets
+                    near = [cols for cols in found
+                            if not _factorable(matrix.submatrix(rows, cols))]
+                    assert an._near(sup, meets) == near
+                    assert not near or _meet_count(matrix, rows) >= 2
         meters = [an.Meter(an.DEFAULT_BUDGET) for _ in range(3)]
         minors = an.check_minors(spec, 2, j, meters[0])
         cycles = an.enumerate_cycles(spec, 4, j, meters[1])
         assert minors.class_counts[an.PATTERN_FULL] == len(cycles.cycles)
-        # with no 4-cycle, the girth walks the row triples up to its first walk
+        # with no 4-cycle, the girth walks the triples of three nonempty
+        # pair meets up to its first walk
         if not cycles.cycles:
-            any(walks for *_, walks in an._row_tuples(matrix, 3, meters[2], an._walks))
+            supports, _, meets = an._meets(matrix, an.Meter(an.DEFAULT_BUDGET))
+            any(walks for *_, walks in an._local_tuples(an._triples(meets, 3), supports, meets,
+                                                        meters[2], an._walks))
         assert meters[1].used == meters[0].used + meters[2].used
         assert an.check_minors(spec, 3, j).class_counts[an.PATTERN_CYCLE] == len(
             an.enumerate_cycles(spec, 6, j).cycles)
@@ -693,11 +833,12 @@ def test_budget_guards(ref_spec_a):
 
 
 def test_budget_refusal_reads_no_more_rows_than_it_charges(ref_spec_a):
-    # verify --j 1000000 --minors 2 --budget 10: the first two row pairs
-    # charge 8 and 9 steps, and the sliding matrix is never written out
+    # verify --j 1000000 --minors 2 --budget 10: the sweep charges its
+    # 1000001 rows and 3000003 columns before it reads a row, and the
+    # sliding matrix is never written out
     tracemalloc.start()
     try:
-        with pytest.raises(HorizonTooLarge, match="^17 steps exceed the budget of 10$"):
+        with pytest.raises(HorizonTooLarge, match="^4000004 steps exceed the budget of 10$"):
             an.check_minors(ref_spec_a, 2, 10**6, budget=10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -708,7 +849,7 @@ def test_budget_refusal_reads_no_more_rows_than_it_charges(ref_spec_a):
 def test_row_tuples_come_in_combinations_order():
     for high in range(9):
         for size in (2, 3):
-            assert list(an._increasing(high, size)) == \
+            assert list(_increasing(high, size)) == \
                 list(itertools.combinations(range(1, high + 1), size))
 
 
@@ -718,6 +859,20 @@ def test_meter_charges_up_to_its_limit():
     with pytest.raises(HorizonTooLarge, match="budget"):
         meter.charge(1)
     assert (meter.limit, meter.used) == (5, 6)
+
+
+@pytest.mark.parametrize("j", [100, 200, 1000])
+def test_frontier_counts_of_code_a(ref_spec_a, j):
+    # A's failures and cycles grow by a fixed number per row past the first
+    # rows, and the sweeps reach j = 1000 with 56 j - 205 steps for the 3x3
+    # minors
+    meter = an.Meter(an.DEFAULT_BUDGET)
+    minors = an.check_minors(ref_spec_a, 3, j, meter)
+    assert len(minors.failures) == 3 * j - 10 and meter.used == 56 * j - 205
+    six = an.enumerate_cycles(ref_spec_a, 6, j)
+    assert (len(six.cycles), len(six.frc_failures)) == (15 * j - 53, 3 * j - 10)
+    four = an.enumerate_cycles(ref_spec_a, 4, j)
+    assert (len(four.cycles), len(four.frc_failures)) == (j, 0)
 
 
 def test_minors_and_cycles_agree_at_horizon_25(ref_spec_a):
@@ -732,10 +887,14 @@ def test_minors_and_cycles_agree_at_horizon_25(ref_spec_a):
 # over GF(32), code B over GF(3^6).
 FULL, CYCLE, MIXED = an.PATTERN_FULL, an.PATTERN_CYCLE, an.PATTERN_MIXED
 DEEP_MINORS = [
-    ("1,2,6;1,2,4", 2, 5, 2, 14049, {FULL: 25, MIXED: 14024}, 0, 4512),
-    ("1,2,6;1,2,4", 2, 5, 3, 724924, {FULL: 0, CYCLE: 322, MIXED: 724602}, 65, 55176),
-    ("1,2,6;2,3,5", 3, 6, 2, 13554, {FULL: 24, MIXED: 13530}, 0, 4439),
-    ("1,2,6;2,3,5", 3, 6, 3, 686228, {FULL: 0, CYCLE: 313, MIXED: 685915}, 0, 54107),
+    pytest.param("1,2,6;1,2,4", 2, 5, 2, 14049, {FULL: 25, MIXED: 14024}, 0, 380,
+                 id="A-minors2"),
+    pytest.param("1,2,6;1,2,4", 2, 5, 3, 724924, {FULL: 0, CYCLE: 322, MIXED: 724602}, 65, 1195,
+                 id="A-minors3"),
+    pytest.param("1,2,6;2,3,5", 3, 6, 2, 13554, {FULL: 24, MIXED: 13530}, 0, 374,
+                 id="B-minors2"),
+    pytest.param("1,2,6;2,3,5", 3, 6, 3, 686228, {FULL: 0, CYCLE: 313, MIXED: 685915}, 0, 1172,
+                 id="B-minors3"),
 ]
 
 
@@ -749,8 +908,8 @@ def test_minor_counts_and_charges_at_horizon_25(sets, p, deg, size, checked, cou
     assert meter.used == used
 
 
-@pytest.mark.parametrize("length, count, frc_failures, used", [(4, 25, 0, 4512),
-                                                               (6, 322, 65, 51262)])
+@pytest.mark.parametrize("length, count, frc_failures, used", [
+    pytest.param(4, 25, 0, 380, id="A-cycles4"), pytest.param(6, 322, 65, 777, id="A-cycles6")])
 def test_cycle_counts_and_charges_at_horizon_25(ref_spec_a, length, count, frc_failures, used):
     meter = an.Meter(an.DEFAULT_BUDGET)
     rep = an.enumerate_cycles(ref_spec_a, length, 25, meter)
@@ -760,8 +919,8 @@ def test_cycle_counts_and_charges_at_horizon_25(ref_spec_a, length, count, frc_f
 
 # The strict family that `search --sets 2 --size 3 --mode strict` finds has
 # no 4-cycle, so its girth is found among the 6-cycles.
-@pytest.mark.parametrize("length, count, frc_failures, used", [(4, 0, 0, 960),
-                                                               (6, 85, 12, 5834)])
+@pytest.mark.parametrize("length, count, frc_failures, used", [
+    pytest.param(4, 0, 0, 160, id="strict-cycles4"), pytest.param(6, 85, 12, 290, id="strict-cycles6")])
 def test_girth_6_cycle_counts_and_charges_at_horizon_12(gf32, length, count, frc_failures, used):
     spec = CodeSpec(DifferenceTriangleSet.from_inline("1,2,5;1,3,8"), gf32, 3)
     meter = an.Meter(an.DEFAULT_BUDGET)
@@ -789,7 +948,7 @@ def test_cycle_report_walks_its_own_row_pairs_once(ref_spec_a):
             an.check_minors(spec, 2, j, meters[1])
             assert meters[0].used == meters[1].used, (spec.dts, j)
             charged.append(meters[0].used)
-    assert charged[0] == 4512 and len(charged) >= 20
+    assert charged[0] == 380 and len(charged) >= 20
 
 
 def test_distance_profile_charges_one_budget(ref_spec_a):

@@ -324,6 +324,29 @@ def test_cli_verify_deep_horizon_runs_within_default_budget(capsys):
     assert out.splitlines()[-1].startswith("result: FAIL")
 
 
+def test_cli_verify_at_horizon_1000_runs_within_default_budget(capsys):
+    # the sweeps walk only the row pairs and triples that meet, so their
+    # work is linear in j: 122657 steps here, against about 7 * 10**9 for a
+    # walk of every row triple
+    code, out, _ = run_cli(capsys, "verify", "--dts", "1,2,6;1,2,4", "--n", "3",
+                           "--field", "2^5", "--j", "1000", "--json")
+    assert code == 1
+    assert json.loads(out)["failures"] == 5980
+
+
+def test_cli_verify_charges_an_affine_function_of_j(capsys):
+    # from j = 25 on, every row of code A past the first mu meets the rows
+    # around it as the row above does, so a whole verify charges
+    # 123 j - 343 steps: j = 100 follows from j = 25 and 50, and a budget
+    # one step short of it is refused
+    spec = ("verify", "--dts", "1,2,6;1,2,4", "--n", "3", "--field", "2^5")
+    for j in (25, 50, 100):
+        used = 123 * j - 343
+        assert run_cli(capsys, *spec, "--j", str(j), "--budget", str(used))[0] == 1
+        assert run_cli(capsys, *spec, "--j", str(j), "--budget", str(used - 1)) == (
+            2, "", f"error: {used} steps exceed the budget of {used - 1}\n")
+
+
 def test_cli_search_and_exhaustion(capsys):
     code, out, _ = run_cli(capsys, "search", "--sets", "1", "--size", "3")
     assert code == 0
@@ -638,7 +661,7 @@ def test_cli_budget_env_refuses_non_integers_and_negatives(capsys, monkeypatch, 
 def test_cli_budget_of_zero_is_a_budget(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "verify", "--dts", "1,2,6;1,2,4", "--n", "3",
                            "--field", "2^5", "--budget", "0")
-    assert code == 2 and err == "error: 8 steps exceed the budget of 0\n"
+    assert code == 2 and err == "error: 24 steps exceed the budget of 0\n"
     monkeypatch.setenv("DTS_LDPC_BUDGET", "0")
     code, _, err = run_cli(capsys, "search", "--sets", "1", "--size", "3")
     assert code == 2 and err == "error: 1 steps exceed the budget of 0\n"
