@@ -7,9 +7,9 @@ Three families of checks, all exact:
   checked; any vanishing determinant is a failure witness.  Only those
   with two or more nonzero transversals can vanish; those with exactly two
   are decided by a divisibility test on their exponents, the rest are
-  evaluated.  Only the row pairs and triples that meet are walked, a
-  number linear in the horizon; the count and the 3x3 completions of a
-  4-cycle by a row it misses come in closed form;
+  evaluated.  Those sets are read off the 4-cycle and 6-cycle walks, over
+  a number of row tuples linear in the horizon; the count and the 3x3
+  completions of a 4-cycle that factor come in closed form;
 * cycles — 4-cycles (two rows sharing two columns) and 6-cycles (row and
   column triples whose submatrix has exactly two nonzeros per row and per
   column), walked over the same row pairs and triples as the minors,
@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import gf
 from .code import CodeSpec, ExponentMatrix
@@ -142,42 +142,29 @@ def _meets(matrix: ExponentMatrix, meter: Meter):
     return supports, columns, meets
 
 
-def _triples(meets: dict, least: int) -> list[tuple[int, int, int]]:
-    """The row triples with ``least`` (2 or 3) or more nonempty pair meets,
-    in increasing order.  Such a triple has a row meeting both others, so
-    it is found from that row's neighbours, at most C(2 mu, 2) pairs of them
-    per row: their number is linear in j.
-
-    The other triples hold nothing to walk.  A 6-cycle needs all three
-    meets, and so do the fully-nonzero and cycle-pattern minors.  A triple
-    whose one nonempty meet is M_ab holds no 4-cycle of another pair, and
-    its third row r shares no column with a or b, so every completion of a
-    4-cycle of (a, b) by a column of r is factorable (``check_minors``)."""
-    neighbours: dict[int, list[int]] = {}
+def _triples(meets: dict) -> list[tuple[int, int, int]]:
+    """The row triples a < b < c whose three pair meets are nonempty, in
+    increasing order: the only ones that hold a 6-cycle.  Each is found
+    once, from the rows after a that meet it, at most mu of them, so their
+    number is linear in j."""
+    later: dict[int, list[int]] = {}
     for a, b in meets:
-        neighbours.setdefault(a, []).append(b)
-        neighbours.setdefault(b, []).append(a)
-    found = set()
-    for row, near in neighbours.items():
-        for pair in itertools.combinations(sorted(near), 2):
-            if least == 2 or pair in meets:
-                found.add(tuple(sorted((row, *pair))))
-    return sorted(found)
+        later.setdefault(a, []).append(b)
+    return sorted((a, *pair) for a, after in later.items()
+                  for pair in itertools.combinations(sorted(after), 2) if pair in meets)
 
 
-def _local_tuples(tuples, supports: list[set[int]], meets: dict, meter: Meter,
-                  listed: Callable):
-    """``(rows, sup, local, found)`` for each row tuple of ``tuples``: the
-    row supports, the pair meets ``local[a, b]`` by position in the tuple
-    and ``found = listed(sup, local)``.  Each tuple is charged
-    ``1 + len(found)`` before it is yielded."""
+def _local_walks(tuples, supports: list[set[int]], meets: dict, meter: Meter):
+    """``(rows, walks)`` for each row tuple of ``tuples``: its Tanner cycles
+    (``_walks``) over the row supports and pair meets.  Each tuple is
+    charged ``1 + len(walks)`` before it is yielded."""
     for rows in tuples:
         sup = [supports[r] for r in rows]
         local = {(a, b): meets.get((rows[a], rows[b]), set())
                  for a, b in itertools.combinations(range(len(rows)), 2)}
-        found = listed(sup, local)
-        meter.charge(1 + len(found))
-        yield rows, sup, local, found
+        walks = _walks(sup, local)
+        meter.charge(1 + len(walks))
+        yield rows, walks
 
 
 def _walks(sup: Sequence[set[int]], meets: dict) -> list[tuple[int, ...]]:
@@ -195,35 +182,19 @@ def _cycles(matrix: ExponentMatrix, supports: list[set[int]], meets: dict, meter
     decided by the two-term rule (``enumerate_cycles``)."""
     return [TannerCycle(rows, cols, _two_terms_cancel(matrix.field, _transversals(
         matrix.submatrix(rows, cols))))
-        for rows, *_, walks in _local_tuples(tuples, supports, meets, meter, _walks)
-        for cols in walks]
+        for rows, walks in _local_walks(tuples, supports, meets, meter) for cols in walks]
 
 
-def _near(sup: Sequence[set[int]], meets: dict) -> list[tuple[int, ...]]:
-    """Sorted column sets of a row triple with two or more nonzero
-    transversals that are not factorable (``check_minors``): its 6-cycles,
-    and the completions of a 4-cycle (c1, c2) of a row pair by a column c
-    of the third row, where that row meets c1 or c2 and c meets the pair.
-    Two transversals differ on a 4-cycle or a 6-cycle, and a 6-cycle with a
-    chord holds a 4-cycle, so these and the factorable completions are all
-    the column sets with two or more."""
-    found = set(_walks(sup, meets))
-    for (a, b), meet in meets.items():
-        third, pair_rows = sup[3 - a - b], sup[a] | sup[b]
-        for pair in itertools.combinations(meet, 2):
-            if not third.isdisjoint(pair):
-                found.update(tuple(sorted({*pair, c})) for c in third & pair_rows - set(pair))
-    return sorted(found)
-
-
-def _pattern(sup: Sequence[set[int]], cols: Sequence[int]) -> str:
-    # bit b of a column's mask is set when the column meets row b
-    masks = [sum(1 << b for b, s in enumerate(sup) if c in s) for c in cols]
-    if all(m == (1 << len(sup)) - 1 for m in masks):
-        return PATTERN_FULL
-    if sorted(masks) == [0b011, 0b101, 0b110]:  # the columns of a 6-cycle
-        return PATTERN_CYCLE
-    return PATTERN_MIXED
+def _near_completions(supports: list[set[int]], columns: dict, rows: tuple[int, int],
+                      cols: tuple[int, int]) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The near completions of the 4-cycle ``cols`` of the row pair ``rows``
+    (``check_minors``), as sorted (rows, cols): by a third row r meeting c1
+    or c2 and a column c of r, other than c1 and c2, that meets a or b."""
+    (a, b), (c1, c2) = rows, cols
+    pair_rows = supports[a] | supports[b]
+    return {(tuple(sorted((a, b, r))), tuple(sorted((c1, c2, c))))
+            for r in {*columns[c1], *columns[c2]} - {a, b}
+            for c in supports[r] & pair_rows - {c1, c2}}
 
 
 # the row permutations of a 2x2 or 3x3 minor, each with its parity
@@ -273,57 +244,57 @@ def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
     A column set with t nonzero transversals takes t of them, so the
     minors that admit one number T less the sum of t - 1 over the sets
     with t >= 2.  Only those sets can vanish, and only they are decided.
-    Fully-nonzero minors number C(|A&B(&C)|, size) and cycle-pattern ones
-    the product over the row pairs of |pair meet| - |A&B&C|.
 
-    Summed over all tuples in closed form, with w_r the row weights, W
-    their sum and M_ab the pair meets (``_meets``): T sums to
-    e2(w) - sum |M_ab| over the pairs.  Over the triples, the terms
-    |A&B||C| sum to sum over the row pairs of |M_ab| (W - w_a - w_b), as
-    each pair meets every other row once as the third, and |A&B&C| sums to
-    the number of column triples sharing a column: sum over the columns of
-    C(|col|, 3).  So T sums to e3(w) - sum |M_ab| (W - w_a - w_b)
-    + 2 sum C(|col|, 3), with only the pairs that meet in the second sum.
-    The fully-nonzero and cycle-pattern counts need all three meets, so
-    they are summed over the local triples (``_triples``) alone.
+    Summed over all tuples, with w_r the row weights, W their sum and M_ab
+    the pair meets (``_meets``), T is e2(w) - sum |M_ab| for pairs.  For
+    triples, |A&B||C| sums to sum |M_ab| (W - w_a - w_b), as each pair
+    takes every other row as the third, and |A&B&C| to the number of row
+    triples sharing a column, counted per column: sum C(|col|, 3).  So T
+    sums to e3(w) - sum |M_ab| (W - w_a - w_b) + 2 sum C(|col|, 3), with
+    only the pairs that meet in the second sum.
 
-    Factorable completions.  Take a 4-cycle (c1, c2) of rows a, b and a
-    column c of a third row r.  If row r is zero on c1 and c2, expanding
-    along row r gives det = +-entry(r, c) * det(rows a, b; cols c1, c2); if
-    column c is zero on rows a and b, expanding along column c gives the
-    same.  So the set has exactly two transversals, it vanishes exactly
-    when the 4-cycle does, and it is no 6-cycle, as row r, or column c,
-    has one nonzero in it.  It completes no other 4-cycle.  In the first
-    case, a 4-cycle of the set avoids row r, so it lies on rows a, b, and
-    the column completing it is r's one nonzero c: it is (c1, c2).  In the
-    second, a 4-cycle avoids column c, so it is (c1, c2), and the row
-    completing it meets c, so it is r and the 4-cycle lies on a, b.  So per
-    4-cycle, the third rows that meet neither c1 nor c2, every row but a
-    few within mu of a and b, give w_r factorable completions, and the rows
-    that meet c1 or c2 give w_r - |sup_r & (sup_a | sup_b)|; this count is
-    taken off T in closed form.  The rest, the near completions and the
-    6-cycles (``_near``), lie in the local triples and are evaluated one by
-    one.  Every failing factorable completion is a mixed pattern, listed
-    from the singular 4-cycles and charged one step each before it is
-    listed; the failures are sorted once, by rows and then columns.
+    A 2x2 set of two transversals is a 4-cycle, fully nonzero.  A 3x3 set
+    of two or more is a 6-cycle or completes a 4-cycle.  Two transversals
+    differing by a transposition share a nonzero (r, c), and their other
+    four entries are a 4-cycle (c1, c2) of rows a, b.  Two differing by a
+    3-cycle make a 6-cycle: chordless, it is the cycle pattern (two
+    nonzeros per row and column), walked by ``_walks``; with a chord
+    (i, k), row i and the first transversal's row in column k share k and
+    that transversal's column in row i, a 4-cycle completed by its entry
+    in the third row.
 
-    Every entry is a power of alpha, so a transversal whose exponents sum
-    to E and whose permutation has parity sigma adds (-1)**sigma * alpha**E
-    to the determinant, and one walk of the permutations over the exponents
-    gives t and these terms.  Two terms cancel exactly when
-    alpha**D = -(-1)**(sigma1 - sigma2) with D = E1 - E2: alpha**D = 1
-    when the parities differ and alpha**D = -1 when they agree.  Alpha has
-    order q - 1, so alpha**D = 1 iff D = 0 mod (q - 1).  For odd p, -1 is
-    the one element of order 2, alpha**((q - 1)/2); in characteristic 2,
-    -1 = 1 = alpha**0.  With s that exponent (``field._neg_shift``),
-    alpha**D = -1 iff D = s mod (q - 1).  So a set with two transversals is
-    decided by one divisibility test and no field operation; only sets of
-    three or more, which are near completions of 3x3 minors, are evaluated
-    by ``gf.det``.
+    Factorable completions.  If row r is zero on c1 and c2, or column c on
+    rows a and b, expanding along it gives det = +-entry(r, c) *
+    det(rows a, b; cols c1, c2).  So the set has two transversals, vanishes
+    exactly when the 4-cycle does, and is mixed (a line holds one nonzero).
+    It completes no other 4-cycle.  In the first case every 4-cycle of the
+    set avoids row r, so it lies on a, b and is completed by r's one
+    nonzero c; in the second every one avoids column c, so it is (c1, c2),
+    completed by the row meeting c.  Per 4-cycle, the completions by a
+    column of a third row, other than c1, c2, number W - w_a - w_b -
+    (|col c1| - 2) - (|col c2| - 2); all but the near ones
+    (``_near_completions``: r meets c1 or c2 and c meets a or b) factor,
+    come off T in closed form, and fail, listed one step each, when the
+    4-cycle is singular.  The near completions of all 4-cycles form one
+    set, so a set holding several 4-cycles is evaluated once.  A
+    fully-nonzero set is one (each row pair is a 4-cycle met by the third
+    row), so a near set is fully nonzero exactly when all six of its
+    transversals are nonzero, and mixed otherwise.  The failures are
+    sorted once.
 
-    Charges: those of ``_meets``, then 1 per meeting row pair and 1 per
-    4-cycle, then for 3x3 minors 1 per local triple and 1 per set it
-    evaluates, and 1 per failing factorable completion.
+    Every entry is a power of alpha, so a transversal with exponent sum E
+    and permutation parity sigma adds (-1)**sigma * alpha**E, and one walk
+    of the permutations over the exponents gives t and these terms.  Two
+    cancel iff alpha**D = -(-1)**(sigma1 - sigma2), D = E1 - E2.  Alpha has
+    order q - 1, and -1 = alpha**s: s = (q - 1)/2 for odd p, the element of
+    order 2, and s = 0 in characteristic 2 (``field._neg_shift``).  So a
+    set of two transversals vanishes iff D = 0 mod (q - 1) when their
+    parities differ and D = s when they agree, with no field operation;
+    only near sets of three or more are evaluated, by ``gf.det``.
+
+    Charges: those of ``_meets``, 1 per meeting row pair and 1 per 4-cycle,
+    then for 3x3 minors those of the 6-cycles, 1 per failing factorable
+    completion and 1 per near set.
     """
     if size not in (2, 3):
         raise ValueError(f"minor size must be 2 or 3, got {size}")
@@ -339,34 +310,37 @@ def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
         counts = {PATTERN_FULL: len(four_cycles), PATTERN_MIXED: total - len(four_cycles)}
         return MinorReport(size=size, horizon=j, class_counts=counts, failures=tuple(failures))
     weight = sum(weights)
+    six_cycles = _cycles(matrix, supports, meets, meter, _triples(meets))
     total = (_elementary(weights, 3) + 2 * sum(math.comb(len(rows), 3) for rows in columns.values())
-             - sum(len(m) * (weight - weights[a] - weights[b]) for (a, b), m in meets.items()))
-    failures = []
+             - sum(len(m) * (weight - weights[a] - weights[b]) for (a, b), m in meets.items())
+             - len(six_cycles))
+    failures = [MinorFailure(c.rows, c.cols, PATTERN_CYCLE) for c in six_cycles if c.singular]
+    near_sets = set()
     for (a, b), (c1, c2), singular in four_cycles:
-        pair_rows = supports[a] | supports[b]
-        near = {*columns[c1], *columns[c2]} - {a, b}
-        factorable = (weight - weights[a] - weights[b]
-                      - sum(len(supports[r] & pair_rows) for r in near))
+        near = _near_completions(supports, columns, (a, b), (c1, c2))
+        near_sets |= near
+        factorable = (weight - weights[a] - weights[b] - len(columns[c1]) - len(columns[c2]) + 4
+                      - len(near))
         total -= factorable
         if singular:
             meter.charge(factorable)
-            failures += (MinorFailure(tuple(sorted((a, b, r))), tuple(sorted((c1, c2, c))),
-                                      PATTERN_MIXED)
-                         for r in range(1, matrix.rows + 1) if r not in (a, b)
-                         for c in (supports[r] - pair_rows if r in near else supports[r]))
-    full = cycle = 0
-    for rows, sup, local, col_sets in _local_tuples(_triples(meets, 2), supports, meets, meter, _near):
-        common = len(local[0, 1] & sup[2])
-        full += math.comb(common, 3)
-        cycle += math.prod(len(m) - common for m in local.values())
-        for cols in col_sets:
-            grid = matrix.submatrix(rows, cols)
-            terms = _transversals(grid)
-            total -= len(terms) - 1
-            if (_two_terms_cancel(field, terms) if len(terms) == 2
-                    else gf.det(field, grid) is ZERO):
-                failures.append(MinorFailure(rows, cols, _pattern(sup, cols)))
-    counts = {PATTERN_FULL: full, PATTERN_CYCLE: cycle, PATTERN_MIXED: total - full - cycle}
+            failures += (MinorFailure(*minor, PATTERN_MIXED) for minor in (
+                (tuple(sorted((a, b, r))), tuple(sorted((c1, c2, c))))
+                for r in range(1, matrix.rows + 1) if r not in (a, b)
+                for c in supports[r] - {c1, c2}) if minor not in near)
+    meter.charge(len(near_sets))
+    full = 0
+    for rows, cols in near_sets:
+        grid = matrix.submatrix(rows, cols)
+        terms = _transversals(grid)
+        total -= len(terms) - 1
+        full += len(terms) == 6
+        if (_two_terms_cancel(field, terms) if len(terms) == 2
+                else gf.det(field, grid) is ZERO):
+            failures.append(MinorFailure(rows, cols, PATTERN_FULL if len(terms) == 6
+                                         else PATTERN_MIXED))
+    counts = {PATTERN_FULL: full, PATTERN_CYCLE: len(six_cycles),
+              PATTERN_MIXED: total - full - len(six_cycles)}
     return MinorReport(size=size, horizon=j, class_counts=counts, failures=tuple(sorted(failures)))
 
 
@@ -434,12 +408,12 @@ def enumerate_cycles(spec: CodeSpec, length: int, j: Optional[int] = None,
     meter = as_meter(budget)
     supports, _, meets = _meets(matrix, meter)
     cycles = _cycles(matrix, supports, meets, meter,
-                     sorted(meets) if length == 4 else _triples(meets, 3))
+                     sorted(meets) if length == 4 else _triples(meets))
     # the girth: a 4-cycle is a meet of two columns; with none, every
     # 6-cycle is chordless, so walked, up to the first
     if length == 4:
-        girth = 4 if cycles else 6 if any(walks for *_, walks in _local_tuples(
-            _triples(meets, 3), supports, meets, meter, _walks)) else None
+        girth = 4 if cycles else 6 if any(walks for _, walks in _local_walks(
+            _triples(meets), supports, meets, meter)) else None
     else:
         girth = 4 if any(len(meet) > 1 for meet in meets.values()) else 6 if cycles else None
     return CycleReport(length=length, horizon=j, cycles=tuple(cycles), girth=girth)

@@ -247,7 +247,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_density(args: argparse.Namespace) -> int:
-    for value, low, flag in ((args.n, 2, "--n"), (args.w, 1, "--w"), (args.mu, 0, "--mu")):
+    for value, low, flag in ((args.n, 2, "--n"), (args.w, 1, "--w"), (args.mu, 0, "--mu"),
+                             (args.len, 1, "--len")):
         _at_least(value, low, flag)
     if args.w > args.mu + 1:
         raise ValueError(f"--w must be <= --mu + 1 = {args.mu + 1}, got {args.w}")

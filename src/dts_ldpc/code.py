@@ -236,7 +236,9 @@ def density(n: int, w: int, mu: int, message_length: int) -> Fraction:
         raise ValueError("need n >= 2, w >= 1, mu >= 0")
     if w > mu + 1:  # the marks lie in 1..mu+1
         raise ValueError(f"need w <= mu + 1, got w = {w}, mu = {mu}")
-    if message_length <= 0 or message_length % n:
+    if message_length < n:
+        raise IncompleteBlock(f"message length {message_length} is shorter than a block of n = {n}")
+    if message_length % n:
         raise IncompleteBlock(f"message length {message_length} is not a multiple of n = {n}")
     from fractions import Fraction  # here, as it loads decimal, which no other command needs
 

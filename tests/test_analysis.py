@@ -494,6 +494,16 @@ def _vanishable(sup, meets, walks=None):
     return sorted(found)
 
 
+def _pattern(sup, cols):
+    # bit b of a column's mask is set when the column meets row b
+    masks = [sum(1 << b for b, s in enumerate(sup) if c in s) for c in cols]
+    if all(m == (1 << len(sup)) - 1 for m in masks):
+        return an.PATTERN_FULL
+    if sorted(masks) == [0b011, 0b101, 0b110]:  # the columns of a 6-cycle
+        return an.PATTERN_CYCLE
+    return an.PATTERN_MIXED
+
+
 def _walked_reports(spec, j):
     """The minor reports of both sizes and the cycle reports of both
     lengths, keyed 2, 3, 4 and 6, from one walk of every row pair and
@@ -527,7 +537,7 @@ def _walked_reports(spec, j):
                 singular[cols] = (an._two_terms_cancel(field, terms) if len(terms) == 2
                                   else det(field, grid) is ZERO)
                 if singular[cols]:
-                    failures.append(an.MinorFailure(rows, cols, an._pattern(sup, cols)))
+                    failures.append(an.MinorFailure(rows, cols, _pattern(sup, cols)))
             cycles += (an.TannerCycle(rows, cols, singular[cols]) for cols in walks)
             full = math.comb(common, size)
             counts[an.PATTERN_FULL] += full
@@ -755,19 +765,29 @@ def test_vanishable_sets_walks_and_charges_past_the_dense_sweep(ref_spec_a, ref_
         n, w = rng.randint(2, 4), rng.randint(1, 4)
         spec = CodeSpec(_random_relaxed_family(rng, n, w), fields[trial % len(fields)], n)
         cases.append((spec, rng.randint(5, 14)))
+    near_sets = 0
     for spec, j in cases:
         matrix = spec.sliding_matrix(j)
+        supports, columns, meets = an._meets(matrix, an.Meter(an.DEFAULT_BUDGET))
+        near = set()
         for size in (2, 3):
-            for rows, sup, meets, found in _row_tuples(matrix, size, _vanishable):
-                assert found == _vanishable_oracle(sup, meets)
+            for rows, sup, local, found in _row_tuples(matrix, size, _vanishable):
+                assert found == _vanishable_oracle(sup, local)
                 if size == 3:
                     # the sets evaluated one by one are those in which no row
-                    # and no column has a single nonzero: none outside the
-                    # triples with two or more nonempty pair meets
-                    near = [cols for cols in found
+                    # and no column has a single nonzero: the 6-cycles and
+                    # the near completions, all in triples of three nonempty
+                    # pair meets
+                    kept = [cols for cols in found
                             if not _factorable(matrix.submatrix(rows, cols))]
-                    assert an._near(sup, meets) == near
-                    assert not near or _meet_count(matrix, rows) >= 2
+                    assert not kept or _meet_count(matrix, rows) == 3
+                    near.update((rows, cols) for cols in kept
+                                if _pattern(sup, cols) != an.PATTERN_CYCLE)
+        four_cycles = an._cycles(matrix, supports, meets, an.Meter(an.DEFAULT_BUDGET),
+                                 sorted(meets))
+        assert set().union(*(an._near_completions(supports, columns, c.rows, c.cols)
+                             for c in four_cycles)) == near
+        near_sets += len(near)
         meters = [an.Meter(an.DEFAULT_BUDGET) for _ in range(3)]
         minors = an.check_minors(spec, 2, j, meters[0])
         cycles = an.enumerate_cycles(spec, 4, j, meters[1])
@@ -775,12 +795,12 @@ def test_vanishable_sets_walks_and_charges_past_the_dense_sweep(ref_spec_a, ref_
         # with no 4-cycle, the girth walks the triples of three nonempty
         # pair meets up to its first walk
         if not cycles.cycles:
-            supports, _, meets = an._meets(matrix, an.Meter(an.DEFAULT_BUDGET))
-            any(walks for *_, walks in an._local_tuples(an._triples(meets, 3), supports, meets,
-                                                        meters[2], an._walks))
+            any(walks for _, walks in an._local_walks(an._triples(meets), supports, meets,
+                                                      meters[2]))
         assert meters[1].used == meters[0].used + meters[2].used
         assert an.check_minors(spec, 3, j).class_counts[an.PATTERN_CYCLE] == len(
             an.enumerate_cycles(spec, 6, j).cycles)
+    assert near_sets
 
 
 # ---------------------------------------------------------------------------
@@ -864,11 +884,11 @@ def test_meter_charges_up_to_its_limit():
 @pytest.mark.parametrize("j", [100, 200, 1000])
 def test_frontier_counts_of_code_a(ref_spec_a, j):
     # A's failures and cycles grow by a fixed number per row past the first
-    # rows, and the sweeps reach j = 1000 with 56 j - 205 steps for the 3x3
+    # rows, and the sweeps reach j = 1000 with 41 j - 110 steps for the 3x3
     # minors
     meter = an.Meter(an.DEFAULT_BUDGET)
     minors = an.check_minors(ref_spec_a, 3, j, meter)
-    assert len(minors.failures) == 3 * j - 10 and meter.used == 56 * j - 205
+    assert len(minors.failures) == 3 * j - 10 and meter.used == 41 * j - 110
     six = an.enumerate_cycles(ref_spec_a, 6, j)
     assert (len(six.cycles), len(six.frc_failures)) == (15 * j - 53, 3 * j - 10)
     four = an.enumerate_cycles(ref_spec_a, 4, j)
@@ -889,11 +909,11 @@ FULL, CYCLE, MIXED = an.PATTERN_FULL, an.PATTERN_CYCLE, an.PATTERN_MIXED
 DEEP_MINORS = [
     pytest.param("1,2,6;1,2,4", 2, 5, 2, 14049, {FULL: 25, MIXED: 14024}, 0, 380,
                  id="A-minors2"),
-    pytest.param("1,2,6;1,2,4", 2, 5, 3, 724924, {FULL: 0, CYCLE: 322, MIXED: 724602}, 65, 1195,
+    pytest.param("1,2,6;1,2,4", 2, 5, 3, 724924, {FULL: 0, CYCLE: 322, MIXED: 724602}, 65, 915,
                  id="A-minors3"),
     pytest.param("1,2,6;2,3,5", 3, 6, 2, 13554, {FULL: 24, MIXED: 13530}, 0, 374,
                  id="B-minors2"),
-    pytest.param("1,2,6;2,3,5", 3, 6, 3, 686228, {FULL: 0, CYCLE: 313, MIXED: 685915}, 0, 1172,
+    pytest.param("1,2,6;2,3,5", 3, 6, 3, 686228, {FULL: 0, CYCLE: 313, MIXED: 685915}, 0, 894,
                  id="B-minors3"),
 ]
 

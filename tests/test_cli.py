@@ -326,7 +326,7 @@ def test_cli_verify_deep_horizon_runs_within_default_budget(capsys):
 
 def test_cli_verify_at_horizon_1000_runs_within_default_budget(capsys):
     # the sweeps walk only the row pairs and triples that meet, so their
-    # work is linear in j: 122657 steps here, against about 7 * 10**9 for a
+    # work is linear in j: 107752 steps here, against about 7 * 10**9 for a
     # walk of every row triple
     code, out, _ = run_cli(capsys, "verify", "--dts", "1,2,6;1,2,4", "--n", "3",
                            "--field", "2^5", "--j", "1000", "--json")
@@ -337,11 +337,11 @@ def test_cli_verify_at_horizon_1000_runs_within_default_budget(capsys):
 def test_cli_verify_charges_an_affine_function_of_j(capsys):
     # from j = 25 on, every row of code A past the first mu meets the rows
     # around it as the row above does, so a whole verify charges
-    # 123 j - 343 steps: j = 100 follows from j = 25 and 50, and a budget
+    # 108 j - 248 steps: j = 100 follows from j = 25 and 50, and a budget
     # one step short of it is refused
     spec = ("verify", "--dts", "1,2,6;1,2,4", "--n", "3", "--field", "2^5")
     for j in (25, 50, 100):
-        used = 123 * j - 343
+        used = 108 * j - 248
         assert run_cli(capsys, *spec, "--j", str(j), "--budget", str(used))[0] == 1
         assert run_cli(capsys, *spec, "--j", str(j), "--budget", str(used - 1)) == (
             2, "", f"error: {used} steps exceed the budget of {used - 1}\n")
@@ -486,6 +486,8 @@ def test_cli_refuses_a_block_length_below_2(capsys, command, n):
     (("suggest-field", "--n", "3", "--scope", "6", "--w", "0"), "--w must be >= 1, got 0"),
     (("density", "--n", "3", "--w", "3", "--mu", "0", "--len", "3"), "--w must be <= --mu + 1 = 1, got 3"),
     (("suggest-field", "--n", "3", "--scope", "2", "--w", "3"), "--w must be <= --scope = 2, got 3"),
+    (("density", "--n", "3", "--w", "3", "--mu", "5", "--len", "0"), "--len must be >= 1, got 0"),
+    (("density", "--n", "3", "--w", "3", "--mu", "5", "--len", "-3"), "--len must be >= 1, got -3"),
 ])
 def test_cli_range_refusals_name_the_flag(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")

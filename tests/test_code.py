@@ -330,8 +330,10 @@ def test_density_golden_and_errors():
     assert density(3, 3, 5, 18) == Fraction(7, 33)
     with pytest.raises(IncompleteBlock):
         density(3, 3, 5, 16)
-    with pytest.raises(IncompleteBlock):
-        density(3, 3, 5, 0)
+    for length in (-3, 0, 2):
+        with pytest.raises(IncompleteBlock,
+                           match=f"^message length {length} is shorter than a block of n = 3$"):
+            density(3, 3, 5, length)
     for n, w, mu in [(3, 0, 5), (3, 3, -9), (-3, 3, 5), (0, 3, 5), (1, 3, 5)]:
         with pytest.raises(ValueError, match="need n >= 2"):
             density(n, w, mu, 6)

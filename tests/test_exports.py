@@ -1,5 +1,5 @@
-"""The package's names: ``__all__`` and what ``__init__`` binds agree, and
-every module uses what it imports."""
+"""The package's names: ``__all__`` and what ``__init__`` binds agree,
+every module uses what it imports, and every private helper is read."""
 
 import ast
 import pathlib
@@ -43,3 +43,33 @@ def _imported_and_used(path):
 def test_every_import_is_used(path):
     imported, used = _imported_and_used(path)
     assert imported <= used, sorted(imported - used)
+
+
+def _private_definitions(node):
+    """The ``_name`` functions, classes and constants a top-level statement
+    defines (dunder names aside)."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def _reads(node):
+    """The names a statement reads, bare or as an attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) or isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def test_every_private_helper_is_read_in_the_package():
+    # a helper that only the tests read does not belong in the package
+    statements = [node for path in sorted(PACKAGE.glob("*.py"))
+                  for node in ast.parse(path.read_text(encoding="utf-8")).body]
+    reads = [_reads(node) for node in statements]
+    defined = [(name, k) for k, node in enumerate(statements) for name in _private_definitions(node)]
+    unread = [name for name, k in defined
+              if not any(name in names for i, names in enumerate(reads) if i != k)]
+    assert len(defined) > 40 and not unread, unread
