@@ -54,6 +54,7 @@ from .formats import (
     matrix_to_json_dict,
     render_pretty,
     to_alist,
+    to_json,
 )
 from .gf import ONE, ZERO, FieldElement, GaloisField, det, make_field
 
@@ -104,6 +105,7 @@ __all__ = [
     "search_min_scope",
     "sliding_entry_origin",
     "to_alist",
+    "to_json",
     "validate",
     "__version__",
 ]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import os
 import sys
@@ -22,7 +21,7 @@ from .code import CodeSpec, min_field_params
 from .code import density as block_density
 from .dts import DifferenceTriangleSet, search_min_scope, validate
 from .errors import DEFAULT_BUDGET, BudgetExhausted, HorizonTooLarge, Meter, parse_digits
-from .formats import matrix_to_json_dict, render_pretty, to_alist
+from .formats import _zero_refusal, render_pretty, to_alist, to_json
 from .gf import GaloisField, make_field
 
 BUDGET_ENV = "DTS_LDPC_BUDGET"
@@ -86,15 +85,10 @@ def _emit_json(payload: dict) -> None:
     print(_json_text(payload))
 
 
-def _ints(values) -> bool:
-    return {*map(type, values)} == {int}
-
-
 def _json_text(value, indent: str = "") -> str:
     """The bytes of ``json.dumps(value, indent=2, sort_keys=True)``.
 
-    A list of ints, and a list of nonempty int lists such as the entries
-    of a matrix, is joined in one ``str.join`` over ``map(str, ...)``
+    A list of ints is joined in one ``str.join`` over ``map(str, ...)``
     instead of element by element.
     """
     inner = indent + "  "
@@ -104,12 +98,8 @@ def _json_text(value, indent: str = "") -> str:
                         for k, v in sorted(value.items()))
         return f"{{\n{inner}{body}\n{indent}}}"
     if isinstance(value, (list, tuple)) and value:
-        if _ints(value):
+        if {*map(type, value)} == {int}:
             body = sep.join(map(str, value))
-        elif {*map(type, value)} == {list} and all(value) and _ints(itertools.chain.from_iterable(value)):
-            deeper = inner + "  "
-            rows = map((",\n" + deeper).join, map(functools.partial(map, str), value))
-            body = f"[\n{deeper}" + f"\n{inner}]{sep}[\n{deeper}".join(rows) + f"\n{inner}]"
         else:
             body = sep.join(_json_text(v, inner) for v in value)
         return f"[\n{inner}{body}\n{indent}]"
@@ -141,13 +131,16 @@ def _int_list(text: str, allowed: set[int], flag: str) -> list[int]:
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     _at_least(args.j, 0, "--j")
+    reason = _zero_refusal(args.zero) if args.out == "pretty" else None
+    if reason:
+        raise ValueError(f"--zero {reason}, got {args.zero!r}")
     spec = _build_spec(args)
     matrix = spec.base if args.j is None else spec.sliding_matrix(args.j)
     size = (matrix.rows * matrix.cols if args.out == "pretty"
             else matrix.rows + matrix.cols + matrix.nonzero_count)
     _meter(None).charge(size)  # the size of the output, before any of it is built
     if args.out == "json":
-        _emit_json(matrix_to_json_dict(matrix))
+        print(to_json(matrix))
     elif args.out == "alist":
         sys.stdout.write(to_alist(matrix))
     else:

@@ -38,15 +38,17 @@ class ExponentMatrix:
     """Sparse matrix over a field, entries stored as exponents of alpha.
 
     A matrix is ``blocks`` copies of one pattern, copy t moved down t rows
-    and right t times the pattern's width, cut at ``rows``.  The matrix
+    and right t times the pattern's ``width``, cut at ``rows``.  The matrix
     ``ExponentMatrix(rows, cols, entries, field)`` is one copy; ``entries``
     maps 1-based (row, col) to the exponent of each nonzero, all checked.
     The pattern is laid out once, in (-row, col) order, and shared by its
     tilings: pattern entry (i, c) lands in row r at column r*width +
     (c - i*width) for r - blocks < i <= r, so row r is a contiguous run of
-    the layout shifted and ``items()`` needs no sort.  A column is its
-    pattern column moved down, kept once read, since minor sweeps read the
-    same columns again and again.  ``entries`` is built on first use only.
+    the layout shifted, and the rows between two pattern rows' starts and
+    ends share one run (``row_runs``).  A column is its pattern column
+    moved down, kept once read, since minor sweeps read the same columns
+    again and again; the copies cut at the same pattern rows share their
+    columns (``block_runs``).  ``entries`` is built on first use only.
     """
 
     def __init__(self, rows: int, cols: int, entries: dict[tuple[int, int], int],
@@ -60,12 +62,12 @@ class ExponentMatrix:
         by_col: dict[int, list[tuple[int, int]]] = {}
         for (i, c), e in reversed(pattern):
             by_col.setdefault(c - 1, []).append((i, e))
-        # width; negated row, column offset and exponent of each entry in
-        # layout order; the (row, exponent) pairs of each nonempty column
-        self._layout = (cols, [-i for (i, _), _ in pattern],
-                        [c - i * cols for (i, c), _ in pattern], [e for _, e in pattern], by_col)
+        # negated row, column offset and exponent of each entry in layout
+        # order; the (row, exponent) pairs of each nonempty column
+        self._layout = ([-i for (i, _), _ in pattern], [c - i * cols for (i, c), _ in pattern],
+                        [e for _, e in pattern], by_col)
         self.field, self._is_tiling = field, False
-        self.rows, self.cols, self._blocks = rows, cols, 1
+        self.rows, self.cols, self.width, self._blocks = rows, cols, cols, 1
 
     def _tiled(self, blocks: int, rows: int) -> ExponentMatrix:
         """``blocks`` copies of this one-copy matrix, cut at ``rows``.  A
@@ -76,12 +78,13 @@ class ExponentMatrix:
         tiled = object.__new__(ExponentMatrix)
         tiled.field, tiled._layout, tiled._is_tiling = self.field, self._layout, True
         tiled.rows, tiled.cols, tiled._blocks = rows, blocks * self.cols, blocks
+        tiled.width = self.cols
         return tiled
 
     @cached_property
     def _columns(self) -> Memo:
         """The columns read so far, row -> exponent."""
-        width, _, _, _, by_col = self._layout
+        width, by_col = self.width, self._layout[3]
         rows, cols = self.rows, self.cols
 
         def moved_column(c: int) -> dict[int, int]:
@@ -96,7 +99,7 @@ class ExponentMatrix:
         """The layout entries that land in row r."""
         if not 1 <= r <= self.rows:
             return slice(0)
-        neg_rows = self._layout[1]
+        neg_rows = self._layout[0]
         return slice(bisect.bisect_left(neg_rows, -r), bisect.bisect_left(neg_rows, self._blocks - r))
 
     def get(self, r: int, c: int) -> FieldElement:
@@ -105,15 +108,14 @@ class ExponentMatrix:
     @property
     def nonzero_count(self) -> int:
         # pattern row i = -neg is moved into rows i..min(i + blocks - 1, rows)
-        return sum(max(0, min(self._blocks, self.rows + 1 + neg)) for neg in self._layout[1])
+        return sum(max(0, min(self._blocks, self.rows + 1 + neg)) for neg in self._layout[0])
 
     @cached_property
     def entries(self) -> dict[tuple[int, int], int]:
         return {(r, c): e for r, c, e in self.items()}
 
     def row_support(self, r: int) -> tuple[int, ...]:
-        width, _, offsets, _, _ = self._layout
-        return tuple(map((r * width).__add__, offsets[self._run(r)]))
+        return tuple(map((r * self.width).__add__, self._layout[1][self._run(r)]))
 
     def col_support(self, c: int) -> tuple[int, ...]:
         return tuple(self._columns[c])
@@ -122,14 +124,49 @@ class ExponentMatrix:
         columns = [self._columns[c] for c in cols]
         return [[col.get(r) for col in columns] for r in rows]
 
+    def row_runs(self) -> Iterator[tuple[int, int, list[int], list[int]]]:
+        """``(first_row, last_row, offsets, exponents)`` over the maximal
+        ranges of rows that share one run of the layout, rows without
+        entries included: row r of the range holds ``exponents[k]`` at
+        column ``r * width + offsets[k]``, in column order.  A run changes
+        only where a pattern row i starts (row i) or ends (row i + blocks),
+        so there are at most twice as many ranges as pattern rows, plus
+        one, at any size."""
+        _, offsets, exponents, _ = self._layout
+        cuts = sorted({1, self.rows + 1, *(r for i in self._pattern_rows
+                                            for r in (i, i + self._blocks) if r <= self.rows)})
+        for first, after in zip(cuts, cuts[1:]):
+            run = self._run(first)
+            yield first, after - 1, offsets[run], exponents[run]
+
+    def block_runs(self) -> Iterator[tuple[int, int, list[list[tuple[int, int]]]]]:
+        """``(first_copy, last_copy, columns)`` over the maximal ranges of
+        copies (0-based) whose columns are cut at the same pattern row:
+        column k + 1 of copy t, matrix column t * width + k + 1, holds
+        exponent e at row i + t for each ``(i, e)`` of ``columns[k]``, in
+        row order.  The cut moves only where a copy's last row, rows - t,
+        passes a pattern row, so there is at most one more range than
+        pattern rows; a matrix without columns has none."""
+        if not self.width:
+            return
+        by_col = self._layout[3]
+        cuts = sorted({0, self._blocks, *(t for t in (self.rows + 1 - i for i in self._pattern_rows)
+                                          if 0 < t < self._blocks)})
+        for first, after in zip(cuts, cuts[1:]):
+            bottom = self.rows - first  # the last pattern row that copy first keeps
+            yield first, after - 1, [[(i, e) for i, e in by_col.get(k, ()) if i <= bottom]
+                                     for k in range(self.width)]
+
+    @property
+    def _pattern_rows(self) -> set[int]:
+        return {-neg for neg in self._layout[0]}
+
     def items(self) -> Iterator[tuple[int, int, int]]:
         """``(row, col, exponent)`` of every nonzero entry, in row-major order."""
-        width, neg_rows, offsets, exponents, _ = self._layout
-        r = 0  # the last row written; pattern row i fills rows i..i + blocks - 1
-        for i in sorted({-neg for neg in neg_rows}):
-            for r in range(max(r + 1, i), min(i + self._blocks - 1, self.rows) + 1):
-                run = self._run(r)
-                yield from zip(itertools.repeat(r), map((r * width).__add__, offsets[run]), exponents[run])
+        width = self.width
+        for first, last, offsets, exponents in self.row_runs():
+            for r in range(first, last + 1) if offsets else ():
+                yield from zip(itertools.repeat(r), map((r * width).__add__, offsets), exponents)
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -6,9 +6,20 @@ encodes the nonzero element alpha^(v-1).  Value 0 stays reserved for
 "no entry" as in the binary format.  The alist header carries only q, so
 re-importing builds the canonical field of that order; JSON embeds the
 full field descriptor and round-trips the matrix exactly.
+
+The writers work one row run (``ExponentMatrix.row_runs``) or one range
+of copies (``ExponentMatrix.block_runs``) at a time, never one entry at
+a time: the rows of a run differ only in their row and column numbers,
+so each run's lines are one ``%``-template filled from one ``range`` per
+number it holds.  Their work in Python grows with the number of runs,
+which a sliding matrix keeps fixed at every horizon, not with its size.
 """
 
 from __future__ import annotations
+
+import itertools
+import json
+from typing import Iterable, Iterator, Optional
 
 from . import gf
 from .code import ExponentMatrix
@@ -16,16 +27,48 @@ from .errors import FieldTooLarge, parse_digits
 from .gf import GaloisField, _factor_prime_power, make_field
 
 JSON_SCHEMA = "exponent-matrix/v1"
+# one [row, col, exponent] entry of the JSON text, its exponent filled in
+_JSON_ENTRY = "    [\n      %%d,\n      %%d,\n      %d\n    ]"
+
+
+def _strided(first: int, last: int, step: int, starts: Iterable[int]) -> list[range]:
+    """For each s of ``starts``, the numbers first * step + s, ..., last * step + s:
+    one number of each row (step = width) or copy (step = 1) of a run."""
+    return [range(first * step + s, (last + 1) * step + s, step) for s in starts]
+
+
+def _fill(template: str, ranges: list[range], count: int) -> Iterator[str]:
+    """``template`` filled from ``ranges`` in step, one field each, or
+    ``template`` ``count`` times when it has no field."""
+    return map(template.__mod__, zip(*ranges)) if ranges else itertools.repeat(template, count)
+
+
+def _joined(parts: Iterable[Iterable[str]]) -> str:
+    return " ".join(itertools.chain.from_iterable(parts))
+
+
+def _header(matrix: ExponentMatrix) -> dict:
+    return {"schema": JSON_SCHEMA, "rows": matrix.rows, "cols": matrix.cols,
+            "field": matrix.field.descriptor()}
 
 
 def matrix_to_json_dict(matrix: ExponentMatrix) -> dict:
-    return {
-        "schema": JSON_SCHEMA,
-        "rows": matrix.rows,
-        "cols": matrix.cols,
-        "field": matrix.field.descriptor(),
-        "entries": [[r, c, e] for (r, c, e) in matrix.items()],
-    }
+    return {**_header(matrix), "entries": [[r, c, e] for (r, c, e) in matrix.items()]}
+
+
+def to_json(matrix: ExponentMatrix) -> str:
+    """The text of ``json.dumps(matrix_to_json_dict(matrix), indent=2,
+    sort_keys=True)``, built without the dict."""
+    runs = []
+    for first, last, offsets, exponents in matrix.row_runs():
+        rows = range(first, last + 1)
+        columns = _strided(first, last, matrix.width, offsets)
+        template = ",\n".join(_JSON_ENTRY % e for e in exponents)
+        # a row without entries writes nothing
+        runs.append(_fill(template, [n for col in columns for n in (rows, col)], 0))
+    body = ",\n".join(itertools.chain.from_iterable(runs))
+    text = json.dumps({**_header(matrix), "entries": []}, indent=2, sort_keys=True)
+    return text.replace('"entries": []', f'"entries": [\n{body}\n  ]', 1) if body else text
 
 
 def matrix_from_json_dict(data: dict) -> ExponentMatrix:
@@ -48,23 +91,26 @@ def matrix_from_json_dict(data: dict) -> ExponentMatrix:
 
 
 def to_alist(matrix: ExponentMatrix) -> str:
-    # one pass in row-major order: each column's pairs come out by row
-    col_pairs: list[list[str]] = [[] for _ in range(matrix.cols)]
-    row_pairs: list[list[str]] = [[] for _ in range(matrix.rows)]
-    for r, c, e in matrix.items():
-        value = e + 1
-        col_pairs[c - 1].append(f"{r} {value}")
-        row_pairs[r - 1].append(f"{c} {value}")
-    col_weights = [len(s) for s in col_pairs]
-    row_weights = [len(s) for s in row_pairs]
-    lines = [
-        f"{matrix.cols} {matrix.rows} {matrix.field.q}",
-        f"{max(col_weights, default=0)} {max(row_weights, default=0)}",
-        " ".join(map(str, col_weights)),
-        " ".join(map(str, row_weights)),
-        *map(" ".join, col_pairs),
-        *map(" ".join, row_pairs),
-    ]
+    copies, rows = list(matrix.block_runs()), list(matrix.row_runs())
+    col_weights, col_lines, row_weights, row_lines = [], [], [], []
+    for first, last, columns in copies:
+        count = last - first + 1
+        col_weights.append(itertools.repeat(" ".join(str(len(col)) for col in columns), count))
+        # one template per copy: its width column lines
+        template = "\n".join(" ".join(f"%d {e + 1}" for _, e in col) for col in columns)
+        starts = [i for col in columns for i, _ in col]
+        col_lines.append(_fill(template, _strided(first, last, 1, starts), count))
+    for first, last, offsets, exponents in rows:
+        count = last - first + 1
+        row_weights.append(itertools.repeat(str(len(offsets)), count))
+        template = " ".join(f"%d {e + 1}" for e in exponents)
+        row_lines.append(_fill(template, _strided(first, last, matrix.width, offsets), count))
+    lines = itertools.chain(
+        (f"{matrix.cols} {matrix.rows} {matrix.field.q}",
+         f"{max((len(col) for *_, columns in copies for col in columns), default=0)} "
+         f"{max((len(offsets) for _, _, offsets, _ in rows), default=0)}",
+         _joined(col_weights), _joined(row_weights)),
+        *col_lines, *row_lines)
     return "\n".join(lines) + "\n"
 
 
@@ -127,20 +173,58 @@ def _token(e: int) -> str:
     return f"a^{e}"
 
 
+def _zero_refusal(zero: str) -> Optional[str]:
+    """Why ``zero`` cannot stand for the zero cells of a text grid, or
+    ``None``: the grid would not split into columns, or a zero would read
+    as an entry."""
+    if not zero:
+        return "must not be empty"
+    if zero.split() != [zero]:
+        return "must not hold whitespace"
+    if zero in ("1", "a") or zero.startswith("a^") and zero[2:].isdigit():
+        return "must not read as an entry (1, a or a^k)"
+    return None
+
+
 def render_pretty(matrix: ExponentMatrix, zero: str = "0") -> str:
-    """Text grid of alpha-power tokens, columns right-aligned."""
+    """Text grid of alpha-power tokens, columns right-aligned.
+
+    A column is as wide as its widest token, the zero token counting only
+    when the column has a zero cell; the copies of one block range share
+    their widths.  Each row is cut from the all-zero row around the span
+    of its entries, whose text is kept per row run and widths.
+    """
+    reason = _zero_refusal(zero)
+    if reason:
+        raise ValueError(f"zero token {reason}, got {zero!r}")
     if not matrix.rows or not matrix.cols:
         return ""
-    cells = [(r, c, _token(e)) for r, c, e in matrix.items()]
-    # a column is as wide as its widest token, the zero token counting only
-    # when the column has a zero cell
-    widths, filled = [0] * matrix.cols, [0] * matrix.cols
-    for _, c, tok in cells:
-        widths[c - 1] = max(widths[c - 1], len(tok))
-        filled[c - 1] += 1
-    widths = [w if n == matrix.rows else max(w, len(zero)) for w, n in zip(widths, filled)]
-    blank = [zero.rjust(w) for w in widths]
-    grid = [blank.copy() for _ in range(matrix.rows)]
-    for r, c, tok in cells:
-        grid[r - 1][c - 1] = tok.rjust(widths[c - 1])
-    return "\n".join(" ".join(row).rstrip() for row in grid)
+    widths, zero_blocks = [], []
+    for first, last, columns in matrix.block_runs():
+        block = [max([len(_token(e)) for _, e in col] + [len(zero)] * (len(col) < matrix.rows))
+                 for col in columns]
+        widths += block * (last - first + 1)
+        # a full column shows no zero, but its cell keeps the column's width
+        zero_blocks.append(itertools.repeat(" ".join(zero.rjust(w)[:w] for w in block),
+                                            last - first + 1))
+    zero_row = _joined(zero_blocks)
+    edges = list(itertools.accumulate(map((1).__add__, widths), initial=0))
+    lines = []
+    for first, last, offsets, exponents in matrix.row_runs():
+        if not offsets:
+            lines += [zero_row] * (last - first + 1)
+            continue
+        span = offsets[-1] - offsets[0] + 1
+        cells = [(o - offsets[0], _token(e)) for o, e in zip(offsets, exponents)]
+        middles: dict[tuple[int, ...], str] = {}
+        starts, = _strided(first, last, matrix.width, [offsets[0] - 1])  # 0-based
+        for c in starts:
+            key = tuple(widths[c:c + span])
+            middle = middles.get(key)
+            if middle is None:
+                grid = [zero.rjust(w) for w in key]
+                for k, tok in cells:
+                    grid[k] = tok.rjust(key[k])
+                middle = middles[key] = " ".join(grid)
+            lines.append(zero_row[:edges[c]] + middle + zero_row[edges[c + span] - 1:])
+    return "\n".join(lines)

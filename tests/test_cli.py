@@ -200,6 +200,14 @@ def test_cli_construct_sliding_json(capsys):
     assert data["entries"] == [[1, 1, 1], [1, 2, 2], [1, 3, 0]]
 
 
+def test_cli_construct_zero_token_matters_only_to_pretty(capsys):
+    spec = ("construct", "--dts", "1,2,6;1,2,4", "--n", "3", "--field", "2^5", "--j", "1")
+    code, out, _ = run_cli(capsys, *spec, "--out", "alist", "--zero", "a")
+    assert code == 0 and out == ALIST_A_J1
+    code, out, _ = run_cli(capsys, *spec, "--zero", "-")
+    assert code == 0 and out == "  a a^2 1 -   - -\na^2 a^4 - a a^2 1\n"
+
+
 def test_cli_construct_alist(capsys):
     code, out, _ = run_cli(capsys, "construct", "--dts", "1,2,6;1,2,4",
                            "--n", "3", "--field", "2^5", "--j", "1", "--out", "alist")
@@ -488,6 +496,17 @@ def test_cli_refuses_a_block_length_below_2(capsys, command, n):
     (("suggest-field", "--n", "3", "--scope", "2", "--w", "3"), "--w must be <= --scope = 2, got 3"),
     (("density", "--n", "3", "--w", "3", "--mu", "5", "--len", "0"), "--len must be >= 1, got 0"),
     (("density", "--n", "3", "--w", "3", "--mu", "5", "--len", "-3"), "--len must be >= 1, got -3"),
+    # a zero token that is empty, holds whitespace or reads as an entry garbles the grid
+    (("construct", "--dts", "1,2,4", "--n", "2", "--field", "11", "--j", "2", "--zero", "a"),
+     "--zero must not read as an entry (1, a or a^k), got 'a'"),
+    (("construct", "--dts", "1,2,4", "--n", "2", "--field", "11", "--zero", "1"),
+     "--zero must not read as an entry (1, a or a^k), got '1'"),
+    (("construct", "--dts", "1,2,4", "--n", "2", "--field", "11", "--zero", "a^3"),
+     "--zero must not read as an entry (1, a or a^k), got 'a^3'"),
+    (("construct", "--dts", "1,2,4", "--n", "2", "--field", "11", "--j", "2", "--zero", ""),
+     "--zero must not be empty, got ''"),
+    (("construct", "--dts", "1,2,4", "--n", "2", "--field", "11", "--zero", "- -"),
+     "--zero must not hold whitespace, got '- -'"),
 ])
 def test_cli_range_refusals_name_the_flag(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
@@ -569,11 +588,14 @@ def test_cli_malformed_dts_names_the_input(capsys, tmp_path):
 
 
 def test_json_text_is_json_dumps_on_every_schema(capsys, monkeypatch):
-    # every --json payload the commands print, as the commands built it
+    # every --json payload the commands print, as the commands built it;
+    # construct prints formats.to_json, the text of its matrix's dict
     payloads = []
     emit = cli._emit_json
     monkeypatch.setattr(cli, "_emit_json", lambda payload: (payloads.append(payload), emit(payload)))
     spec = ("--dts", "1,2,6;1,2,4", "--n", "3", "--field", "2^5")
+    monkeypatch.setattr(cli, "to_json", lambda matrix: (
+        payloads.append(matrix_to_json_dict(matrix)), formats.to_json(matrix))[1])
     for argv in (("construct", *spec, "--j", "5", "--out", "json"),
                  ("verify", *spec, "--json"),
                  ("distance", *spec, "--json"),

@@ -1,13 +1,11 @@
 """Construction, encoder and parameter-formula tests."""
 
-import json
 import random
 import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from dts_ldpc.cli import _json_text
 from dts_ldpc.code import (
     CodeSpec,
     ExponentMatrix,
@@ -18,7 +16,6 @@ from dts_ldpc.code import (
 )
 from dts_ldpc.dts import DifferenceTriangleSet, search_min_scope, validate
 from dts_ldpc.errors import IncompleteBlock, SetCountMismatch, ZeroElementInDTS
-from dts_ldpc.formats import matrix_to_json_dict, render_pretty, to_alist
 from dts_ldpc.gf import ZERO, GaloisField, _factor_prime_power
 
 # frozen golden base matrices, entries (row, col) -> exponent
@@ -172,7 +169,9 @@ def _seeded_family(rng, n, w, mode):
             return dts
 
 
-def test_sliding_view_matches_written_out_stack():
+def seeded_tilings():
+    """``(view, shape, entries)`` of 40 seeded truncated and 40 untruncated
+    sliding matrices, each with its entries written out by ``oracle_stack``."""
     fields = [GaloisField(p, e) for p, e in ((2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 5))]
     rng = random.Random(2016)
     cases = []
@@ -188,15 +187,17 @@ def test_sliding_view_matches_written_out_stack():
         blocks = rng.randint(1, 12)
         cases.append((spec.full_sliding_matrix(blocks), (blocks + spec.mu, n * blocks),
                       oracle_stack(spec, blocks, blocks + spec.mu)))
+    return cases
+
+
+def test_sliding_view_matches_written_out_stack():
+    # the writers are checked on the same tilings in test_writers.py
+    cases = seeded_tilings()
     for view, shape, entries in cases:
         assert (view.rows, view.cols) == shape
         assert_matches_stack(view, entries)
         oracle = ExponentMatrix(view.rows, view.cols, entries, view.field)
         assert view == oracle and oracle == view
-        assert to_alist(view) == to_alist(oracle)
-        assert _json_text(matrix_to_json_dict(view)) == json.dumps(
-            matrix_to_json_dict(oracle), indent=2, sort_keys=True)
-        assert render_pretty(view, zero=".") == render_pretty(oracle, zero=".")
         # a tiling shares its pattern's layout, so it is not tiled again
         with pytest.raises(ValueError, match="one-copy"):
             view._tiled(1, view.rows)
