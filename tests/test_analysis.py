@@ -287,6 +287,34 @@ def test_assumption_check_matches_combination_oracle():
     assert failing
 
 
+@pytest.mark.parametrize("p,n", [(2, 2), (5, 1), (2, 3), (3, 2), (2, 5)])
+def test_one_column_span_rule_matches_reduction(p, n):
+    """The exponent rule of the assumption check's one-column span tests
+    against ``_in_span``, for every column vector of length 1..3, zero
+    entries included, and every nonzero target whose first exponent is 0.
+    That loses no case: scaling a target by a nonzero lambda keeps it in
+    or out of span{c}.  Over GF(32) at length 3 the target is all ones
+    (exponent 0): scaling row b of both vectors by alpha**-T_b keeps the
+    span relation, so every target reduces to that one."""
+    field = make_field(p, n)
+    elements = list(field.elements())
+    spanned = targets_tried = 0
+    for length in (1, 2, 3):
+        if field.q == 32 and length == 3:
+            targets = [(0, 0, 0)]
+        else:
+            targets = [(0, *rest) for rest in itertools.product(range(field.q - 1),
+                                                                  repeat=length - 1)]
+        targets_tried += len(targets)
+        for target in targets:
+            for column in itertools.product(elements, repeat=length):
+                expected = an._in_span(field, target, [column])
+                assert an._in_column_span(field, target, column) == expected, (target, column)
+                spanned += expected
+    # each target is spanned by its q - 1 nonzero multiples and no other column
+    assert spanned == targets_tried * (field.q - 1)
+
+
 def test_closed_support_that_does_not_span_is_grown():
     # three pairwise independent columns on the same two rows: {1, c} meets
     # no row once but spans nothing, and the answer needs all three

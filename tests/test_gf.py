@@ -149,9 +149,11 @@ def assert_lazy_zech_matches(polys, fresh, capsys):
     zech = [log.get(((poly[0] + 1) % p,) + poly[1:]) for poly in polys]
     assert not fresh._zech
     assert [fresh.add(0, k) for k in range(fresh.q - 1)] == zech
-    # the shared field keeps the entries the command computed
+    # the shared field keeps the entries the command computed: the 3x3
+    # minors of this family with three or more transversals reach gf.det
+    # (exit 1 when a minor or cycle fails)
     field_arg = f"{p}^{n}" if n > 1 else str(p)
-    assert main(["distance", "--dts", "1,2,6;1,2,4", "--n", "3", "--field", field_arg]) == 0
+    assert main(["verify", "--dts", "1,2,5,7;1,3,7,8", "--n", "3", "--field", field_arg]) in (0, 1)
     capsys.readouterr()
     used = make_field(p, n)
     assert used is make_field(p, n) and used is not fresh and used._zech
@@ -170,14 +172,40 @@ def test_lazy_zech_table_matches_oracle_walk(p, n, capsys):
 
 def test_field_state_is_o_sqrt_q():
     # no container the field keeps holds more than 4 * ceil(sqrt(q)) entries
-    # right after construction, the tables its multiply closures hold
-    # included, and no Zech logarithm is computed yet
+    # once its first arithmetic built the tables, those its multiply
+    # closures hold included, and no Zech logarithm is computed yet
     f = GaloisField(2, 20)
+    f.element_poly(1)
     held = list(vars(f).values())
     held += [cell.cell_contents for v in vars(f).values() for cell in getattr(v, "__closure__", None) or ()]
     sizes = [len(v) for v in held if isinstance(v, (list, dict, bytes, tuple, set))]
     assert sizes and max(sizes) <= 4 * (math.isqrt(f.q - 1) + 1)
     assert not f._zech
+
+
+CONSTRUCTED = {"p", "degree", "q", "_neg_shift", "_zech"}
+
+
+@pytest.mark.parametrize("p,n", [(2, 16), (3, 10), (7, 6), (12289, 1)])
+def test_commands_build_only_what_they_read(p, n, capsys, monkeypatch):
+    # verify --minors 2 and distance of code A decide every test from
+    # exponents: the shared field builds no modulus, alpha or table and
+    # computes no Zech logarithm.  construct --out json reads the modulus
+    # for its field descriptor, and still builds no table
+    from dts_ldpc import gf
+    from dts_ldpc.cli import main
+    from dts_ldpc.errors import Memo
+
+    monkeypatch.setattr(gf, "_FIELDS", Memo(lambda key: GaloisField(*key)))
+    spec = ["--dts", "1,2,6;1,2,4", "--n", "3", "--field", f"{p}^{n}" if n > 1 else str(p)]
+    # characteristic 2 cancels A's chordless 6-cycles: an FRC failure
+    assert main(["verify", *spec, "--minors", "2", "--json"]) == (1 if p == 2 else 0)
+    assert main(["distance", *spec]) == 0
+    field = make_field(p, n)
+    assert set(vars(field)) == CONSTRUCTED and not field._zech
+    assert main(["construct", *spec, "--j", "20", "--out", "json"]) == 0
+    capsys.readouterr()
+    assert make_field(p, n) is field and set(vars(field)) == CONSTRUCTED | {"modulus"}
 
 
 def test_gf9_alpha_has_order_eight():
