@@ -183,9 +183,6 @@ def test_field_state_is_o_sqrt_q():
     assert not f._zech
 
 
-CONSTRUCTED = {"p", "degree", "q", "_neg_shift", "_zech"}
-
-
 @pytest.mark.parametrize("p,n", [(2, 16), (3, 10), (7, 6), (12289, 1)])
 def test_commands_build_only_what_they_read(p, n, capsys, monkeypatch):
     # verify --minors 2 and distance of code A decide every test from
@@ -202,10 +199,11 @@ def test_commands_build_only_what_they_read(p, n, capsys, monkeypatch):
     assert main(["verify", *spec, "--minors", "2", "--json"]) == (1 if p == 2 else 0)
     assert main(["distance", *spec]) == 0
     field = make_field(p, n)
-    assert set(vars(field)) == CONSTRUCTED and not field._zech
+    constructed = {"p", "degree", "q", "_neg_shift", "_zech"}
+    assert set(vars(field)) == constructed and not field._zech
     assert main(["construct", *spec, "--j", "20", "--out", "json"]) == 0
     capsys.readouterr()
-    assert make_field(p, n) is field and set(vars(field)) == CONSTRUCTED | {"modulus"}
+    assert make_field(p, n) is field and set(vars(field)) == constructed | {"modulus"}
 
 
 def test_gf9_alpha_has_order_eight():
