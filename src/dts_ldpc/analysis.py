@@ -177,21 +177,20 @@ def _local_walks(tuples, supports: list[set[int]], meets: dict, meter: Meter):
     (``_walks``) over the row supports and pair meets.  Each tuple is
     charged ``1 + len(walks)`` before it is yielded."""
     for rows in tuples:
-        sup = [supports[r] for r in rows]
-        local = {(a, b): meets.get((rows[a], rows[b]), set())
-                 for a, b in itertools.combinations(range(len(rows)), 2)}
-        walks = _walks(sup, local)
+        walks = _walks(rows, supports, meets)
         meter.charge(1 + len(walks))
         yield rows, walks
 
 
-def _walks(sup: Sequence[set[int]], meets: dict) -> list[tuple[int, ...]]:
-    """Sorted column tuples of the Tanner cycles through two or three rows, in walk
-    order: meet pairs, or chordless (c12, c23, c13), each column missing the third row."""
-    if len(sup) == 2:
-        return list(itertools.combinations(sorted(meets[0, 1]), 2))
+def _walks(rows: tuple[int, ...], supports: list[set[int]], meets: dict) -> list[tuple[int, ...]]:
+    """Sorted column tuples of the Tanner cycles through a row pair that
+    meets or a row triple of ``_triples``, in walk order: meet pairs, or
+    chordless (c12, c23, c13), each column missing the third row."""
+    if len(rows) == 2:
+        return list(itertools.combinations(sorted(meets[rows]), 2))
+    a, b, c = rows
     return [tuple(sorted(walk)) for walk in sorted(itertools.product(
-        meets[0, 1] - sup[2], meets[1, 2] - sup[0], meets[0, 2] - sup[1]))]
+        meets[a, b] - supports[c], meets[b, c] - supports[a], meets[a, c] - supports[b]))]
 
 
 def _cycles(matrix: ExponentMatrix, supports: list[set[int]], meets: dict, meter: Meter,
@@ -446,8 +445,7 @@ def minimal_column_weight(spec: CodeSpec, j: int) -> int:
     return min(sum(1 for a in t if a <= j + 1) for t in spec.dts.sets)
 
 
-def _min_weight_first_block(field: GaloisField, matrix: ExponentMatrix,
-                            n_first: int, ub: int, meter: Meter) -> int:
+def _min_weight_first_block(matrix: ExponentMatrix, n_first: int, ub: int, meter: Meter) -> int:
     """Smallest weight of a kernel vector whose first block is nonzero.
 
     ``ub`` must be a weight achieved by an explicit kernel vector; only
@@ -493,7 +491,7 @@ def _min_weight_first_block(field: GaloisField, matrix: ExponentMatrix,
             else:
                 touched = _bits(more)
                 vecs = [[matrix.get(b + 1, c + 1) for b in touched] for c in cols]
-                if _in_span(field, vecs[0], vecs[1:]):
+                if _in_span(matrix.field, vecs[0], vecs[1:]):
                     return d
                 branch = 0
                 for b in touched:
@@ -522,7 +520,7 @@ def column_distance(spec: CodeSpec, j: int, budget: int | Meter = DEFAULT_BUDGET
     """
     matrix = spec.sliding_matrix(j)
     ub = minimal_column_weight(spec, j) + 1
-    return _min_weight_first_block(spec.field, matrix, spec.n, ub, as_meter(budget))
+    return _min_weight_first_block(matrix, spec.n, ub, as_meter(budget))
 
 
 def exact_horizon(spec: CodeSpec) -> int:
@@ -541,7 +539,7 @@ def free_distance(spec: CodeSpec, budget: int | Meter = DEFAULT_BUDGET) -> int:
     column distance at a smaller horizon is a lower bound on it.
     """
     matrix = spec.full_sliding_matrix(exact_horizon(spec) + 1)
-    return _min_weight_first_block(spec.field, matrix, spec.n, spec.w + 1, as_meter(budget))
+    return _min_weight_first_block(matrix, spec.n, spec.w + 1, as_meter(budget))
 
 
 # ---------------------------------------------------------------------------

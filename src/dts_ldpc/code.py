@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
 
 from .dts import DifferenceTriangleSet, validate
-from .errors import IncompleteBlock, Memo, SetCountMismatch, ZeroElementInDTS
+from .errors import IncompleteBlock, SetCountMismatch, ZeroElementInDTS
 from .gf import ZERO, FieldElement, GaloisField, _is_prime
 
 
@@ -45,10 +44,11 @@ class ExponentMatrix:
     tilings: pattern entry (i, c) lands in row r at column r*width +
     (c - i*width) for r - blocks < i <= r, so row r is a contiguous run of
     the layout shifted, and the rows between two pattern rows' starts and
-    ends share one run (``row_runs``).  A column is its pattern column
-    moved down, kept once read, since minor sweeps read the same columns
-    again and again; the copies cut at the same pattern rows share their
-    columns (``block_runs``).  ``entries`` is built on first use only.
+    ends share one run (``row_runs``).  Column c is pattern column
+    (c - 1) mod width moved down (c - 1) // width rows and cut at
+    ``rows``; the copies cut at the same pattern rows share their columns
+    (``block_runs``).  Columns and entries are read off the pattern on
+    every call, so no read changes the matrix.
     """
 
     def __init__(self, rows: int, cols: int, entries: dict[tuple[int, int], int],
@@ -59,11 +59,11 @@ class ExponentMatrix:
             if not (0 <= e <= field.q - 2):
                 raise ValueError(f"exponent {e} out of range for {field!r}")
         pattern = sorted(entries.items(), key=lambda item: (-item[0][0], item[0][1]))
-        by_col: dict[int, list[tuple[int, int]]] = {}
+        by_col: dict[int, dict[int, int]] = {}
         for (i, c), e in reversed(pattern):
-            by_col.setdefault(c - 1, []).append((i, e))
+            by_col.setdefault(c - 1, {})[i] = e
         # negated row, column offset and exponent of each entry in layout
-        # order; the (row, exponent) pairs of each nonempty column
+        # order; row -> exponent of each nonempty column, in row order
         self._layout = ([-i for (i, _), _ in pattern], [c - i * cols for (i, c), _ in pattern],
                         [e for _, e in pattern], by_col)
         self.field, self._is_tiling = field, False
@@ -81,20 +81,6 @@ class ExponentMatrix:
         tiled.width = self.cols
         return tiled
 
-    @cached_property
-    def _columns(self) -> Memo:
-        """The columns read so far, row -> exponent."""
-        width, by_col = self.width, self._layout[3]
-        rows, cols = self.rows, self.cols
-
-        def moved_column(c: int) -> dict[int, int]:
-            if not 1 <= c <= cols:
-                return {}
-            t, k = divmod(c - 1, width)
-            return {i + t: e for i, e in by_col.get(k, ()) if i + t <= rows}
-
-        return Memo(moved_column)
-
     def _run(self, r: int) -> slice:
         """The layout entries that land in row r."""
         if not 1 <= r <= self.rows:
@@ -102,15 +88,24 @@ class ExponentMatrix:
         neg_rows = self._layout[0]
         return slice(bisect.bisect_left(neg_rows, -r), bisect.bisect_left(neg_rows, self._blocks - r))
 
+    def _column(self, c: int) -> tuple[int, dict[int, int]]:
+        """``(t, column)``: column c is the pattern column ``column``, row ->
+        exponent, moved down t rows and cut at ``rows``."""
+        if not 1 <= c <= self.cols:
+            return 0, {}
+        t, k = divmod(c - 1, self.width)
+        return t, self._layout[3].get(k, {})
+
     def get(self, r: int, c: int) -> FieldElement:
-        return self._columns[c].get(r)
+        t, column = self._column(c)
+        return column.get(r - t) if r <= self.rows else None
 
     @property
     def nonzero_count(self) -> int:
         # pattern row i = -neg is moved into rows i..min(i + blocks - 1, rows)
         return sum(max(0, min(self._blocks, self.rows + 1 + neg)) for neg in self._layout[0])
 
-    @cached_property
+    @property
     def entries(self) -> dict[tuple[int, int], int]:
         return {(r, c): e for r, c, e in self.items()}
 
@@ -118,11 +113,13 @@ class ExponentMatrix:
         return tuple(map((r * self.width).__add__, self._layout[1][self._run(r)]))
 
     def col_support(self, c: int) -> tuple[int, ...]:
-        return tuple(self._columns[c])
+        t, column = self._column(c)
+        return tuple(i + t for i in column if i + t <= self.rows)
 
     def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> list[list[FieldElement]]:
-        columns = [self._columns[c] for c in cols]
-        return [[col.get(r) for col in columns] for r in rows]
+        columns = list(map(self._column, cols))
+        return [[column.get(r - t) if r <= self.rows else None for t, column in columns]
+                for r in rows]
 
     def row_runs(self) -> Iterator[tuple[int, int, list[int], list[int]]]:
         """``(first_row, last_row, offsets, exponents)`` over the maximal
@@ -154,7 +151,7 @@ class ExponentMatrix:
                                           if 0 < t < self._blocks)})
         for first, after in zip(cuts, cuts[1:]):
             bottom = self.rows - first  # the last pattern row that copy first keeps
-            yield first, after - 1, [[(i, e) for i, e in by_col.get(k, ()) if i <= bottom]
+            yield first, after - 1, [[(i, e) for i, e in by_col.get(k, {}).items() if i <= bottom]
                                      for k in range(self.width)]
 
     @property

@@ -322,7 +322,7 @@ def test_closed_support_that_does_not_span_is_grown():
     matrix = ExponentMatrix(2, 3, {(1, 1): 0, (1, 2): 0, (1, 3): 0,
                                    (2, 1): 0, (2, 2): 1, (2, 3): 2}, gf5)
     meter = an.Meter(an.DEFAULT_BUDGET)
-    assert an._min_weight_first_block(gf5, matrix, 1, 4, meter) == 3
+    assert an._min_weight_first_block(matrix, 1, 4, meter) == 3
     assert oracle_min_weight_first_block(gf5, matrix, 1, 4) == 3
 
 
@@ -510,11 +510,22 @@ def _row_tuples(matrix, size, listed):
         yield rows, sup, meets, listed(sup, meets)
 
 
+def _walks(sup, meets):
+    """The oracle's walk over one row tuple, pair meets keyed by position:
+    the sorted column tuples of the Tanner cycles through two or three rows,
+    in walk order: meet pairs, or chordless (c12, c23, c13), each column
+    missing the third row."""
+    if len(sup) == 2:
+        return list(itertools.combinations(sorted(meets[0, 1]), 2))
+    return [tuple(sorted(walk)) for walk in sorted(itertools.product(
+        meets[0, 1] - sup[2], meets[1, 2] - sup[0], meets[0, 2] - sup[1]))]
+
+
 def _vanishable(sup, meets, walks=None):
     """Sorted column sets whose submatrix has two or more nonzero transversals:
     the walks (``walks``, when given) and, for three rows, the 4-cycles of a
     row pair completed by a column of the third row."""
-    found = set(an._walks(sup, meets) if walks is None else walks)
+    found = set(_walks(sup, meets) if walks is None else walks)
     if len(sup) == 3:
         for (a, b), meet in meets.items():
             for pair in itertools.combinations(meet, 2):
@@ -542,7 +553,7 @@ def _walked_reports(spec, j):
     reports = {}
 
     def listed(sup, meets):
-        walks = an._walks(sup, meets)
+        walks = _walks(sup, meets)
         return walks, _vanishable(sup, meets, walks)
 
     for size in (2, 3):
@@ -755,7 +766,7 @@ def test_char2_3x3_failures_are_the_equal_sum_cycle_patterns(dts_126_124, dts_12
         pattern = CodeSpec(dts, make_field(2, 5), 3)
         predicted = tuple(
             (rows, cols)
-            for rows, _, _, walks in _row_tuples(pattern.sliding_matrix(pattern.mu), 3, an._walks)
+            for rows, _, _, walks in _row_tuples(pattern.sliding_matrix(pattern.mu), 3, _walks)
             for cols in walks
             if len(set(_integer_exponent_sums(pattern, rows, cols))) == 1)
         assert predicted == expected
@@ -1091,19 +1102,23 @@ def test_failing_check_at_the_frontier(sets, p, deg, witnesses, used, monkeypatc
 
 def test_strict_profile_runs_no_span_test_in_the_check_and_no_search_at_mu(monkeypatch):
     # a strict-valid DTS has no multi-row column: its check tests no span,
-    # and the profile searches no distance at any horizon
+    # one-column (_in_column_span) or larger (_in_span), and the profile
+    # searches no distance at any horizon
     spans, searched = [], []
-    in_span, search = an._in_span, an._min_weight_first_block
+    search = an._min_weight_first_block
 
-    def counted_in_span(*args):
-        spans.append(args)
-        return in_span(*args)
+    def counted(span_test):
+        def counted_span_test(*args):
+            spans.append(args)
+            return span_test(*args)
+        return counted_span_test
 
-    def recorded_search(field, matrix, *args):
+    def recorded_search(matrix, *args):
         searched.append(matrix.rows)
-        return search(field, matrix, *args)
+        return search(matrix, *args)
 
-    monkeypatch.setattr(an, "_in_span", counted_in_span)
+    monkeypatch.setattr(an, "_in_span", counted(an._in_span))
+    monkeypatch.setattr(an, "_in_column_span", counted(an._in_column_span))
     monkeypatch.setattr(an, "_min_weight_first_block", recorded_search)
     fields = [make_field(p, e) for p, e in ((2, 3), (3, 2), (2, 5), (7, 1))]
     rng = random.Random(19)

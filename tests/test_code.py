@@ -16,6 +16,7 @@ from dts_ldpc.code import (
 )
 from dts_ldpc.dts import DifferenceTriangleSet, search_min_scope, validate
 from dts_ldpc.errors import IncompleteBlock, SetCountMismatch, ZeroElementInDTS
+from dts_ldpc.formats import from_alist, render_pretty, to_alist, to_json
 from dts_ldpc.gf import ZERO, GaloisField, _factor_prime_power
 
 # frozen golden base matrices, entries (row, col) -> exponent
@@ -48,6 +49,30 @@ def test_exponent_matrix_basics(gf32):
         ExponentMatrix(2, 3, {(3, 1): 0}, gf32)
     with pytest.raises(ValueError):
         ExponentMatrix(2, 3, {(1, 1): 31}, gf32)
+
+
+def test_reading_a_matrix_changes_nothing(ref_spec_a):
+    # a matrix is a value: every reader reads it off the shared pattern and
+    # keeps nothing on it, for a tiling and for a matrix read back one copy
+    tiling = ref_spec_a.sliding_matrix(8)
+    read_back = from_alist(to_alist(ref_spec_a.base))
+    for matrix in (tiling, read_back):
+        before = set(vars(matrix))
+        rows, cols = range(0, matrix.rows + 2), range(0, matrix.cols + 2)
+        for r in rows:
+            matrix.row_support(r)
+            for c in cols:
+                matrix.get(r, c)
+        for c in cols:
+            matrix.col_support(c)
+        matrix.submatrix(rows, cols)
+        matrix.entries
+        list(matrix.items())
+        list(matrix.row_runs())
+        list(matrix.block_runs())
+        assert matrix == matrix
+        to_alist(matrix), to_json(matrix), render_pretty(matrix)
+        assert set(vars(matrix)) == before
 
 
 def test_base_matrix_golden(gf32, dts_126_124, dts_126_235):
