@@ -14,7 +14,8 @@ Three families of checks, all exact:
   column triples whose submatrix has exactly two nonzeros per row and per
   column), walked over the same row pairs and triples as the minors,
   together with the full-rank condition on their cycle matrices, decided
-  by the same two-term test;
+  by the same two-term test.  Reports that share a meter share one sweep
+  of the horizon, built and charged once;
 * distances — column distances and the free distance through the span
   criterion: the smallest d such that some column of the first block lies
   in the span of d-1 other columns, searched in increasing d.  The
@@ -32,6 +33,7 @@ matrix they were found in.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import NamedTuple, Optional, Sequence
@@ -130,11 +132,13 @@ class MinorReport(NamedTuple):
         }
 
 
-def _meets(matrix: ExponentMatrix, meter: Meter):
-    """``(supports, columns, meets)``: the support of row r as the set
-    ``supports[r]`` (``supports[0]`` is empty), the rows of column c in
-    increasing order ``columns[c]``, and the nonempty pair meets
-    ``meets[a, b]``, a < b, the sets of columns that rows a and b share.
+@functools.lru_cache(maxsize=1)
+def _meets(spec: CodeSpec, j: int, meter: Meter):
+    """``(matrix, supports, columns, meets)``: the sliding matrix at horizon
+    j, the support of row r as the set ``supports[r]`` (``supports[0]`` is
+    empty), the rows of column c in increasing order ``columns[c]``, and the
+    nonempty pair meets ``meets[a, b]``, a < b, the sets of columns that
+    rows a and b share.
 
     Locality: column c of block t is its pattern column moved down t rows,
     and the pattern has scope = mu + 1 rows, so the rows of a column lie
@@ -144,8 +148,11 @@ def _meets(matrix: ExponentMatrix, meter: Meter):
     The sweep is charged rows + cols before a row is read, so that a
     horizon far past the budget is refused at once, then one step per meet
     column, the sum of |M_ab|, which is the sum over the columns of
-    C(|col|, 2), before the meets are built.
+    C(|col|, 2), before the meets are built.  The sweep is a value of
+    (spec, j, meter), built and charged once: reports that share a meter
+    share it.
     """
+    matrix = spec.sliding_matrix(j)
     meter.charge(matrix.rows + matrix.cols)
     supports = [set()] + [set(matrix.row_support(r)) for r in range(1, matrix.rows + 1)]
     columns: dict[int, list[int]] = {}
@@ -157,7 +164,7 @@ def _meets(matrix: ExponentMatrix, meter: Meter):
     for c, rows in columns.items():
         for pair in itertools.combinations(rows, 2):
             meets.setdefault(pair, set()).add(c)
-    return supports, columns, meets
+    return matrix, supports, columns, meets
 
 
 def _triples(meets: dict) -> list[tuple[int, int, int]]:
@@ -193,13 +200,17 @@ def _walks(rows: tuple[int, ...], supports: list[set[int]], meets: dict) -> list
         meets[a, b] - supports[c], meets[b, c] - supports[a], meets[a, c] - supports[b]))]
 
 
-def _cycles(matrix: ExponentMatrix, supports: list[set[int]], meets: dict, meter: Meter,
-            tuples) -> list[TannerCycle]:
-    """The Tanner cycles through the row tuples ``tuples``, in order, each
-    decided by the two-term rule (``enumerate_cycles``)."""
-    return [TannerCycle(rows, cols, _two_terms_cancel(matrix.field, _transversals(
+@functools.lru_cache(maxsize=2)
+def _cycles(spec: CodeSpec, j: int, meter: Meter, size: int) -> tuple[TannerCycle, ...]:
+    """The Tanner cycles through the row pairs that meet (``size`` 2) or the
+    row triples of ``_triples`` (``size`` 3) of the sweep ``_meets``, in
+    order, each decided by the two-term rule (``enumerate_cycles``).  Like
+    the sweep, they are walked and charged once per (spec, j, meter)."""
+    matrix, supports, _, meets = _meets(spec, j, meter)
+    tuples = sorted(meets) if size == 2 else _triples(meets)
+    return tuple(TannerCycle(rows, cols, _two_terms_cancel(spec.field, _transversals(
         matrix.submatrix(rows, cols))))
-        for rows, walks in _local_walks(tuples, supports, meets, meter) for cols in walks]
+        for rows, walks in _local_walks(tuples, supports, meets, meter) for cols in walks)
 
 
 def _near_completions(supports: list[set[int]], columns: dict, rows: tuple[int, int],
@@ -311,23 +322,23 @@ def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
 
     Charges: those of ``_meets``, 1 per meeting row pair and 1 per 4-cycle,
     then for 3x3 minors those of the 6-cycles, 1 per failing factorable
-    completion and 1 per near set.
+    completion and 1 per near set.  A sweep and its cycles already built
+    on the same meter (``_meets``, ``_cycles``) are read, not charged again.
     """
     if size not in (2, 3):
         raise ValueError(f"minor size must be 2 or 3, got {size}")
     j = spec.mu if j is None else j
-    matrix, field = spec.sliding_matrix(j), spec.field
     meter = as_meter(budget)
-    supports, columns, meets = _meets(matrix, meter)
+    matrix, supports, columns, meets = _meets(spec, j, meter)
     weights = list(map(len, supports))
-    four_cycles = _cycles(matrix, supports, meets, meter, sorted(meets))
+    four_cycles = _cycles(spec, j, meter, 2)
     if size == 2:
         total = _elementary(weights, 2) - sum(map(len, meets.values())) - len(four_cycles)
         failures = [MinorFailure(c.rows, c.cols, PATTERN_FULL) for c in four_cycles if c.singular]
         counts = {PATTERN_FULL: len(four_cycles), PATTERN_MIXED: total - len(four_cycles)}
         return MinorReport(size=size, horizon=j, class_counts=counts, failures=tuple(failures))
     weight = sum(weights)
-    six_cycles = _cycles(matrix, supports, meets, meter, _triples(meets))
+    six_cycles = _cycles(spec, j, meter, 3)
     total = (_elementary(weights, 3) + 2 * sum(math.comb(len(rows), 3) for rows in columns.values())
              - sum(len(m) * (weight - weights[a] - weights[b]) for (a, b), m in meets.items())
              - len(six_cycles))
@@ -352,8 +363,8 @@ def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
         terms = _transversals(grid)
         total -= len(terms) - 1
         full += len(terms) == 6
-        if (_two_terms_cancel(field, terms) if len(terms) == 2
-                else gf.det(field, grid) is ZERO):
+        if (_two_terms_cancel(spec.field, terms) if len(terms) == 2
+                else gf.det(spec.field, grid) is ZERO):
             failures.append(MinorFailure(rows, cols, PATTERN_FULL if len(terms) == 6
                                          else PATTERN_MIXED))
     counts = {PATTERN_FULL: full, PATTERN_CYCLE: len(six_cycles),
@@ -408,7 +419,8 @@ def enumerate_cycles(spec: CodeSpec, length: int, j: Optional[int] = None,
     their columns (c12, c23, c13) along the walk.  4-cycles are walked over
     the row pairs that meet and 6-cycles over the row triples whose three
     pair meets are nonempty (``_meets``, ``_triples``), charged as in
-    ``check_minors``, so a 4-cycle report charges what the 2x2 minors do.
+    ``check_minors`` and, like them, read from a sweep already built on the
+    same meter.
 
     Each cycle is decided by the two-term rule of ``check_minors``, with no
     field operation.  A 4-cycle's 2x2 submatrix is fully nonzero: its two
@@ -421,11 +433,9 @@ def enumerate_cycles(spec: CodeSpec, length: int, j: Optional[int] = None,
     if length not in (4, 6):
         raise ValueError(f"cycle length must be 4 or 6, got {length}")
     j = spec.mu if j is None else j
-    matrix = spec.sliding_matrix(j)
     meter = as_meter(budget)
-    supports, _, meets = _meets(matrix, meter)
-    cycles = _cycles(matrix, supports, meets, meter,
-                     sorted(meets) if length == 4 else _triples(meets))
+    cycles = _cycles(spec, j, meter, length // 2)
+    _, supports, _, meets = _meets(spec, j, meter)
     # the girth: a 4-cycle is a meet of two columns; with none, every
     # 6-cycle is chordless, so walked, up to the first
     if length == 4:
@@ -433,7 +443,7 @@ def enumerate_cycles(spec: CodeSpec, length: int, j: Optional[int] = None,
             _triples(meets), supports, meets, meter)) else None
     else:
         girth = 4 if any(len(meet) > 1 for meet in meets.values()) else 6 if cycles else None
-    return CycleReport(length=length, horizon=j, cycles=tuple(cycles), girth=girth)
+    return CycleReport(length=length, horizon=j, cycles=cycles, girth=girth)
 
 
 # ---------------------------------------------------------------------------

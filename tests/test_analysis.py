@@ -806,8 +806,8 @@ def test_vanishable_sets_walks_and_charges_past_the_dense_sweep(ref_spec_a, ref_
         cases.append((spec, rng.randint(5, 14)))
     near_sets = 0
     for spec, j in cases:
-        matrix = spec.sliding_matrix(j)
-        supports, columns, meets = an._meets(matrix, an.Meter(an.DEFAULT_BUDGET))
+        meter = an.Meter(an.DEFAULT_BUDGET)
+        matrix, supports, columns, meets = an._meets(spec, j, meter)
         near = set()
         for size in (2, 3):
             for rows, sup, local, found in _row_tuples(matrix, size, _vanishable):
@@ -822,8 +822,7 @@ def test_vanishable_sets_walks_and_charges_past_the_dense_sweep(ref_spec_a, ref_
                     assert not kept or _meet_count(matrix, rows) == 3
                     near.update((rows, cols) for cols in kept
                                 if _pattern(sup, cols) != an.PATTERN_CYCLE)
-        four_cycles = an._cycles(matrix, supports, meets, an.Meter(an.DEFAULT_BUDGET),
-                                 sorted(meets))
+        four_cycles = an._cycles(spec, j, meter, 2)
         assert set().union(*(an._near_completions(supports, columns, c.rows, c.cols)
                              for c in four_cycles)) == near
         near_sets += len(near)
@@ -1008,6 +1007,42 @@ def test_cycle_report_walks_its_own_row_pairs_once(ref_spec_a):
             assert meters[0].used == meters[1].used, (spec.dts, j)
             charged.append(meters[0].used)
     assert charged[0] == 380 and len(charged) >= 20
+
+
+def test_reports_on_one_meter_share_one_sweep(ref_spec_a, gf32):
+    # the four reports of a verify, drawn on one meter in either order, are
+    # the reports drawn on fresh meters, and the meter reads what the 3x3
+    # minors charge alone plus the girth walk of the 4-cycle report, which
+    # walks no triple when the code has a 4-cycle
+    fields = [make_field(p, e) for p, e in ((2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 5))]
+    rng = random.Random(2018)
+    strict = CodeSpec(DifferenceTriangleSet.from_inline("1,2,5;1,3,8"), gf32, 3)
+    cases = [(ref_spec_a, 25), (strict, 12)]
+    for trial in range(40):
+        field = fields[trial % len(fields)]
+        n, w = rng.randint(2, 4), rng.randint(1, 4)
+        cases.append((CodeSpec(_random_relaxed_family(rng, n, w), field, n), rng.randint(3, 14)))
+        n, w = rng.randint(2, 3), rng.randint(2, 3)
+        cases.append((CodeSpec(_random_strict_family(rng, n, w), field, n), rng.randint(3, 14)))
+    shared_used = []
+    for spec, j in cases:
+        fresh = {}
+        for report, size in ((an.check_minors, 2), (an.check_minors, 3),
+                             (an.enumerate_cycles, 4), (an.enumerate_cycles, 6)):
+            meter = an.Meter(an.DEFAULT_BUDGET)
+            fresh[report, size] = report(spec, size, j, meter), meter.used
+        girth_walk = fresh[an.enumerate_cycles, 4][1] - fresh[an.check_minors, 2][1]
+        assert girth_walk >= 0 and not (girth_walk and fresh[an.enumerate_cycles, 4][0].cycles)
+        for order in (list(fresh), list(reversed(fresh))):
+            meter = an.Meter(an.DEFAULT_BUDGET)
+            for report, size in order:
+                assert report(spec, size, j, meter) == fresh[report, size][0], (spec.dts, j)
+            assert meter.used == fresh[an.check_minors, 3][1] + girth_walk, (spec.dts, j)
+        shared_used.append((meter.used, sum(used for _, used in fresh.values())))
+    # shared against summed fresh charges: A reads 41 j - 110 against
+    # 108 j - 248, and the strict family 343 for its 3x3 minors plus 2 for
+    # the girth walk's triples
+    assert shared_used[:2] == [(915, 2452), (345, 951)]
 
 
 def test_distance_profile_charges_one_budget(ref_spec_a):

@@ -8,10 +8,11 @@ import sys
 
 import pytest
 
-from dts_ldpc import cli, formats, gf
+from dts_ldpc import analysis, cli, formats, gf
 from dts_ldpc.cli import main
-from dts_ldpc.code import build_base_matrix
-from dts_ldpc.errors import FieldTooLarge
+from dts_ldpc.code import CodeSpec, ExponentMatrix, build_base_matrix
+from dts_ldpc.dts import DifferenceTriangleSet
+from dts_ldpc.errors import DEFAULT_BUDGET, FieldTooLarge, Meter
 from dts_ldpc.formats import (
     from_alist,
     matrix_from_json_dict,
@@ -20,7 +21,6 @@ from dts_ldpc.formats import (
     to_alist,
 )
 from dts_ldpc.gf import GaloisField
-from dts_ldpc.code import ExponentMatrix
 
 EXAMPLE_B_PRETTY = """\
   a    0 1
@@ -334,7 +334,7 @@ def test_cli_verify_deep_horizon_runs_within_default_budget(capsys):
 
 def test_cli_verify_at_horizon_1000_runs_within_default_budget(capsys):
     # the sweeps walk only the row pairs and triples that meet, so their
-    # work is linear in j: 107752 steps here, against about 7 * 10**9 for a
+    # work is linear in j: 40890 steps here, against about 7 * 10**9 for a
     # walk of every row triple
     code, out, _ = run_cli(capsys, "verify", "--dts", "1,2,6;1,2,4", "--n", "3",
                            "--field", "2^5", "--j", "1000", "--json")
@@ -344,15 +344,34 @@ def test_cli_verify_at_horizon_1000_runs_within_default_budget(capsys):
 
 def test_cli_verify_charges_an_affine_function_of_j(capsys):
     # from j = 25 on, every row of code A past the first mu meets the rows
-    # around it as the row above does, so a whole verify charges
-    # 108 j - 248 steps: j = 100 follows from j = 25 and 50, and a budget
-    # one step short of it is refused
+    # around it as the row above does, and the four reports share one
+    # sweep, so a whole verify charges what its 3x3 minors do, 41 j - 110
+    # steps: j = 100 follows from j = 25 and 50, and a budget one step
+    # short of it is refused
     spec = ("verify", "--dts", "1,2,6;1,2,4", "--n", "3", "--field", "2^5")
     for j in (25, 50, 100):
-        used = 108 * j - 248
+        used = 41 * j - 110
         assert run_cli(capsys, *spec, "--j", str(j), "--budget", str(used))[0] == 1
         assert run_cli(capsys, *spec, "--j", str(j), "--budget", str(used - 1)) == (
             2, "", f"error: {used} steps exceed the budget of {used - 1}\n")
+
+
+def test_cli_verify_builds_one_sweep(capsys, monkeypatch):
+    # the four reports of one verify share its meter, so they share one
+    # tiling and one sweep, charged once: code A has 4-cycles, so the
+    # command charges what its 3x3 minors charge alone
+    tilings, meters = [], []
+    sliding_matrix, meter = CodeSpec.sliding_matrix, cli._meter
+    monkeypatch.setattr(CodeSpec, "sliding_matrix",
+                        lambda self, j: tilings.append(j) or sliding_matrix(self, j))
+    monkeypatch.setattr(cli, "_meter", lambda flag: meters.append(meter(flag)) or meters[-1])
+    code, _, _ = run_cli(capsys, "verify", "--dts", "1,2,6;1,2,4", "--n", "3",
+                         "--field", "2^5", "--j", "25")
+    assert code == 1 and tilings == [25]
+    spec = CodeSpec(DifferenceTriangleSet.from_inline("1,2,6;1,2,4"), GaloisField(2, 5), 3)
+    alone = Meter(DEFAULT_BUDGET)
+    analysis.check_minors(spec, 3, 25, alone)
+    assert meters[0].used == alone.used == 915
 
 
 def test_cli_search_and_exhaustion(capsys):
