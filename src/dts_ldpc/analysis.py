@@ -132,13 +132,12 @@ class MinorReport(NamedTuple):
         }
 
 
-@functools.lru_cache(maxsize=1)
-def _meets(spec: CodeSpec, j: int, meter: Meter):
-    """``(matrix, supports, columns, meets)``: the sliding matrix at horizon
-    j, the support of row r as the set ``supports[r]`` (``supports[0]`` is
-    empty), the rows of column c in increasing order ``columns[c]``, and the
-    nonempty pair meets ``meets[a, b]``, a < b, the sets of columns that
-    rows a and b share.
+class _Sweep:
+    """The sweep of the sliding matrix ``matrix`` at horizon j: the support
+    of row r as the set ``supports[r]`` (``supports[0]`` is empty), the rows
+    of column c in increasing order ``columns[c]``, the nonempty pair meets
+    ``meets[a, b]``, a < b, the sets of columns that rows a and b share,
+    the row ``triples`` and the Tanner cycles through them (``cycles``).
 
     Locality: column c of block t is its pattern column moved down t rows,
     and the pattern has scope = mu + 1 rows, so the rows of a column lie
@@ -148,69 +147,62 @@ def _meets(spec: CodeSpec, j: int, meter: Meter):
     The sweep is charged rows + cols before a row is read, so that a
     horizon far past the budget is refused at once, then one step per meet
     column, the sum of |M_ab|, which is the sum over the columns of
-    C(|col|, 2), before the meets are built.  The sweep is a value of
-    (spec, j, meter), built and charged once: reports that share a meter
-    share it.
+    C(|col|, 2), before the meets are built.
     """
-    matrix = spec.sliding_matrix(j)
-    meter.charge(matrix.rows + matrix.cols)
-    supports = [set()] + [set(matrix.row_support(r)) for r in range(1, matrix.rows + 1)]
-    columns: dict[int, list[int]] = {}
-    for r, sup in enumerate(supports):
-        for c in sup:
-            columns.setdefault(c, []).append(r)
-    meter.charge(sum(math.comb(len(rows), 2) for rows in columns.values()))
-    meets: dict[tuple[int, int], set[int]] = {}
-    for c, rows in columns.items():
-        for pair in itertools.combinations(rows, 2):
-            meets.setdefault(pair, set()).add(c)
-    return matrix, supports, columns, meets
+
+    def __init__(self, spec: CodeSpec, j: int, meter: Meter):
+        self.matrix = matrix = spec.sliding_matrix(j)
+        meter.charge(matrix.rows + matrix.cols)
+        self.supports = [set()] + [set(matrix.row_support(r)) for r in range(1, matrix.rows + 1)]
+        self.columns: dict[int, list[int]] = {}
+        for r, sup in enumerate(self.supports):
+            for c in sup:
+                self.columns.setdefault(c, []).append(r)
+        meter.charge(sum(math.comb(len(rows), 2) for rows in self.columns.values()))
+        self.meets: dict[tuple[int, int], set[int]] = {}
+        for c, rows in self.columns.items():
+            for pair in itertools.combinations(rows, 2):
+                self.meets.setdefault(pair, set()).add(c)
+        self.walked: dict[int, tuple[TannerCycle, ...]] = {}
+
+    @functools.cached_property
+    def triples(self) -> list[tuple[int, int, int]]:
+        """The row triples a < b < c whose three pair meets are nonempty, in order:
+        the only ones that hold a 6-cycle.  Each is found once, from the rows
+        after a that meet it, at most mu of them, so they are linear in j."""
+        later: dict[int, list[int]] = {}
+        for a, b in self.meets:
+            later.setdefault(a, []).append(b)
+        return sorted((a, *pair) for a, after in later.items()
+                      for pair in itertools.combinations(sorted(after), 2) if pair in self.meets)
+
+    def cycles(self, size: int, meter: Meter) -> tuple[TannerCycle, ...]:
+        """The Tanner cycles through the row pairs that meet (``size`` 2),
+        a meet's column pairs, or the ``triples``, a triple's chordless (c12,
+        c23, c13), walked on the first read.  Each tuple is charged 1 + its
+        number of cycles, then each is decided by the two-term rule."""
+        if size not in self.walked:
+            meets, sup, found = self.meets, self.supports, []
+            for rows in sorted(meets) if size == 2 else self.triples:
+                if size == 2:
+                    walks = list(itertools.combinations(sorted(meets[rows]), 2))
+                else:
+                    a, b, c = rows
+                    walks = [tuple(sorted(walk)) for walk in sorted(itertools.product(
+                        meets[a, b] - sup[c], meets[b, c] - sup[a], meets[a, c] - sup[b]))]
+                meter.charge(1 + len(walks))
+                found += (TannerCycle(rows, cols, _two_terms_cancel(self.matrix.field, _transversals(
+                    self.matrix.submatrix(rows, cols)))) for cols in walks)
+            self.walked[size] = tuple(found)
+        return self.walked[size]
 
 
-def _triples(meets: dict) -> list[tuple[int, int, int]]:
-    """The row triples a < b < c whose three pair meets are nonempty, in
-    increasing order: the only ones that hold a 6-cycle.  Each is found
-    once, from the rows after a that meet it, at most mu of them, so their
-    number is linear in j."""
-    later: dict[int, list[int]] = {}
-    for a, b in meets:
-        later.setdefault(a, []).append(b)
-    return sorted((a, *pair) for a, after in later.items()
-                  for pair in itertools.combinations(sorted(after), 2) if pair in meets)
-
-
-def _local_walks(tuples, supports: list[set[int]], meets: dict, meter: Meter):
-    """``(rows, walks)`` for each row tuple of ``tuples``: its Tanner cycles
-    (``_walks``) over the row supports and pair meets.  Each tuple is
-    charged ``1 + len(walks)`` before it is yielded."""
-    for rows in tuples:
-        walks = _walks(rows, supports, meets)
-        meter.charge(1 + len(walks))
-        yield rows, walks
-
-
-def _walks(rows: tuple[int, ...], supports: list[set[int]], meets: dict) -> list[tuple[int, ...]]:
-    """Sorted column tuples of the Tanner cycles through a row pair that
-    meets or a row triple of ``_triples``, in walk order: meet pairs, or
-    chordless (c12, c23, c13), each column missing the third row."""
-    if len(rows) == 2:
-        return list(itertools.combinations(sorted(meets[rows]), 2))
-    a, b, c = rows
-    return [tuple(sorted(walk)) for walk in sorted(itertools.product(
-        meets[a, b] - supports[c], meets[b, c] - supports[a], meets[a, c] - supports[b]))]
-
-
-@functools.lru_cache(maxsize=2)
-def _cycles(spec: CodeSpec, j: int, meter: Meter, size: int) -> tuple[TannerCycle, ...]:
-    """The Tanner cycles through the row pairs that meet (``size`` 2) or the
-    row triples of ``_triples`` (``size`` 3) of the sweep ``_meets``, in
-    order, each decided by the two-term rule (``enumerate_cycles``).  Like
-    the sweep, they are walked and charged once per (spec, j, meter)."""
-    matrix, supports, _, meets = _meets(spec, j, meter)
-    tuples = sorted(meets) if size == 2 else _triples(meets)
-    return tuple(TannerCycle(rows, cols, _two_terms_cancel(spec.field, _transversals(
-        matrix.submatrix(rows, cols))))
-        for rows, walks in _local_walks(tuples, supports, meets, meter) for cols in walks)
+def _sweep(spec: CodeSpec, j: int, meter: Meter) -> _Sweep:
+    """The sweep of (spec, j), built and charged unless ``meter`` holds it:
+    a meter holds its last sweep, which is freed with it."""
+    if meter.sweep is None or meter.sweep[0] != (spec, j):
+        meter.sweep = (spec, j), _Sweep(spec, j, meter)
+    return meter.sweep[1]
 
 
 def _near_completions(supports: list[set[int]], columns: dict, rows: tuple[int, int],
@@ -274,7 +266,7 @@ def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
     with t >= 2.  Only those sets can vanish, and only they are decided.
 
     Summed over all tuples, with w_r the row weights, W their sum and M_ab
-    the pair meets (``_meets``), T is e2(w) - sum |M_ab| for pairs.  For
+    the pair meets (``_Sweep``), T is e2(w) - sum |M_ab| for pairs.  For
     triples, |A&B||C| sums to sum |M_ab| (W - w_a - w_b), as each pair
     takes every other row as the third, and |A&B&C| to the number of row
     triples sharing a column, counted per column: sum C(|col|, 3).  So T
@@ -286,7 +278,7 @@ def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
     differing by a transposition share a nonzero (r, c), and their other
     four entries are a 4-cycle (c1, c2) of rows a, b.  Two differing by a
     3-cycle make a 6-cycle: chordless, it is the cycle pattern (two
-    nonzeros per row and column), walked by ``_walks``; with a chord
+    nonzeros per row and column), walked by ``_Sweep.cycles``; with a chord
     (i, k), row i and the first transversal's row in column k share k and
     that transversal's column in row i, a 4-cycle completed by its entry
     in the third row.
@@ -320,25 +312,26 @@ def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
     parities differ and D = s when they agree, with no field operation;
     only near sets of three or more are evaluated, by ``gf.det``.
 
-    Charges: those of ``_meets``, 1 per meeting row pair and 1 per 4-cycle,
+    Charges: those of the sweep, 1 per meeting row pair and 1 per 4-cycle,
     then for 3x3 minors those of the 6-cycles, 1 per failing factorable
-    completion and 1 per near set.  A sweep and its cycles already built
-    on the same meter (``_meets``, ``_cycles``) are read, not charged again.
+    completion and 1 per near set.  A sweep and its cycles already held by
+    the same meter (``_sweep``) are read, not charged again.
     """
     if size not in (2, 3):
         raise ValueError(f"minor size must be 2 or 3, got {size}")
     j = spec.mu if j is None else j
     meter = as_meter(budget)
-    matrix, supports, columns, meets = _meets(spec, j, meter)
+    sweep = _sweep(spec, j, meter)
+    matrix, supports, columns, meets = sweep.matrix, sweep.supports, sweep.columns, sweep.meets
     weights = list(map(len, supports))
-    four_cycles = _cycles(spec, j, meter, 2)
+    four_cycles = sweep.cycles(2, meter)
     if size == 2:
         total = _elementary(weights, 2) - sum(map(len, meets.values())) - len(four_cycles)
         failures = [MinorFailure(c.rows, c.cols, PATTERN_FULL) for c in four_cycles if c.singular]
         counts = {PATTERN_FULL: len(four_cycles), PATTERN_MIXED: total - len(four_cycles)}
         return MinorReport(size=size, horizon=j, class_counts=counts, failures=tuple(failures))
     weight = sum(weights)
-    six_cycles = _cycles(spec, j, meter, 3)
+    six_cycles = sweep.cycles(3, meter)
     total = (_elementary(weights, 3) + 2 * sum(math.comb(len(rows), 3) for rows in columns.values())
              - sum(len(m) * (weight - weights[a] - weights[b]) for (a, b), m in meets.items())
              - len(six_cycles))
@@ -418,9 +411,18 @@ def enumerate_cycles(spec: CodeSpec, length: int, j: Optional[int] = None,
     that submatrix is zero.  Within a row triple, 6-cycles are ordered by
     their columns (c12, c23, c13) along the walk.  4-cycles are walked over
     the row pairs that meet and 6-cycles over the row triples whose three
-    pair meets are nonempty (``_meets``, ``_triples``), charged as in
-    ``check_minors`` and, like them, read from a sweep already built on the
-    same meter.
+    pair meets are nonempty (``_Sweep``), charged as in ``check_minors``
+    and, like them, read from a sweep already held by the same meter.
+
+    The girth is read off the pair meets, with no step charged: 4 if a
+    meet holds two columns (a 4-cycle), else 6 if the three meets of some
+    triple are distinct, else None.  A 6-cycle lies on a triple, as its
+    rows meet pairwise.  With no 4-cycle a triple's meets are single
+    columns, M_ab = {x}, M_bc = {y}, M_ac = {z}.  If one of them meets its
+    third row, say x meets row c, then x is in M_bc and M_ac, so x = y = z
+    meets all three rows, and no column of M_ab misses row c: no 6-cycle.
+    Otherwise each misses its third row, which the other two meet, so they
+    are distinct and (x, y, z) is the triple's one 6-cycle, chordless.
 
     Each cycle is decided by the two-term rule of ``check_minors``, with no
     field operation.  A 4-cycle's 2x2 submatrix is fully nonzero: its two
@@ -434,15 +436,10 @@ def enumerate_cycles(spec: CodeSpec, length: int, j: Optional[int] = None,
         raise ValueError(f"cycle length must be 4 or 6, got {length}")
     j = spec.mu if j is None else j
     meter = as_meter(budget)
-    cycles = _cycles(spec, j, meter, length // 2)
-    _, supports, _, meets = _meets(spec, j, meter)
-    # the girth: a 4-cycle is a meet of two columns; with none, every
-    # 6-cycle is chordless, so walked, up to the first
-    if length == 4:
-        girth = 4 if cycles else 6 if any(walks for _, walks in _local_walks(
-            _triples(meets), supports, meets, meter)) else None
-    else:
-        girth = 4 if any(len(meet) > 1 for meet in meets.values()) else 6 if cycles else None
+    sweep = _sweep(spec, j, meter)
+    cycles, meets = sweep.cycles(length // 2, meter), sweep.meets
+    girth = 4 if any(len(meet) > 1 for meet in meets.values()) else 6 if any(
+        len(meets[a, b] | meets[b, c] | meets[a, c]) == 3 for a, b, c in sweep.triples) else None
     return CycleReport(length=length, horizon=j, cycles=cycles, girth=girth)
 
 

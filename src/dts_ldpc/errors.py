@@ -44,6 +44,7 @@ class Meter:
     def __init__(self, limit: int):
         self.limit = limit
         self.used = 0
+        self.sweep = None  # (key, sweep): the last analysis sweep charged to it
 
     def charge(self, steps: int) -> None:
         self.used += steps
