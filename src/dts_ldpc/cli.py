@@ -36,7 +36,7 @@ def _parse_field(text: str) -> GaloisField:
 
 
 def _load_dts(args: argparse.Namespace) -> DifferenceTriangleSet:
-    if getattr(args, "dts", None):
+    if args.dts is not None:
         return DifferenceTriangleSet.from_inline(args.dts)
     with open(args.dts_file, encoding="utf-8") as fh:
         try:
@@ -88,26 +88,32 @@ def _emit_json(payload: dict) -> None:
 def _json_text(value, indent: str = "") -> str:
     """The bytes of ``json.dumps(value, indent=2, sort_keys=True)``.
 
-    A list of ints is joined in one ``str.join`` over ``map(str, ...)``
-    instead of element by element.
+    One type test picks the writer for the exact ``int``, ``str``,
+    ``dict``, ``list`` and ``tuple`` the payloads hold; a subclass takes
+    the ``isinstance`` tests.  A list of ints is joined in one
+    ``str.join`` over ``map(str, ...)`` instead of element by element.
     """
+    kind = type(value)
+    if kind is int:
+        return str(value)
+    if kind not in (str, dict, list, tuple):  # a subclass, null, true, false or a float
+        kind = (str if isinstance(value, str) else dict if isinstance(value, dict)
+                else list if isinstance(value, (list, tuple)) else None)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is None or not value:
+        return json.dumps(value)  # null, true, false, a float, or an empty container
     inner = indent + "  "
     sep = ",\n" + inner
-    if isinstance(value, dict) and value:
+    if kind is dict:
         body = sep.join(f"{encode_basestring_ascii(k)}: {_json_text(v, inner)}"
                         for k, v in sorted(value.items()))
         return f"{{\n{inner}{body}\n{indent}}}"
-    if isinstance(value, (list, tuple)) and value:
-        if {*map(type, value)} == {int}:
-            body = sep.join(map(str, value))
-        else:
-            body = sep.join(_json_text(v, inner) for v in value)
-        return f"[\n{inner}{body}\n{indent}]"
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if type(value) is int:
-        return str(value)
-    return json.dumps(value)  # null, true, false, a float, or an empty container
+    if all(type(v) is int for v in value):
+        body = sep.join(map(str, value))
+    else:
+        body = sep.join(_json_text(v, inner) for v in value)
+    return f"[\n{inner}{body}\n{indent}]"
 
 
 def _int_list(text: str, allowed: set[int], flag: str) -> list[int]:
@@ -301,71 +307,89 @@ def _add_spec_arguments(sub: argparse.ArgumentParser) -> None:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on first use and kept for the process."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The command-line parser and its subcommand parsers by name, built
+    on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="dts-ldpc",
         description="Construct and verify convolutional parity checks "
                     "built from difference triangle sets.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    construct = subs.add_parser("construct", help="emit the base or sliding matrix")
+    def command(name: str, func, help: str) -> argparse.ArgumentParser:
+        sub = commands[name] = subs.add_parser(name, help=help)
+        sub.set_defaults(func=func)
+        return sub
+
+    construct = command("construct", _cmd_construct, "emit the base or sliding matrix")
     _add_spec_arguments(construct)
     construct.add_argument("--j", type=_integer, default=None,
                            help="horizon for the sliding matrix; omit for the base matrix")
     construct.add_argument("--out", choices=("pretty", "json", "alist"), default="pretty")
     construct.add_argument("--zero", default="0", help="token for zero entries in pretty output")
-    construct.set_defaults(func=_cmd_construct)
 
-    verify = subs.add_parser("verify", help="check minors and cycle full-rank conditions")
+    verify = command("verify", _cmd_verify, "check minors and cycle full-rank conditions")
     _add_spec_arguments(verify)
     verify.add_argument("--j", type=_integer, default=None, help="horizon (default: memory)")
     verify.add_argument("--minors", default="2,3", help="comma list from {2,3}")
     verify.add_argument("--cycles", default="4,6", help="comma list from {4,6}")
     verify.add_argument("--budget", default=None, help="work budget in steps")
     verify.add_argument("--json", action="store_true")
-    verify.set_defaults(func=_cmd_verify)
 
-    distance = subs.add_parser("distance", help="column and free distance profile")
+    distance = command("distance", _cmd_distance, "column and free distance profile")
     _add_spec_arguments(distance)
     distance.add_argument("--horizon", type=_integer, default=None,
                           help="restrict the free-distance search horizon")
     distance.add_argument("--budget", default=None, help="work budget in steps")
     distance.add_argument("--json", action="store_true")
-    distance.set_defaults(func=_cmd_distance)
 
-    search = subs.add_parser("search", help="minimum-scope difference triangle set")
+    search = command("search", _cmd_search, "minimum-scope difference triangle set")
     search.add_argument("--sets", type=_integer, required=True)
     search.add_argument("--size", type=_integer, required=True)
     search.add_argument("--mode", choices=("relaxed", "strict"), default="relaxed")
     search.add_argument("--min-element", type=_integer, default=1, choices=(0, 1))
     search.add_argument("--budget", type=_integer, default=32, help="largest scope to try")
     search.add_argument("--json", action="store_true")
-    search.set_defaults(func=_cmd_search)
 
-    density = subs.add_parser("density", help="sliding-matrix density as a fraction")
+    density = command("density", _cmd_density, "sliding-matrix density as a fraction")
     density.add_argument("--n", type=_integer, required=True)
     density.add_argument("--w", type=_integer, required=True)
     density.add_argument("--mu", type=_integer, required=True)
     density.add_argument("--len", type=_integer, required=True, help="message length in symbols")
     density.add_argument("--json", action="store_true")
-    density.set_defaults(func=_cmd_density)
 
-    suggest = subs.add_parser("suggest-field", help="field-size bounds for a DTS shape")
+    suggest = command("suggest-field", _cmd_suggest_field, "field-size bounds for a DTS shape")
     suggest.add_argument("--n", type=_integer, required=True)
     suggest.add_argument("--scope", type=_integer, required=True)
     suggest.add_argument("--w", type=_integer, required=True)
     suggest.add_argument("--json", action="store_true")
-    suggest.set_defaults(func=_cmd_suggest_field)
 
-    return parser
+    return parser, commands
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The namespace ``parser.parse_args(argv)`` gives, parsed once.
+
+    A known command's tokens go straight to its own parser, which is what
+    the top-level parse hands them to; tokens it leaves are refused as the
+    top-level parse refuses them.  No command, an unknown one or a
+    top-level option such as ``-h`` takes the top-level parse.
+    """
+    parser, commands = _build_parser()
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

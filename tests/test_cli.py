@@ -1,5 +1,8 @@
 """Serialization formats and the command-line interface."""
 
+import argparse
+import collections
+import enum
 import json
 import os
 import pathlib
@@ -607,28 +610,51 @@ def test_cli_malformed_dts_names_the_input(capsys, tmp_path):
 
 
 def test_json_text_is_json_dumps_on_every_schema(capsys, monkeypatch):
-    # every --json payload the commands print, as the commands built it;
-    # construct prints formats.to_json, the text of its matrix's dict
+    # every --json payload the commands print, as the commands built it,
+    # for codes A and B; construct prints formats.to_json, the text of its
+    # matrix's dict
     payloads = []
     emit = cli._emit_json
     monkeypatch.setattr(cli, "_emit_json", lambda payload: (payloads.append(payload), emit(payload)))
-    spec = ("--dts", "1,2,6;1,2,4", "--n", "3", "--field", "2^5")
     monkeypatch.setattr(cli, "to_json", lambda matrix: (
         payloads.append(matrix_to_json_dict(matrix)), formats.to_json(matrix))[1])
-    for argv in (("construct", *spec, "--j", "5", "--out", "json"),
-                 ("verify", *spec, "--json"),
-                 ("distance", *spec, "--json"),
-                 ("distance", *spec, "--horizon", "2", "--json"),
-                 ("search", "--sets", "2", "--size", "3", "--mode", "strict", "--json"),
-                 ("density", "--n", "3", "--w", "3", "--mu", "5", "--len", "18", "--json"),
-                 ("suggest-field", "--n", "3", "--scope", "6", "--w", "3", "--json")):
-        _, out, _ = run_cli(capsys, *argv)
-        assert out == json.dumps(payloads[-1], indent=2, sort_keys=True) + "\n"
-    schemas = {p["schema"] for p in payloads}
-    assert schemas == {"exponent-matrix/v1", "verify-report/v1", "distance-profile/v1",
-                       "dts-search/v1", "density/v1", "field-suggestion/v1"}
-    # the verify report nests minor and cycle reports, failures among them
-    assert payloads[1]["minors"][1]["failures"] and payloads[1]["cycles"][1]["frc_failures"]
+    for dts in ("1,2,6;1,2,4", "1,2,6;2,3,5"):
+        spec = ("--dts", dts, "--n", "3", "--field", "2^5")
+        start = len(payloads)
+        for argv in (("construct", *spec, "--j", "5", "--out", "json"),
+                     ("verify", *spec, "--json"),
+                     ("distance", *spec, "--json"),
+                     ("distance", *spec, "--horizon", "2", "--json"),
+                     ("search", "--sets", "2", "--size", "3", "--mode", "strict", "--json"),
+                     ("density", "--n", "3", "--w", "3", "--mu", "5", "--len", "18", "--json"),
+                     ("suggest-field", "--n", "3", "--scope", "6", "--w", "3", "--json")):
+            _, out, _ = run_cli(capsys, *argv)
+            assert out == json.dumps(payloads[-1], indent=2, sort_keys=True) + "\n"
+        schemas = {p["schema"] for p in payloads[start:]}
+        assert schemas == {"exponent-matrix/v1", "verify-report/v1", "distance-profile/v1",
+                           "dts-search/v1", "density/v1", "field-suggestion/v1"}
+        # the verify report nests minor and cycle reports, failures among them
+        report = payloads[start + 1]
+        assert report["minors"][1]["failures"] and report["cycles"][1]["frc_failures"]
+
+
+def test_json_text_gives_subclasses_the_bytes_of_json_dumps():
+    class Key(str):
+        pass
+
+    class Row(list):
+        pass
+
+    class Pair(tuple):
+        pass
+
+    class Level(enum.IntEnum):
+        LOW = 1
+
+    payload = {Key("b"): collections.OrderedDict(z=[Level.LOW, True], a=(None, 1.5)),
+               "a": "x", "c": Key("\u00e9"), "d": Row([1, 2]), "e": Pair((3, [])),
+               "f": (), "g": [], "h": {}, "i": ""}
+    assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 
 def test_cli_integers_are_ascii_digits_only(capsys, monkeypatch):
@@ -667,6 +693,91 @@ def test_cli_malformed_list_names_the_flag(capsys):
 
 def test_cli_unknown_command_exits_2(capsys):
     assert main(["nonsense"]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["construct", "verify", "distance"])
+def test_cli_empty_dts_is_refused(capsys, command):
+    assert run_cli(capsys, command, "--dts", "", "--n", "3", "--field", "2^5") == (
+        2, "", "error: cannot parse DTS from ''\n")
+
+
+SPEC_A = ("--dts", "1,2,6;1,2,4", "--n", "3", "--field", "2^5")
+VALID_ARGV = [
+    ("construct", *SPEC_A),
+    ("construct", *SPEC_A, "--j", "2", "--out", "alist", "--zero", "."),
+    ("construct", "--field", "2^5", "--n", "3", "--dts", "1,2,6;2,3,5", "--out", "json"),
+    ("verify", *SPEC_A),
+    ("verify", *SPEC_A, "--j", "3", "--minors", "2", "--cycles", "4", "--budget", "99999", "--json"),
+    ("distance", *SPEC_A, "--json"),
+    ("distance", *SPEC_A, "--horizon", "2", "--budget", "99999"),
+    ("search", "--sets", "1", "--size", "4"),
+    ("search", "--sets", "2", "--size", "2", "--mode", "strict", "--min-element", "0",
+     "--budget", "9", "--json"),
+    ("density", "--n", "3", "--w", "3", "--mu", "5", "--len", "18"),
+    ("density", "--n", "3", "--w", "3", "--mu", "5", "--len", "18", "--json"),
+    ("suggest-field", "--n", "3", "--scope", "6", "--w", "3"),
+    ("suggest-field", "--n", "3", "--scope", "6", "--w", "3", "--json"),
+]
+# help requests, abbreviated options, and argv that argparse refuses
+EDGE_ARGV = [
+    (), ("nonsense",), ("nonsense", "--json"), ("-h",), ("--help",), ("--he",), ("--json",),
+    ("--", "verify", *SPEC_A),
+    *((command, "-h") for command in cli._build_parser()[1]),
+    ("verify", *SPEC_A, "--help"),
+    ("verify", *SPEC_A, "--bogus"),
+    ("verify", *SPEC_A, "--bogus=3", "stray"),
+    ("distance", *SPEC_A, "stray"),
+    ("density", "stray", "--n", "3", "--w", "3", "--mu", "5", "--len", "18"),
+    ("search", "--sets", "1", "--size", "3", "--", "stray"),
+    ("construct", "--dts-f", "missing.json", "--n", "3", "--field", "2^5"),
+    ("verify", *SPEC_A, "--js"),
+    ("distance", *SPEC_A, "--hor", "1", "--bud", "99999"),
+    ("verify", *SPEC_A, "--j"),
+    ("construct", "--n", "3", "--field", "2^5"),
+    ("construct", "--dts", "1,2,6;1,2,4", "--dts-file", "f.json", "--n", "3", "--field", "2^5"),
+    ("verify", "--dts", "1,2,6;1,2,4"),
+    ("density", "--n", "3"),
+    ("search",),
+    ("search", "--sets", "1", "--size", "3", "--mode", "loose"),
+    ("search", "--sets", "1", "--size", "3", "--min-element", "2"),
+    ("construct", *SPEC_A, "--out", "csv"),
+    ("construct", *SPEC_A, "--n", "x"),
+]
+
+
+def _run_main(capsys, monkeypatch, parse, argv):
+    """(exit code, stdout, stderr, namespaces parsed) of ``main(argv)``
+    with ``parse`` in place of ``cli._parse``."""
+    seen = []
+    monkeypatch.setattr(cli, "_parse", lambda tokens: seen.append(parse(tokens)) or seen[-1])
+    code = main(list(argv))
+    out, err = capsys.readouterr()
+    return code, out, err, seen
+
+
+@pytest.mark.parametrize("argv", VALID_ARGV + EDGE_ARGV, ids=" ".join)
+def test_cli_dispatch_matches_the_two_level_parse(capsys, monkeypatch, argv):
+    # the top-level parser hands a command's tokens to its subparser and
+    # copies the namespace back; the dispatch must not be told apart from it
+    parser, dispatch = cli._build_parser()[0], cli._parse
+    oracle = _run_main(capsys, monkeypatch, parser.parse_args, argv)
+    assert _run_main(capsys, monkeypatch, dispatch, argv) == oracle
+
+
+def test_cli_parses_each_command_once(capsys, monkeypatch):
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    for argv in VALID_ARGV:
+        calls.clear()
+        assert main(list(argv)) in (0, 1)
+        assert calls == [f"dts-ldpc {argv[0]}"]
     capsys.readouterr()
 
 

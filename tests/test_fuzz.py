@@ -105,16 +105,19 @@ def test_tiling_is_its_written_out_stack(pattern, blocks, data):
     assert_matches_stack(tiled, stack)
 
 
-# Payloads for the CLI's JSON emitter: str keys; empty lists and lists of
-# int lists; big and negative ints, bools and None; strings with quotes,
-# backslashes, control characters and non-ASCII text.
+# Payloads for the CLI's JSON emitter: str keys; empty lists and tuples,
+# lists of int lists and of int tuples; big and negative ints, bools and
+# None; strings with quotes, backslashes, control characters and non-ASCII
+# text.
 payload_strings = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f é€\u2028😀') | st.characters(),
                           max_size=6)
 payload_ints = st.integers() | st.integers(-2**80, 2**80)
 payload_values = st.recursive(
     st.none() | st.booleans() | payload_ints | payload_strings,
     lambda kids: (st.lists(kids, max_size=4)
+                  | st.lists(kids, max_size=4).map(tuple)
                   | st.lists(st.lists(payload_ints, max_size=4), max_size=4)
+                  | st.lists(st.lists(payload_ints, max_size=4).map(tuple), max_size=4)
                   | st.dictionaries(payload_strings, kids, max_size=4)),
     max_leaves=16,
 )
