@@ -452,19 +452,6 @@ def minimal_column_weight(spec: CodeSpec, j: int) -> int:
     return min(sum(1 for a in t if a <= j + 1) for t in spec.dts.sets)
 
 
-def _predicted_columns(spec: CodeSpec) -> tuple[int, ...]:
-    """``minimal_column_weight(spec, j) + 1`` for j = 0..mu, built by runs.
-
-    Every set keeps k marks in rows 1..j+1 exactly when the largest k-th
-    mark of the sets is at most j + 1, so the weight steps up only at
-    those w marks: one pass over the marks, one run per weight.
-    """
-    out: list[int] = []
-    for k, mark in enumerate(map(max, zip(*spec.dts.sets))):
-        out += [k + 1] * (mark - 1 - len(out))
-    return tuple(out + [spec.w + 1] * (spec.mu + 1 - len(out)))
-
-
 def _min_weight_first_block(matrix: ExponentMatrix, n_first: int, ub: int, meter: Meter) -> int:
     """Smallest weight of a kernel vector whose first block is nonzero.
 
@@ -746,7 +733,7 @@ def distance_profile(spec: CodeSpec, budget: int | Meter = DEFAULT_BUDGET) -> Di
     meter = as_meter(budget)
     meter.charge(spec.mu + 1)
     check = check_distance_assumptions(spec, meter)
-    predicted = _predicted_columns(spec)
+    predicted = tuple(minimal_column_weight(spec, j) + 1 for j in range(spec.mu + 1))
     if check.holds:
         columns, free = predicted, spec.w + 1
     else:

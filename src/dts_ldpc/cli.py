@@ -88,21 +88,23 @@ def _emit_json(payload: dict) -> None:
 def _json_text(value, indent: str = "") -> str:
     """The bytes of ``json.dumps(value, indent=2, sort_keys=True)``.
 
-    One type test picks the writer for the exact ``int``, ``str``,
-    ``dict``, ``list`` and ``tuple`` the payloads hold; a subclass takes
-    the ``isinstance`` tests.  A list of ints is joined in one
+    One type test picks the writer for the exact ``int``, ``str`` and
+    nonempty ``dict``, ``list`` and ``tuple`` the payloads hold.  Anything
+    else is ``json.dumps``'d: a scalar or empty container without
+    ``indent``, which would switch ``json`` to its pure-Python encoder, a
+    nonempty container subclass with it, moved to its depth (a JSON
+    string holds no raw newline).  A list of ints is joined in one
     ``str.join`` over ``map(str, ...)`` instead of element by element.
     """
     kind = type(value)
     if kind is int:
         return str(value)
-    if kind not in (str, dict, list, tuple):  # a subclass, null, true, false or a float
-        kind = (str if isinstance(value, str) else dict if isinstance(value, dict)
-                else list if isinstance(value, (list, tuple)) else None)
     if kind is str:
         return encode_basestring_ascii(value)
-    if kind is None or not value:
-        return json.dumps(value)  # null, true, false, a float, or an empty container
+    if not value or not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)  # null, true, false, a float, a str or int subclass, or an empty container
+    if kind not in (dict, list, tuple):
+        return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
     inner = indent + "  "
     sep = ",\n" + inner
     if kind is dict:

@@ -63,21 +63,6 @@ def test_minimal_column_weight_sequence(ref_spec_b):
     assert tuple(an.minimal_column_weight(ref_spec_b, j) for j in range(6)) == (0, 1, 2, 2, 2, 3)
 
 
-def test_predicted_columns_are_the_per_horizon_weights():
-    # the profile builds its predicted columns by runs between marks; the
-    # oracle scans every set once per horizon
-    rng = random.Random(2033)
-    field = make_field(2, 5)
-    specs = [CodeSpec(DifferenceTriangleSet.from_inline("1,2000"), field, 2)]
-    for trial in range(24):
-        n, w = rng.randint(2, 4), rng.randint(1, 4)
-        family = _random_strict_family if trial % 2 else _random_relaxed_family
-        specs.append(CodeSpec(family(rng, n, w), field, n))
-    for spec in specs:
-        assert an.distance_profile(spec).predicted_column == tuple(
-            an.minimal_column_weight(spec, j) + 1 for j in range(spec.mu + 1)), spec
-
-
 def test_distance_profile_predictions_and_json(ref_spec_a):
     prof = an.distance_profile(ref_spec_a)
     assert prof.column_distances == prof.predicted_column == (2, 3, 3, 3, 3, 4)

@@ -653,7 +653,7 @@ def test_json_text_gives_subclasses_the_bytes_of_json_dumps():
 
     payload = {Key("b"): collections.OrderedDict(z=[Level.LOW, True], a=(None, 1.5)),
                "a": "x", "c": Key("\u00e9"), "d": Row([1, 2]), "e": Pair((3, [])),
-               "f": (), "g": [], "h": {}, "i": ""}
+               "f": (), "g": [], "h": {}, "i": "", "j": Level.LOW, "k": Row(), "l": [Pair((1,))]}
     assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
 
