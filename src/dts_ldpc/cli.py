@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 when a checked property fails (minor/cycle
 failures found, or a search exhausts its scope budget), 2 for invalid
-invocations including work-budget refusals.  Reports are deterministic:
-identical arguments produce identical bytes.
+invocations including work-budget refusals, and 141 (128 + SIGPIPE), with
+nothing on stderr, when the reader of stdout has gone.  Reports are
+deterministic: identical arguments produce identical bytes.
 """
 
 from __future__ import annotations
@@ -396,6 +397,19 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader of stdout is gone (`... | head`): exit quietly as a
+        # tool killed by SIGPIPE would, and send what is still buffered to
+        # the null device, so the flush at interpreter exit raises nothing.
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, ValueError):  # no file descriptor, or closed
+            pass
+        else:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        return 141  # 128 + SIGPIPE
     except (ValueError, ArithmeticError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -14,11 +14,12 @@ carries an optimality certificate.  Its depth-first search keeps the
 marks, the differences taken and the offsets that would repeat one as
 bit-vectors relative to the last mark, so each candidate element costs a
 few shifts, and its ``nodes`` count is the number of candidate elements
-tried, rejected ones included.  Subtrees whose count is already known
-are added without a walk: a set started from a carry that already failed
-at this scope, and, when the carry never changes (one set, relaxed mode,
-or sets of size 1), every first mark past the smallest, which repeats the
-scope before.
+tried, rejected ones included.  A level with no free step, one whose
+candidates all repeat a difference, is charged by the level above it and
+never entered.  Subtrees whose count is already known are added without a
+walk: a set started from a carry that already failed at this scope, and,
+when the carry never changes (one set, relaxed mode, or sets of size 1),
+every first mark past the smallest, which repeats the scope before.
 """
 
 from __future__ import annotations
@@ -224,6 +225,15 @@ def search_min_scope(
     closed form; the subtrees below that it reuses, and the give-backs,
     change ``nodes`` only.
 
+    A level is charged before its first candidate, as the walk reaches
+    it, by the level above: that level works out the ``span`` and the
+    free steps of the one below, adds the span to the candidates walked,
+    checks the meter, and calls ``place`` only when a step is free (for
+    the first level of a set, where every step is free, ``enter`` does
+    this).  A level with no free step, more than half of those a ruler
+    search reaches, would only charge itself and return, so ``nodes``,
+    the meter and every refusal are those of a walk that enters it.
+
     How many sets are searched is decided once.  A completed set leaves
     the carry as it was in relaxed mode (the carry stays 0) and when it
     has no differences (size 1); in strict mode a larger set adds
@@ -238,11 +248,11 @@ def search_min_scope(
     Two kinds of subtree are never walked twice; the count they add is the
     count they took the first time.
 
-    * Failed carries.  ``place`` depends only on its arguments and on the
-      target, and the meter only decides when it raises.  The call that
-      starts set k + 1 gets ``(k + 1, first_hi, min_element - 1, 0, carry,
-      0)``, so within one target its outcome and node count depend on
-      ``(k + 1, carry)`` alone.  Translated, mirrored or reordered earlier
+    * Failed carries.  ``enter`` and ``place`` depend only on their
+      arguments and on the target, and the meter only decides when they
+      raise.  Set k + 1 starts with ``enter(k + 1, first_hi, min_element -
+      1, 0, carry)``, so within one target its outcome and node count
+      depend on ``(k + 1, carry)`` alone.  Translated, mirrored or reordered earlier
       sets leave the same carry, so the same subtree comes back.  A failed
       subtree gives no nodes back (give-backs happen only on the way out
       of a hit), so its count is a constant.  ``failed`` keeps it per
@@ -277,50 +287,81 @@ def search_min_scope(
     unwalked = 0  # nodes - walked: the subtrees reused, less the give-backs
     exhausted: list[int] = []
     lowest = min_element + set_size - 1
+    masks = [0]  # masks[i] = 2^i - 1, up to the widest span reached
 
-    def place(k: int, hi: int, last: int, lst: int, used: int,
-              comp: int) -> Optional[list[tuple[int, ...]]]:
-        # Place the next mark of set k in last+1..hi; hi == target for the
-        # set's last mark.
-        nonlocal walked, unwalked
+    def enter(k: int, hi: int, last: int, lst: int, used: int) -> Optional[list[tuple[int, ...]]]:
+        # Charge the first level of set k and place it: comp = 0 there, so
+        # each of its steps is free.
+        nonlocal walked
         span = hi - last
-        free = ~(comp >> 1) & ((1 << span) - 1)
         walked += span
         if walked > room:
             meter.charge(walked)
-        while free:
-            low = free & -free
-            free ^= low
-            s = low.bit_length()
-            shifted = lst << s
-            used_next = used | shifted
-            if hi < target:
+        return place(k, hi, last, lst, used, 0, masks[span])
+
+    def place(k: int, hi: int, last: int, lst: int, used: int, comp: int,
+              free: int) -> Optional[list[tuple[int, ...]]]:
+        # Place the next mark of set k at a free step of last+1..hi, the
+        # nonzero bit-vector ``free``; the caller has charged this level.
+        # hi == target for the set's last mark.
+        nonlocal walked, unwalked
+        span = hi - last
+        if hi < target:
+            below = span + 1  # the level below step s spans below - s
+            while free:
+                low = free & -free
+                free ^= low
+                s = low.bit_length()
+                shifted = lst << s
+                used_next = used | shifted
                 # comp' is exact.  A mark at x > new repeats a difference
                 # when x - b is in used' for a mark b.  For b = new that is
                 # bit x - new of used'.  For an old b with x - b in used it
                 # is bit x - last of comp, i.e. bit x - new of comp >> s.
                 # Otherwise x - b = new - a for an old a, and then
                 # x - new = b - a is a difference of old marks, in used'.
-                hit = place(k, hi + 1, last + s, shifted | 1, used_next,
-                            (comp >> s) | used_next)
-            elif k == last_set:
-                hit = []
-            elif (k + 1, used_next) in failed:
-                unwalked += failed[k + 1, used_next]
+                comp_next = (comp >> s) | used_next
+                # charge the level below here, and enter it only when one
+                # of its steps is free
+                step = below - s
+                walked += step
+                if walked > room:
+                    meter.charge(walked)
+                mask = masks[step]
+                taken = comp_next >> 1 & mask
+                if taken != mask:
+                    hit = place(k, hi + 1, last + s, shifted | 1, used_next, comp_next,
+                                taken ^ mask)
+                    if hit is not None:
+                        unwalked -= span - s
+                        return hit
+            return None
+        if k == last_set:  # the first free step ends the family
+            s = (free & -free).bit_length()
+            unwalked -= span - s
+            return [_marks(last + s, lst << s | 1)]
+        while free:
+            low = free & -free
+            free ^= low
+            s = low.bit_length()
+            used_next = used | lst << s
+            key = k + 1, used_next
+            if key in failed:
+                unwalked += failed[key]
                 continue
-            else:
-                start = walked + unwalked
-                hit = place(k + 1, first_hi, min_element - 1, 0, used_next, 0)
-                if hit is None:
-                    failed[k + 1, used_next] = walked + unwalked - start
+            start = walked + unwalked
+            hit = enter(k + 1, first_hi, min_element - 1, 0, used_next)
             if hit is not None:
                 unwalked -= span - s
-                return [_marks(last + s, shifted | 1), *hit] if hi == target else hit
+                return [_marks(last + s, lst << s | 1), *hit]
+            failed[key] = walked + unwalked - start
         return None
 
     spent = 0  # nodes of the last target exhausted
     for target in range(lowest, scope_budget + 1):
         first_hi = target - set_size + 1
+        # no level spans more than a set's first one
+        masks += [(1 << i) - 1 for i in range(len(masks), first_hi - min_element + 2)]
         failed: dict[tuple[int, int], int] = {}
         before = walked + unwalked
         if searched == 1 and exhausted:
@@ -328,10 +369,10 @@ def search_min_scope(
             # docstring): a hit counts the first mark min_element alone, a
             # miss the span(target - 1) + 1 first marks and, past
             # min_element, the rest of spent
-            found = place(0, first_hi + 1, min_element, 1, 0, 0)
+            found = enter(0, first_hi + 1, min_element, 1, 0)
             unwalked += 1 if found is not None else spent + 1
         else:
-            found = place(0, first_hi, min_element - 1, 0, 0, 0)
+            found = enter(0, first_hi, min_element - 1, 0, 0)
         if found is not None:
             copies = num_sets - searched
             unwalked += copies * (walked + unwalked - before)

@@ -830,3 +830,42 @@ def test_python_dash_m_runs_the_cli():
     )
     assert (proc.returncode, proc.stderr) == (0, "")
     assert proc.stdout == "scope: 4\nsets: 1,2,4\nexhausted_scopes: 3\nnodes: 7\n"
+
+
+def test_closed_stdout_pipe_exits_141_quietly(tmp_path):
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    # about 400 kB of output, more than a pipe holds: the writer blocks
+    # until the reader has gone
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "dts_ldpc", "construct", "--dts", "1,2,6;1,2,4", "--n", "3",
+         "--field", "2^5", "--j", "200", "--out", "pretty"],
+        cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.read(10) == b"  a a^2 1 "
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
+    # an input file that cannot be read is still an error: exit 2
+    for path in (tmp_path, tmp_path / "missing.json"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "dts_ldpc", "construct", "--dts-file", str(path),
+             "--n", "3", "--field", "2^5"],
+            cwd=root, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: [Errno ") and proc.stderr.count("\n") == 1
+
+
+def test_closed_stdout_without_a_descriptor_exits_141_quietly(capsys, monkeypatch):
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["search", "--sets", "1", "--size", "3"]) == 141
+    assert capsys.readouterr().err == ""

@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+import sys
 
 import pytest
 
@@ -432,6 +433,74 @@ def test_search_pins_nodes_and_charges(shape):
     for budget, steps in ((used - 1, used), (used // 2, half)):
         with pytest.raises(HorizonTooLarge, match=rf"^{steps} steps exceed the budget of {budget}$"):
             search_min_scope(*shape, scope_budget=35, budget=budget)
+
+
+# The steps refused at budgets of Meter.used // 3 and Meter.used // 10 for
+# every shape of SEARCH_PINS, recorded before levels with no free step were
+# charged by their parent instead of entered.
+SEARCH_REFUSALS = {
+    (1, 1, "relaxed", 0): (1, 1),
+    (1, 1, "relaxed", 1): (1, 1),
+    (1, 2, "relaxed", 0): (1, 1),
+    (1, 2, "relaxed", 1): (1, 1),
+    (1, 3, "relaxed", 0): (3, 1),
+    (1, 3, "relaxed", 1): (3, 1),
+    (1, 4, "relaxed", 0): (13, 5),
+    (1, 4, "relaxed", 1): (13, 5),
+    (1, 5, "relaxed", 0): (141, 43),
+    (1, 5, "relaxed", 1): (141, 43),
+    (1, 6, "relaxed", 0): (1_403, 424),
+    (1, 6, "relaxed", 1): (1_403, 424),
+    (1, 7, "relaxed", 0): (18_535, 5_562),
+    (1, 7, "relaxed", 1): (18_535, 5_562),
+    (1, 8, "relaxed", 0): (211_256, 63_382),
+    (1, 8, "relaxed", 1): (211_256, 63_382),
+    (3, 4, "relaxed", 1): (16, 5),
+    (600, 2, "relaxed", 1): (1_200, 1_200),
+    (2, 2, "strict", 1): (6, 2),
+    (3, 3, "strict", 1): (2_528, 758),
+    (4, 3, "strict", 1): (15_220, 4_569),
+    (5, 3, "strict", 1): (198_038, 59_415),
+    (2, 4, "strict", 1): (9_471, 2_846),
+    (3, 4, "strict", 1): (437_956, 131_393),
+    (5, 1, "strict", 1): (5, 1),
+}
+
+
+@pytest.mark.parametrize("shape", SEARCH_REFUSALS, ids=lambda shape: "-".join(map(str, shape)))
+def test_search_pins_early_refusals(shape):
+    used = SEARCH_PINS[shape][2]
+    for budget, steps in zip((used // 3, used // 10), SEARCH_REFUSALS[shape]):
+        with pytest.raises(HorizonTooLarge, match=rf"^{steps} steps exceed the budget of {budget}$"):
+            search_min_scope(*shape, scope_budget=35, budget=budget)
+
+
+def place_entries(*args):
+    """The calls of the search's ``place`` made by search_min_scope(*args)."""
+    entries = 0
+    code_file = sys.modules[search_min_scope.__module__].__file__
+
+    def profile(frame, event, arg):
+        nonlocal entries
+        code = frame.f_code
+        if event == "call" and code.co_name == "place" and code.co_filename == code_file:
+            entries += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        search_min_scope(*args)
+    finally:
+        sys.setprofile(previous)
+    return entries
+
+
+def test_search_enters_only_levels_with_a_free_step():
+    # a level whose steps all repeat a difference is charged by its parent
+    # and never entered: 8,954 of the 15,914 levels placed by the 7-mark
+    # ruler have no free step, and 988 of 2,114 for 3 strict sets of size 3
+    assert place_entries(1, 7, "relaxed", 0) == 15_914 - 8_954
+    assert place_entries(3, 3, "strict", 1) == 2_114 - 988
 
 
 def test_search_repeats_a_set_that_leaves_the_carry_unchanged():
