@@ -733,13 +733,7 @@ def distance_profile(spec: CodeSpec, budget: int | Meter = DEFAULT_BUDGET) -> Di
     meter = as_meter(budget)
     meter.charge(spec.mu + 1)
     check = check_distance_assumptions(spec, meter)
-    # w_j changes only at j = 0 and where j + 1 is a mark, so it is
-    # computed there and repeated up to the next such j
-    starts = sorted({0} | {a - 1 for t in spec.dts.sets for a in t if a <= spec.mu + 1})
-    weights: list[int] = []
-    for j, end in zip(starts, starts[1:] + [spec.mu + 1]):
-        weights += [minimal_column_weight(spec, j) + 1] * (end - j)
-    predicted = tuple(weights)
+    predicted = tuple(minimal_column_weight(spec, j) + 1 for j in range(spec.mu + 1))
     if check.holds:
         columns, free = predicted, spec.w + 1
     else:

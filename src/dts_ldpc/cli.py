@@ -396,7 +396,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # flush here, so that a reader gone before the last chunk is
+        # written is also caught below
+        sys.stdout.flush()
+        return code
     except BrokenPipeError:
         # The reader of stdout is gone (`... | head`): exit quietly as a
         # tool killed by SIGPIPE would, and send what is still buffered to

@@ -287,7 +287,6 @@ def search_min_scope(
     unwalked = 0  # nodes - walked: the subtrees reused, less the give-backs
     exhausted: list[int] = []
     lowest = min_element + set_size - 1
-    masks = [0]  # masks[i] = 2^i - 1, up to the widest span reached
 
     def enter(k: int, hi: int, last: int, lst: int, used: int) -> Optional[list[tuple[int, ...]]]:
         # Charge the first level of set k and place it: comp = 0 there, so
@@ -297,7 +296,7 @@ def search_min_scope(
         walked += span
         if walked > room:
             meter.charge(walked)
-        return place(k, hi, last, lst, used, 0, masks[span])
+        return place(k, hi, last, lst, used, 0, (1 << span) - 1)
 
     def place(k: int, hi: int, last: int, lst: int, used: int, comp: int,
               free: int) -> Optional[list[tuple[int, ...]]]:
@@ -327,7 +326,7 @@ def search_min_scope(
                 walked += step
                 if walked > room:
                     meter.charge(walked)
-                mask = masks[step]
+                mask = (1 << step) - 1
                 taken = comp_next >> 1 & mask
                 if taken != mask:
                     hit = place(k, hi + 1, last + s, shifted | 1, used_next, comp_next,
@@ -360,8 +359,6 @@ def search_min_scope(
     spent = 0  # nodes of the last target exhausted
     for target in range(lowest, scope_budget + 1):
         first_hi = target - set_size + 1
-        # no level spans more than a set's first one
-        masks += [(1 << i) - 1 for i in range(len(masks), first_hi - min_element + 2)]
         failed: dict[tuple[int, int], int] = {}
         before = walked + unwalked
         if searched == 1 and exhausted:

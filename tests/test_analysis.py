@@ -1107,32 +1107,6 @@ def test_distance_profile_charges_its_size_before_the_check(ref_spec_a, monkeypa
     assert not ran
 
 
-def test_distance_profile_predicts_each_column_weight_where_it_changes(monkeypatch):
-    # the predicted column distances are w_j + 1 for every j, but w_j is
-    # computed only at j = 0 and at j = a - 1 for the marks a <= mu + 1:
-    # at most 1 + (n - 1) w calls where the check holds and nothing is
-    # searched (a search computes w_j itself)
-    field = make_field(2, 5)
-    rng = random.Random(34)
-    specs = [CodeSpec(DifferenceTriangleSet(((1, 300_000),)), field, 2)]
-    for trial in range(40):
-        n, w = rng.randint(2, 4), rng.randint(1, 4)
-        specs.append(CodeSpec(_random_relaxed_family(rng, n, w), field, n))
-    weight = an.minimal_column_weight
-    calls = []
-    monkeypatch.setattr(an, "minimal_column_weight", lambda *args: calls.append(args) or weight(*args))
-    held = 0
-    for spec in specs:
-        calls.clear()
-        profile = an.distance_profile(spec)
-        assert profile.predicted_column == tuple(
-            weight(spec, j) + 1 for j in range(spec.mu + 1)), spec
-        if profile.assumption_check.holds:
-            held += 1
-            assert len(calls) <= 1 + (spec.n - 1) * spec.w, spec
-    assert specs[0].mu == 299_999 and held > len(specs) // 2, held
-
-
 def test_failing_check_profile_searches_every_distance():
     # two equal information columns fail the check, so every distance is
     # searched, on one meter, and the profile still equals the oracle's

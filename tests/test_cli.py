@@ -869,3 +869,24 @@ def test_closed_stdout_without_a_descriptor_exits_141_quietly(capsys, monkeypatc
     monkeypatch.setattr(sys, "stdout", ClosedPipe())
     assert main(["search", "--sets", "1", "--size", "3"]) == 141
     assert capsys.readouterr().err == ""
+
+
+def test_stdout_closed_before_the_last_flush_exits_141_quietly(capsys, monkeypatch):
+    # the command's writes fit in the buffer and only the flush after it
+    # finds the reader gone
+    class BufferedPipe:
+        def __init__(self):
+            self.written = []
+
+        def write(self, text):
+            self.written.append(text)
+            return len(text)
+
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    pipe = BufferedPipe()
+    monkeypatch.setattr(sys, "stdout", pipe)
+    assert main(["search", "--sets", "1", "--size", "3"]) == 141
+    assert "".join(pipe.written).startswith("scope: 4\n")
+    assert capsys.readouterr().err == ""
