@@ -133,11 +133,12 @@ class MinorReport(NamedTuple):
 
 
 class _Sweep:
-    """The sweep of the sliding matrix ``matrix`` at horizon j: the support
-    of row r as the set ``supports[r]`` (``supports[0]`` is empty), the rows
-    of column c in increasing order ``columns[c]``, the nonempty pair meets
-    ``meets[a, b]``, a < b, the sets of columns that rows a and b share,
-    the row ``triples`` and the Tanner cycles through them (``cycles``).
+    """The sweep of the sliding matrix ``matrix`` at horizon j: row r as
+    the dict ``supports[r]``, column -> exponent over its support in column
+    order (``supports[0]`` is empty), the rows of column c in increasing
+    order ``columns[c]``, the nonempty pair meets ``meets[a, b]``, a < b,
+    the sets of columns that rows a and b share, the row ``triples`` and
+    the Tanner cycles through them (``cycles``).
 
     Locality: column c of block t is its pattern column moved down t rows,
     and the pattern has scope = mu + 1 rows, so the rows of a column lie
@@ -153,7 +154,10 @@ class _Sweep:
     def __init__(self, spec: CodeSpec, j: int, meter: Meter):
         self.matrix = matrix = spec.sliding_matrix(j)
         meter.charge(matrix.rows + matrix.cols)
-        self.supports = [set()] + [set(matrix.row_support(r)) for r in range(1, matrix.rows + 1)]
+        width = matrix.width
+        self.supports: list[dict[int, int]] = [{}] + [
+            {r * width + k: e for k, e in zip(offsets, exponents)}
+            for first, last, offsets, exponents in matrix.row_runs() for r in range(first, last + 1)]
         self.columns: dict[int, list[int]] = {}
         for r, sup in enumerate(self.supports):
             for c in sup:
@@ -180,19 +184,44 @@ class _Sweep:
         """The Tanner cycles through the row pairs that meet (``size`` 2),
         a meet's column pairs, or the ``triples``, a triple's chordless (c12,
         c23, c13), walked on the first read.  Each tuple is charged 1 + its
-        number of cycles, then each is decided by the two-term rule."""
+        number of cycles, then each cycle is decided by the two-term rule of
+        ``check_minors`` from at most six exponents of its rows, read off
+        ``supports``: its two transversals are known, so no submatrix is
+        built and no permutation tried.
+
+        A 4-cycle on rows a, b and columns x < y is fully nonzero.  Its
+        transversals are the identity, E_ax + E_by, even, and the swap,
+        E_ay + E_bx, odd.  Their parities differ, so it is singular iff
+        E_ax + E_by - E_ay - E_bx = 0 mod (q - 1).  A 6-cycle walk x in
+        M_ab - sup c, y in M_bc - sup a, z in M_ac - sup b has the nonzeros
+        (a, x), (a, z), (b, x), (b, y), (c, y), (c, z), two per row and
+        column, so its transversals are {(a, x), (b, y), (c, z)} and
+        {(a, z), (b, x), (c, y)}.  They differ by a 3-cycle, an even
+        permutation, so their parities agree in any column order, and it is
+        singular iff E_ax + E_by + E_cz - E_az - E_bx - E_cy = s mod (q - 1),
+        with alpha**s = -1 (``field._neg_shift``).  As 2s = 0 mod (q - 1),
+        the order of the two transversals does not matter."""
         if size not in self.walked:
             meets, sup, found = self.meets, self.supports, []
+            field = self.matrix.field
+            order, shift = field.q - 1, field._neg_shift
             for rows in sorted(meets) if size == 2 else self.triples:
                 if size == 2:
+                    ea, eb = sup[rows[0]], sup[rows[1]]
                     walks = list(itertools.combinations(sorted(meets[rows]), 2))
+                    meter.charge(1 + len(walks))
+                    found += (TannerCycle(rows, (x, y), (ea[x] + eb[y] - ea[y] - eb[x]) % order == 0)
+                              for x, y in walks)
                 else:
                     a, b, c = rows
-                    walks = [tuple(sorted(walk)) for walk in sorted(itertools.product(
-                        meets[a, b] - sup[c], meets[b, c] - sup[a], meets[a, c] - sup[b]))]
-                meter.charge(1 + len(walks))
-                found += (TannerCycle(rows, cols, _two_terms_cancel(self.matrix.field, _transversals(
-                    self.matrix.submatrix(rows, cols)))) for cols in walks)
+                    ea, eb, ec = sup[a], sup[b], sup[c]
+                    walks = sorted(itertools.product(meets[a, b].difference(ec),
+                                                     meets[b, c].difference(ea),
+                                                     meets[a, c].difference(eb)))
+                    meter.charge(1 + len(walks))
+                    found += (TannerCycle(rows, tuple(sorted((x, y, z))), (
+                        ea[x] + eb[y] + ec[z] - ea[z] - eb[x] - ec[y] - shift) % order == 0)
+                              for x, y, z in walks)
             self.walked[size] = tuple(found)
         return self.walked[size]
 
@@ -205,16 +234,16 @@ def _sweep(spec: CodeSpec, j: int, meter: Meter) -> _Sweep:
     return meter.sweep[1]
 
 
-def _near_completions(supports: list[set[int]], columns: dict, rows: tuple[int, int],
+def _near_completions(supports: list[dict[int, int]], columns: dict, rows: tuple[int, int],
                       cols: tuple[int, int]) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
     """The near completions of the 4-cycle ``cols`` of the row pair ``rows``
     (``check_minors``), as sorted (rows, cols): by a third row r meeting c1
     or c2 and a column c of r, other than c1 and c2, that meets a or b."""
     (a, b), (c1, c2) = rows, cols
-    pair_rows = supports[a] | supports[b]
+    pair_cols = {*supports[a], *supports[b]} - {c1, c2}
     return {(tuple(sorted((a, b, r))), tuple(sorted((c1, c2, c))))
             for r in {*columns[c1], *columns[c2]} - {a, b}
-            for c in supports[r] & pair_rows - {c1, c2}}
+            for c in pair_cols.intersection(supports[r])}
 
 
 # the row permutations of a 2x2 or 3x3 minor, each with its parity
@@ -303,14 +332,17 @@ def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
     sorted once.
 
     Every entry is a power of alpha, so a transversal with exponent sum E
-    and permutation parity sigma adds (-1)**sigma * alpha**E, and one walk
-    of the permutations over the exponents gives t and these terms.  Two
-    cancel iff alpha**D = -(-1)**(sigma1 - sigma2), D = E1 - E2.  Alpha has
-    order q - 1, and -1 = alpha**s: s = (q - 1)/2 for odd p, the element of
+    and permutation parity sigma adds (-1)**sigma * alpha**E.  Two cancel
+    iff alpha**D = -(-1)**(sigma1 - sigma2), D = E1 - E2.  Alpha has order
+    q - 1, and -1 = alpha**s: s = (q - 1)/2 for odd p, the element of
     order 2, and s = 0 in characteristic 2 (``field._neg_shift``).  So a
     set of two transversals vanishes iff D = 0 mod (q - 1) when their
-    parities differ and D = s when they agree, with no field operation;
-    only near sets of three or more are evaluated, by ``gf.det``.
+    parities differ and D = s when they agree, with no field operation.
+    A cycle's two transversals are known, so ``_Sweep.cycles`` reads D off
+    the exponents of its rows.  A near set's grid is read off the same
+    rows, ``_Sweep.supports``, and one walk of its permutations gives t
+    and its terms; only near sets of three or more are evaluated, by
+    ``gf.det``.
 
     Charges: those of the sweep, 1 per meeting row pair and 1 per 4-cycle,
     then for 3x3 minors those of the 6-cycles, 1 per failing factorable
@@ -348,11 +380,11 @@ def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
             failures += (MinorFailure(*minor, PATTERN_MIXED) for minor in (
                 (tuple(sorted((a, b, r))), tuple(sorted((c1, c2, c))))
                 for r in range(1, matrix.rows + 1) if r not in (a, b)
-                for c in supports[r] - {c1, c2}) if minor not in near)
+                for c in supports[r] if c not in (c1, c2)) if minor not in near)
     meter.charge(len(near_sets))
     full = 0
     for rows, cols in near_sets:
-        grid = matrix.submatrix(rows, cols)
+        grid = [[supports[r].get(c) for c in cols] for r in rows]
         terms = _transversals(grid)
         total -= len(terms) - 1
         full += len(terms) == 6
@@ -425,11 +457,13 @@ def enumerate_cycles(spec: CodeSpec, length: int, j: Optional[int] = None,
     are distinct and (x, y, z) is the triple's one 6-cycle, chordless.
 
     Each cycle is decided by the two-term rule of ``check_minors``, with no
-    field operation.  A 4-cycle's 2x2 submatrix is fully nonzero: its two
-    transversals are the identity (even) and the swap (odd), so it is
-    singular iff D = 0 mod (q - 1).  A chordless 6-cycle's 3x3 submatrix
-    has two nonzeros per row and column: its two transversals are the two
-    3-cycles, both even, so it is singular iff D = s mod (q - 1), with
+    field operation, from the exponents of its rows that the sweep holds:
+    no submatrix is built and no permutation tried (``_Sweep.cycles``).  A
+    4-cycle's 2x2 submatrix is fully nonzero: its two transversals are the
+    identity (even) and the swap (odd), so it is singular iff D = 0 mod
+    (q - 1).  A chordless 6-cycle's 3x3 submatrix has two nonzeros per row
+    and column: its two transversals differ by a 3-cycle, so their
+    parities agree and it is singular iff D = s mod (q - 1), with
     alpha**s = -1; in characteristic 2, s = 0 and equal exponent sums cancel.
     """
     if length not in (4, 6):
@@ -705,6 +739,8 @@ def distance_profile(spec: CodeSpec, budget: int | Meter = DEFAULT_BUDGET) -> Di
     then the check runs.  When it holds, every column distance is w_j + 1,
     the smallest weight an information column keeps after j + 1 rows plus
     one, and the free distance is w + 1, all read off it with no search.
+    The weights w_j are read at j = 0 and where j + 1 reaches a mark, the
+    only horizons where they change, and each is kept until the next.
     Take a kernel vector of weight d with a nonzero first
     block, of the truncated sliding matrix at a horizon j <= mu or of the
     untruncated one that ``free_distance`` searches.  Later blocks start
@@ -733,7 +769,10 @@ def distance_profile(spec: CodeSpec, budget: int | Meter = DEFAULT_BUDGET) -> Di
     meter = as_meter(budget)
     meter.charge(spec.mu + 1)
     check = check_distance_assumptions(spec, meter)
-    predicted = tuple(minimal_column_weight(spec, j) + 1 for j in range(spec.mu + 1))
+    cuts = sorted({0, spec.mu + 1, *(a - 1 for t in spec.dts.sets for a in t)})
+    predicted = tuple(itertools.chain.from_iterable(
+        itertools.repeat(minimal_column_weight(spec, j) + 1, after - j)
+        for j, after in zip(cuts, cuts[1:])))
     if check.holds:
         columns, free = predicted, spec.w + 1
     else:
