@@ -739,8 +739,6 @@ def distance_profile(spec: CodeSpec, budget: int | Meter = DEFAULT_BUDGET) -> Di
     then the check runs.  When it holds, every column distance is w_j + 1,
     the smallest weight an information column keeps after j + 1 rows plus
     one, and the free distance is w + 1, all read off it with no search.
-    The weights w_j are read at j = 0 and where j + 1 reaches a mark, the
-    only horizons where they change, and each is kept until the next.
     Take a kernel vector of weight d with a nonzero first
     block, of the truncated sliding matrix at a horizon j <= mu or of the
     untruncated one that ``free_distance`` searches.  Later blocks start
@@ -769,10 +767,7 @@ def distance_profile(spec: CodeSpec, budget: int | Meter = DEFAULT_BUDGET) -> Di
     meter = as_meter(budget)
     meter.charge(spec.mu + 1)
     check = check_distance_assumptions(spec, meter)
-    cuts = sorted({0, spec.mu + 1, *(a - 1 for t in spec.dts.sets for a in t)})
-    predicted = tuple(itertools.chain.from_iterable(
-        itertools.repeat(minimal_column_weight(spec, j) + 1, after - j)
-        for j, after in zip(cuts, cuts[1:])))
+    predicted = tuple(minimal_column_weight(spec, j) + 1 for j in range(spec.mu + 1))
     if check.holds:
         columns, free = predicted, spec.w + 1
     else:

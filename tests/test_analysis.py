@@ -78,32 +78,6 @@ def test_distance_profile_predictions_and_json(ref_spec_a):
     assert d["assumption_holds"] is True
 
 
-def test_distance_profile_reads_each_column_weight_where_it_changes(monkeypatch):
-    # the predicted column weights, read at j = 0 and at j = a - 1 for each
-    # mark a, are w_j + 1 at every horizon, with one read per distinct
-    # horizon: at most 1 + (n - 1) w of them, against mu + 1 before
-    gf4 = make_field(2, 2)
-    rng = random.Random(2035)
-    specs = [CodeSpec(DifferenceTriangleSet.from_inline("1,3000"), gf4, 2)]
-    for trial in range(30):
-        n, w = rng.randint(2, 4), rng.randint(1, 4)
-        specs.append(CodeSpec(_random_relaxed_family(rng, n, w), gf4, n))
-        n, w = rng.randint(2, 3), rng.randint(2, 4)
-        specs.append(CodeSpec(_random_strict_family(rng, n, w), gf4, n))
-    weight, reads = an.minimal_column_weight, []
-    for spec in specs:
-        read = []
-        monkeypatch.setattr(an, "minimal_column_weight", lambda s, j: read.append(j) or weight(s, j))
-        profile = an.distance_profile(spec)
-        monkeypatch.undo()
-        assert profile.predicted_column == tuple(weight(spec, j) + 1 for j in range(spec.mu + 1))
-        # a failing check then searches each column distance, one read each
-        searched = 0 if profile.assumption_check.holds else spec.mu + 1
-        assert len(read) - searched <= 1 + (spec.n - 1) * spec.w, spec.dts
-        reads.append(read)
-    assert reads[0] == [0, 2999]
-
-
 def test_assumption_fails_on_identical_columns():
     # two equal information columns make the span condition fail outright
     gf4 = make_field(2, 2)
@@ -490,50 +464,11 @@ def test_minor_cycle_duality(ref_spec_a, ref_spec_b):
         assert cyc_3x3 == frc6 and frc6
 
 
-def _cycle_cases(seed):
-    """Codes A and B and one seeded relaxed or strict family per field of
-    ``DENSE_SWEEP_FIELDS``, GF(2) and GF(3) in turn, at horizons up to 25."""
-    gf32 = make_field(2, 5)
-    cases = [(CodeSpec(DifferenceTriangleSet.from_inline(sets), gf32, 3), j)
-             for sets in ("1,2,6;1,2,4", "1,2,6;2,3,5") for j in (0, 4, 12, 25)]
-    fields = [make_field(p, e) for p, e in DENSE_SWEEP_FIELDS + ((2, 1), (3, 1))]
-    rng = random.Random(seed)
-    for trial in range(4 * len(fields)):
-        field, j = fields[trial % len(fields)], rng.randint(0, 25)
-        if trial % 2:
-            n, w = rng.randint(2, 3), rng.randint(2, 3)
-            cases.append((CodeSpec(_random_strict_family(rng, n, w), field, n), j))
-        else:
-            n, w = rng.randint(2, 4), rng.randint(1, 4)
-            cases.append((CodeSpec(_random_relaxed_family(rng, n, w), field, n), j))
-    return cases
-
-
-def test_cycle_verdicts_match_the_transversals_of_their_submatrix():
-    # each cycle is decided from the exponents the sweep holds; the oracle
-    # builds its submatrix and finds its two transversals by trying every
-    # permutation.  GF(2) and GF(3) have q - 1 <= 2, where every or every
-    # other difference cancels
-    verdicts = collections.Counter()
-    for spec, j in _cycle_cases(2035):
-        matrix = spec.sliding_matrix(j)
-        for length in (4, 6):
-            for cyc in an.enumerate_cycles(spec, length, j).cycles:
-                terms = an._transversals(matrix.submatrix(cyc.rows, cyc.cols))
-                assert len(terms) == 2, (spec.dts, j, cyc)
-                assert cyc.singular == an._two_terms_cancel(spec.field, terms), (spec.dts, j, cyc)
-                verdicts[length, spec.field.q, cyc.singular] += 1
-    assert {(length, singular) for length, _, singular in verdicts} == {
-        (4, False), (4, True), (6, False), (6, True)}
-    assert {q for _, q, _ in verdicts} >= {2, 3}
-
-
-def test_cycles_read_their_exponents_off_the_sweep(monkeypatch):
+def test_cycles_read_their_exponents_off_the_sweep(ref_spec_a, ref_spec_b, monkeypatch):
     # every sweep row is its support with its exponents, and neither the
     # cycles nor the near sets of the 3x3 minors build a submatrix; the
     # near sets still find their transversals, the cycles do not
-    strict = DifferenceTriangleSet.from_inline("1,2,5,7;1,3,7,8")
-    cases = _cycle_cases(2036) + [(CodeSpec(strict, make_field(2, 2), 3), 16)]
+    cases = _local_sweep_cases(ref_spec_a, ref_spec_b)
     for spec, j in cases:
         matrix = spec.sliding_matrix(j)
         sweep = an._sweep(spec, j, an.Meter(an.DEFAULT_BUDGET))
@@ -696,11 +631,12 @@ def _factorable(grid):
     return any(sum(e is not None for e in line) == 1 for line in lines)
 
 
-def test_local_sweeps_match_the_dense_walk_up_to_horizon_60(ref_spec_a, ref_spec_b):
-    # one seeded family per horizon j = 0..60, relaxed and strict in turn,
-    # over every field of DENSE_SWEEP_FIELDS; then families with singular
-    # 4-cycles over small fields, so that factorable completions fail, far
-    # ones included, and the reference codes
+def _local_sweep_cases(ref_spec_a, ref_spec_b):
+    """One seeded family per horizon j = 0..60, relaxed and strict in turn,
+    over every field of DENSE_SWEEP_FIELDS; then families with singular
+    4-cycles over small fields, so that factorable completions fail, far
+    ones included, among them GF(2) and GF(3), where q - 1 <= 2, so every
+    or every other exponent difference cancels; and the reference codes."""
     fields = [make_field(p, e) for p, e in DENSE_SWEEP_FIELDS]
     rng = random.Random(2026)
     cases = []
@@ -712,11 +648,15 @@ def test_local_sweeps_match_the_dense_walk_up_to_horizon_60(ref_spec_a, ref_spec
         else:
             n, w = rng.randint(2, 3), rng.randint(1, 3)
             cases.append((CodeSpec(_random_relaxed_family(rng, n, w), field, n), j))
-    for sets, p, e, j in (("1,7;1,7", 7, 1, 30), ("1,2,5,7;1,3,7,8", 2, 2, 16)):
+    for sets, p, e, j in (("1,7;1,7", 7, 1, 30), ("1,2,5,7;1,3,7,8", 2, 2, 16),
+                          ("1,2,4;1,2,4", 2, 1, 12), ("1,2,4;1,2,4", 3, 1, 12)):
         cases.append((CodeSpec(DifferenceTriangleSet.from_inline(sets), make_field(p, e), 3), j))
-    cases += [(ref_spec_a, 25), (ref_spec_b, 25)]
+    return cases + [(ref_spec_a, 25), (ref_spec_b, 25)]
+
+
+def test_local_sweeps_match_the_dense_walk_up_to_horizon_60(ref_spec_a, ref_spec_b):
     kinds = collections.Counter()
-    for spec, j in cases:
+    for spec, j in _local_sweep_cases(ref_spec_a, ref_spec_b):
         walked = _walked_reports(spec, j)
         for size in (2, 3):
             assert an.check_minors(spec, size, j) == walked[size], (spec, size, j)
