@@ -22,10 +22,11 @@ Three families of checks, all exact:
   columns of a smallest such combination form a circuit of the column
   matroid: no row meets them exactly once and their Tanner subgraph is
   connected.  So supports are grown from the first block, row by row,
-  instead of trying every column combination.  The assumption check is
-  closed-form over the columns that meet the rows of an information
-  column once, and when it holds the distance profile reads every column
-  distance and the free distance off it.
+  instead of trying every column combination.  The assumption check
+  reads the columns that meet the rows of an information column off the
+  marks, with no matrix, and is closed-form over those that meet one of
+  them; when it holds the distance profile reads every column distance
+  and the free distance off it.
 
 Failing witnesses are reported with 1-based row/column indices of the
 matrix they were found in.
@@ -600,19 +601,21 @@ class AssumptionReport(NamedTuple):
         return not self.witnesses
 
 
-def _span_pairs(multi: dict[int, list[int]], single: set[int], w: int):
+def _span_pairs(multi: dict[int, list[int]], w: int):
     """The pairs (P, R') one span test each decides in the assumption check:
     P a nonempty set of the multi-row columns, mapped by ``multi`` to the
-    positions of the rows they meet, and R' a set of the row positions in
-    ``single``, met by a single-row column, holding every row that P
-    misses, with |P| + |R'| <= w-1.  P comes in increasing size and, for
-    each P, R' too, so a pair comes after every pair it holds."""
+    positions of the w rows they meet, and R' a set of row positions
+    holding every row that P misses, with |P| + |R'| <= w-1.  Every row
+    has a single-row column, its parity column, so any such R' is met by
+    single-row columns.  P comes in increasing size and, for each P, R'
+    too, so a pair comes after every pair it holds."""
+    positions = set(range(w))
     for size in range(1, w):
         for part in map(set, itertools.combinations(sorted(multi), size)):
-            missed = set(range(w)).difference(*(multi[c] for c in part))
+            missed = positions.difference(*(multi[c] for c in part))
             room = w - 1 - size - len(missed)
-            if room >= 0 and missed <= single:
-                optional = sorted(single - missed)
+            if room >= 0:
+                optional = sorted(positions - missed)
                 for m in range(room + 1):
                     for extra in itertools.combinations(optional, m):
                         yield part, missed.union(extra)
@@ -631,10 +634,21 @@ def check_distance_assumptions(spec: CodeSpec, budget: int | Meter = DEFAULT_BUD
     span j1 on R (j1 has n*mu + 1 >= w-1 later ones to pad them with), and
     a witness is j1 with an inclusion-minimal set of them.
 
+    The columns meeting R are read off the marks, with no matrix, and the
+    span-test entries by ``CodeSpec.column_entries``.  Row b of the check
+    is the mark a = T_j1[b].  The information column (s, k) of block s,
+    index s*n + k, is base column k moved down s rows: it meets row a iff
+    a - s is in T_k.  So the later information columns meeting R are the
+    (a - m, k) with a in T_j1, m <= a in T_k and index past j1, read from
+    the (n - 1) w**2 pairs of marks; s = a - m <= mu, so every one is in
+    the matrix at horizon mu.  The parity column of block t meets row
+    t + 1 alone, so the parity column of block a - 1, index a*n, meets row
+    a and no other row of R: every row of R has a single-row column of its
+    own, later than j1.
+
     The check is closed-form over the single-row columns.  On R, a later
     column is zero, a multiple of one unit vector e_r (single-row, on row
-    r) or nonzero on several rows (multi-row); the columns meeting R are
-    read from the row supports of R.  Let a column set S hold the
+    r) or nonzero on several rows (multi-row).  Let a column set S hold the
     multi-row columns P and single-row columns on the rows R'.  Its span
     is span(P) + span{e_r : r in R'}, and deleting the coordinates R'
     maps that sum onto span(P) on the rows outside R', with kernel
@@ -653,51 +667,53 @@ def check_distance_assumptions(spec: CodeSpec, budget: int | Meter = DEFAULT_BUD
     pair, and each such set is minimal, as dropping a column shrinks its
     pair.  A pair comes after the pairs it holds, so these are the
     spanning pairs holding no earlier one; the witnesses are their column
-    sets, listed in order.
+    sets, listed in order.  The single-row columns of each row are listed
+    only when some pair spans.
 
-    A multi-row column meets rows r < r' of R and lies s blocks to the
-    right of the first with a set T_k (a parity column meets one row), so
-    r - s and r' - s are in T_k and r' - r is a difference of both T_j1
-    and T_k.  Differences within one set are distinct, so k = j1 would
-    give s = 0, the column j1 itself: T_j1 and another set share a
+    A multi-row column (s, k) meets rows a < a' of R, so m = a - s and
+    m' = a' - s are in T_k and a' - a = m' - m is a difference of both
+    T_j1 and T_k.  Differences within one set are distinct, so k = j1
+    would give s = 0, the column j1 itself: T_j1 and another set share a
     difference.  So a strict-valid DTS has no multi-row column, and its
     check holds with no span test.
 
-    One step is charged per later column meeting R, one per pair tested
-    and one per witness, charged for every witness before any is listed.
+    One step is charged per later column meeting R (its information
+    columns and the w parity columns), one per pair tested and one per
+    witness, charged for every witness before any is listed.
     """
-    matrix = spec.sliding_matrix(spec.mu)
-    w = spec.w
+    n, w = spec.n, spec.w
+    sets = spec.dts.sets
     meter = as_meter(budget)
     minimal = []  # (rows, j1, P, the single-row columns of each row of R') per minimal pair
-    for j1 in range(1, spec.n):
-        rows = matrix.col_support(j1)
-        met: dict[int, list[int]] = {}  # later column -> positions in rows it meets
-        for b, r in enumerate(rows):
-            for c in matrix.row_support(r):
-                if c > j1:
-                    met.setdefault(c, []).append(b)
-        meter.charge(len(met))
-        single: dict[int, list[int]] = {}  # position in rows -> its single-row columns
-        multi: dict[int, list[int]] = {}  # multi-row column -> the positions it meets
-        for c in sorted(met):
-            if len(met[c]) == 1:
-                single.setdefault(met[c][0], []).append(c)
-            else:
-                multi[c] = met[c]
-        target = [matrix.get(r, j1) for r in rows]
+    for j1, rows in enumerate(sets, start=1):
+        met: dict[int, list[int]] = {}  # later information column -> positions in rows it meets
+        for b, a in enumerate(rows):
+            for k, t_k in enumerate(sets, start=1):
+                for m in t_k:
+                    if m > a:
+                        break
+                    c = (a - m) * n + k
+                    if c > j1:
+                        met.setdefault(c, []).append(b)
+        meter.charge(len(met) + w)
+        multi = {c: bs for c, bs in met.items() if len(bs) > 1}  # multi-row column -> its positions
+        # column -> its entries on R, read only when some pair can be tested
+        entries = {c: spec.column_entries(c, rows) for c in (j1, *multi)} if multi else {}
         spanning: list[tuple[set[int], set[int]]] = []
-        for part, deleted in _span_pairs(multi, set(single), w):
+        for part, deleted in _span_pairs(multi, w):
             if any(p <= part and d <= deleted for p, d in spanning):
                 continue
             meter.charge(1)
             kept = [b for b in range(w) if b not in deleted]
-            vecs = [[matrix.get(rows[b], c) for b in kept] for c in sorted(part)]
-            kept_target = [target[b] for b in kept]
+            vecs = [[entries[c][b] for b in kept] for c in sorted(part)]
+            kept_target = [entries[j1][b] for b in kept]
             if (_in_column_span(spec.field, kept_target, vecs[0]) if len(vecs) == 1
                     else _in_span(spec.field, kept_target, vecs)):
                 spanning.append((part, deleted))
-        minimal += ((rows, j1, part, [single[b] for b in sorted(deleted)]) for part, deleted in spanning)
+        if spanning:  # position -> its single-row columns, its parity column included
+            single = [sorted([a * n, *(c for c in met if met[c] == [b])]) for b, a in enumerate(rows)]
+            minimal += ((rows, j1, part, [single[b] for b in sorted(deleted)])
+                        for part, deleted in spanning)
     meter.charge(sum(math.prod(map(len, picks)) for *_, picks in minimal))
     witnesses = (AssumptionWitness(rows=rows, cols=(j1, *sorted(part.union(chosen))))
                  for rows, j1, part, picks in minimal for chosen in itertools.product(*picks))
@@ -739,6 +755,8 @@ def distance_profile(spec: CodeSpec, budget: int | Meter = DEFAULT_BUDGET) -> Di
     then the check runs.  When it holds, every column distance is w_j + 1,
     the smallest weight an information column keeps after j + 1 rows plus
     one, and the free distance is w + 1, all read off it with no search.
+    The check and the predictions read only the marks, so a profile whose
+    check holds builds no matrix.
     Take a kernel vector of weight d with a nonzero first
     block, of the truncated sliding matrix at a horizon j <= mu or of the
     untruncated one that ``free_distance`` searches.  Later blocks start

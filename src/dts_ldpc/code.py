@@ -25,6 +25,7 @@ load-bearing, not cosmetic.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 from typing import Iterator, NamedTuple, Sequence
 
@@ -179,6 +180,13 @@ class ExponentMatrix:
 
 def build_base_matrix(dts: DifferenceTriangleSet, field: GaloisField, n: int) -> ExponentMatrix:
     """Transposed base matrix: scope rows, n columns, unit parity column."""
+    _check_family(dts, n)
+    return _base_matrix(dts, field, n)
+
+
+def _check_family(dts: DifferenceTriangleSet, n: int) -> None:
+    """Refuse a family the construction cannot take: n - 1 sets, every
+    element >= 1, relaxed-valid."""
     if dts.num_sets != n - 1:
         raise SetCountMismatch(f"need {n - 1} sets for n = {n}, got {dts.num_sets}")
     if any(s[0] == 0 for s in dts.sets):
@@ -187,13 +195,16 @@ def build_base_matrix(dts: DifferenceTriangleSet, field: GaloisField, n: int) ->
     if not report.valid:
         dups = ", ".join(str(d.value) for d in report.duplicates)
         raise ValueError(f"DTS is not relaxed-valid (duplicated differences: {dups})")
-    m = dts.scope
+
+
+def _base_matrix(dts: DifferenceTriangleSet, field: GaloisField, n: int) -> ExponentMatrix:
+    """The base matrix of a family that ``_check_family`` accepts."""
     entries: dict[tuple[int, int], int] = {}
     for k, t_k in enumerate(dts.sets, start=1):
         for i in t_k:
             entries[(i, k)] = field.alpha_pow(i * k)
     entries[(1, n)] = field.alpha_pow(0)
-    return ExponentMatrix(m, n, entries, field)
+    return ExponentMatrix(dts.scope, n, entries, field)
 
 
 def sliding_entry_origin(n: int, row: int, col: int) -> tuple[int, int]:
@@ -280,10 +291,13 @@ def density(n: int, w: int, mu: int, message_length: int) -> Fraction:
 
 
 class CodeSpec:
-    """A constructed code: DTS, field and block length n bundled together."""
+    """A constructed code: DTS, field and block length n bundled together.
+
+    The family is checked at construction; the base matrix is built on
+    its first read, so a command that reads only the DTS builds none."""
 
     def __init__(self, dts: DifferenceTriangleSet, field: GaloisField, n: int):
-        self.base = build_base_matrix(dts, field, n)
+        _check_family(dts, n)
         self.dts = dts
         self.field = field
         self.n = n
@@ -291,6 +305,11 @@ class CodeSpec:
         self.scope = dts.scope
         self.mu = self.scope - 1
         self.delta = self.scope - 1
+
+    @functools.cached_property
+    def base(self) -> ExponentMatrix:
+        """Transposed base matrix (``build_base_matrix``)."""
+        return _base_matrix(self.dts, self.field, self.n)
 
     def sliding_matrix(self, j: int) -> ExponentMatrix:
         """Truncated sliding matrix: j+1 rows, n(j+1) columns."""
@@ -303,6 +322,15 @@ class CodeSpec:
         if num_blocks < 1:
             raise ValueError("need at least one block column")
         return self.base._tiled(num_blocks, num_blocks + self.mu)
+
+    def column_entries(self, col: int, rows: Sequence[int]) -> list[FieldElement]:
+        """Entries of sliding-matrix column ``col`` on ``rows``, read off the
+        marks with no matrix: alpha**(base_row*index) when base_row is a
+        mark of T_index (``sliding_entry_origin``; the parity column, index
+        0, has the one mark 1), else zero."""
+        shift, index = sliding_entry_origin(self.n, 0, col)  # row r has base row shift + r
+        marks = self.dts.sets[index - 1] if index else (1,)
+        return [self.field.alpha_pow((shift + r) * index) if shift + r in marks else ZERO for r in rows]
 
     def encode(self, message: Sequence[Sequence[FieldElement]]) -> list[tuple[FieldElement, ...]]:
         """Systematic encoding: each output block is (u_t, p_t).

@@ -185,6 +185,50 @@ def oracle_check_distance_assumptions(spec):
     return an.AssumptionReport(witnesses=tuple(sorted(witnesses, key=lambda wit: wit.cols)))
 
 
+def sliding_check_distance_assumptions(spec, budget=an.DEFAULT_BUDGET):
+    """The assumption check read off the sliding matrix at horizon mu: the
+    later columns meeting R from the row supports of R, the target and the
+    span-test entries from ``get``, every span test reduced by ``_in_span``,
+    charged as ``check_distance_assumptions`` charges.  It asserts that
+    every row of R has a single-row column, which ``_span_pairs`` takes as
+    given."""
+    matrix = spec.sliding_matrix(spec.mu)
+    w = spec.w
+    meter = an.as_meter(budget)
+    minimal = []
+    for j1 in range(1, spec.n):
+        rows = matrix.col_support(j1)
+        met = {}
+        for b, r in enumerate(rows):
+            for c in matrix.row_support(r):
+                if c > j1:
+                    met.setdefault(c, []).append(b)
+        meter.charge(len(met))
+        single, multi = {}, {}
+        for c in sorted(met):
+            if len(met[c]) == 1:
+                single.setdefault(met[c][0], []).append(c)
+            else:
+                multi[c] = met[c]
+        assert set(single) == set(range(w)), (spec, j1)
+        target = [matrix.get(r, j1) for r in rows]
+        spanning = []
+        for part, deleted in an._span_pairs(multi, w):
+            if any(p <= part and d <= deleted for p, d in spanning):
+                continue
+            meter.charge(1)
+            kept = [b for b in range(w) if b not in deleted]
+            vecs = [[matrix.get(rows[b], c) for b in kept] for c in sorted(part)]
+            if an._in_span(spec.field, [target[b] for b in kept], vecs):
+                spanning.append((part, deleted))
+        minimal += ((rows, j1, part, [single[b] for b in sorted(deleted)])
+                    for part, deleted in spanning)
+    meter.charge(sum(math.prod(map(len, picks)) for *_, picks in minimal))
+    witnesses = (an.AssumptionWitness(rows=rows, cols=(j1, *sorted(part.union(chosen))))
+                 for rows, j1, part, picks in minimal for chosen in itertools.product(*picks))
+    return an.AssumptionReport(witnesses=tuple(sorted(witnesses, key=lambda wit: wit.cols)))
+
+
 def oracle_column_distance(spec, j):
     ub = an.minimal_column_weight(spec, j) + 1
     return oracle_min_weight_first_block(spec.field, spec.sliding_matrix(j), spec.n, ub)
@@ -285,6 +329,42 @@ def test_assumption_check_matches_combination_oracle():
             assert not any(an._in_span(spec.field, target, vecs[:k] + vecs[k + 1:])
                            for k in range(len(vecs))), (spec, wit)
     # no witness column can be dropped, and some seeded checks fail
+    assert failing
+
+
+def _outcome(check, spec, budget):
+    """The report of ``check`` and the steps it used, or its refusal."""
+    meter = an.Meter(budget)
+    try:
+        return check(spec, meter), meter.used
+    except HorizonTooLarge as exc:
+        return str(exc)
+
+
+def test_check_reads_the_marks_as_the_sliding_matrix_does(ref_spec_a, ref_spec_b):
+    # the check read off the marks against the same check read off the
+    # sliding matrix: equal reports, steps and refusals at every budget
+    fields = [make_field(p, e) for p, e in ((2, 1), (3, 1), *DENSE_SWEEP_FIELDS)]
+    rng = random.Random(36)
+    specs = [ref_spec_a, ref_spec_b]
+    for field in fields:
+        specs.append(CodeSpec(DifferenceTriangleSet.from_inline("1,2,4;1,2,4"), field, 3))
+        for _ in range(4):
+            n, w = rng.randint(2, 4), rng.randint(1, 4)
+            specs.append(CodeSpec(_random_relaxed_family(rng, n, w), field, n))
+        n, w = rng.randint(2, 3), rng.randint(2, 3)
+        specs.append(CodeSpec(_random_strict_family(rng, n, w), field, n))
+    specs += [CodeSpec(DifferenceTriangleSet.from_inline("1,2,5,10,12;1,2,5,10,12"), field, 3)
+              for field in fields[:3]]
+    failing = 0
+    for spec in specs:
+        expected = _outcome(sliding_check_distance_assumptions, spec, an.DEFAULT_BUDGET)
+        assert _outcome(an.check_distance_assumptions, spec, an.DEFAULT_BUDGET) == expected, spec
+        report, used = expected
+        failing += not report.holds
+        for budget in sorted({0, 1, used // 2, max(used - 1, 0)}):
+            assert (_outcome(an.check_distance_assumptions, spec, budget)
+                    == _outcome(sliding_check_distance_assumptions, spec, budget)), (spec, budget)
     assert failing
 
 

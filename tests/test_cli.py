@@ -296,19 +296,45 @@ def test_cli_distance_of_a_wide_family_within_default_budget(capsys):
     assert "free_distance: 6 (exact, upper bound 6)" in out
 
 
-def test_cli_distance_row_reads_grow_linearly_in_mu(capsys, monkeypatch):
-    # mu = 1999: the column distance at each j < mu reads one row, and the
-    # check holds, so d_mu and the free distance need no search
-    reads = []
-    row_support = ExponentMatrix.row_support
-    monkeypatch.setattr(ExponentMatrix, "row_support",
-                        lambda self, r: reads.append(r) or row_support(self, r))
-    code, out, _ = run_cli(capsys, "distance", "--dts", "1,2000", "--n", "2",
-                           "--field", "2^5")
+def _record_matrix_reads(monkeypatch):
+    """Record every ``ExponentMatrix`` built, tiled or read by row."""
+    calls = []
+
+    def recorded(name, method):
+        def call(self, *args):
+            calls.append(name)
+            return method(self, *args)
+        return call
+
+    for name in ("__init__", "_tiled", "row_support"):
+        monkeypatch.setattr(ExponentMatrix, name, recorded(name, getattr(ExponentMatrix, name)))
+    return calls
+
+
+@pytest.mark.parametrize("dts, field, free", [
+    ("1,2,6;1,2,4", "2^5", 4), ("1,2,6;2,3,5", "2^5", 4), ("1,2,5;1,3,8", "2^5", 4),
+    ("1,2,5,10,12;1,4,6,14,15", "2^6", 6), ("1,2,4,8", "3", 5), ("1,2000", "2^5", 3)])
+def test_cli_distance_builds_no_matrix_when_the_check_holds(capsys, monkeypatch, dts, field, free):
+    # the check and the predictions read only the marks, so no column
+    # distance is searched and no row is read, even at mu = 1999
+    calls = _record_matrix_reads(monkeypatch)
+    spec = ("distance", "--dts", dts, "--n", str(dts.count(";") + 2), "--field", field)
+    code, out, _ = run_cli(capsys, *spec)
     assert code == 0
-    assert out.endswith("free_distance: 3 (exact, upper bound 3)\npredicted_free: 3\n"
+    assert out.endswith(f"free_distance: {free} (exact, upper bound {free})\npredicted_free: {free}\n"
                         "assumption_holds: yes\n")
-    assert len(reads) <= 2 * 2000
+    code, out, _ = run_cli(capsys, *spec, "--json")
+    assert code == 0 and json.loads(out)["assumption_holds"] is True
+    assert not calls
+
+
+def test_cli_distance_builds_the_base_once_when_the_check_fails(capsys, monkeypatch):
+    # two equal sets share every difference: the check fails and every
+    # distance is searched, on tilings of one base matrix
+    calls = _record_matrix_reads(monkeypatch)
+    code, out, _ = run_cli(capsys, "distance", "--dts", "1,2;1,2", "--n", "3", "--field", "2")
+    assert code == 0 and "assumption_holds: no" in out
+    assert calls.count("__init__") == 1 and "_tiled" in calls
 
 
 def test_cli_distance_restricted_horizon(capsys):

@@ -146,6 +146,16 @@ def test_sliding_entry_origin_consistency(gf32, dts_126_235):
         assert e == gf32.alpha_pow(i * k)
 
 
+@pytest.mark.parametrize("inline, n", [("1,2,6;2,3,5", 3), ("1,2,5;1,3,8;2,4,9", 4), ("1,3", 2)])
+def test_column_entries_read_the_sliding_matrix(gf32, inline, n):
+    # every column, parity columns included, on every row, and no matrix built
+    spec = CodeSpec(DifferenceTriangleSet.from_inline(inline), gf32, n)
+    entries = [spec.column_entries(c, range(1, spec.mu + 2)) for c in range(1, n * spec.scope + 1)]
+    assert "base" not in vars(spec)
+    sl = spec.sliding_matrix(spec.mu)
+    assert entries == [[sl.get(r, c) for r in range(1, sl.rows + 1)] for c in range(1, sl.cols + 1)]
+
+
 def test_full_sliding_matrix_shape(gf32, dts_126_124):
     spec = CodeSpec(dts_126_124, gf32, 3)
     full = spec.full_sliding_matrix(6)
