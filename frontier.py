@@ -9,9 +9,10 @@ budget and records the call, its wall time (the median of 3 runs when the
 first takes under 2 s, else that one run) and ``Meter.used``, or the
 refusal message when the budget runs out.  The rows are the frontier table
 of ROADMAP.md: large-scope and wide `distance` profiles, `verify` and the
-cycle reports at long horizons, the singular 3x3 minors of ``1,7;1,7``
-and the longest rulers searched.  Nothing is gated; the whole run takes
-under a minute.  Stdlib only.
+cycle reports at long horizons, the singular 3x3 minors of ``1,7;1,7``,
+the longest rulers searched, and the argument parsing of a benchmark
+batch.  Nothing is gated; the whole run takes about a minute, and the
+row at j = 10**6 holds about 0.5 GB at its peak.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "src"))
 
-from dts_ldpc import analysis  # noqa: E402
+from dts_ldpc import analysis, cli  # noqa: E402
 from dts_ldpc.code import CodeSpec  # noqa: E402
 from dts_ldpc.dts import DifferenceTriangleSet, search_min_scope  # noqa: E402
 from dts_ldpc.errors import BudgetExhausted, Meter  # noqa: E402
@@ -61,6 +62,35 @@ def _verify(j: int):
     return f"verify(A over GF(2^5), j={j}): check_minors 2, 3 and enumerate_cycles 4, 6", run
 
 
+def _verify_2_4(j: int):
+    """What `verify --minors 2 --cycles 4` runs: the 2x2 minors and the 4-cycles on one meter."""
+    def run(meter: Meter) -> dict:
+        spec = _spec(CODE_A, 3, 2, 5)
+        minors = analysis.check_minors(spec, 2, j, meter)
+        cycles = analysis.enumerate_cycles(spec, 4, j, meter)
+        return {"checked": minors.checked, "cycles_4": len(cycles.cycles),
+                "failures": len(minors.failures) + len(cycles.frc_failures)}
+    return f"verify --minors 2 --cycles 4 (A over GF(2^5), j={j})", run
+
+
+def _parse_batch(workload: str, seed: int):
+    """Argument parsing alone: ``cli._parse`` over the argv of a benchmark
+    batch, ``perfbench/workloads.py`` imported without writing bytecode."""
+    sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)), "perfbench"))
+    sys.dont_write_bytecode, before = True, sys.dont_write_bytecode
+    try:
+        import workloads
+    finally:
+        sys.dont_write_bytecode = before
+    argvs = [list(command.argv) for command in workloads.generate(workload, seed)]
+
+    def run(meter: Meter) -> dict:
+        for argv in argvs:
+            cli._parse(argv)
+        return {"commands": len(argvs)}
+    return f"cli._parse over the argv of perfbench's seed-{seed} {workload} batch", run
+
+
 def _cycles(j: int):
     def run(meter: Meter) -> dict:
         spec = _spec(CODE_A, 3, 2, 5)
@@ -92,10 +122,12 @@ ROWS = [  # (name, budget, (call, run))
     ("distance fails w=7 GF(4)", 10**7, _distance(f"{RULERS[7]};{RULERS[7]}", 3, 2, 2)),
     ("verify A j=1000", 10**6, _verify(1000)),
     ("verify A j=4000", 10**6, _verify(4000)),
+    ("verify --minors 2 --cycles 4 A j=10^6", 10**7, _verify_2_4(10**6)),
     ("cycles A j=16000", 10**7, _cycles(16000)),
     ("minors3 1,7;1,7 GF(7) j=200", 10**7, _minors(200)),
     ("search ruler 9", 10**7, _search(9)),
     ("search ruler 10", 10**8, _search(10)),
+    ("parse distance batch", 0, _parse_batch("distance", 0)),
 ]
 
 

@@ -5,17 +5,15 @@ Three families of checks, all exact:
 * minors — every 2x2 or 3x3 submatrix of a sliding matrix whose zero
   pattern admits a nonzero transversal (one entry per row and column) is
   checked; any vanishing determinant is a failure witness.  Only those
-  with two or more nonzero transversals can vanish; those with exactly two
-  are decided by a divisibility test on their exponents, the rest are
-  evaluated.  Those sets are read off the 4-cycle and 6-cycle walks, over
-  a number of row tuples linear in the horizon; the count and the 3x3
-  completions of a 4-cycle that factor come in closed form;
+  with two or more nonzero transversals, the cycles and the completions
+  of 4-cycles, can vanish; those with exactly two are decided by a
+  divisibility test on their exponents, the rest are evaluated.  The
+  counts come in closed form;
 * cycles — 4-cycles (two rows sharing two columns) and 6-cycles (row and
   column triples whose submatrix has exactly two nonzeros per row and per
-  column), walked over the same row pairs and triples as the minors,
-  together with the full-rank condition on their cycle matrices, decided
-  by the same two-term test.  Reports that share a meter share one sweep
-  of the horizon, built and charged once;
+  column), with the full-rank condition on their cycle matrices, decided
+  by the same test.  Each is a translate of one of a few classes, read
+  off the differences that the sets of the DTS share, with no matrix;
 * distances — column distances and the free distance through the span
   criterion: the smallest d such that some column of the first block lies
   in the span of d-1 other columns, searched in increasing d.  The
@@ -34,10 +32,9 @@ matrix they were found in.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from . import gf
 from .code import CodeSpec, ExponentMatrix
@@ -133,118 +130,128 @@ class MinorReport(NamedTuple):
         }
 
 
-class _Sweep:
-    """The sweep of the sliding matrix ``matrix`` at horizon j: row r as
-    the dict ``supports[r]``, column -> exponent over its support in column
-    order (``supports[0]`` is empty), the rows of column c in increasing
-    order ``columns[c]``, the nonempty pair meets ``meets[a, b]``, a < b,
-    the sets of columns that rows a and b share, the row ``triples`` and
-    the Tanner cycles through them (``cycles``).
+def _witnesses(spec: CodeSpec) -> dict[int, list[tuple[int, int, int]]]:
+    """Each difference d of a set of the DTS -> its witnesses (k, m, c), m
+    and m + d in T_k: ``dts.differences``, with marks in place of
+    positions.  c is column (-m, k), ``CodeSpec.column_at``, whose mark m
+    lies on row 0; moved down a rows, a blocks, it is column a*n + c."""
+    wits: dict[int, list[tuple[int, int, int]]] = {}
+    for k, t_k in enumerate(spec.dts.sets, start=1):
+        for low, high in itertools.combinations(t_k, 2):
+            wits.setdefault(high - low, []).append((k, low, spec.column_at(-low, k)))
+    return wits
 
-    Locality: column c of block t is its pattern column moved down t rows,
-    and the pattern has scope = mu + 1 rows, so the rows of a column lie
-    within mu + 1 consecutive rows, and rows more than mu apart share no
-    column.  So a row meets at most 2 mu others, and the supports, the
-    columns and the meets, built from the columns, take work linear in j.
-    The sweep is charged rows + cols before a row is read, so that a
-    horizon far past the budget is refused at once, then one step per meet
-    column, the sum of |M_ab|, which is the sum over the columns of
-    C(|col|, 2), before the meets are built.
+
+def _cycle_classes(spec: CodeSpec, wits: dict, length: int, j: int) -> Iterator[tuple]:
+    """The classes of Tanner cycles of ``length`` 4 or 6 with a translate
+    within horizon j, each as (rows, walk, singular) at its first
+    translate, read off the differences of the sets (``_witnesses``).
+
+    Translates.  Column (s, k) of block s, ``CodeSpec.column_at(s, k)``,
+    meets row r iff r - s is in T_k, with exponent (r - s)*k.  Adding t to
+    every row and t*n to every column, t blocks, keeps both, so a class, a
+    cycle with all its translates, has one verdict.  At its first translate a
+    column lies in block 0 and none lower; with c0 its last row,
+    translate t is in the sliding matrix at horizon j iff t >= 0 and c0 +
+    t <= j + 1 (a column meets a row <= j + 1 at a mark >= 1, so its block
+    is <= j): ``_reach`` = max(0, j + 2 - c0) translates.
+
+    4-cycles.  Column (s, k) meets rows a < b iff m = a - s and m + d, d =
+    b - a, are in T_k: (k, m) is a witness of d, and the column (a - m, k).
+    A set has at most one witness of d, as its differences are distinct,
+    so a 4-cycle is two witnesses (k1, m1), (k2, m2) of one d, k1 != k2,
+    which fix its columns, and each such pair and a >= max(m1, m2) give
+    one: the classes are these pairs, first at a = max(m1, m2).  The
+    transversals, identity (even) and swap (odd), of x = (a - m1, k1) and
+    y = (a - m2, k2) give D = E_ax + E_by - E_ay - E_bx = m1 k1 + (m2 + d)
+    k2 - m2 k2 - (m1 + d) k1 = d (k2 - k1).
+
+    6-cycles.  Likewise a walk x in M_ab, y in M_bc, z in M_ac of rows a <
+    b < c is witnesses (kx, mx) of d1 = b - a, (ky, my) of d2 = c - b and
+    (kz, mz) of d1 + d2, with x = (a - mx, kx), y = (b - my, ky) and z =
+    (a - mz, kz), chordless iff x misses row c, y row a and z row b: mx +
+    d1 + d2 not in T_kx, my - d1 not in T_ky, mz + d1 not in T_kz.  The
+    classes are these witness triples, first at a = max(mx, my - d1, mz).
+    The transversals {(a, x), (b, y), (c, z)} and {(a, z), (b, x), (c, y)}
+    differ by a 3-cycle, so their parities agree, and D = E_ax + E_by +
+    E_cz - E_az - E_bx - E_cy = (d1 + d2) kz - d1 kx - d2 ky.
+
+    Both D take the exponent (r - s)*k of ``CodeSpec.column_entries``, the
+    base matrix's alpha**(i*k), as given: another edge exponent rule
+    needs other D.  By the two-term rule of ``check_minors`` a 4-cycle is
+    singular iff D = 0 mod (q - 1), and a 6-cycle iff D = s, alpha**s =
+    -1.  Each difference d3 <= j is scanned with each difference d1 < d3
+    whose complement d3 - d1 is one too, in O(|differences|**2), bounded
+    by the DTS.  The classes
+    are yielded as they are found, so a scan for the first stops there.
     """
-
-    def __init__(self, spec: CodeSpec, j: int, meter: Meter):
-        self.matrix = matrix = spec.sliding_matrix(j)
-        meter.charge(matrix.rows + matrix.cols)
-        width = matrix.width
-        self.supports: list[dict[int, int]] = [{}] + [
-            {r * width + k: e for k, e in zip(offsets, exponents)}
-            for first, last, offsets, exponents in matrix.row_runs() for r in range(first, last + 1)]
-        self.columns: dict[int, list[int]] = {}
-        for r, sup in enumerate(self.supports):
-            for c in sup:
-                self.columns.setdefault(c, []).append(r)
-        meter.charge(sum(math.comb(len(rows), 2) for rows in self.columns.values()))
-        self.meets: dict[tuple[int, int], set[int]] = {}
-        for c, rows in self.columns.items():
-            for pair in itertools.combinations(rows, 2):
-                self.meets.setdefault(pair, set()).add(c)
-        self.walked: dict[int, tuple[TannerCycle, ...]] = {}
-
-    @functools.cached_property
-    def triples(self) -> list[tuple[int, int, int]]:
-        """The row triples a < b < c whose three pair meets are nonempty, in order:
-        the only ones that hold a 6-cycle.  Each is found once, from the rows
-        after a that meet it, at most mu of them, so they are linear in j."""
-        later: dict[int, list[int]] = {}
-        for a, b in self.meets:
-            later.setdefault(a, []).append(b)
-        return sorted((a, *pair) for a, after in later.items()
-                      for pair in itertools.combinations(sorted(after), 2) if pair in self.meets)
-
-    def cycles(self, size: int, meter: Meter) -> tuple[TannerCycle, ...]:
-        """The Tanner cycles through the row pairs that meet (``size`` 2),
-        a meet's column pairs, or the ``triples``, a triple's chordless (c12,
-        c23, c13), walked on the first read.  Each tuple is charged 1 + its
-        number of cycles, then each cycle is decided by the two-term rule of
-        ``check_minors`` from at most six exponents of its rows, read off
-        ``supports``: its two transversals are known, so no submatrix is
-        built and no permutation tried.
-
-        A 4-cycle on rows a, b and columns x < y is fully nonzero.  Its
-        transversals are the identity, E_ax + E_by, even, and the swap,
-        E_ay + E_bx, odd.  Their parities differ, so it is singular iff
-        E_ax + E_by - E_ay - E_bx = 0 mod (q - 1).  A 6-cycle walk x in
-        M_ab - sup c, y in M_bc - sup a, z in M_ac - sup b has the nonzeros
-        (a, x), (a, z), (b, x), (b, y), (c, y), (c, z), two per row and
-        column, so its transversals are {(a, x), (b, y), (c, z)} and
-        {(a, z), (b, x), (c, y)}.  They differ by a 3-cycle, an even
-        permutation, so their parities agree in any column order, and it is
-        singular iff E_ax + E_by + E_cz - E_az - E_bx - E_cy = s mod (q - 1),
-        with alpha**s = -1 (``field._neg_shift``).  As 2s = 0 mod (q - 1),
-        the order of the two transversals does not matter."""
-        if size not in self.walked:
-            meets, sup, found = self.meets, self.supports, []
-            field = self.matrix.field
-            order, shift = field.q - 1, field._neg_shift
-            for rows in sorted(meets) if size == 2 else self.triples:
-                if size == 2:
-                    ea, eb = sup[rows[0]], sup[rows[1]]
-                    walks = list(itertools.combinations(sorted(meets[rows]), 2))
-                    meter.charge(1 + len(walks))
-                    found += (TannerCycle(rows, (x, y), (ea[x] + eb[y] - ea[y] - eb[x]) % order == 0)
-                              for x, y in walks)
-                else:
-                    a, b, c = rows
-                    ea, eb, ec = sup[a], sup[b], sup[c]
-                    walks = sorted(itertools.product(meets[a, b].difference(ec),
-                                                     meets[b, c].difference(ea),
-                                                     meets[a, c].difference(eb)))
-                    meter.charge(1 + len(walks))
-                    found += (TannerCycle(rows, tuple(sorted((x, y, z))), (
-                        ea[x] + eb[y] + ec[z] - ea[z] - eb[x] - ec[y] - shift) % order == 0)
-                              for x, y, z in walks)
-            self.walked[size] = tuple(found)
-        return self.walked[size]
+    if j < 0:
+        raise ValueError("horizon j must be >= 0")
+    n, order, shift, marks = spec.n, spec.field.q - 1, spec.field._neg_shift, spec.marks
+    if length == 4:
+        for d, found in wits.items():
+            for (k1, m1, c1), (k2, m2, c2) in itertools.combinations(found, 2):
+                a = max(m1, m2)
+                x, y = a * n + c1, a * n + c2
+                if a + d <= j + 1:
+                    yield (a, a + d), (x, y) if x < y else (y, x), d * (k2 - k1) % order == 0
+        return
+    for d3, zs in wits.items():
+        for d1, xs in wits.items() if d3 <= j else ():
+            ys = wits.get(d3 - d1, ()) if d1 < d3 else ()
+            for kz, mz, cz in zs if ys else ():
+                for kx, mx, cx in xs if mz + d3 <= j + 1 and mz + d1 not in marks[kz] else ():
+                    for ky, my, cy in ys if mx + d3 <= j + 1 and mx + d3 not in marks[kx] else ():
+                        a = max(mx, my - d1, mz)
+                        if a + d3 <= j + 1 and my - d1 not in marks[ky]:
+                            yield ((a, a + d1, a + d3), (a * n + cx, (a + d1) * n + cy, a * n + cz),
+                                   (d3 * kz - d1 * kx - (d3 - d1) * ky - shift) % order == 0)
 
 
-def _sweep(spec: CodeSpec, j: int, meter: Meter) -> _Sweep:
-    """The sweep of (spec, j), built and charged unless ``meter`` holds it:
-    a meter holds its last sweep, which is freed with it."""
-    if meter.sweep is None or meter.sweep[0] != (spec, j):
-        meter.sweep = (spec, j), _Sweep(spec, j, meter)
-    return meter.sweep[1]
+def _reach(rows: tuple[int, ...], j: int) -> int:
+    """Translates within horizon j of a class or near shape first at ``rows``."""
+    return j + 2 - rows[-1]
 
 
-def _near_completions(supports: list[dict[int, int]], columns: dict, rows: tuple[int, int],
-                      cols: tuple[int, int]) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The near completions of the 4-cycle ``cols`` of the row pair ``rows``
-    (``check_minors``), as sorted (rows, cols): by a third row r meeting c1
-    or c2 and a column c of r, other than c1 and c2, that meets a or b."""
-    (a, b), (c1, c2) = rows, cols
-    pair_cols = {*supports[a], *supports[b]} - {c1, c2}
-    return {(tuple(sorted((a, b, r))), tuple(sorted((c1, c2, c))))
-            for r in {*columns[c1], *columns[c2]} - {a, b}
-            for c in pair_cols.intersection(supports[r])}
+def _translates(cls: tuple, j: int, n: int) -> list[tuple]:
+    """(rows, walk, singular) of each translate of a class within horizon j."""
+    rows, walk, singular = cls
+    return [(tuple([r + t for r in rows]), tuple([c + t * n for c in walk]), singular)
+            for t in range(_reach(rows, j))]
+
+
+def _near_shapes(spec: CodeSpec, wits: dict, four: tuple, j: int) -> set:
+    """The near completions within horizon j of a 4-cycle class, each as
+    (rows, cols) at its first translate (``check_minors``): by a row r of
+    c1 or c2 and a column c, not c1 or c2, that meets r and a or b, a
+    witness of |r - a| or |r - b|, in a block -u <= 0, moved down u rows."""
+    n, ((a, b), (c1, c2), _), shapes = spec.n, four, set()
+    origins = [spec.column_origin(c) for c in (c1, c2)]
+    for r in {block + m for block, index in origins for m in spec.marks[index]} - {a, b}:
+        rows = (r, a, b) if r < a else (a, r, b) if r < b else (a, b, r)
+        reach = _reach(rows, j)
+        for x in a, b:
+            low = min(r, x)
+            for _, m, c0 in wits.get(abs(r - x), ()):
+                c, u = low * n + c0, m - low if m > low else 0
+                if c != c1 and c != c2 and reach > u:
+                    cols = (c, c1, c2) if c < c1 else (c1, c, c2) if c < c2 else (c1, c2, c)
+                    shapes.add((tuple([i + u for i in rows]), tuple([i + u * n for i in cols])) if u
+                               else (rows, cols))
+    return shapes
+
+
+def _factorable_failures(spec: CodeSpec, j: int, rows: tuple[int, int], cols: tuple[int, int]):
+    """The factorable completions at horizon j of the 4-cycle ``cols`` of
+    rows ``rows`` = (a, b), as failures (``check_minors``): by a row r and a
+    column c of r, other than c1 and c2, where r misses c1 and c2 or c
+    misses a and b."""
+    meets, (a, b), (c1, c2) = spec.meets, rows, cols
+    for r in range(1, j + 2):
+        near = meets(r, c1) or meets(r, c2)
+        for c in (spec.column_at(r - m, k) for k, t_k in enumerate(spec.marks) for m in t_k if m <= r):
+            if r not in rows and c not in cols and not (near and (meets(a, c) or meets(b, c))):
+                yield MinorFailure(tuple(sorted((a, b, r))), tuple(sorted((c1, c2, c))), PATTERN_MIXED)
 
 
 # the row permutations of a 2x2 or 3x3 minor, each with its parity
@@ -261,7 +268,7 @@ def _transversals(grid: list[list[FieldElement]]) -> list[tuple[int, int]]:
     permutation, so that it adds (-1)**sigma * alpha**E to the determinant."""
     found = []
     for perm, odd in _SIGNED_PERMUTATIONS[len(grid)]:
-        picked = list(map(list.__getitem__, grid, perm))
+        picked = [row[i] for row, i in zip(grid, perm)]
         if None not in picked:
             found.append((sum(picked), odd))
     return found
@@ -272,15 +279,6 @@ def _two_terms_cancel(field: GaloisField, terms: list[tuple[int, int]]) -> bool:
     D = 0 mod (q - 1) when their parities differ, D = log(-1) when they agree."""
     (e1, odd1), (e2, odd2) = terms
     return (e1 - e2 - (field._neg_shift if odd1 == odd2 else 0)) % (field.q - 1) == 0
-
-
-def _elementary(weights: Sequence[int], size: int) -> int:
-    """The elementary symmetric sum of degree ``size`` of ``weights``."""
-    sums = [1] + [0] * size
-    for w in weights:
-        for k in range(size, 0, -1):
-            sums[k] += sums[k - 1] * w
-    return sums[size]
 
 
 def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
@@ -296,22 +294,24 @@ def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
     with t >= 2.  Only those sets can vanish, and only they are decided.
 
     Summed over all tuples, with w_r the row weights, W their sum and M_ab
-    the pair meets (``_Sweep``), T is e2(w) - sum |M_ab| for pairs.  For
-    triples, |A&B||C| sums to sum |M_ab| (W - w_a - w_b), as each pair
-    takes every other row as the third, and |A&B&C| to the number of row
-    triples sharing a column, counted per column: sum C(|col|, 3).  So T
-    sums to e3(w) - sum |M_ab| (W - w_a - w_b) + 2 sum C(|col|, 3), with
-    only the pairs that meet in the second sum.
+    the pair meets, T is e2(w) - sum |M_ab| for pairs and e3(w) - sum
+    |M_ab| (W - w_a - w_b) + 2 sum C(|col|, 3) for triples, as each pair
+    takes every other row as the third and the triples sharing a column
+    are counted per column.  All of it is read off the marks: row r meets
+    the parity column of block r - 1 and the columns (r - m, k), m <= r in
+    T_k, so w_r is one value from the scope on, and the columns of T_k
+    meet rows s + m, so the pairs and triples topped by its i-th mark m
+    (1-based), i - 1 and C(i - 1, 2) of them, are each met j + 2 - m times.
 
     A 2x2 set of two transversals is a 4-cycle, fully nonzero.  A 3x3 set
     of two or more is a 6-cycle or completes a 4-cycle.  Two transversals
     differing by a transposition share a nonzero (r, c), and their other
     four entries are a 4-cycle (c1, c2) of rows a, b.  Two differing by a
     3-cycle make a 6-cycle: chordless, it is the cycle pattern (two
-    nonzeros per row and column), walked by ``_Sweep.cycles``; with a chord
-    (i, k), row i and the first transversal's row in column k share k and
-    that transversal's column in row i, a 4-cycle completed by its entry
-    in the third row.
+    nonzeros per row and column); with a chord (i, k), row i and the first
+    transversal's row in column k share k and that transversal's column in
+    row i, a 4-cycle completed by its entry in the third row.  The cycles
+    are the translates of their classes (``_cycle_classes``).
 
     Factorable completions.  If row r is zero on c1 and c2, or column c on
     rows a and b, expanding along it gives det = +-entry(r, c) *
@@ -322,15 +322,15 @@ def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
     nonzero c; in the second every one avoids column c, so it is (c1, c2),
     completed by the row meeting c.  Per 4-cycle, the completions by a
     column of a third row, other than c1, c2, number W - w_a - w_b -
-    (|col c1| - 2) - (|col c2| - 2); all but the near ones
-    (``_near_completions``: r meets c1 or c2 and c meets a or b) factor,
-    come off T in closed form, and fail, listed one step each, when the
-    4-cycle is singular.  The near completions of all 4-cycles form one
-    set, so a set holding several 4-cycles is evaluated once.  A
-    fully-nonzero set is one (each row pair is a 4-cycle met by the third
-    row), so a near set is fully nonzero exactly when all six of its
-    transversals are nonzero, and mixed otherwise.  The failures are
-    sorted once.
+    (|col c1| - 2) - (|col c2| - 2), summed over a class's translates in
+    closed form.  All but the near ones (r meets c1 or c2 and c meets a or
+    b) factor, come off T, and fail, listed one step each, when the
+    4-cycle is singular.  A near set moves with its 4-cycle, so the near
+    sets are the translates of the classes' near shapes; the shapes form
+    one set, so a set holding several 4-cycles is evaluated once for all
+    its translates.  A fully-nonzero set is one (each row pair is a
+    4-cycle met by the third row), so a near set is fully nonzero exactly
+    when all six of its transversals are nonzero, and mixed otherwise.
 
     Every entry is a power of alpha, so a transversal with exponent sum E
     and permutation parity sigma adds (-1)**sigma * alpha**E.  Two cancel
@@ -338,63 +338,85 @@ def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
     q - 1, and -1 = alpha**s: s = (q - 1)/2 for odd p, the element of
     order 2, and s = 0 in characteristic 2 (``field._neg_shift``).  So a
     set of two transversals vanishes iff D = 0 mod (q - 1) when their
-    parities differ and D = s when they agree, with no field operation.
-    A cycle's two transversals are known, so ``_Sweep.cycles`` reads D off
-    the exponents of its rows.  A near set's grid is read off the same
-    rows, ``_Sweep.supports``, and one walk of its permutations gives t
-    and its terms; only near sets of three or more are evaluated, by
-    ``gf.det``.
+    parities differ and D = s when they agree, with no field operation; a
+    cycle's D is its class's.  One walk of a near shape's permutations over
+    its entries (``CodeSpec.column_entries``) gives t and its terms; only
+    shapes of three or more are evaluated, by ``gf.det``.
 
-    Charges: those of the sweep, 1 per meeting row pair and 1 per 4-cycle,
-    then for 3x3 minors those of the 6-cycles, 1 per failing factorable
-    completion and 1 per near set.  A sweep and its cycles already held by
-    the same meter (``_sweep``) are read, not charged again.
+    Charges: 1 per class built, then, each before its walk, 1 per failing
+    cycle and failing factorable completion, 1 per near shape and 1 per
+    translate of a failing one; the counts take none.
     """
     if size not in (2, 3):
         raise ValueError(f"minor size must be 2 or 3, got {size}")
     j = spec.mu if j is None else j
     meter = as_meter(budget)
-    sweep = _sweep(spec, j, meter)
-    matrix, supports, columns, meets = sweep.matrix, sweep.supports, sweep.columns, sweep.meets
-    weights = list(map(len, supports))
-    four_cycles = sweep.cycles(2, meter)
+    n, scope, sets, height = spec.n, spec.scope, spec.dts.sets, j + 1
+    wits = _witnesses(spec)
+    four = list(_cycle_classes(spec, wits, 4, j))
+    six = list(_cycle_classes(spec, wits, 6, j)) if size == 3 else []
+    meter.charge(len(four) + len(six))
+    weights = [sum(m <= r for t_k in spec.marks for m in t_k) for r in range(1, scope + 1)]  # w_r
+    kept, past, full = weights[:height], max(0, height - scope), weights[-1]
+    p1, p2 = sum(kept) + past * full, sum(w * w for w in kept) + past * full**2
+    # (i, s): the i marks below a mark m <= j + 1 of a set, and the s columns that meet row m last
+    tops = [(i, height + 1 - m) for t_k in sets for i, m in enumerate(t_k) if m <= height]
+    failures: list[MinorFailure] = []
+
+    def cycles(classes: list, pattern: str) -> int:  # their number, the singular ones listed
+        singular = [cls for cls in classes if cls[2]]
+        meter.charge(sum(_reach(rows, j) for rows, *_ in singular))
+        failures.extend(MinorFailure(rows, tuple(sorted(walk)), pattern)
+                        for cls in singular for rows, walk, _ in _translates(cls, j, n))
+        return sum(_reach(rows, j) for rows, *_ in classes)
+
     if size == 2:
-        total = _elementary(weights, 2) - sum(map(len, meets.values())) - len(four_cycles)
-        failures = [MinorFailure(c.rows, c.cols, PATTERN_FULL) for c in four_cycles if c.singular]
-        counts = {PATTERN_FULL: len(four_cycles), PATTERN_MIXED: total - len(four_cycles)}
-        return MinorReport(size=size, horizon=j, class_counts=counts, failures=tuple(failures))
-    weight = sum(weights)
-    six_cycles = sweep.cycles(3, meter)
-    total = (_elementary(weights, 3) + 2 * sum(math.comb(len(rows), 3) for rows in columns.values())
-             - sum(len(m) * (weight - weights[a] - weights[b]) for (a, b), m in meets.items())
-             - len(six_cycles))
-    failures = [MinorFailure(c.rows, c.cols, PATTERN_CYCLE) for c in six_cycles if c.singular]
-    near_sets = set()
-    for (a, b), (c1, c2), singular in four_cycles:
-        near = _near_completions(supports, columns, (a, b), (c1, c2))
-        near_sets |= near
-        factorable = (weight - weights[a] - weights[b] - len(columns[c1]) - len(columns[c2]) + 4
-                      - len(near))
+        four_cycles = cycles(four, PATTERN_FULL)
+        total = (p1 * p1 - p2) // 2 - sum(i * s for i, s in tops) - four_cycles
+        counts = {PATTERN_FULL: four_cycles, PATTERN_MIXED: total - four_cycles}
+        return MinorReport(size=size, horizon=j, class_counts=counts, failures=tuple(sorted(failures)))
+    six_cycles = cycles(six, PATTERN_CYCLE)
+    prefix = [0, *itertools.accumulate(weights)]
+
+    def upto(r: int) -> int:  # w_1 + ... + w_r
+        return prefix[r] if r <= scope else prefix[scope] + (r - scope) * full
+
+    # sum |M_ab| (W - w_a - w_b): marks m1 < m2 of T_k meet rows m1 + s, m2 + s, s <= j + 1 - m2
+    spread = sum((height - m2) * p1 - upto(height - m2 + m1) + upto(m1 - 1) + upto(m2 - 1)
+                 for t_k in sets for m1, m2 in itertools.combinations(t_k, 2) if m2 <= height)
+    total = ((p1**3 - 3 * p1 * p2 + 2 * (sum(w**3 for w in kept) + past * full**3)) // 6
+             + 2 * sum(math.comb(i, 2) * s for i, s in tops) - spread - six_cycles)
+    shapes = set()
+    for cls in four:
+        (a, b), (c1, c2), singular = cls
+        near = _near_shapes(spec, wits, cls, j)
+        shapes |= near
+        count = _reach((a, b), j)
+        factorable = (count * (p1 + 4) - p1 - upto(height - b + a) + upto(a - 1) + upto(b - 1)
+                      - sum(_reach(rows, j) for rows, _ in near))
+        for c in c1, c2:  # the weights of its columns over the translates
+            t, k = spec.column_origin(c)
+            factorable -= sum(min(count, height + 1 - t - m) for m in spec.marks[k] if t + m <= height)
         total -= factorable
         if singular:
             meter.charge(factorable)
-            failures += (MinorFailure(*minor, PATTERN_MIXED) for minor in (
-                (tuple(sorted((a, b, r))), tuple(sorted((c1, c2, c))))
-                for r in range(1, matrix.rows + 1) if r not in (a, b)
-                for c in supports[r] if c not in (c1, c2)) if minor not in near)
-    meter.charge(len(near_sets))
-    full = 0
-    for rows, cols in near_sets:
-        grid = [[supports[r].get(c) for c in cols] for r in rows]
+            for rows, walk, _ in _translates(cls, j, n):
+                failures += _factorable_failures(spec, j, rows, walk)
+    meter.charge(len(shapes))
+    fully = 0
+    for rows, cols in shapes:
+        count = _reach(rows, j)
+        grid = list(zip(*(spec.column_entries(c, rows) for c in cols)))
         terms = _transversals(grid)
-        total -= len(terms) - 1
-        full += len(terms) == 6
+        total -= (len(terms) - 1) * count
+        fully += count if len(terms) == 6 else 0
         if (_two_terms_cancel(spec.field, terms) if len(terms) == 2
                 else gf.det(spec.field, grid) is ZERO):
-            failures.append(MinorFailure(rows, cols, PATTERN_FULL if len(terms) == 6
-                                         else PATTERN_MIXED))
-    counts = {PATTERN_FULL: full, PATTERN_CYCLE: len(six_cycles),
-              PATTERN_MIXED: total - full - len(six_cycles)}
+            meter.charge(count)
+            failures.extend(MinorFailure(*translate[:2], PATTERN_FULL if len(terms) == 6
+                                         else PATTERN_MIXED)
+                            for translate in _translates((rows, cols, None), j, n))
+    counts = {PATTERN_FULL: fully, PATTERN_CYCLE: six_cycles, PATTERN_MIXED: total - fully - six_cycles}
     return MinorReport(size=size, horizon=j, class_counts=counts, failures=tuple(sorted(failures)))
 
 
@@ -441,41 +463,30 @@ def enumerate_cycles(spec: CodeSpec, length: int, j: Optional[int] = None,
 
     A cycle of length 2d is recorded through the d rows and d columns it
     touches; the full-rank condition fails exactly when the determinant of
-    that submatrix is zero.  Within a row triple, 6-cycles are ordered by
-    their columns (c12, c23, c13) along the walk.  4-cycles are walked over
-    the row pairs that meet and 6-cycles over the row triples whose three
-    pair meets are nonempty (``_Sweep``), charged as in ``check_minors``
-    and, like them, read from a sweep already held by the same meter.
-
-    The girth is read off the pair meets, with no step charged: 4 if a
-    meet holds two columns (a 4-cycle), else 6 if the three meets of some
-    triple are distinct, else None.  A 6-cycle lies on a triple, as its
-    rows meet pairwise.  With no 4-cycle a triple's meets are single
-    columns, M_ab = {x}, M_bc = {y}, M_ac = {z}.  If one of them meets its
-    third row, say x meets row c, then x is in M_bc and M_ac, so x = y = z
-    meets all three rows, and no column of M_ab misses row c: no 6-cycle.
-    Otherwise each misses its third row, which the other two meet, so they
-    are distinct and (x, y, z) is the triple's one 6-cycle, chordless.
-
-    Each cycle is decided by the two-term rule of ``check_minors``, with no
-    field operation, from the exponents of its rows that the sweep holds:
-    no submatrix is built and no permutation tried (``_Sweep.cycles``).  A
-    4-cycle's 2x2 submatrix is fully nonzero: its two transversals are the
-    identity (even) and the swap (odd), so it is singular iff D = 0 mod
-    (q - 1).  A chordless 6-cycle's 3x3 submatrix has two nonzeros per row
-    and column: its two transversals differ by a 3-cycle, so their
-    parities agree and it is singular iff D = s mod (q - 1), with
-    alpha**s = -1; in characteristic 2, s = 0 and equal exponent sums cancel.
+    that submatrix is zero.  The cycles are the translates of their classes
+    (``_cycle_classes``), listed by rows, then by their columns along the
+    walk, (c1, c2) or (c12, c23, c13), each decided by its class's D: no
+    submatrix is built and no permutation tried.  The girth is 4 if a
+    4-cycle class has a translate at j, else 6 if a 6-cycle class has, else
+    None; of the other length only a first class is built, where it must
+    be looked for.  One step is charged per class built, then one per
+    cycle listed, before any is.
     """
     if length not in (4, 6):
         raise ValueError(f"cycle length must be 4 or 6, got {length}")
     j = spec.mu if j is None else j
     meter = as_meter(budget)
-    sweep = _sweep(spec, j, meter)
-    cycles, meets = sweep.cycles(length // 2, meter), sweep.meets
-    girth = 4 if any(len(meet) > 1 for meet in meets.values()) else 6 if any(
-        len(meets[a, b] | meets[b, c] | meets[a, c]) == 3 for a, b, c in sweep.triples) else None
-    return CycleReport(length=length, horizon=j, cycles=cycles, girth=girth)
+    wits = _witnesses(spec)
+    classes = list(_cycle_classes(spec, wits, length, j))
+    first = lambda size: list(itertools.islice(_cycle_classes(spec, wits, size, j), 1))  # noqa: E731
+    four = classes if length == 4 else first(4)
+    six = classes if length == 6 else [] if four else first(6)
+    meter.charge(len(four) + len(six))
+    meter.charge(sum(_reach(rows, j) for rows, *_ in classes))
+    walks = sorted(itertools.chain.from_iterable(_translates(cls, j, spec.n) for cls in classes))
+    return CycleReport(length=length, horizon=j, girth=4 if four else 6 if six else None,
+                       cycles=tuple(TannerCycle(rows, walk if length == 4 else tuple(sorted(walk)),
+                                                singular) for rows, walk, singular in walks))
 
 
 # ---------------------------------------------------------------------------
@@ -637,12 +648,13 @@ def check_distance_assumptions(spec: CodeSpec, budget: int | Meter = DEFAULT_BUD
     The columns meeting R are read off the marks, with no matrix, and the
     span-test entries by ``CodeSpec.column_entries``.  Row b of the check
     is the mark a = T_j1[b].  The information column (s, k) of block s,
-    index s*n + k, is base column k moved down s rows: it meets row a iff
+    ``CodeSpec.column_at(s, k)``, is base column k moved down s rows, s
+    blocks: it meets row a iff
     a - s is in T_k.  So the later information columns meeting R are the
     (a - m, k) with a in T_j1, m <= a in T_k and index past j1, read from
     the (n - 1) w**2 pairs of marks; s = a - m <= mu, so every one is in
     the matrix at horizon mu.  The parity column of block t meets row
-    t + 1 alone, so the parity column of block a - 1, index a*n, meets row
+    t + 1 alone, so the parity column of block a - 1 meets row
     a and no other row of R: every row of R has a single-row column of its
     own, later than j1.
 
@@ -683,16 +695,18 @@ def check_distance_assumptions(spec: CodeSpec, budget: int | Meter = DEFAULT_BUD
     """
     n, w = spec.n, spec.w
     sets = spec.dts.sets
+    # each mark m of T_k with column (-m, k): moved down a rows, a blocks, it is column a*n + that
+    marked = [[(m, spec.column_at(-m, k)) for m in t_k] for k, t_k in enumerate(sets, start=1)]
     meter = as_meter(budget)
     minimal = []  # (rows, j1, P, the single-row columns of each row of R') per minimal pair
     for j1, rows in enumerate(sets, start=1):
         met: dict[int, list[int]] = {}  # later information column -> positions in rows it meets
         for b, a in enumerate(rows):
-            for k, t_k in enumerate(sets, start=1):
-                for m in t_k:
+            for t_k in marked:
+                for m, c0 in t_k:
                     if m > a:
                         break
-                    c = (a - m) * n + k
+                    c = a * n + c0
                     if c > j1:
                         met.setdefault(c, []).append(b)
         meter.charge(len(met) + w)
@@ -711,7 +725,8 @@ def check_distance_assumptions(spec: CodeSpec, budget: int | Meter = DEFAULT_BUD
                     else _in_span(spec.field, kept_target, vecs)):
                 spanning.append((part, deleted))
         if spanning:  # position -> its single-row columns, its parity column included
-            single = [sorted([a * n, *(c for c in met if met[c] == [b])]) for b, a in enumerate(rows)]
+            single = [sorted([spec.column_at(a - 1, 0), *(c for c in met if met[c] == [b])])
+                      for b, a in enumerate(rows)]
             minimal += ((rows, j1, part, [single[b] for b in sorted(deleted)])
                         for part, deleted in spanning)
     meter.charge(sum(math.prod(map(len, picks)) for *_, picks in minimal))

@@ -117,11 +117,6 @@ class ExponentMatrix:
         t, column = self._column(c)
         return tuple(i + t for i in column if i + t <= self.rows)
 
-    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> list[list[FieldElement]]:
-        columns = list(map(self._column, cols))
-        return [[column.get(r - t) if r <= self.rows else None for t, column in columns]
-                for r in rows]
-
     def row_runs(self) -> Iterator[tuple[int, int, list[int], list[int]]]:
         """``(first_row, last_row, offsets, exponents)`` over the maximal
         ranges of rows that share one run of the layout, rows without
@@ -323,14 +318,30 @@ class CodeSpec:
             raise ValueError("need at least one block column")
         return self.base._tiled(num_blocks, num_blocks + self.mu)
 
+    @functools.cached_property
+    def marks(self) -> tuple[frozenset[int], ...]:
+        """marks[index]: T_index, and the one mark 1 of the parity column, index 0."""
+        return (frozenset((1,)), *map(frozenset, self.dts.sets))
+
+    def column_origin(self, col: int) -> tuple[int, int]:
+        """(block, index) of sliding-matrix column ``col`` (``sliding_entry_origin``):
+        row r meets it iff r - block is in marks[index], with entry alpha**((r - block)*index)."""
+        base_row, index = sliding_entry_origin(self.n, 0, col)
+        return -base_row, index
+
+    def column_at(self, block: int, index: int) -> int:
+        """The column of ``index`` in ``block``: the inverse of ``column_origin``."""
+        return block * self.n + (index or self.n)
+
+    def meets(self, row: int, col: int) -> bool:
+        block, index = self.column_origin(col)
+        return row - block in self.marks[index]
+
     def column_entries(self, col: int, rows: Sequence[int]) -> list[FieldElement]:
-        """Entries of sliding-matrix column ``col`` on ``rows``, read off the
-        marks with no matrix: alpha**(base_row*index) when base_row is a
-        mark of T_index (``sliding_entry_origin``; the parity column, index
-        0, has the one mark 1), else zero."""
-        shift, index = sliding_entry_origin(self.n, 0, col)  # row r has base row shift + r
-        marks = self.dts.sets[index - 1] if index else (1,)
-        return [self.field.alpha_pow((shift + r) * index) if shift + r in marks else ZERO for r in rows]
+        """Entries of column ``col`` on ``rows``, read off the marks (``column_origin``)."""
+        block, index = self.column_origin(col)
+        marks = self.marks[index]
+        return [self.field.alpha_pow((r - block) * index) if r - block in marks else ZERO for r in rows]
 
     def encode(self, message: Sequence[Sequence[FieldElement]]) -> list[tuple[FieldElement, ...]]:
         """Systematic encoding: each output block is (u_t, p_t).

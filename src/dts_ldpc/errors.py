@@ -39,12 +39,12 @@ class HorizonTooLarge(BudgetExhausted):
 
 
 class Meter:
-    """Work budget of one command, charged where each exhaustive loop works."""
+    """Work budget of one command, charged where each exhaustive loop works:
+    past ``limit`` steps it raises HorizonTooLarge.  It holds nothing else."""
 
     def __init__(self, limit: int):
         self.limit = limit
         self.used = 0
-        self.sweep = None  # (key, sweep): the last analysis sweep charged to it
 
     def charge(self, steps: int) -> None:
         self.used += steps

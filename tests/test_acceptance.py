@@ -21,6 +21,8 @@ from dts_ldpc.code import CodeSpec, density, sliding_entry_origin
 from dts_ldpc.dts import DifferenceTriangleSet, search_min_scope, validate
 from dts_ldpc.gf import ZERO, det, make_field
 
+from grids import submatrix
+
 # 6x18 truncated parity-check matrices of the two reference codes over
 # GF(2^5), transcribed entry by entry; values are exponents of alpha.
 REF_A_H5 = {
@@ -144,7 +146,7 @@ def test_criterion_04_2x2_minor_sweep_and_closed_form(ref_spec_a, ref_spec_b, gf
         seen = 0
         for rows in itertools.combinations(range(1, matrix.rows + 1), 2):
             for cols in itertools.combinations(range(1, matrix.cols + 1), 2):
-                grid = matrix.submatrix(rows, cols)
+                grid = submatrix(matrix, rows, cols)
                 if any(e is ZERO for row in grid for e in row):
                     continue
                 seen += 1

@@ -7,7 +7,6 @@ patterns over characteristic-2 fields is asserted as ground truth.
 """
 
 import collections
-import gc
 import itertools
 import json
 import math
@@ -22,6 +21,8 @@ from dts_ldpc.code import CodeSpec, ExponentMatrix, sliding_entry_origin
 from dts_ldpc.dts import DifferenceTriangleSet, validate
 from dts_ldpc.errors import BudgetExhausted, HorizonTooLarge
 from dts_ldpc.gf import ZERO, GaloisField, det, make_field
+
+from grids import submatrix
 
 # Singular 3x3 cycle patterns in H_5^c over GF(2^5): each is built from
 # three shifts of one information column, where both diagonal products
@@ -444,7 +445,7 @@ def test_minors_3x3_char2_cycle_collapses(ref_spec_a, ref_spec_b):
     assert tuple((f.rows, f.cols) for f in ra.failures) == REF_A_MINOR3_FAILURES
     assert all(f.pattern == an.PATTERN_CYCLE for f in ra.failures)
     matrix = ref_spec_a.sliding_matrix(5)
-    assert all(det(ref_spec_a.field, matrix.submatrix(f.rows, f.cols)) is ZERO for f in ra.failures)
+    assert all(det(ref_spec_a.field, submatrix(matrix, f.rows, f.cols)) is ZERO for f in ra.failures)
     rb = an.check_minors(ref_spec_b, 3)
     assert rb.checked == 1754
     assert rb.class_counts == {an.PATTERN_FULL: 0, an.PATTERN_CYCLE: 14,
@@ -455,7 +456,7 @@ def test_minors_3x3_char2_cycle_collapses(ref_spec_a, ref_spec_b):
 def test_failing_cycle_patterns_have_equal_diagonal_products(ref_spec_a, gf32):
     matrix = ref_spec_a.sliding_matrix(5)
     for rows, cols in REF_A_MINOR3_FAILURES:
-        grid = matrix.submatrix(rows, cols)
+        grid = submatrix(matrix, rows, cols)
         products = []
         for perm in itertools.permutations(range(3)):
             entries = [grid[r][perm[r]] for r in range(3)]
@@ -473,7 +474,7 @@ def test_closed_form_matches_every_fully_nonzero_2x2(ref_spec_a, ref_spec_b, gf3
         seen = 0
         for rows in itertools.combinations(range(1, matrix.rows + 1), 2):
             for cols in itertools.combinations(range(1, matrix.cols + 1), 2):
-                grid = matrix.submatrix(rows, cols)
+                grid = submatrix(matrix, rows, cols)
                 if any(e is None for row in grid for e in row):
                     continue
                 seen += 1
@@ -500,6 +501,8 @@ def test_minor_report_json_shape(ref_spec_a):
 def test_minor_size_guard(ref_spec_a):
     with pytest.raises(ValueError):
         an.check_minors(ref_spec_a, 4)
+    with pytest.raises(ValueError, match="^horizon j must be >= 0$"):
+        an.check_minors(ref_spec_a, 3, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +518,9 @@ def test_cycle_counts_girth_and_pattern_invariant(ref_spec_a, ref_spec_b):
         assert c4.girth == c6.girth == 4
         matrix = spec.sliding_matrix(spec.mu)
         for cyc in c4.cycles:
-            assert all(e is not None for row in matrix.submatrix(cyc.rows, cyc.cols) for e in row)
+            assert all(e is not None for row in submatrix(matrix, cyc.rows, cyc.cols) for e in row)
         for cyc in c6.cycles:
-            grid = matrix.submatrix(cyc.rows, cyc.cols)
+            grid = submatrix(matrix, cyc.rows, cyc.cols)
             assert all(sum(e is not None for e in row) == 2 for row in grid)
             for col in range(3):
                 assert sum(grid[r][col] is not None for r in range(3)) == 2
@@ -544,20 +547,18 @@ def test_minor_cycle_duality(ref_spec_a, ref_spec_b):
         assert cyc_3x3 == frc6 and frc6
 
 
-def test_cycles_read_their_exponents_off_the_sweep(ref_spec_a, ref_spec_b, monkeypatch):
-    # every sweep row is its support with its exponents, and neither the
-    # cycles nor the near sets of the 3x3 minors build a submatrix; the
-    # near sets still find their transversals, the cycles do not
+def test_cycles_are_decided_with_no_matrix_and_no_permutation(ref_spec_a, ref_spec_b,
+                                                              monkeypatch):
+    # neither report builds a sliding matrix; the cycles are decided by
+    # their classes' D, and only the near shapes of the 3x3 minors find
+    # their transversals, reading their entries off the marks
     cases = _local_sweep_cases(ref_spec_a, ref_spec_b)
-    for spec, j in cases:
-        matrix = spec.sliding_matrix(j)
-        sweep = an._sweep(spec, j, an.Meter(an.DEFAULT_BUDGET))
-        assert sweep.supports == [{}] + [{c: matrix.get(r, c) for c in matrix.row_support(r)}
-                                         for r in range(1, matrix.rows + 1)]
     calls = collections.Counter()
-    submatrix, transversals = ExponentMatrix.submatrix, an._transversals
-    monkeypatch.setattr(ExponentMatrix, "submatrix",
-                        lambda *args: calls.update(["submatrix"]) or submatrix(*args))
+    for name in ("sliding_matrix", "full_sliding_matrix", "column_entries"):
+        method = getattr(CodeSpec, name)
+        monkeypatch.setattr(CodeSpec, name, lambda *args, name=name, method=method:
+                            calls.update([name]) or method(*args))
+    transversals = an._transversals
     monkeypatch.setattr(an, "_transversals",
                         lambda grid: calls.update(["transversals"]) or transversals(grid))
     cycles = 0
@@ -567,7 +568,8 @@ def test_cycles_read_their_exponents_off_the_sweep(ref_spec_a, ref_spec_b, monke
     assert cycles and not calls
     for spec, j in cases:
         an.check_minors(spec, 3, j)
-    assert calls == {"transversals": calls["transversals"]} and calls["transversals"]
+    assert set(calls) == {"transversals", "column_entries"}
+    assert calls["column_entries"] == 3 * calls["transversals"]
 
 
 def test_no_cycles_in_single_block_row(ref_spec_a):
@@ -581,6 +583,8 @@ def test_no_cycles_in_single_block_row(ref_spec_a):
 def test_cycle_length_guard(ref_spec_a):
     with pytest.raises(ValueError):
         an.enumerate_cycles(ref_spec_a, 8)
+    with pytest.raises(ValueError, match="^horizon j must be >= 0$"):
+        an.enumerate_cycles(ref_spec_a, 4, -1)
 
 
 def test_cycle_report_json(ref_spec_b):
@@ -677,7 +681,7 @@ def _walked_reports(spec, j):
                 cycle = (ab - common) * (bc - common) * (ac - common)
             singular = {}
             for cols in col_sets:
-                grid = matrix.submatrix(rows, cols)
+                grid = submatrix(matrix, rows, cols)
                 terms = an._transversals(grid)
                 total -= len(terms) - 1
                 singular[cols] = (an._two_terms_cancel(field, terms) if len(terms) == 2
@@ -713,11 +717,12 @@ def _factorable(grid):
 
 def _local_sweep_cases(ref_spec_a, ref_spec_b):
     """One seeded family per horizon j = 0..60, relaxed and strict in turn,
-    over every field of DENSE_SWEEP_FIELDS; then families with singular
-    4-cycles over small fields, so that factorable completions fail, far
-    ones included, among them GF(2) and GF(3), where q - 1 <= 2, so every
-    or every other exponent difference cancels; and the reference codes."""
-    fields = [make_field(p, e) for p, e in DENSE_SWEEP_FIELDS]
+    over GF(2), GF(3) and every field of DENSE_SWEEP_FIELDS in turn; then
+    families with singular 4-cycles over small fields, so that factorable
+    completions fail, far ones included, among them GF(2) and GF(3), where
+    q - 1 <= 2, so every or every other exponent difference cancels; and
+    the reference codes."""
+    fields = [make_field(p, e) for p, e in ((2, 1), (3, 1), *DENSE_SWEEP_FIELDS)]
     rng = random.Random(2026)
     cases = []
     for j in range(61):
@@ -734,7 +739,9 @@ def _local_sweep_cases(ref_spec_a, ref_spec_b):
     return cases + [(ref_spec_a, 25), (ref_spec_b, 25)]
 
 
-def test_local_sweeps_match_the_dense_walk_up_to_horizon_60(ref_spec_a, ref_spec_b):
+def test_classes_match_the_dense_walk_up_to_horizon_60(ref_spec_a, ref_spec_b):
+    # the whole reports, girth included, read off the cycle classes against
+    # the walk of every row pair and triple
     kinds = collections.Counter()
     for spec, j in _local_sweep_cases(ref_spec_a, ref_spec_b):
         walked = _walked_reports(spec, j)
@@ -745,7 +752,7 @@ def test_local_sweeps_match_the_dense_walk_up_to_horizon_60(ref_spec_a, ref_spec
         for f in walked[3].failures:
             meets = _meet_count(matrix, f.rows)
             kinds["far" if meets == 1 else "local-factorable"
-                  if _factorable(matrix.submatrix(f.rows, f.cols)) else "near"] += 1
+                  if _factorable(submatrix(matrix, f.rows, f.cols)) else "near"] += 1
     assert set(kinds) == {"far", "local-factorable", "near"}, kinds
 
 
@@ -837,27 +844,38 @@ def test_enumeration_matches_dense_sweep():
 
 
 # Code A has no vanishable 3x3 set of three or more nonzero transversals at
-# j = 25, so gf.det never runs for it; the w = 4 family has 281 of them.
-@pytest.mark.parametrize("sets, failures, three_or_more", [("1,2,6;1,2,4", 65, 0),
-                                                           ("1,2,5,7;1,3,7,8", 342, 281)])
-def test_only_sets_of_three_or_more_transversals_are_evaluated(gf32, monkeypatch, sets,
-                                                               failures, three_or_more):
+# j = 25, so gf.det never runs for it; the w = 4 family has 281 of them, the
+# translates of 16 shapes.
+@pytest.mark.parametrize("sets, failures, three_or_more, shapes", [
+    ("1,2,6;1,2,4", 65, 0, 0), ("1,2,5,7;1,3,7,8", 342, 281, 16)])
+def test_only_sets_of_three_or_more_transversals_are_evaluated(gf32, monkeypatch, sets, failures,
+                                                               three_or_more, shapes):
     # at j = 25 over GF(32): two transversals are decided by their exponents,
-    # so gf.det runs once per set of three or more, and never for a cycle
+    # so gf.det runs once per shape of three or more, all of whose translates
+    # have the same entries, and never for a cycle
     spec = CodeSpec(DifferenceTriangleSet.from_inline(sets), gf32, 3)
-    counted = 0
-    for _, sup, _, col_sets in _row_tuples(spec.sliding_matrix(25), 3, _vanishable):
+    counted = set()
+    for rows, sup, _, col_sets in _row_tuples(spec.sliding_matrix(25), 3, _vanishable):
         for cols in col_sets:
-            t = sum(all(c in s for c, s in zip(perm, sup)) for perm in itertools.permutations(cols))
-            counted += t >= 3
+            if sum(all(c in s for c, s in zip(perm, sup))
+                   for perm in itertools.permutations(cols)) >= 3:
+                counted.add((rows, cols))
     calls = []
     monkeypatch.setattr(an.gf, "det", lambda field, grid: calls.append(grid) or det(field, grid))
     assert len(an.check_minors(spec, 3, 25).failures) == failures
-    assert len(calls) == counted == three_or_more
+    assert len(counted) == three_or_more
+    assert len(calls) == len({_first_translate(spec.n, *minor) for minor in counted}) == shapes
     calls.clear()
     for length in (4, 6):
         an.enumerate_cycles(spec, length, 25)
     assert calls == []
+
+
+def _first_translate(n, rows, cols):
+    """Rows and columns moved up t rows and left t blocks, the largest t
+    that keeps every row >= 1 and every block >= 0."""
+    t = min(min(rows) - 1, min((c - 1) // n for c in cols))
+    return tuple(r - t for r in rows), tuple(c - t * n for c in cols)
 
 
 def _integer_exponent_sums(spec, rows, cols):
@@ -889,6 +907,33 @@ def test_char2_3x3_failures_are_the_equal_sum_cycle_patterns(dts_126_124, dts_12
             assert {f.pattern for f in report.failures} == {an.PATTERN_CYCLE}
 
 
+@pytest.mark.parametrize("sets", ["1,2,6;1,2,4", "1,2,6;2,3,5", "1,2,5;1,3,8", "1,2,5,7;1,3,7,8",
+                                  "1,2,4;1,2,4", "1,2,5;1,3,8;2,4,9"])
+def test_same_column_6_cycle_classes_are_those_with_d_zero(gf32, sets):
+    # D = (d1 + d2) k_z - d1 k_x - d2 k_y, read here off the exponents of
+    # the class's two transversals, is 0 exactly when its three columns
+    # are shifts of one information column; those classes are singular in
+    # characteristic 2, and for code A they give all 3 j - 10 failures
+    dts = DifferenceTriangleSet.from_inline(sets)
+    spec = CodeSpec(dts, gf32, dts.num_sets + 1)
+    classes = an._cycle_classes(spec, an._witnesses(spec), 6, 60)
+    same = set()
+    for rows, walk, singular in classes:
+        cols = tuple(sorted(walk))
+        zero = len(set(_integer_exponent_sums(spec, rows, cols))) == 1
+        assert zero == (len({(c - 1) % spec.n for c in walk}) == 1), (rows, walk)
+        if zero:
+            assert singular
+            same.add((rows, cols))
+    if sets == "1,2,6;1,2,4":
+        assert len(same) == 3
+        failures = an.enumerate_cycles(spec, 6, 60).frc_failures
+        assert {(c.rows, c.cols) for c in failures} == {
+            (tuple(r + t for r in rows), tuple(c + 3 * t for c in cols))
+            for rows, cols in same for t in range(62 - rows[-1])}
+        assert len(failures) == 3 * 60 - 10
+
+
 def _vanishable_oracle(sup, meets):
     """The column sets of two or more nonzero transversals, built directly:
     the 4-cycles of two rows completed by a column of every other row, and
@@ -908,7 +953,7 @@ def _vanishable_oracle(sup, meets):
     return sorted(found)
 
 
-def test_vanishable_sets_walks_and_charges_past_the_dense_sweep(ref_spec_a, ref_spec_b):
+def test_vanishable_sets_and_near_shapes_past_the_dense_sweep(ref_spec_a, ref_spec_b):
     fields = [make_field(p, e) for p, e in ((2, 2), (5, 1), (7, 1), (2, 3), (3, 3), (2, 5))]
     rng = random.Random(2014)
     cases = [(ref_spec_a, 25), (ref_spec_b, 25)]
@@ -918,9 +963,7 @@ def test_vanishable_sets_walks_and_charges_past_the_dense_sweep(ref_spec_a, ref_
         cases.append((spec, rng.randint(5, 14)))
     near_sets = 0
     for spec, j in cases:
-        meter = an.Meter(an.DEFAULT_BUDGET)
-        sweep = an._sweep(spec, j, meter)
-        matrix = sweep.matrix
+        matrix = spec.sliding_matrix(j)
         near = set()
         for size in (2, 3):
             for rows, sup, local, found in _row_tuples(matrix, size, _vanishable):
@@ -930,20 +973,19 @@ def test_vanishable_sets_walks_and_charges_past_the_dense_sweep(ref_spec_a, ref_
                     # and no column has a single nonzero: the 6-cycles and
                     # the near completions, all in triples of three nonempty
                     # pair meets
-                    kept = [cols for cols in found
-                            if not _factorable(matrix.submatrix(rows, cols))]
+                    kept = [cols for cols in found if not _factorable(submatrix(matrix, rows, cols))]
                     assert not kept or _meet_count(matrix, rows) == 3
                     near.update((rows, cols) for cols in kept
                                 if _pattern(sup, cols) != an.PATTERN_CYCLE)
-        four_cycles = sweep.cycles(2, meter)
-        assert set().union(*(an._near_completions(sweep.supports, sweep.columns, c.rows, c.cols)
-                             for c in four_cycles)) == near
+        # the near sets are the translates of the near shapes of the classes
+        wits = an._witnesses(spec)
+        shapes = set().union(*(an._near_shapes(spec, wits, cls, j)
+                               for cls in an._cycle_classes(spec, wits, 4, j)))
+        assert near == {(rows, cols) for shape in shapes
+                        for rows, cols, _ in an._translates((*shape, None), j, spec.n)}
         near_sets += len(near)
-        meters = [an.Meter(an.DEFAULT_BUDGET) for _ in range(2)]
-        minors = an.check_minors(spec, 2, j, meters[0])
-        cycles = an.enumerate_cycles(spec, 4, j, meters[1])
-        assert minors.class_counts[an.PATTERN_FULL] == len(cycles.cycles)
-        assert meters[1].used == meters[0].used
+        assert an.check_minors(spec, 2, j).class_counts[an.PATTERN_FULL] == len(
+            an.enumerate_cycles(spec, 4, j).cycles)
         assert an.check_minors(spec, 3, j).class_counts[an.PATTERN_CYCLE] == len(
             an.enumerate_cycles(spec, 6, j).cycles)
     assert near_sets
@@ -989,7 +1031,7 @@ def test_minor_bounds_hold_in_odd_characteristic():
 
 def test_budget_guards(ref_spec_a):
     with pytest.raises(HorizonTooLarge):
-        an.check_minors(ref_spec_a, 2, budget=10)
+        an.check_minors(ref_spec_a, 2, budget=0)
     with pytest.raises(HorizonTooLarge):
         an.enumerate_cycles(ref_spec_a, 4, budget=1)
     with pytest.raises(HorizonTooLarge):
@@ -998,14 +1040,16 @@ def test_budget_guards(ref_spec_a):
         an.check_distance_assumptions(ref_spec_a, budget=3)
 
 
-def test_budget_refusal_reads_no_more_rows_than_it_charges(ref_spec_a):
-    # verify --j 1000000 --minors 2 --budget 10: the sweep charges its
-    # 1000001 rows and 3000003 columns before it reads a row, and the
-    # sliding matrix is never written out
+def test_budget_refusal_walks_no_translate_it_has_not_charged(ref_spec_a):
+    # verify --j 1000000 --budget 10: the 4-cycle report charges its one
+    # class and its 1000000 translates before it lists one, and the 3x3
+    # minors their 16 classes before anything else; no matrix is built
     tracemalloc.start()
     try:
-        with pytest.raises(HorizonTooLarge, match="^4000004 steps exceed the budget of 10$"):
-            an.check_minors(ref_spec_a, 2, 10**6, budget=10)
+        with pytest.raises(HorizonTooLarge, match="^1000001 steps exceed the budget of 10$"):
+            an.enumerate_cycles(ref_spec_a, 4, 10**6, budget=10)
+        with pytest.raises(HorizonTooLarge, match="^16 steps exceed the budget of 10$"):
+            an.check_minors(ref_spec_a, 3, 10**6, budget=10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1030,11 +1074,11 @@ def test_meter_charges_up_to_its_limit():
 @pytest.mark.parametrize("j", [100, 200, 1000])
 def test_frontier_counts_of_code_a(ref_spec_a, j):
     # A's failures and cycles grow by a fixed number per row past the first
-    # rows, and the sweeps reach j = 1000 with 41 j - 110 steps for the 3x3
-    # minors
+    # rows; its 3x3 minors charge their 1 + 15 classes and their 3 j - 10
+    # failures, all singular 6-cycles, so 3 j + 6 steps
     meter = an.Meter(an.DEFAULT_BUDGET)
     minors = an.check_minors(ref_spec_a, 3, j, meter)
-    assert len(minors.failures) == 3 * j - 10 and meter.used == 41 * j - 110
+    assert len(minors.failures) == 3 * j - 10 and meter.used == 3 * j + 6
     six = an.enumerate_cycles(ref_spec_a, 6, j)
     assert (len(six.cycles), len(six.frc_failures)) == (15 * j - 53, 3 * j - 10)
     four = an.enumerate_cycles(ref_spec_a, 4, j)
@@ -1050,16 +1094,17 @@ def test_minors_and_cycles_agree_at_horizon_25(ref_spec_a):
 
 
 # Counts and charges at j = 25, far past the dense sweep's j <= 4; code A
-# over GF(32), code B over GF(3^6).
+# over GF(32), code B over GF(3^6).  A has 1 + 15 classes and B 1 + 15
+# (``_cycle_classes``); only A's 65 singular 6-cycles are charged besides.
 FULL, CYCLE, MIXED = an.PATTERN_FULL, an.PATTERN_CYCLE, an.PATTERN_MIXED
 DEEP_MINORS = [
-    pytest.param("1,2,6;1,2,4", 2, 5, 2, 14049, {FULL: 25, MIXED: 14024}, 0, 380,
+    pytest.param("1,2,6;1,2,4", 2, 5, 2, 14049, {FULL: 25, MIXED: 14024}, 0, 1,
                  id="A-minors2"),
-    pytest.param("1,2,6;1,2,4", 2, 5, 3, 724924, {FULL: 0, CYCLE: 322, MIXED: 724602}, 65, 915,
+    pytest.param("1,2,6;1,2,4", 2, 5, 3, 724924, {FULL: 0, CYCLE: 322, MIXED: 724602}, 65, 81,
                  id="A-minors3"),
-    pytest.param("1,2,6;2,3,5", 3, 6, 2, 13554, {FULL: 24, MIXED: 13530}, 0, 374,
+    pytest.param("1,2,6;2,3,5", 3, 6, 2, 13554, {FULL: 24, MIXED: 13530}, 0, 1,
                  id="B-minors2"),
-    pytest.param("1,2,6;2,3,5", 3, 6, 3, 686228, {FULL: 0, CYCLE: 313, MIXED: 685915}, 0, 894,
+    pytest.param("1,2,6;2,3,5", 3, 6, 3, 686228, {FULL: 0, CYCLE: 313, MIXED: 685915}, 0, 16,
                  id="B-minors3"),
 ]
 
@@ -1075,7 +1120,7 @@ def test_minor_counts_and_charges_at_horizon_25(sets, p, deg, size, checked, cou
 
 
 @pytest.mark.parametrize("length, count, frc_failures, used", [
-    pytest.param(4, 25, 0, 380, id="A-cycles4"), pytest.param(6, 322, 65, 777, id="A-cycles6")])
+    pytest.param(4, 25, 0, 26, id="A-cycles4"), pytest.param(6, 322, 65, 338, id="A-cycles6")])
 def test_cycle_counts_and_charges_at_horizon_25(ref_spec_a, length, count, frc_failures, used):
     meter = an.Meter(an.DEFAULT_BUDGET)
     rep = an.enumerate_cycles(ref_spec_a, length, 25, meter)
@@ -1084,9 +1129,10 @@ def test_cycle_counts_and_charges_at_horizon_25(ref_spec_a, length, count, frc_f
 
 
 # The strict family that `search --sets 2 --size 3 --mode strict` finds has
-# no 4-cycle, so its girth is 6, read off its pair meets with no step charged.
+# no 4-cycle, so its 4-cycle report builds the first of its 12 6-cycle
+# classes for the girth.
 @pytest.mark.parametrize("length, count, frc_failures, used", [
-    pytest.param(4, 0, 0, 158, id="strict-cycles4"), pytest.param(6, 85, 12, 290, id="strict-cycles6")])
+    pytest.param(4, 0, 0, 1, id="strict-cycles4"), pytest.param(6, 85, 12, 97, id="strict-cycles6")])
 def test_girth_6_cycle_counts_and_charges_at_horizon_12(gf32, length, count, frc_failures, used):
     spec = CodeSpec(DifferenceTriangleSet.from_inline("1,2,5;1,3,8"), gf32, 3)
     meter = an.Meter(an.DEFAULT_BUDGET)
@@ -1095,33 +1141,9 @@ def test_girth_6_cycle_counts_and_charges_at_horizon_12(gf32, length, count, frc
     assert meter.used == used
 
 
-def test_cycle_report_walks_its_own_row_pairs_once(ref_spec_a):
-    # the girth is read off the pair meets, so the 4-cycle report charges
-    # one walk of the row pairs, as the 2x2 minors do, with or without a
-    # 4-cycle
-    fields = [make_field(p, e) for p, e in ((2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 5))]
-    rng = random.Random(2018)
-    cases = [(ref_spec_a, 25)]
-    for trial in range(40):
-        field = fields[trial % len(fields)]
-        n, w = rng.randint(2, 4), rng.randint(1, 4)
-        cases.append((CodeSpec(_random_relaxed_family(rng, n, w), field, n), rng.randint(3, 14)))
-        n, w = rng.randint(2, 3), rng.randint(2, 3)
-        cases.append((CodeSpec(_random_strict_family(rng, n, w), field, n), rng.randint(3, 14)))
-    charged, with_cycles = [], 0
-    for spec, j in cases:
-        meters = [an.Meter(an.DEFAULT_BUDGET) for _ in range(2)]
-        with_cycles += bool(an.enumerate_cycles(spec, 4, j, meters[0]).cycles)
-        an.check_minors(spec, 2, j, meters[1])
-        assert meters[0].used == meters[1].used, (spec.dts, j)
-        charged.append(meters[0].used)
-    assert charged[0] == 380 and 20 <= with_cycles < len(cases)
-
-
-def test_reports_on_one_meter_share_one_sweep(ref_spec_a, gf32):
-    # the four reports of a verify, drawn on one meter in either order, are
-    # the reports drawn on fresh meters, and the meter reads what the 3x3
-    # minors charge alone
+def _charge_cases(ref_spec_a, gf32):
+    """Code A at j = 25, the strict family of girth 6 at j = 12, and seeded
+    relaxed and strict families at j = 3..14."""
     fields = [make_field(p, e) for p, e in ((2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 5))]
     rng = random.Random(2018)
     strict = CodeSpec(DifferenceTriangleSet.from_inline("1,2,5;1,3,8"), gf32, 3)
@@ -1132,8 +1154,33 @@ def test_reports_on_one_meter_share_one_sweep(ref_spec_a, gf32):
         cases.append((CodeSpec(_random_relaxed_family(rng, n, w), field, n), rng.randint(3, 14)))
         n, w = rng.randint(2, 3), rng.randint(2, 3)
         cases.append((CodeSpec(_random_strict_family(rng, n, w), field, n), rng.randint(3, 14)))
-    shared_used = []
-    for spec, j in cases:
+    return cases
+
+
+def test_cycle_reports_charge_their_classes_and_cycles(ref_spec_a, gf32):
+    # a cycle report charges the classes with a translate at j that it
+    # builds, then one step per cycle; for its girth it builds the first
+    # class of the other length, the 4-cycle report only when it has no
+    # 4-cycle; the 2x2 minors charge the 4-cycle classes and their failures
+    for spec, j in _charge_cases(ref_spec_a, gf32):
+        wits = an._witnesses(spec)
+        four, six = (len(list(an._cycle_classes(spec, wits, length, j))) for length in (4, 6))
+        used, reports = [], []
+        for report, size in ((an.enumerate_cycles, 4), (an.enumerate_cycles, 6),
+                             (an.check_minors, 2)):
+            meter = an.Meter(an.DEFAULT_BUDGET)
+            reports.append(report(spec, size, j, meter))
+            used.append(meter.used)
+        fours, sixes, minors = reports
+        assert used == [four + (min(six, 1) if not fours.cycles else 0) + len(fours.cycles),
+                        min(four, 1) + six + len(sixes.cycles), four + len(minors.failures)], (spec.dts, j)
+
+
+def test_reports_on_one_meter_charge_what_they_charge_alone(ref_spec_a, gf32):
+    # the four reports of a verify, drawn on one meter in either order, are
+    # the reports drawn on fresh meters, and the meter reads the sum of their
+    # charges: no report keeps anything for another
+    for spec, j in _charge_cases(ref_spec_a, gf32):
         fresh = {}
         for report, size in ((an.check_minors, 2), (an.check_minors, 3),
                              (an.enumerate_cycles, 4), (an.enumerate_cycles, 6)):
@@ -1143,18 +1190,13 @@ def test_reports_on_one_meter_share_one_sweep(ref_spec_a, gf32):
             meter = an.Meter(an.DEFAULT_BUDGET)
             for report, size in order:
                 assert report(spec, size, j, meter) == fresh[report, size][0], (spec.dts, j)
-            assert meter.used == fresh[an.check_minors, 3][1], (spec.dts, j)
-        shared_used.append((meter.used, sum(used for _, used in fresh.values())))
-    # shared against summed fresh charges: A reads 41 j - 110 against
-    # 108 j - 248, and the strict family 343, its 3x3 minors
-    assert shared_used[:2] == [(915, 2452), (343, 949)]
+            assert meter.used == sum(used for _, used in fresh.values()), (spec.dts, j)
 
 
-def test_girth_lemma_holds_on_every_triple_of_a_4_cycle_free_code(gf32):
-    # with no 4-cycle a triple's three pair meets are one column each, and
-    # they are distinct exactly when the dense walk finds a 6-cycle there,
-    # then exactly one; relaxed families with w = 3 have columns meeting
-    # three rows, whose triples hold three equal meets.  The ruler 1,3,6,7
+def test_girth_of_4_cycle_free_codes_matches_the_dense_walk(gf32):
+    # with no 4-cycle the girth is 6 exactly when the dense walk of the row
+    # triples finds a 6-cycle; relaxed families with w = 3 have columns
+    # meeting three rows, whose triples hold no 6-cycle.  The ruler 1,3,6,7
     # at j = 5 has such triples only, so its girth is None
     rng = random.Random(2032)
     cases = [(DifferenceTriangleSet.from_inline("1,3,6,7"), 2, 5)]
@@ -1162,40 +1204,17 @@ def test_girth_lemma_holds_on_every_triple_of_a_4_cycle_free_code(gf32):
         n = rng.randint(2, 3)
         cases.append((_random_strict_family(rng, n, rng.randint(2, 3)) if trial % 2
                       else _random_relaxed_family(rng, n, 3), n, rng.randint(3, 14)))
-    distinct, girths = collections.Counter(), collections.Counter()
+    girths = collections.Counter()
     for dts, n, j in cases:
         spec = CodeSpec(dts, gf32, n)
-        sweep = an._sweep(spec, j, an.Meter(an.DEFAULT_BUDGET))
-        if any(len(meet) > 1 for meet in sweep.meets.values()):
+        matrix = spec.sliding_matrix(j)
+        if any(walks for *_, walks in _row_tuples(matrix, 2, _walks)):
             continue
-        dense = {rows: walks for rows, _, _, walks in _row_tuples(sweep.matrix, 3, _walks)}
-        for a, b, c in sweep.triples:
-            meets = sweep.meets[a, b], sweep.meets[b, c], sweep.meets[a, c]
-            three = len(set(map(frozenset, meets))) == 3
-            assert three == (len(dense[a, b, c]) == 1), (dts, j, (a, b, c))
-            distinct[three] += 1
-        girth = 6 if any(dense.values()) else None
+        found = any(walks for *_, walks in _row_tuples(matrix, 3, _walks))
+        girth = 6 if found else None
         assert an.enumerate_cycles(spec, 4, j).girth == an.enumerate_cycles(spec, 6, j).girth == girth
-        girths[girth, bool(sweep.triples)] += 1
-    assert distinct[True] and distinct[False] and girths[6, True] >= 40 and girths[None, True]
-
-
-def test_a_sweep_is_freed_with_its_meter(ref_spec_a):
-    # a report drawn on an int budget charges a meter of its own, and the
-    # sweep that meter holds is freed with it once the report returns
-    an.check_minors(ref_spec_a, 3, 50)
-    an.enumerate_cycles(ref_spec_a, 6, 50)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        an.check_minors(ref_spec_a, 3, 1000)
-        an.enumerate_cycles(ref_spec_a, 6, 1000)
-        gc.collect()
-        grown = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert grown < 10**6, grown
+        girths[girth] += 1
+    assert girths[6] >= 40 and girths[None]
 
 
 def test_distance_profile_charges_one_budget(ref_spec_a):

@@ -372,35 +372,38 @@ def test_cli_verify_at_horizon_1000_runs_within_default_budget(capsys):
 
 
 def test_cli_verify_charges_an_affine_function_of_j(capsys):
-    # from j = 25 on, every row of code A past the first mu meets the rows
-    # around it as the row above does, and the four reports share one
-    # sweep, so a whole verify charges what its 3x3 minors do, 41 j - 110
-    # steps: j = 100 follows from j = 25 and 50, and a budget one step
-    # short of it is refused
+    # from j = 6 on, each row of code A adds one 4-cycle, 15 6-cycles and 3
+    # singular ones, and the four reports charge their classes and what they
+    # list: 19 j - 29 steps in all, so j = 100 follows from j = 25 and 50,
+    # and a budget one step short of it is refused
     spec = ("verify", "--dts", "1,2,6;1,2,4", "--n", "3", "--field", "2^5")
     for j in (25, 50, 100):
-        used = 41 * j - 110
+        used = 19 * j - 29
         assert run_cli(capsys, *spec, "--j", str(j), "--budget", str(used))[0] == 1
         assert run_cli(capsys, *spec, "--j", str(j), "--budget", str(used - 1)) == (
             2, "", f"error: {used} steps exceed the budget of {used - 1}\n")
 
 
-def test_cli_verify_builds_one_sweep(capsys, monkeypatch):
-    # the four reports of one verify share its meter, so they share one
-    # tiling and one sweep, charged once: code A has 4-cycles, so the
-    # command charges what its 3x3 minors charge alone
-    tilings, meters = [], []
-    sliding_matrix, meter = CodeSpec.sliding_matrix, cli._meter
-    monkeypatch.setattr(CodeSpec, "sliding_matrix",
-                        lambda self, j: tilings.append(j) or sliding_matrix(self, j))
+def test_cli_verify_builds_no_sliding_matrix(capsys, monkeypatch):
+    # a default verify reads its cycles and minors off the marks: it tiles
+    # no sliding matrix, truncated or not, and charges what its four reports
+    # charge alone
+    tilings = []
+    for name in ("sliding_matrix", "full_sliding_matrix"):
+        method = getattr(CodeSpec, name)
+        monkeypatch.setattr(CodeSpec, name, lambda self, size, method=method:
+                            tilings.append(size) or method(self, size))
+    meters, meter = [], cli._meter
     monkeypatch.setattr(cli, "_meter", lambda flag: meters.append(meter(flag)) or meters[-1])
-    code, _, _ = run_cli(capsys, "verify", "--dts", "1,2,6;1,2,4", "--n", "3",
-                         "--field", "2^5", "--j", "25")
-    assert code == 1 and tilings == [25]
+    code, _, _ = run_cli(capsys, "verify", "--dts", "1,2,6;1,2,4", "--n", "3", "--field", "2^5")
+    assert code == 1 and tilings == []
     spec = CodeSpec(DifferenceTriangleSet.from_inline("1,2,6;1,2,4"), GaloisField(2, 5), 3)
-    alone = Meter(DEFAULT_BUDGET)
-    analysis.check_minors(spec, 3, 25, alone)
-    assert meters[0].used == alone.used == 915
+    alone = []
+    for report, size in ((analysis.check_minors, 2), (analysis.check_minors, 3),
+                         (analysis.enumerate_cycles, 4), (analysis.enumerate_cycles, 6)):
+        alone.append(Meter(DEFAULT_BUDGET))
+        report(spec, size, None, alone[-1])
+    assert meters[0].used == sum(m.used for m in alone)
 
 
 def test_cli_search_and_exhaustion(capsys):
@@ -808,11 +811,13 @@ def test_cli_parses_each_command_once(capsys, monkeypatch):
 
 
 def test_cli_budget_env_and_flag(capsys, monkeypatch):
-    monkeypatch.setenv("DTS_LDPC_BUDGET", "10")
+    # the 2x2 minors of code A charge its 4-cycle class, and the 4-cycles
+    # that class and their 5 translates: 7 steps
+    monkeypatch.setenv("DTS_LDPC_BUDGET", "6")
     code, _, err = run_cli(capsys, "verify", "--dts", "1,2,6;1,2,4",
                            "--n", "3", "--field", "2^5", "--minors", "2",
                            "--cycles", "4")
-    assert code == 2 and "budget" in err
+    assert (code, err) == (2, "error: 7 steps exceed the budget of 6\n")
     code, _, _ = run_cli(capsys, "verify", "--dts", "1,2,6;1,2,4",
                          "--n", "3", "--field", "2^5", "--minors", "2",
                          "--cycles", "4", "--budget", "1000000")
@@ -841,7 +846,7 @@ def test_cli_budget_env_refuses_non_integers_and_negatives(capsys, monkeypatch, 
 def test_cli_budget_of_zero_is_a_budget(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "verify", "--dts", "1,2,6;1,2,4", "--n", "3",
                            "--field", "2^5", "--budget", "0")
-    assert code == 2 and err == "error: 24 steps exceed the budget of 0\n"
+    assert code == 2 and err == "error: 1 steps exceed the budget of 0\n"
     monkeypatch.setenv("DTS_LDPC_BUDGET", "0")
     code, _, err = run_cli(capsys, "search", "--sets", "1", "--size", "3")
     assert code == 2 and err == "error: 1 steps exceed the budget of 0\n"

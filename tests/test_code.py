@@ -19,6 +19,8 @@ from dts_ldpc.errors import IncompleteBlock, SetCountMismatch, ZeroElementInDTS
 from dts_ldpc.formats import from_alist, render_pretty, to_alist, to_json
 from dts_ldpc.gf import ZERO, GaloisField, _factor_prime_power
 
+from grids import submatrix
+
 # frozen golden base matrices, entries (row, col) -> exponent
 BASE_126_124 = {
     (1, 1): 1, (2, 1): 2, (6, 1): 6,
@@ -37,8 +39,8 @@ def test_exponent_matrix_basics(gf32):
     assert m.get(1, 1) == 5 and m.get(1, 2) is ZERO
     assert m.nonzero_count == 2
     assert m.row_support(1) == (1,) and m.col_support(3) == (2,)
-    assert m.submatrix([1, 2], [3]) == [[ZERO], [0]]
-    assert m.submatrix([1, 2], [1, 2, 3]) == [[5, None, None], [None, None, 0]]
+    assert submatrix(m, [1, 2], [3]) == [[ZERO], [0]]
+    assert submatrix(m, [1, 2], [1, 2, 3]) == [[5, None, None], [None, None, 0]]
     assert list(m.items()) == [(1, 1, 5), (2, 3, 0)]
     # a huge shape costs nothing: items() walks only the rows with entries,
     # and the layout keeps only the nonempty columns
@@ -65,7 +67,7 @@ def test_reading_a_matrix_changes_nothing(ref_spec_a):
                 matrix.get(r, c)
         for c in cols:
             matrix.col_support(c)
-        matrix.submatrix(rows, cols)
+        submatrix(matrix, rows, cols)
         matrix.entries
         list(matrix.items())
         list(matrix.row_runs())
@@ -154,6 +156,11 @@ def test_column_entries_read_the_sliding_matrix(gf32, inline, n):
     assert "base" not in vars(spec)
     sl = spec.sliding_matrix(spec.mu)
     assert entries == [[sl.get(r, c) for r in range(1, sl.rows + 1)] for c in range(1, sl.cols + 1)]
+    # column_at inverts column_origin, and meets reads the same support
+    for c in range(1, sl.cols + 1):
+        assert spec.column_at(*spec.column_origin(c)) == c
+        assert [spec.meets(r, c) for r in range(1, sl.rows + 1)] == [
+            sl.get(r, c) is not None for r in range(1, sl.rows + 1)]
 
 
 def test_full_sliding_matrix_shape(gf32, dts_126_124):
