@@ -10,9 +10,10 @@ first takes under 2 s, else that one run) and ``Meter.used``, or the
 refusal message when the budget runs out.  The rows are the frontier table
 of ROADMAP.md: large-scope and wide `distance` profiles, `verify` and the
 cycle reports at long horizons, the singular 3x3 minors of ``1,7;1,7``,
-the longest rulers searched, and the argument parsing of a benchmark
-batch.  Nothing is gated; the whole run takes about a minute, and the
-row at j = 10**6 holds about 0.5 GB at its peak.  Stdlib only.
+the longest rulers searched, the argument parsing of a benchmark batch
+and the reports of the n = 3, scope-5 `verify` commands of one.  Nothing
+is gated; the whole run takes about a minute, and the row at j = 10**6
+holds about 0.5 GB at its peak.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -73,22 +74,49 @@ def _verify_2_4(j: int):
     return f"verify --minors 2 --cycles 4 (A over GF(2^5), j={j})", run
 
 
-def _parse_batch(workload: str, seed: int):
-    """Argument parsing alone: ``cli._parse`` over the argv of a benchmark
-    batch, ``perfbench/workloads.py`` imported without writing bytecode."""
+def _batch(workload: str, seed: int) -> list[list[str]]:
+    """The argv of a benchmark batch, ``perfbench/workloads.py`` imported
+    without writing bytecode."""
     sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)), "perfbench"))
     sys.dont_write_bytecode, before = True, sys.dont_write_bytecode
     try:
         import workloads
     finally:
         sys.dont_write_bytecode = before
-    argvs = [list(command.argv) for command in workloads.generate(workload, seed)]
+    return [list(command.argv) for command in workloads.generate(workload, seed)]
+
+
+def _parse_batch(workload: str, seed: int):
+    """Argument parsing alone: ``cli._parse`` over the argv of a benchmark batch."""
+    argvs = _batch(workload, seed)
 
     def run(meter: Meter) -> dict:
         for argv in argvs:
             cli._parse(argv)
         return {"commands": len(argvs)}
     return f"cli._parse over the argv of perfbench's seed-{seed} {workload} batch", run
+
+
+def _verify_batch(seed: int, n: int, scope: int):
+    """The four reports of each default `verify` of perfbench's batch with
+    block length n and scope ``scope``, one fresh meter and code per command
+    as the CLI has; argv parsed and fields built beforehand."""
+    commands = [args for args in map(cli._parse, _batch("verify", seed))
+                if args.n == n and DifferenceTriangleSet.from_inline(args.dts).scope == scope]
+    for args in commands:
+        cli._parse_field(args.field)
+
+    def run(meter: Meter) -> dict:  # each command's steps are charged to it after the command
+        failures = 0
+        for args in commands:
+            spec, own = cli._build_spec(args), Meter(meter.limit)
+            failures += sum(len(analysis.check_minors(spec, size, None, own).failures) for size in (2, 3))
+            failures += sum(len(analysis.enumerate_cycles(spec, length, None, own).frc_failures)
+                            for length in (4, 6))
+            meter.charge(own.used)
+        return {"commands": len(commands), "failures": failures}
+    return (f"check_minors 2, 3 and enumerate_cycles 4, 6 of each n = {n}, scope-{scope} command"
+            f" of perfbench's seed-{seed} verify batch, one meter each", run)
 
 
 def _cycles(j: int):
@@ -128,6 +156,7 @@ ROWS = [  # (name, budget, (call, run))
     ("search ruler 9", 10**7, _search(9)),
     ("search ruler 10", 10**8, _search(10)),
     ("parse distance batch", 0, _parse_batch("distance", 0)),
+    ("verify batch n=3 scope 5", 10**6, _verify_batch(0, 3, 5)),
 ]
 
 

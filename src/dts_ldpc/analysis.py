@@ -130,22 +130,10 @@ class MinorReport(NamedTuple):
         }
 
 
-def _witnesses(spec: CodeSpec) -> dict[int, list[tuple[int, int, int]]]:
-    """Each difference d of a set of the DTS -> its witnesses (k, m, c), m
-    and m + d in T_k: ``dts.differences``, with marks in place of
-    positions.  c is column (-m, k), ``CodeSpec.column_at``, whose mark m
-    lies on row 0; moved down a rows, a blocks, it is column a*n + c."""
-    wits: dict[int, list[tuple[int, int, int]]] = {}
-    for k, t_k in enumerate(spec.dts.sets, start=1):
-        for low, high in itertools.combinations(t_k, 2):
-            wits.setdefault(high - low, []).append((k, low, spec.column_at(-low, k)))
-    return wits
-
-
-def _cycle_classes(spec: CodeSpec, wits: dict, length: int, j: int) -> Iterator[tuple]:
+def _cycle_classes(spec: CodeSpec, length: int, j: int) -> Iterator[tuple]:
     """The classes of Tanner cycles of ``length`` 4 or 6 with a translate
     within horizon j, each as (rows, walk, singular) at its first
-    translate, read off the differences of the sets (``_witnesses``).
+    translate, read off the differences of the sets (``CodeSpec.witnesses``).
 
     Translates.  Column (s, k) of block s, ``CodeSpec.column_at(s, k)``,
     meets row r iff r - s is in T_k, with exponent (r - s)*k.  Adding t to
@@ -154,7 +142,8 @@ def _cycle_classes(spec: CodeSpec, wits: dict, length: int, j: int) -> Iterator[
     column lies in block 0 and none lower; with c0 its last row,
     translate t is in the sliding matrix at horizon j iff t >= 0 and c0 +
     t <= j + 1 (a column meets a row <= j + 1 at a mark >= 1, so its block
-    is <= j): ``_reach`` = max(0, j + 2 - c0) translates.
+    is <= j): a class with c0 <= j + 1, the only ones yielded, has
+    ``_reach`` = j + 2 - c0 translates.
 
     4-cycles.  Column (s, k) meets rows a < b iff m = a - s and m + d, d =
     b - a, are in T_k: (k, m) is a witness of d, and the column (a - m, k).
@@ -178,23 +167,24 @@ def _cycle_classes(spec: CodeSpec, wits: dict, length: int, j: int) -> Iterator[
 
     Both D take the exponent (r - s)*k of ``CodeSpec.column_entries``, the
     base matrix's alpha**(i*k), as given: another edge exponent rule
-    needs other D.  By the two-term rule of ``check_minors`` a 4-cycle is
-    singular iff D = 0 mod (q - 1), and a 6-cycle iff D = s, alpha**s =
-    -1.  Each difference d3 <= j is scanned with each difference d1 < d3
-    whose complement d3 - d1 is one too, in O(|differences|**2), bounded
-    by the DTS.  The classes
-    are yielded as they are found, so a scan for the first stops there.
+    needs other D.  By the two-term rule (``_two_terms_cancel``) a 4-cycle
+    is singular iff D = 0 mod (q - 1), and a 6-cycle iff D = s, alpha**s
+    = -1.  Each difference d3 <= j is scanned with each difference d1 <
+    d3 whose complement d3 - d1 is one too, in O(|differences|**2),
+    bounded by the DTS.  The classes are yielded as they are found, so a
+    scan for the first stops there.
     """
     if j < 0:
         raise ValueError("horizon j must be >= 0")
-    n, order, shift, marks = spec.n, spec.field.q - 1, spec.field._neg_shift, spec.marks
+    n, field, marks, wits = spec.n, spec.field, spec.marks, spec.witnesses
     if length == 4:
         for d, found in wits.items():
             for (k1, m1, c1), (k2, m2, c2) in itertools.combinations(found, 2):
                 a = max(m1, m2)
                 x, y = a * n + c1, a * n + c2
                 if a + d <= j + 1:
-                    yield (a, a + d), (x, y) if x < y else (y, x), d * (k2 - k1) % order == 0
+                    yield ((a, a + d), (x, y) if x < y else (y, x),
+                           _two_terms_cancel(field, d * (k2 - k1), False))
         return
     for d3, zs in wits.items():
         for d1, xs in wits.items() if d3 <= j else ():
@@ -205,11 +195,12 @@ def _cycle_classes(spec: CodeSpec, wits: dict, length: int, j: int) -> Iterator[
                         a = max(mx, my - d1, mz)
                         if a + d3 <= j + 1 and my - d1 not in marks[ky]:
                             yield ((a, a + d1, a + d3), (a * n + cx, (a + d1) * n + cy, a * n + cz),
-                                   (d3 * kz - d1 * kx - (d3 - d1) * ky - shift) % order == 0)
+                                   _two_terms_cancel(field, d3 * kz - d1 * kx - (d3 - d1) * ky, True))
 
 
 def _reach(rows: tuple[int, ...], j: int) -> int:
-    """Translates within horizon j of a class or near shape first at ``rows``."""
+    """Translates within horizon j, unclamped, of a class or near shape
+    first at ``rows``: callers count them only of those with one within j."""
     return j + 2 - rows[-1]
 
 
@@ -220,7 +211,7 @@ def _translates(cls: tuple, j: int, n: int) -> list[tuple]:
             for t in range(_reach(rows, j))]
 
 
-def _near_shapes(spec: CodeSpec, wits: dict, four: tuple, j: int) -> set:
+def _near_shapes(spec: CodeSpec, four: tuple, j: int) -> set:
     """The near completions within horizon j of a 4-cycle class, each as
     (rows, cols) at its first translate (``check_minors``): by a row r of
     c1 or c2 and a column c, not c1 or c2, that meets r and a or b, a
@@ -232,7 +223,7 @@ def _near_shapes(spec: CodeSpec, wits: dict, four: tuple, j: int) -> set:
         reach = _reach(rows, j)
         for x in a, b:
             low = min(r, x)
-            for _, m, c0 in wits.get(abs(r - x), ()):
+            for _, m, c0 in spec.witnesses.get(abs(r - x), ()):
                 c, u = low * n + c0, m - low if m > low else 0
                 if c != c1 and c != c2 and reach > u:
                     cols = (c, c1, c2) if c < c1 else (c1, c, c2) if c < c2 else (c1, c2, c)
@@ -246,11 +237,13 @@ def _factorable_failures(spec: CodeSpec, j: int, rows: tuple[int, int], cols: tu
     rows ``rows`` = (a, b), as failures (``check_minors``): by a row r and a
     column c of r, other than c1 and c2, where r misses c1 and c2 or c
     misses a and b."""
-    meets, (a, b), (c1, c2) = spec.meets, rows, cols
+    (a, b), (c1, c2) = rows, cols
+    at_a, at_b = spec.row_columns(a), spec.row_columns(b)
     for r in range(1, j + 2):
-        near = meets(r, c1) or meets(r, c2)
-        for c in (spec.column_at(r - m, k) for k, t_k in enumerate(spec.marks) for m in t_k if m <= r):
-            if r not in rows and c not in cols and not (near and (meets(a, c) or meets(b, c))):
+        at_r = spec.row_columns(r)
+        near = c1 in at_r or c2 in at_r
+        for c in at_r:
+            if r not in rows and c not in cols and not (near and (c in at_a or c in at_b)):
                 yield MinorFailure(tuple(sorted((a, b, r))), tuple(sorted((c1, c2, c))), PATTERN_MIXED)
 
 
@@ -274,11 +267,10 @@ def _transversals(grid: list[list[FieldElement]]) -> list[tuple[int, int]]:
     return found
 
 
-def _two_terms_cancel(field: GaloisField, terms: list[tuple[int, int]]) -> bool:
-    """Whether the two transversals ``terms`` sum to zero: with D = E1 - E2,
-    D = 0 mod (q - 1) when their parities differ, D = log(-1) when they agree."""
-    (e1, odd1), (e2, odd2) = terms
-    return (e1 - e2 - (field._neg_shift if odd1 == odd2 else 0)) % (field.q - 1) == 0
+def _two_terms_cancel(field: GaloisField, d: int, agree: bool) -> bool:
+    """Whether two transversals whose exponent sums differ by d sum to zero:
+    d = 0 mod (q - 1) when their parities differ, d = log(-1) when they agree."""
+    return (d - (field._neg_shift if agree else 0)) % (field.q - 1) == 0
 
 
 def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
@@ -299,9 +291,10 @@ def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
     takes every other row as the third and the triples sharing a column
     are counted per column.  All of it is read off the marks: row r meets
     the parity column of block r - 1 and the columns (r - m, k), m <= r in
-    T_k, so w_r is one value from the scope on, and the columns of T_k
-    meet rows s + m, so the pairs and triples topped by its i-th mark m
-    (1-based), i - 1 and C(i - 1, 2) of them, are each met j + 2 - m times.
+    T_k (``CodeSpec.row_columns``), so w_r is one value from the scope on,
+    and the columns of T_k meet rows s + m, so the pairs and triples topped
+    by its i-th mark m (1-based), i - 1 and C(i - 1, 2) of them, are each
+    met j + 2 - m times.
 
     A 2x2 set of two transversals is a 4-cycle, fully nonzero.  A 3x3 set
     of two or more is a 6-cycle or completes a 4-cycle.  Two transversals
@@ -352,11 +345,10 @@ def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
     j = spec.mu if j is None else j
     meter = as_meter(budget)
     n, scope, sets, height = spec.n, spec.scope, spec.dts.sets, j + 1
-    wits = _witnesses(spec)
-    four = list(_cycle_classes(spec, wits, 4, j))
-    six = list(_cycle_classes(spec, wits, 6, j)) if size == 3 else []
+    four = list(_cycle_classes(spec, 4, j))
+    six = list(_cycle_classes(spec, 6, j)) if size == 3 else []
     meter.charge(len(four) + len(six))
-    weights = [sum(m <= r for t_k in spec.marks for m in t_k) for r in range(1, scope + 1)]  # w_r
+    weights = [len(spec.row_columns(r)) for r in range(1, scope + 1)]  # w_r
     kept, past, full = weights[:height], max(0, height - scope), weights[-1]
     p1, p2 = sum(kept) + past * full, sum(w * w for w in kept) + past * full**2
     # (i, s): the i marks below a mark m <= j + 1 of a set, and the s columns that meet row m last
@@ -389,7 +381,7 @@ def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
     shapes = set()
     for cls in four:
         (a, b), (c1, c2), singular = cls
-        near = _near_shapes(spec, wits, cls, j)
+        near = _near_shapes(spec, cls, j)
         shapes |= near
         count = _reach((a, b), j)
         factorable = (count * (p1 + 4) - p1 - upto(height - b + a) + upto(a - 1) + upto(b - 1)
@@ -410,8 +402,8 @@ def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
         terms = _transversals(grid)
         total -= (len(terms) - 1) * count
         fully += count if len(terms) == 6 else 0
-        if (_two_terms_cancel(spec.field, terms) if len(terms) == 2
-                else gf.det(spec.field, grid) is ZERO):
+        if (_two_terms_cancel(spec.field, terms[0][0] - terms[1][0], terms[0][1] == terms[1][1])
+                if len(terms) == 2 else gf.det(spec.field, grid) is ZERO):
             meter.charge(count)
             failures.extend(MinorFailure(*translate[:2], PATTERN_FULL if len(terms) == 6
                                          else PATTERN_MIXED)
@@ -476,9 +468,8 @@ def enumerate_cycles(spec: CodeSpec, length: int, j: Optional[int] = None,
         raise ValueError(f"cycle length must be 4 or 6, got {length}")
     j = spec.mu if j is None else j
     meter = as_meter(budget)
-    wits = _witnesses(spec)
-    classes = list(_cycle_classes(spec, wits, length, j))
-    first = lambda size: list(itertools.islice(_cycle_classes(spec, wits, size, j), 1))  # noqa: E731
+    classes = list(_cycle_classes(spec, length, j))
+    first = lambda size: list(itertools.islice(_cycle_classes(spec, size, j), 1))  # noqa: E731
     four = classes if length == 4 else first(4)
     six = classes if length == 6 else [] if four else first(6)
     meter.charge(len(four) + len(six))

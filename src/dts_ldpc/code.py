@@ -175,8 +175,7 @@ class ExponentMatrix:
 
 def build_base_matrix(dts: DifferenceTriangleSet, field: GaloisField, n: int) -> ExponentMatrix:
     """Transposed base matrix: scope rows, n columns, unit parity column."""
-    _check_family(dts, n)
-    return _base_matrix(dts, field, n)
+    return CodeSpec(dts, field, n).base
 
 
 def _check_family(dts: DifferenceTriangleSet, n: int) -> None:
@@ -190,16 +189,6 @@ def _check_family(dts: DifferenceTriangleSet, n: int) -> None:
     if not report.valid:
         dups = ", ".join(str(d.value) for d in report.duplicates)
         raise ValueError(f"DTS is not relaxed-valid (duplicated differences: {dups})")
-
-
-def _base_matrix(dts: DifferenceTriangleSet, field: GaloisField, n: int) -> ExponentMatrix:
-    """The base matrix of a family that ``_check_family`` accepts."""
-    entries: dict[tuple[int, int], int] = {}
-    for k, t_k in enumerate(dts.sets, start=1):
-        for i in t_k:
-            entries[(i, k)] = field.alpha_pow(i * k)
-    entries[(1, n)] = field.alpha_pow(0)
-    return ExponentMatrix(dts.scope, n, entries, field)
 
 
 def sliding_entry_origin(n: int, row: int, col: int) -> tuple[int, int]:
@@ -303,8 +292,11 @@ class CodeSpec:
 
     @functools.cached_property
     def base(self) -> ExponentMatrix:
-        """Transposed base matrix (``build_base_matrix``)."""
-        return _base_matrix(self.dts, self.field, self.n)
+        """Transposed base matrix: alpha**(i*index) at row i of column
+        ``column_at(0, index)`` for each mark i of marks[index]."""
+        entries = {(i, self.column_at(0, k)): self.field.alpha_pow(i * k)
+                   for k, marks in enumerate(self.marks) for i in marks}
+        return ExponentMatrix(self.scope, self.n, entries, self.field)
 
     def sliding_matrix(self, j: int) -> ExponentMatrix:
         """Truncated sliding matrix: j+1 rows, n(j+1) columns."""
@@ -323,6 +315,18 @@ class CodeSpec:
         """marks[index]: T_index, and the one mark 1 of the parity column, index 0."""
         return (frozenset((1,)), *map(frozenset, self.dts.sets))
 
+    @functools.cached_property
+    def witnesses(self) -> dict[int, list[tuple[int, int, int]]]:
+        """Each difference d of a set of the DTS -> its witnesses (k, m, c), m
+        and m + d in T_k: ``dts.differences``, with marks in place of
+        positions.  c is column (-m, k), ``column_at``, whose mark m lies on
+        row 0; moved down a rows, a blocks, it is column a*n + c."""
+        wits: dict[int, list[tuple[int, int, int]]] = {}
+        for k, t_k in enumerate(self.dts.sets, start=1):
+            for low, high in itertools.combinations(t_k, 2):
+                wits.setdefault(high - low, []).append((k, low, self.column_at(-low, k)))
+        return wits
+
     def column_origin(self, col: int) -> tuple[int, int]:
         """(block, index) of sliding-matrix column ``col`` (``sliding_entry_origin``):
         row r meets it iff r - block is in marks[index], with entry alpha**((r - block)*index)."""
@@ -333,9 +337,11 @@ class CodeSpec:
         """The column of ``index`` in ``block``: the inverse of ``column_origin``."""
         return block * self.n + (index or self.n)
 
-    def meets(self, row: int, col: int) -> bool:
-        block, index = self.column_origin(col)
-        return row - block in self.marks[index]
+    def row_columns(self, row: int) -> list[int]:
+        """The columns of blocks >= 0 that meet ``row``, parity included:
+        (row - m, index) for each mark m <= row of marks[index].  For row <=
+        j + 1 they are ``sliding_matrix(j).row_support(row)``, unordered."""
+        return [self.column_at(row - m, k) for k, marks in enumerate(self.marks) for m in marks if m <= row]
 
     def column_entries(self, col: int, rows: Sequence[int]) -> list[FieldElement]:
         """Entries of column ``col`` on ``rows``, read off the marks (``column_origin``)."""

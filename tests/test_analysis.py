@@ -684,8 +684,9 @@ def _walked_reports(spec, j):
                 grid = submatrix(matrix, rows, cols)
                 terms = an._transversals(grid)
                 total -= len(terms) - 1
-                singular[cols] = (an._two_terms_cancel(field, terms) if len(terms) == 2
-                                  else det(field, grid) is ZERO)
+                singular[cols] = (an._two_terms_cancel(field, terms[0][0] - terms[1][0],
+                                                       terms[0][1] == terms[1][1])
+                                  if len(terms) == 2 else det(field, grid) is ZERO)
                 if singular[cols]:
                     failures.append(an.MinorFailure(rows, cols, _pattern(sup, cols)))
             cycles += (an.TannerCycle(rows, cols, singular[cols]) for cols in walks)
@@ -916,7 +917,7 @@ def test_same_column_6_cycle_classes_are_those_with_d_zero(gf32, sets):
     # characteristic 2, and for code A they give all 3 j - 10 failures
     dts = DifferenceTriangleSet.from_inline(sets)
     spec = CodeSpec(dts, gf32, dts.num_sets + 1)
-    classes = an._cycle_classes(spec, an._witnesses(spec), 6, 60)
+    classes = an._cycle_classes(spec, 6, 60)
     same = set()
     for rows, walk, singular in classes:
         cols = tuple(sorted(walk))
@@ -978,9 +979,7 @@ def test_vanishable_sets_and_near_shapes_past_the_dense_sweep(ref_spec_a, ref_sp
                     near.update((rows, cols) for cols in kept
                                 if _pattern(sup, cols) != an.PATTERN_CYCLE)
         # the near sets are the translates of the near shapes of the classes
-        wits = an._witnesses(spec)
-        shapes = set().union(*(an._near_shapes(spec, wits, cls, j)
-                               for cls in an._cycle_classes(spec, wits, 4, j)))
+        shapes = set().union(*(an._near_shapes(spec, cls, j) for cls in an._cycle_classes(spec, 4, j)))
         assert near == {(rows, cols) for shape in shapes
                         for rows, cols, _ in an._translates((*shape, None), j, spec.n)}
         near_sets += len(near)
@@ -1163,8 +1162,7 @@ def test_cycle_reports_charge_their_classes_and_cycles(ref_spec_a, gf32):
     # class of the other length, the 4-cycle report only when it has no
     # 4-cycle; the 2x2 minors charge the 4-cycle classes and their failures
     for spec, j in _charge_cases(ref_spec_a, gf32):
-        wits = an._witnesses(spec)
-        four, six = (len(list(an._cycle_classes(spec, wits, length, j))) for length in (4, 6))
+        four, six = (len(list(an._cycle_classes(spec, length, j))) for length in (4, 6))
         used, reports = [], []
         for report, size in ((an.enumerate_cycles, 4), (an.enumerate_cycles, 6),
                              (an.check_minors, 2)):

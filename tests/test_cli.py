@@ -406,6 +406,15 @@ def test_cli_verify_builds_no_sliding_matrix(capsys, monkeypatch):
     assert meters[0].used == sum(m.used for m in alone)
 
 
+def test_cli_verify_builds_the_witnesses_once(capsys, monkeypatch):
+    # the four reports of a default verify share the code's one table of
+    # difference witnesses
+    built, witnesses = [], CodeSpec.witnesses.func
+    monkeypatch.setattr(CodeSpec.witnesses, "func", lambda self: built.append(self) or witnesses(self))
+    code, _, _ = run_cli(capsys, "verify", "--dts", "1,2,6;1,2,4", "--n", "3", "--field", "2^5")
+    assert code == 1 and len(built) == 1
+
+
 def test_cli_search_and_exhaustion(capsys):
     code, out, _ = run_cli(capsys, "search", "--sets", "1", "--size", "3")
     assert code == 0

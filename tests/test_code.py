@@ -14,7 +14,7 @@ from dts_ldpc.code import (
     min_field_params,
     sliding_entry_origin,
 )
-from dts_ldpc.dts import DifferenceTriangleSet, search_min_scope, validate
+from dts_ldpc.dts import DifferenceTriangleSet, differences, search_min_scope, validate
 from dts_ldpc.errors import IncompleteBlock, SetCountMismatch, ZeroElementInDTS
 from dts_ldpc.formats import from_alist, render_pretty, to_alist, to_json
 from dts_ldpc.gf import ZERO, GaloisField, _factor_prime_power
@@ -156,11 +156,16 @@ def test_column_entries_read_the_sliding_matrix(gf32, inline, n):
     assert "base" not in vars(spec)
     sl = spec.sliding_matrix(spec.mu)
     assert entries == [[sl.get(r, c) for r in range(1, sl.rows + 1)] for c in range(1, sl.cols + 1)]
-    # column_at inverts column_origin, and meets reads the same support
+    # column_at inverts column_origin, and row_columns reads the same supports
     for c in range(1, sl.cols + 1):
         assert spec.column_at(*spec.column_origin(c)) == c
-        assert [spec.meets(r, c) for r in range(1, sl.rows + 1)] == [
-            sl.get(r, c) is not None for r in range(1, sl.rows + 1)]
+    for r in range(1, sl.rows + 1):
+        assert sorted(spec.row_columns(r)) == sorted(sl.row_support(r))
+    # the witnesses are the differences, with marks in place of positions
+    sets = spec.dts.sets
+    assert spec.witnesses == {
+        d: [(k, sets[k - 1][low - 1], spec.column_at(-sets[k - 1][low - 1], k)) for k, _, low in found]
+        for d, found in differences(spec.dts).items()}
 
 
 def test_full_sliding_matrix_shape(gf32, dts_126_124):
