@@ -10,8 +10,9 @@ first takes under 2 s, else that one run) and ``Meter.used``, or the
 refusal message when the budget runs out.  The rows are the frontier table
 of ROADMAP.md: large-scope and wide `distance` profiles, `verify` and the
 cycle reports at long horizons, the singular 3x3 minors of ``1,7;1,7``,
-the longest rulers searched, the argument parsing of a benchmark batch
-and the reports of the n = 3, scope-5 `verify` commands of one.  Nothing
+the longest rulers searched, the argument parsing of a benchmark batch,
+the reports of the n = 3, scope-5 `verify` commands of one and the
+Tanner-cycle class table of the w = 8 ruler taken twice.  Nothing
 is gated; the whole run takes about a minute, and the row at j = 10**6
 holds about 0.5 GB at its peak.  Stdlib only.
 """
@@ -119,6 +120,15 @@ def _verify_batch(seed: int, n: int, scope: int):
             f" of perfbench's seed-{seed} verify batch, one meter each", run)
 
 
+def _cycle_table(inline: str, n: int, p: int, degree: int):
+    """The code built from its marks, then its table of Tanner-cycle
+    classes, which takes no horizon and reads no field."""
+    def run(meter: Meter) -> dict:
+        table = _spec(inline, n, p, degree).cycle_classes
+        return {f"classes_{length}": len(table[length]) for length in (4, 6)}
+    return f"CodeSpec({inline!r}, GF({p}^{degree}), n={n}).cycle_classes", run
+
+
 def _cycles(j: int):
     def run(meter: Meter) -> dict:
         spec = _spec(CODE_A, 3, 2, 5)
@@ -157,6 +167,7 @@ ROWS = [  # (name, budget, (call, run))
     ("search ruler 10", 10**8, _search(10)),
     ("parse distance batch", 0, _parse_batch("distance", 0)),
     ("verify batch n=3 scope 5", 10**6, _verify_batch(0, 3, 5)),
+    ("cycle classes w=8", 0, _cycle_table(f"{RULERS[8]};{RULERS[8]}", 3, 3, 7)),
 ]
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import gf
 from .code import CodeSpec, ExponentMatrix
@@ -130,72 +130,16 @@ class MinorReport(NamedTuple):
         }
 
 
-def _cycle_classes(spec: CodeSpec, length: int, j: int) -> Iterator[tuple]:
-    """The classes of Tanner cycles of ``length`` 4 or 6 with a translate
-    within horizon j, each as (rows, walk, singular) at its first
-    translate, read off the differences of the sets (``CodeSpec.witnesses``).
-
-    Translates.  Column (s, k) of block s, ``CodeSpec.column_at(s, k)``,
-    meets row r iff r - s is in T_k, with exponent (r - s)*k.  Adding t to
-    every row and t*n to every column, t blocks, keeps both, so a class, a
-    cycle with all its translates, has one verdict.  At its first translate a
-    column lies in block 0 and none lower; with c0 its last row,
-    translate t is in the sliding matrix at horizon j iff t >= 0 and c0 +
-    t <= j + 1 (a column meets a row <= j + 1 at a mark >= 1, so its block
-    is <= j): a class with c0 <= j + 1, the only ones yielded, has
-    ``_reach`` = j + 2 - c0 translates.
-
-    4-cycles.  Column (s, k) meets rows a < b iff m = a - s and m + d, d =
-    b - a, are in T_k: (k, m) is a witness of d, and the column (a - m, k).
-    A set has at most one witness of d, as its differences are distinct,
-    so a 4-cycle is two witnesses (k1, m1), (k2, m2) of one d, k1 != k2,
-    which fix its columns, and each such pair and a >= max(m1, m2) give
-    one: the classes are these pairs, first at a = max(m1, m2).  The
-    transversals, identity (even) and swap (odd), of x = (a - m1, k1) and
-    y = (a - m2, k2) give D = E_ax + E_by - E_ay - E_bx = m1 k1 + (m2 + d)
-    k2 - m2 k2 - (m1 + d) k1 = d (k2 - k1).
-
-    6-cycles.  Likewise a walk x in M_ab, y in M_bc, z in M_ac of rows a <
-    b < c is witnesses (kx, mx) of d1 = b - a, (ky, my) of d2 = c - b and
-    (kz, mz) of d1 + d2, with x = (a - mx, kx), y = (b - my, ky) and z =
-    (a - mz, kz), chordless iff x misses row c, y row a and z row b: mx +
-    d1 + d2 not in T_kx, my - d1 not in T_ky, mz + d1 not in T_kz.  The
-    classes are these witness triples, first at a = max(mx, my - d1, mz).
-    The transversals {(a, x), (b, y), (c, z)} and {(a, z), (b, x), (c, y)}
-    differ by a 3-cycle, so their parities agree, and D = E_ax + E_by +
-    E_cz - E_az - E_bx - E_cy = (d1 + d2) kz - d1 kx - d2 ky.
-
-    Both D take the exponent (r - s)*k of ``CodeSpec.column_entries``, the
-    base matrix's alpha**(i*k), as given: another edge exponent rule
-    needs other D.  By the two-term rule (``_two_terms_cancel``) a 4-cycle
-    is singular iff D = 0 mod (q - 1), and a 6-cycle iff D = s, alpha**s
-    = -1.  Each difference d3 <= j is scanned with each difference d1 <
-    d3 whose complement d3 - d1 is one too, in O(|differences|**2),
-    bounded by the DTS.  The classes are yielded as they are found, so a
-    scan for the first stops there.
-    """
+def _cycle_classes(spec: CodeSpec, length: int, j: int) -> list[tuple]:
+    """The classes of ``length`` 4 or 6 in ``CodeSpec.cycle_classes`` with
+    a translate within horizon j (last row c0 <= j + 1, ``_reach`` j + 2 -
+    c0), as (rows, walk, singular): by ``_two_terms_cancel`` a 4-cycle,
+    its transversals of opposite parities, is singular iff D = 0 mod
+    (q - 1), and a 6-cycle, of one parity, iff D = s, alpha**s = -1."""
     if j < 0:
         raise ValueError("horizon j must be >= 0")
-    n, field, marks, wits = spec.n, spec.field, spec.marks, spec.witnesses
-    if length == 4:
-        for d, found in wits.items():
-            for (k1, m1, c1), (k2, m2, c2) in itertools.combinations(found, 2):
-                a = max(m1, m2)
-                x, y = a * n + c1, a * n + c2
-                if a + d <= j + 1:
-                    yield ((a, a + d), (x, y) if x < y else (y, x),
-                           _two_terms_cancel(field, d * (k2 - k1), False))
-        return
-    for d3, zs in wits.items():
-        for d1, xs in wits.items() if d3 <= j else ():
-            ys = wits.get(d3 - d1, ()) if d1 < d3 else ()
-            for kz, mz, cz in zs if ys else ():
-                for kx, mx, cx in xs if mz + d3 <= j + 1 and mz + d1 not in marks[kz] else ():
-                    for ky, my, cy in ys if mx + d3 <= j + 1 and mx + d3 not in marks[kx] else ():
-                        a = max(mx, my - d1, mz)
-                        if a + d3 <= j + 1 and my - d1 not in marks[ky]:
-                            yield ((a, a + d1, a + d3), (a * n + cx, (a + d1) * n + cy, a * n + cz),
-                                   _two_terms_cancel(field, d3 * kz - d1 * kx - (d3 - d1) * ky, True))
+    return [(rows, walk, _two_terms_cancel(spec.field, d, length == 6))
+            for rows, walk, d in spec.cycle_classes[length] if rows[-1] <= j + 1]
 
 
 def _reach(rows: tuple[int, ...], j: int) -> int:
@@ -211,24 +155,22 @@ def _translates(cls: tuple, j: int, n: int) -> list[tuple]:
             for t in range(_reach(rows, j))]
 
 
-def _near_shapes(spec: CodeSpec, four: tuple, j: int) -> set:
-    """The near completions within horizon j of a 4-cycle class, each as
-    (rows, cols) at its first translate (``check_minors``): by a row r of
-    c1 or c2 and a column c, not c1 or c2, that meets r and a or b, a
-    witness of |r - a| or |r - b|, in a block -u <= 0, moved down u rows."""
+def _near_shapes(spec: CodeSpec, four: tuple) -> set:
+    """The near completions of a 4-cycle class, each as (rows, cols) at
+    its first translate (``check_minors``): by a row r of c1 or c2 and a
+    column c, not c1 or c2, that meets r and a or b, a witness of |r - a|
+    or |r - b|, in a block -u <= 0, moved down u rows."""
     n, ((a, b), (c1, c2), _), shapes = spec.n, four, set()
     origins = [spec.column_origin(c) for c in (c1, c2)]
     for r in {block + m for block, index in origins for m in spec.marks[index]} - {a, b}:
         rows = (r, a, b) if r < a else (a, r, b) if r < b else (a, b, r)
-        reach = _reach(rows, j)
         for x in a, b:
             low = min(r, x)
             for _, m, c0 in spec.witnesses.get(abs(r - x), ()):
                 c, u = low * n + c0, m - low if m > low else 0
-                if c != c1 and c != c2 and reach > u:
+                if c != c1 and c != c2:
                     cols = (c, c1, c2) if c < c1 else (c1, c, c2) if c < c2 else (c1, c2, c)
-                    shapes.add((tuple([i + u for i in rows]), tuple([i + u * n for i in cols])) if u
-                               else (rows, cols))
+                    shapes.add((tuple([i + u for i in rows]), tuple([i + u * n for i in cols])))
     return shapes
 
 
@@ -291,10 +233,10 @@ def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
     takes every other row as the third and the triples sharing a column
     are counted per column.  All of it is read off the marks: row r meets
     the parity column of block r - 1 and the columns (r - m, k), m <= r in
-    T_k (``CodeSpec.row_columns``), so w_r is one value from the scope on,
-    and the columns of T_k meet rows s + m, so the pairs and triples topped
-    by its i-th mark m (1-based), i - 1 and C(i - 1, 2) of them, are each
-    met j + 2 - m times.
+    T_k (``CodeSpec.row_columns``), so w_r counts the marks <= r and is one
+    value from the scope on, and the columns of T_k meet rows s + m, so the
+    pairs and triples topped by its i-th mark m (1-based), i - 1 and
+    C(i - 1, 2) of them, are each met j + 2 - m times.
 
     A 2x2 set of two transversals is a 4-cycle, fully nonzero.  A 3x3 set
     of two or more is a 6-cycle or completes a 4-cycle.  Two transversals
@@ -336,19 +278,19 @@ def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
     its entries (``CodeSpec.column_entries``) gives t and its terms; only
     shapes of three or more are evaluated, by ``gf.det``.
 
-    Charges: 1 per class built, then, each before its walk, 1 per failing
-    cycle and failing factorable completion, 1 per near shape and 1 per
-    translate of a failing one; the counts take none.
+    Charges: 1 per class within j, then, each before its walk, 1 per
+    failing cycle and failing factorable completion, 1 per near shape
+    within j and 1 per translate of a failing one; the counts take none.
     """
     if size not in (2, 3):
         raise ValueError(f"minor size must be 2 or 3, got {size}")
     j = spec.mu if j is None else j
     meter = as_meter(budget)
     n, scope, sets, height = spec.n, spec.scope, spec.dts.sets, j + 1
-    four = list(_cycle_classes(spec, 4, j))
-    six = list(_cycle_classes(spec, 6, j)) if size == 3 else []
+    four = _cycle_classes(spec, 4, j)
+    six = _cycle_classes(spec, 6, j) if size == 3 else []
     meter.charge(len(four) + len(six))
-    weights = [len(spec.row_columns(r)) for r in range(1, scope + 1)]  # w_r
+    weights = list(itertools.accumulate(sum(r in t for t in spec.marks) for r in range(1, scope + 1)))
     kept, past, full = weights[:height], max(0, height - scope), weights[-1]
     p1, p2 = sum(kept) + past * full, sum(w * w for w in kept) + past * full**2
     # (i, s): the i marks below a mark m <= j + 1 of a set, and the s columns that meet row m last
@@ -381,7 +323,7 @@ def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
     shapes = set()
     for cls in four:
         (a, b), (c1, c2), singular = cls
-        near = _near_shapes(spec, cls, j)
+        near = {shape for shape in _near_shapes(spec, cls) if _reach(shape[0], j) > 0}
         shapes |= near
         count = _reach((a, b), j)
         factorable = (count * (p1 + 4) - p1 - upto(height - b + a) + upto(a - 1) + upto(b - 1)
@@ -405,8 +347,8 @@ def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
         if (_two_terms_cancel(spec.field, terms[0][0] - terms[1][0], terms[0][1] == terms[1][1])
                 if len(terms) == 2 else gf.det(spec.field, grid) is ZERO):
             meter.charge(count)
-            failures.extend(MinorFailure(*translate[:2], PATTERN_FULL if len(terms) == 6
-                                         else PATTERN_MIXED)
+            pattern = PATTERN_FULL if len(terms) == 6 else PATTERN_MIXED
+            failures.extend(MinorFailure(*translate[:2], pattern)
                             for translate in _translates((rows, cols, None), j, n))
     counts = {PATTERN_FULL: fully, PATTERN_CYCLE: six_cycles, PATTERN_MIXED: total - fully - six_cycles}
     return MinorReport(size=size, horizon=j, class_counts=counts, failures=tuple(sorted(failures)))
@@ -460,19 +402,18 @@ def enumerate_cycles(spec: CodeSpec, length: int, j: Optional[int] = None,
     walk, (c1, c2) or (c12, c23, c13), each decided by its class's D: no
     submatrix is built and no permutation tried.  The girth is 4 if a
     4-cycle class has a translate at j, else 6 if a 6-cycle class has, else
-    None; of the other length only a first class is built, where it must
-    be looked for.  One step is charged per class built, then one per
-    cycle listed, before any is.
+    None.  One step is charged per class within j, and one where the girth
+    reads a class of the other length, then one per cycle listed, before
+    any is.
     """
     if length not in (4, 6):
         raise ValueError(f"cycle length must be 4 or 6, got {length}")
     j = spec.mu if j is None else j
     meter = as_meter(budget)
-    classes = list(_cycle_classes(spec, length, j))
-    first = lambda size: list(itertools.islice(_cycle_classes(spec, size, j), 1))  # noqa: E731
-    four = classes if length == 4 else first(4)
-    six = classes if length == 6 else [] if four else first(6)
-    meter.charge(len(four) + len(six))
+    four = _cycle_classes(spec, 4, j)
+    six = _cycle_classes(spec, 6, j) if length == 6 or not four else []
+    classes = four if length == 4 else six
+    meter.charge(len(classes) + min(1, len(six if length == 4 else four)))
     meter.charge(sum(_reach(rows, j) for rows, *_ in classes))
     walks = sorted(itertools.chain.from_iterable(_translates(cls, j, spec.n) for cls in classes))
     return CycleReport(length=length, horizon=j, girth=4 if four else 6 if six else None,

@@ -327,6 +327,65 @@ class CodeSpec:
                 wits.setdefault(high - low, []).append((k, low, self.column_at(-low, k)))
         return wits
 
+    @functools.cached_property
+    def cycle_classes(self) -> dict[int, list[tuple[tuple[int, ...], tuple[int, ...], int]]]:
+        """Length 4 and 6 -> the classes of Tanner cycles of that length, each
+        as (rows, walk, D) at its first translate, read off ``witnesses``.
+
+        Translates.  Column (s, k) of block s, ``column_at(s, k)``, meets row
+        r iff r - s is in T_k, with exponent (r - s)*k.  Adding t to every
+        row and t*n to every column, t blocks, keeps both, so a class, a
+        cycle with all its translates, has one D.  At its first translate a
+        column lies in block 0 and none lower; with c0 its last row,
+        translate t is in the sliding matrix at horizon j iff t >= 0 and c0 +
+        t <= j + 1 (a column meets a row <= j + 1 at a mark >= 1, so its block
+        is <= j): a class has j + 2 - c0 translates if c0 <= j + 1, else none.
+
+        4-cycles.  Column (s, k) meets rows a < b iff m = a - s and m + d, d =
+        b - a, are in T_k: (k, m) is a witness of d, and the column (a - m, k).
+        A set has at most one witness of d, as its differences are distinct,
+        so a 4-cycle is two witnesses (k1, m1), (k2, m2) of one d, k1 != k2,
+        which fix its columns, and each such pair and a >= max(m1, m2) give
+        one: the classes are these pairs, first at a = max(m1, m2).  The
+        transversals, identity (even) and swap (odd), of x = (a - m1, k1) and
+        y = (a - m2, k2) give D = E_ax + E_by - E_ay - E_bx = m1 k1 + (m2 + d)
+        k2 - m2 k2 - (m1 + d) k1 = d (k2 - k1).
+
+        6-cycles.  Likewise a walk x in M_ab, y in M_bc, z in M_ac of rows a <
+        b < c is witnesses (kx, mx) of d1 = b - a, (ky, my) of d2 = c - b and
+        (kz, mz) of d1 + d2, with x = (a - mx, kx), y = (b - my, ky) and z =
+        (a - mz, kz), chordless iff x misses row c, y row a and z row b: mx +
+        d1 + d2 not in T_kx, my - d1 not in T_ky, mz + d1 not in T_kz.  The
+        classes are these witness triples, first at a = max(mx, my - d1, mz).
+        The transversals {(a, x), (b, y), (c, z)} and {(a, z), (b, x), (c, y)}
+        differ by a 3-cycle, so their parities agree, and D = E_ax + E_by +
+        E_cz - E_az - E_bx - E_cy = (d1 + d2) kz - d1 kx - d2 ky.
+
+        Both D take the exponent (r - s)*k of ``column_entries``, the base
+        matrix's alpha**(i*k), as given: another edge exponent rule needs
+        other D.  Each D is an integer, so the table reads no field; it takes
+        no horizon.  It is finite, bounded by the DTS: its classes are pairs
+        and triples of witnesses, each difference d3 scanned with each d1 <
+        d3 whose complement is one too, in O(|differences|**2).  Built once
+        per code, it is charged to no meter, like the witnesses; a report
+        charges the classes it reads (``analysis._cycle_classes``).
+        """
+        n, marks, wits = self.n, self.marks, self.witnesses
+        classes: dict[int, list] = {4: [], 6: []}
+        for d, found in wits.items():
+            for (k1, m1, c1), (k2, m2, c2) in itertools.combinations(found, 2):
+                a = max(m1, m2)
+                classes[4].append(((a, a + d), tuple(sorted((a * n + c1, a * n + c2))), d * (k2 - k1)))
+        for d3, zs in wits.items():
+            for d1, xs in wits.items():
+                ys = wits.get(d3 - d1, ()) if d1 < d3 else ()
+                for (kz, mz, cz), (kx, mx, cx), (ky, my, cy) in itertools.product(zs, xs, ys):
+                    if mz + d1 not in marks[kz] and mx + d3 not in marks[kx] and my - d1 not in marks[ky]:
+                        a = max(mx, my - d1, mz)
+                        classes[6].append(((a, a + d1, a + d3), (a * n + cx, (a + d1) * n + cy, a * n + cz),
+                                           d3 * kz - d1 * kx - (d3 - d1) * ky))
+        return classes
+
     def column_origin(self, col: int) -> tuple[int, int]:
         """(block, index) of sliding-matrix column ``col`` (``sliding_entry_origin``):
         row r meets it iff r - block is in marks[index], with entry alpha**((r - block)*index)."""

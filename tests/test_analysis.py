@@ -917,6 +917,18 @@ def test_same_column_6_cycle_classes_are_those_with_d_zero(gf32, sets):
     # characteristic 2, and for code A they give all 3 j - 10 failures
     dts = DifferenceTriangleSet.from_inline(sets)
     spec = CodeSpec(dts, gf32, dts.num_sets + 1)
+    # every class's D in the table is the first transversal's integer
+    # exponent sum less the second's: along the walk (x, y, z) of a
+    # 6-cycle, and along (x, y) in increasing set index of a 4-cycle
+    table = spec.cycle_classes
+    for length in (4, 6):
+        for rows, walk, d in table[length]:
+            cols = walk if length == 6 else tuple(sorted(walk, key=lambda c: (c - 1) % spec.n))
+            first, second = _integer_exponent_sums(spec, rows, cols)
+            assert d == first - second, (length, rows, walk)
+    # and the table reads no field
+    for field in (make_field(2, 5), make_field(3, 6), make_field(13, 1)):
+        assert CodeSpec(dts, field, spec.n).cycle_classes == table
     classes = an._cycle_classes(spec, 6, 60)
     same = set()
     for rows, walk, singular in classes:
@@ -979,7 +991,7 @@ def test_vanishable_sets_and_near_shapes_past_the_dense_sweep(ref_spec_a, ref_sp
                     near.update((rows, cols) for cols in kept
                                 if _pattern(sup, cols) != an.PATTERN_CYCLE)
         # the near sets are the translates of the near shapes of the classes
-        shapes = set().union(*(an._near_shapes(spec, cls, j) for cls in an._cycle_classes(spec, 4, j)))
+        shapes = set().union(*(an._near_shapes(spec, cls) for cls in an._cycle_classes(spec, 4, j)))
         assert near == {(rows, cols) for shape in shapes
                         for rows, cols, _ in an._translates((*shape, None), j, spec.n)}
         near_sets += len(near)

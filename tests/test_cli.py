@@ -415,6 +415,15 @@ def test_cli_verify_builds_the_witnesses_once(capsys, monkeypatch):
     assert code == 1 and len(built) == 1
 
 
+def test_cli_verify_builds_the_cycle_classes_once(capsys, monkeypatch):
+    # the four reports of a default verify filter the code's one table of
+    # Tanner-cycle classes
+    built, classes = [], CodeSpec.cycle_classes.func
+    monkeypatch.setattr(CodeSpec.cycle_classes, "func", lambda self: built.append(self) or classes(self))
+    code, _, _ = run_cli(capsys, "verify", "--dts", "1,2,6;1,2,4", "--n", "3", "--field", "2^5")
+    assert code == 1 and len(built) == 1
+
+
 def test_cli_search_and_exhaustion(capsys):
     code, out, _ = run_cli(capsys, "search", "--sets", "1", "--size", "3")
     assert code == 0
