@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from . import analysis
 from .code import CodeSpec, min_field_params
@@ -301,18 +301,98 @@ def _cmd_suggest_field(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_spec_arguments(sub: argparse.ArgumentParser) -> None:
-    group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("--dts", help="inline sets, e.g. '1,2,6;1,2,4'")
-    group.add_argument("--dts-file", help="JSON file with a 'sets' list")
-    sub.add_argument("--n", type=_integer, required=True, help="code block length n")
-    sub.add_argument("--field", required=True, help="field order as 'p^N' or a prime")
+class _Option:
+    """One option of a subcommand, read by both parsers.
+
+    ``_build_parser`` adds it to argparse and ``_parse_direct`` reads it,
+    so the two cannot drift apart.  ``dest`` is the one argparse derives
+    from the flag, ``convert`` is argparse's ``type``, a ``store_true``
+    option takes no value, and the ``exclusive`` options of a command form
+    one required group, of which exactly one is given.  (A plain class:
+    a ``NamedTuple`` would add about 0.4 ms to every start-up.)
+    """
+    __slots__ = ("flag", "dest", "convert", "choices", "default", "required", "store_true",
+                 "exclusive", "help")
+
+    def __init__(self, flag: str, *, convert: Optional[Callable[[str], Any]] = None,
+                 choices: Optional[tuple] = None, default: Any = None, required: bool = False,
+                 store_true: bool = False, exclusive: bool = False,
+                 help: Optional[str] = None) -> None:
+        self.flag, self.dest = flag, flag[2:].replace("-", "_")
+        self.convert, self.choices, self.default = convert, choices, default
+        self.required, self.store_true, self.exclusive = required, store_true, exclusive
+        self.help = help
+
+
+_SPEC_OPTIONS = (
+    _Option("--dts", exclusive=True, help="inline sets, e.g. '1,2,6;1,2,4'"),
+    _Option("--dts-file", exclusive=True, help="JSON file with a 'sets' list"),
+    _Option("--n", convert=_integer, required=True, help="code block length n"),
+    _Option("--field", required=True, help="field order as 'p^N' or a prime"),
+)
+_JSON = _Option("--json", default=False, store_true=True)
+_BUDGET = _Option("--budget", help="work budget in steps")
+
+# name: (function, help, options in the order argparse lists them)
+_COMMANDS = {
+    "construct": (_cmd_construct, "emit the base or sliding matrix", (
+        *_SPEC_OPTIONS,
+        _Option("--j", convert=_integer,
+                help="horizon for the sliding matrix; omit for the base matrix"),
+        _Option("--out", choices=("pretty", "json", "alist"), default="pretty"),
+        _Option("--zero", default="0", help="token for zero entries in pretty output"),
+    )),
+    "verify": (_cmd_verify, "check minors and cycle full-rank conditions", (
+        *_SPEC_OPTIONS,
+        _Option("--j", convert=_integer, help="horizon (default: memory)"),
+        _Option("--minors", default="2,3", help="comma list from {2,3}"),
+        _Option("--cycles", default="4,6", help="comma list from {4,6}"),
+        _BUDGET,
+        _JSON,
+    )),
+    "distance": (_cmd_distance, "column and free distance profile", (
+        *_SPEC_OPTIONS,
+        _Option("--horizon", convert=_integer, help="restrict the free-distance search horizon"),
+        _BUDGET,
+        _JSON,
+    )),
+    "search": (_cmd_search, "minimum-scope difference triangle set", (
+        _Option("--sets", convert=_integer, required=True),
+        _Option("--size", convert=_integer, required=True),
+        _Option("--mode", choices=("relaxed", "strict"), default="relaxed"),
+        _Option("--min-element", convert=_integer, choices=(0, 1), default=1),
+        _Option("--budget", convert=_integer, default=32, help="largest scope to try"),
+        _JSON,
+    )),
+    "density": (_cmd_density, "sliding-matrix density as a fraction", (
+        _Option("--n", convert=_integer, required=True),
+        _Option("--w", convert=_integer, required=True),
+        _Option("--mu", convert=_integer, required=True),
+        _Option("--len", convert=_integer, required=True, help="message length in symbols"),
+        _JSON,
+    )),
+    "suggest-field": (_cmd_suggest_field, "field-size bounds for a DTS shape", (
+        _Option("--n", convert=_integer, required=True),
+        _Option("--scope", convert=_integer, required=True),
+        _Option("--w", convert=_integer, required=True),
+        _JSON,
+    )),
+}
+# for the direct parse: each command's options by flag, the namespace of
+# its defaults, and the dests of its required and of its exclusive options
+_DIRECT = {
+    name: ({opt.flag: opt for opt in options},
+           {"command": name, "func": func, **{opt.dest: opt.default for opt in options}},
+           frozenset(opt.dest for opt in options if opt.required),
+           frozenset(opt.dest for opt in options if opt.exclusive))
+    for name, (func, _, options) in _COMMANDS.items()
+}
 
 
 @functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The command-line parser and its subcommand parsers by name, built
-    on first use and kept for the process."""
+    from ``_COMMANDS`` on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="dts-ldpc",
         description="Construct and verify convolutional parity checks "
@@ -320,66 +400,80 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     )
     subs = parser.add_subparsers(dest="command", required=True)
     commands = {}
-
-    def command(name: str, func, help: str) -> argparse.ArgumentParser:
-        sub = commands[name] = subs.add_parser(name, help=help)
+    for name, (func, text, options) in _COMMANDS.items():
+        sub = commands[name] = subs.add_parser(name, help=text)
         sub.set_defaults(func=func)
-        return sub
-
-    construct = command("construct", _cmd_construct, "emit the base or sliding matrix")
-    _add_spec_arguments(construct)
-    construct.add_argument("--j", type=_integer, default=None,
-                           help="horizon for the sliding matrix; omit for the base matrix")
-    construct.add_argument("--out", choices=("pretty", "json", "alist"), default="pretty")
-    construct.add_argument("--zero", default="0", help="token for zero entries in pretty output")
-
-    verify = command("verify", _cmd_verify, "check minors and cycle full-rank conditions")
-    _add_spec_arguments(verify)
-    verify.add_argument("--j", type=_integer, default=None, help="horizon (default: memory)")
-    verify.add_argument("--minors", default="2,3", help="comma list from {2,3}")
-    verify.add_argument("--cycles", default="4,6", help="comma list from {4,6}")
-    verify.add_argument("--budget", default=None, help="work budget in steps")
-    verify.add_argument("--json", action="store_true")
-
-    distance = command("distance", _cmd_distance, "column and free distance profile")
-    _add_spec_arguments(distance)
-    distance.add_argument("--horizon", type=_integer, default=None,
-                          help="restrict the free-distance search horizon")
-    distance.add_argument("--budget", default=None, help="work budget in steps")
-    distance.add_argument("--json", action="store_true")
-
-    search = command("search", _cmd_search, "minimum-scope difference triangle set")
-    search.add_argument("--sets", type=_integer, required=True)
-    search.add_argument("--size", type=_integer, required=True)
-    search.add_argument("--mode", choices=("relaxed", "strict"), default="relaxed")
-    search.add_argument("--min-element", type=_integer, default=1, choices=(0, 1))
-    search.add_argument("--budget", type=_integer, default=32, help="largest scope to try")
-    search.add_argument("--json", action="store_true")
-
-    density = command("density", _cmd_density, "sliding-matrix density as a fraction")
-    density.add_argument("--n", type=_integer, required=True)
-    density.add_argument("--w", type=_integer, required=True)
-    density.add_argument("--mu", type=_integer, required=True)
-    density.add_argument("--len", type=_integer, required=True, help="message length in symbols")
-    density.add_argument("--json", action="store_true")
-
-    suggest = command("suggest-field", _cmd_suggest_field, "field-size bounds for a DTS shape")
-    suggest.add_argument("--n", type=_integer, required=True)
-    suggest.add_argument("--scope", type=_integer, required=True)
-    suggest.add_argument("--w", type=_integer, required=True)
-    suggest.add_argument("--json", action="store_true")
-
+        group = None
+        for opt in options:
+            if opt.exclusive and group is None:
+                group = sub.add_mutually_exclusive_group(required=True)
+            target = group if opt.exclusive else sub
+            if opt.store_true:
+                target.add_argument(opt.flag, dest=opt.dest, action="store_true", help=opt.help)
+            else:
+                target.add_argument(opt.flag, dest=opt.dest, type=opt.convert, choices=opt.choices,
+                                    default=opt.default, required=opt.required, help=opt.help)
     return parser, commands
+
+
+def _parse_direct(argv: list[str]) -> Optional[argparse.Namespace]:
+    """The namespace ``parser.parse_args(argv)`` gives, read off
+    ``_COMMANDS`` with no argparse, or ``None`` when argparse must decide.
+
+    It takes only a known command followed by exact flags of that
+    command, each given once, each valued flag followed by a value that
+    does not start with ``-`` and that the converter and choices accept,
+    with every required option and exactly one exclusive option given.
+    Anything else (help, abbreviations, ``--flag=value``, repeats,
+    ``--``, stray or missing values, no command) is argparse's to parse
+    or to refuse, in its own words.
+    """
+    entry = _DIRECT.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    flags, defaults, required, exclusive = entry
+    values = {}
+    i, end = 1, len(argv)
+    while i < end:
+        opt = flags.get(argv[i])
+        if opt is None or opt.dest in values:
+            return None
+        if opt.store_true:
+            values[opt.dest] = True
+            i += 1
+            continue
+        if i + 1 == end or argv[i + 1][:1] == "-":
+            return None
+        value = argv[i + 1]
+        if opt.convert is not None:
+            try:
+                value = opt.convert(value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):  # argparse words these
+                return None
+        if opt.choices is not None and value not in opt.choices:
+            return None
+        values[opt.dest] = value
+        i += 2
+    if not required <= values.keys() or exclusive and len(exclusive & values.keys()) != 1:
+        return None
+    args = argparse.Namespace()  # filled as argparse.Namespace(**defaults, **values), faster
+    vars(args).update(defaults)
+    vars(args).update(values)
+    return args
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
     """The namespace ``parser.parse_args(argv)`` gives, parsed once.
 
-    A known command's tokens go straight to its own parser, which is what
-    the top-level parse hands them to; tokens it leaves are refused as the
-    top-level parse refuses them.  No command, an unknown one or a
-    top-level option such as ``-h`` takes the top-level parse.
+    Well-formed argv is read off ``_COMMANDS`` with no argparse.  For any
+    other, a known command's tokens go straight to its own parser, which
+    is what the top-level parse hands them to; tokens it leaves are
+    refused as the top-level parse refuses them.  No command, an unknown
+    one or a top-level option such as ``-h`` takes the top-level parse.
     """
+    args = _parse_direct(argv)
+    if args is not None:
+        return args
     parser, commands = _build_parser()
     sub = commands.get(argv[0]) if argv else None
     if sub is None:

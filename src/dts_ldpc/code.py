@@ -182,7 +182,7 @@ def _check_family(dts: DifferenceTriangleSet, n: int) -> None:
     """Refuse a family the construction cannot take: n - 1 sets, every
     element >= 1, relaxed-valid."""
     if dts.num_sets != n - 1:
-        raise SetCountMismatch(f"need {n - 1} sets for n = {n}, got {dts.num_sets}")
+        raise SetCountMismatch(f"need {n - 1} set(s) for n = {n}, got {dts.num_sets}")
     if any(s[0] == 0 for s in dts.sets):
         raise ZeroElementInDTS("construction requires all elements >= 1")
     report = validate(dts, "relaxed")

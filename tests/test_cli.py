@@ -781,6 +781,8 @@ EDGE_ARGV = [
     ("verify", *SPEC_A, "--js"),
     ("distance", *SPEC_A, "--hor", "1", "--bud", "99999"),
     ("verify", *SPEC_A, "--j"),
+    ("verify", *SPEC_A, "--j", "-1"),
+    ("verify", "--dts", "-x", "--n", "3", "--field", "2^5"),
     ("construct", "--n", "3", "--field", "2^5"),
     ("construct", "--dts", "1,2,6;1,2,4", "--dts-file", "f.json", "--n", "3", "--field", "2^5"),
     ("verify", "--dts", "1,2,6;1,2,4"),
@@ -812,19 +814,29 @@ def test_cli_dispatch_matches_the_two_level_parse(capsys, monkeypatch, argv):
     assert _run_main(capsys, monkeypatch, dispatch, argv) == oracle
 
 
-def test_cli_parses_each_command_once(capsys, monkeypatch):
-    calls = []
-    parse_known_args = argparse.ArgumentParser.parse_known_args
+def test_cli_parses_well_formed_argv_with_no_argparse(capsys, monkeypatch):
+    # valid argv is read off the option table: argparse parses nothing and
+    # its parser is never asked for; every other argv is argparse's to answer
+    calls, builds = [], []
+    parse_known_args, build_parser = argparse.ArgumentParser.parse_known_args, cli._build_parser
 
     def counted(self, *args, **kwargs):
         calls.append(self.prog)
         return parse_known_args(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    monkeypatch.setattr(cli, "_build_parser", lambda: builds.append(1) or build_parser())
     for argv in VALID_ARGV:
         calls.clear()
+        builds.clear()
         assert main(list(argv)) in (0, 1)
-        assert calls == [f"dts-ldpc {argv[0]}"]
+        assert (calls, builds) == ([], [])
+    for argv in EDGE_ARGV:
+        calls.clear()
+        builds.clear()
+        assert cli._parse_direct(list(argv)) is None
+        main(list(argv))
+        assert builds == [1] and calls
     capsys.readouterr()
 
 

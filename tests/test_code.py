@@ -112,6 +112,16 @@ def test_base_matrix_errors(gf32, dts_126_124):
         build_base_matrix(DifferenceTriangleSet(((1, 2, 3),)), gf32, 2)
 
 
+@pytest.mark.parametrize("sets, n, message", [
+    (((1, 2, 6), (1, 2, 4)), 2, "need 1 set(s) for n = 2, got 2"),
+    (((1, 2, 4),), 3, "need 2 set(s) for n = 3, got 1"),
+])
+def test_set_count_mismatch_names_the_count(gf32, sets, n, message):
+    with pytest.raises(SetCountMismatch) as refused:
+        build_base_matrix(DifferenceTriangleSet(sets), gf32, n)
+    assert str(refused.value) == message
+
+
 def test_spec_parameters(gf32, dts_126_124):
     spec = CodeSpec(dts_126_124, gf32, 3)
     assert spec.w == 3 and spec.scope == 6

@@ -1,9 +1,12 @@
-"""Property-based tests: format round trips, reader robustness, field axioms.
+"""Property-based tests: format round trips, reader robustness, field
+axioms, and the CLI's direct parse against argparse.
 
 Hypothesis is a test dependency only; without it this module is skipped.
 """
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from unittest import mock
 
 import pytest
@@ -12,7 +15,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from dts_ldpc import gf  # noqa: E402
+from dts_ldpc import cli, gf  # noqa: E402
 from dts_ldpc.cli import _json_text  # noqa: E402
 from dts_ldpc.code import ExponentMatrix  # noqa: E402
 from dts_ldpc.dts import DifferenceTriangleSet  # noqa: E402
@@ -161,3 +164,64 @@ def test_field_axioms(q, data):
     assert add(a, field.neg(a)) is gf.ZERO
     if a is not gf.ZERO:
         assert mul(a, field.inv(a)) == gf.ONE
+
+
+# Argv for the CLI's parse: a command with its required options, one of
+# its exclusive ones and any others, a valued option given 3 or one of its
+# choices, then up to three faults: a token dropped, a token replaced by a
+# value, or words put anywhere.  Words are a flag of the command with or
+# without a value, cut to a 2-4 letter prefix or as --flag=value, -h,
+# --help, -- or a stray word; a value is an integer, negative, empty, a
+# word, flag-like or DTS-like.
+ARGV_VALUES = ("3", "-3", "", "x", "-x", "2^5", "1,2;1,3")
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    options = cli._COMMANDS[command][2]
+    given = {opt for opt in options if opt.required} | draw(st.sets(st.sampled_from(options)))
+    exclusive = [opt for opt in options if opt.exclusive]
+    if exclusive:
+        given.add(draw(st.sampled_from(exclusive)))
+    pairs = [[opt.flag] if opt.store_true
+             else [opt.flag, str(draw(st.sampled_from((*(opt.choices or ()), "3"))))]
+             for opt in options if opt in given]
+    argv = [command, *(token for pair in draw(st.permutations(pairs)) for token in pair)]
+    flag, value = st.sampled_from([opt.flag for opt in options]), st.sampled_from(ARGV_VALUES)
+    words = (st.tuples(flag) | st.tuples(flag, value) | st.tuples(value)
+             | st.tuples(flag, st.integers(2, 4)).map(lambda pair: (pair[0][:2 + pair[1]],))
+             | st.tuples(flag, value).map(lambda pair: ("=".join(pair),))
+             | st.sampled_from([("-h",), ("--help",), ("--",), ("stray",)]))
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.integers(0, 2))
+        if fault < 2 and len(argv) > 1:
+            at = draw(st.integers(1, len(argv) - 1))
+            if fault:
+                argv[at] = draw(value)
+            else:
+                del argv[at]
+        else:
+            at = draw(st.integers(0, len(argv)))  # 0: before the command
+            argv[at:at] = draw(words)
+    return argv
+
+
+def _parsed(parse, argv):
+    """(namespace or exit code, stdout, stderr) of ``parse(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=400, deadline=None)
+@given(cli_argv())
+def test_cli_parse_is_argparse(argv):
+    # the direct parse takes only what argparse would parse the same way;
+    # help, refusals and odd spellings are argparse's, byte for byte
+    parser = cli._build_parser()[0]
+    assert _parsed(cli._parse, list(argv)) == _parsed(parser.parse_args, list(argv))
