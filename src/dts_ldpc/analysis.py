@@ -20,11 +20,11 @@ Three families of checks, all exact:
   columns of a smallest such combination form a circuit of the column
   matroid: no row meets them exactly once and their Tanner subgraph is
   connected.  So supports are grown from the first block, row by row,
-  instead of trying every column combination.  The assumption check
-  reads the columns that meet the rows of an information column off the
-  marks, with no matrix, and is closed-form over those that meet one of
-  them; when it holds the distance profile reads every column distance
-  and the free distance off it.
+  instead of trying every column combination.  The assumption check is
+  closed-form over the columns that meet one row of an information
+  column; when it holds the distance profile reads every column distance
+  and the free distance off it.  The search and the check read columns,
+  rows and entries off the marks (``CodeSpec.marks``), with no matrix.
 
 Failing witnesses are reported with 1-based row/column indices of the
 matrix they were found in.
@@ -37,7 +37,7 @@ import math
 from typing import NamedTuple, Optional, Sequence
 
 from . import gf
-from .code import CodeSpec, ExponentMatrix
+from .code import CodeSpec
 from .errors import DEFAULT_BUDGET, Memo, Meter, as_meter
 from .gf import ZERO, FieldElement, GaloisField
 
@@ -430,12 +430,13 @@ def minimal_column_weight(spec: CodeSpec, j: int) -> int:
     return min(sum(1 for a in t if a <= j + 1) for t in spec.dts.sets)
 
 
-def _min_weight_first_block(matrix: ExponentMatrix, n_first: int, ub: int, meter: Meter) -> int:
-    """Smallest weight of a kernel vector whose first block is nonzero.
+def _min_weight_first_block(spec: CodeSpec, rows: int, last: int, ub: int, meter: Meter) -> int:
+    """Smallest weight of a kernel vector whose first block is nonzero, of
+    the sliding matrix cut to ``rows`` rows and ``last`` columns.
 
     ``ub`` must be a weight achieved by an explicit kernel vector; only
     smaller weights are searched.  Equals the smallest d such that one of
-    the first ``n_first`` columns lies in the span of d-1 other columns:
+    the n columns of the first block lies in the span of d-1 other columns:
     the size of the first spanning support found below, since the support
     of a least such kernel vector is a circuit whose lowest column is in the
     first block (a kernel vector on a proper subset either has a nonzero
@@ -455,13 +456,16 @@ def _min_weight_first_block(matrix: ExponentMatrix, n_first: int, ub: int, meter
     larger subset of C, so C is reached, and no proper subset of C through
     t spans t.  The branches of a support depend on it alone, so each is
     visited once per size.  Only closed supports are tested, on the rows
-    they touch.  A column's rows and a row's columns are read when the
-    search first reaches them.  One step is charged per support visited.
+    they touch, their entries read by ``CodeSpec.column_entries``.  A
+    column's rows and a row's columns (``CodeSpec.row_columns``) are read
+    off the marks when the search first reaches them.  One step is charged
+    per support visited.
     """
     # column c + 1 meets row b + 1: bit b of masks[c] and bit c of row_cols[b]
-    masks = Memo(lambda c: sum(1 << (r - 1) for r in matrix.col_support(c + 1)))
-    row_cols = Memo(lambda b: sum(1 << (c - 1) for c in matrix.row_support(b + 1)))
-    level = {1 << t for t in range(n_first)}
+    masks = Memo(lambda c: sum(1 << (block + m - 1) for block, index in [spec.column_origin(c + 1)]
+                               for m in spec.marks[index] if block + m <= rows))
+    row_cols = Memo(lambda b: sum(1 << (c - 1) for c in spec.row_columns(b + 1) if c <= last))
+    level = {1 << t for t in range(spec.n)}
     for d in range(1, ub):
         grown = set()
         for sup in level:
@@ -475,8 +479,8 @@ def _min_weight_first_block(matrix: ExponentMatrix, n_first: int, ub: int, meter
                 branch = row_cols[(once & -once).bit_length() - 1]
             else:
                 touched = _bits(more)
-                vecs = [[matrix.get(b + 1, c + 1) for b in touched] for c in cols]
-                if _in_span(matrix.field, vecs[0], vecs[1:]):
+                vecs = [spec.column_entries(c + 1, [b + 1 for b in touched]) for c in cols]
+                if _in_span(spec.field, vecs[0], vecs[1:]):
                     return d
                 branch = 0
                 for b in touched:
@@ -503,9 +507,10 @@ def column_distance(spec: CodeSpec, j: int, budget: int | Meter = DEFAULT_BUDGET
     The weight w_j + 1 is always achieved by the single-symbol codeword
     truncated at j, so only smaller weights need an exhaustive search.
     """
-    matrix = spec.sliding_matrix(j)
+    if j < 0:
+        raise ValueError("horizon j must be >= 0")
     ub = minimal_column_weight(spec, j) + 1
-    return _min_weight_first_block(matrix, spec.n, ub, as_meter(budget))
+    return _min_weight_first_block(spec, j + 1, spec.n * (j + 1), ub, as_meter(budget))
 
 
 def exact_horizon(spec: CodeSpec) -> int:
@@ -523,8 +528,8 @@ def free_distance(spec: CodeSpec, budget: int | Meter = DEFAULT_BUDGET) -> int:
     degrees up to (w-1)*mu, the ``exact_horizon``, is exhaustive.  The
     column distance at a smaller horizon is a lower bound on it.
     """
-    matrix = spec.full_sliding_matrix(exact_horizon(spec) + 1)
-    return _min_weight_first_block(matrix, spec.n, spec.w + 1, as_meter(budget))
+    blocks = exact_horizon(spec) + 1
+    return _min_weight_first_block(spec, blocks + spec.mu, spec.n * blocks, spec.w + 1, as_meter(budget))
 
 
 # ---------------------------------------------------------------------------
@@ -579,16 +584,12 @@ def check_distance_assumptions(spec: CodeSpec, budget: int | Meter = DEFAULT_BUD
 
     The columns meeting R are read off the marks, with no matrix, and the
     span-test entries by ``CodeSpec.column_entries``.  Row b of the check
-    is the mark a = T_j1[b].  The information column (s, k) of block s,
-    ``CodeSpec.column_at(s, k)``, is base column k moved down s rows, s
-    blocks: it meets row a iff
-    a - s is in T_k.  So the later information columns meeting R are the
-    (a - m, k) with a in T_j1, m <= a in T_k and index past j1, read from
-    the (n - 1) w**2 pairs of marks; s = a - m <= mu, so every one is in
-    the matrix at horizon mu.  The parity column of block t meets row
-    t + 1 alone, so the parity column of block a - 1 meets row
-    a and no other row of R: every row of R has a single-row column of its
-    own, later than j1.
+    is the mark a = T_j1[b].  Column (s, k), ``CodeSpec.column_at(s, k)``,
+    meets row a iff a - s is in marks[k], so the later columns meeting R
+    are those past j1 of ``CodeSpec.row_columns(a)``, a in T_j1; s <= mu,
+    so every one is in the matrix at horizon mu.  The parity column of
+    block a - 1 meets row a and no other row of R: every row of R has a
+    single-row column of its own, later than j1.
 
     The check is closed-form over the single-row columns.  On R, a later
     column is zero, a multiple of one unit vector e_r (single-row, on row
@@ -625,23 +626,16 @@ def check_distance_assumptions(spec: CodeSpec, budget: int | Meter = DEFAULT_BUD
     columns and the w parity columns), one per pair tested and one per
     witness, charged for every witness before any is listed.
     """
-    n, w = spec.n, spec.w
-    sets = spec.dts.sets
-    # each mark m of T_k with column (-m, k): moved down a rows, a blocks, it is column a*n + that
-    marked = [[(m, spec.column_at(-m, k)) for m in t_k] for k, t_k in enumerate(sets, start=1)]
+    w = spec.w
     meter = as_meter(budget)
     minimal = []  # (rows, j1, P, the single-row columns of each row of R') per minimal pair
-    for j1, rows in enumerate(sets, start=1):
-        met: dict[int, list[int]] = {}  # later information column -> positions in rows it meets
+    for j1, rows in enumerate(spec.dts.sets, start=1):
+        met: dict[int, list[int]] = {}  # later column -> positions in rows it meets
         for b, a in enumerate(rows):
-            for t_k in marked:
-                for m, c0 in t_k:
-                    if m > a:
-                        break
-                    c = a * n + c0
-                    if c > j1:
-                        met.setdefault(c, []).append(b)
-        meter.charge(len(met) + w)
+            for c in spec.row_columns(a):
+                if c > j1:
+                    met.setdefault(c, []).append(b)
+        meter.charge(len(met))
         multi = {c: bs for c, bs in met.items() if len(bs) > 1}  # multi-row column -> its positions
         # column -> its entries on R, read only when some pair can be tested
         entries = {c: spec.column_entries(c, rows) for c in (j1, *multi)} if multi else {}
@@ -657,8 +651,7 @@ def check_distance_assumptions(spec: CodeSpec, budget: int | Meter = DEFAULT_BUD
                     else _in_span(spec.field, kept_target, vecs)):
                 spanning.append((part, deleted))
         if spanning:  # position -> its single-row columns, its parity column included
-            single = [sorted([spec.column_at(a - 1, 0), *(c for c in met if met[c] == [b])])
-                      for b, a in enumerate(rows)]
+            single = [sorted(c for c in met if met[c] == [b]) for b in range(w)]
             minimal += ((rows, j1, part, [single[b] for b in sorted(deleted)])
                         for part, deleted in spanning)
     meter.charge(sum(math.prod(map(len, picks)) for *_, picks in minimal))
@@ -702,8 +695,8 @@ def distance_profile(spec: CodeSpec, budget: int | Meter = DEFAULT_BUDGET) -> Di
     then the check runs.  When it holds, every column distance is w_j + 1,
     the smallest weight an information column keeps after j + 1 rows plus
     one, and the free distance is w + 1, all read off it with no search.
-    The check and the predictions read only the marks, so a profile whose
-    check holds builds no matrix.
+    The check, the searches and the predictions read only the marks, so
+    no profile builds a matrix.
     Take a kernel vector of weight d with a nonzero first
     block, of the truncated sliding matrix at a horizon j <= mu or of the
     untruncated one that ``free_distance`` searches.  Later blocks start

@@ -228,6 +228,7 @@ def _cmd_distance(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     _at_least(args.sets, 1, "--sets")
     _at_least(args.size, 1, "--size")
+    _at_least(args.budget, 0, "--budget")
     try:
         result = search_min_scope(args.sets, args.size, mode=args.mode,
                                   min_element=args.min_element,

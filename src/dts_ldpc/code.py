@@ -11,11 +11,11 @@ memory is mu = scope - 1 and the syndrome former degree is delta = mu.
 Sliding matrices stack shifted copies of the coefficient rows; the
 truncated variant keeps the first j+1 block rows, the untruncated variant
 keeps every row its block columns touch.  Either is a tiling of the base
-matrix by ``ExponentMatrix``, the one matrix class: made in constant time
-and memory at any horizon, its entries and supports read off the base on
-demand.  The last code symbol of each block is the parity; the encoder
-is systematic, and it and the syndrome multiply by the untruncated
-sliding matrix, the same tiling that the analyses read.
+matrix by ``ExponentMatrix``, the one matrix class, made in constant time
+and memory at any horizon; only the exports read it.  The rule i*k is
+written once, in ``CodeSpec.marks``, and every entry, the encoder and the
+syndrome read it there.  The last code symbol of each block is the
+parity, and the encoder is systematic.
 
 Indexing note: matrix rows and columns are 1-based everywhere, matching
 the reports.  Entry exponents depend on the 1-based row index, so this is
@@ -196,7 +196,7 @@ def sliding_entry_origin(n: int, row: int, col: int) -> tuple[int, int]:
 
     Returns (base_row, unified_column_index) where the parity column has
     unified index 0 and information column k keeps index k; with that
-    convention every nonzero sliding entry equals alpha^(base_row * index).
+    convention every nonzero sliding entry is alpha**marks[index][base_row].
     """
     block, within = divmod(col - 1, n)
     base_row = row - block
@@ -289,13 +289,18 @@ class CodeSpec:
         self.scope = dts.scope
         self.mu = self.scope - 1
         self.delta = self.scope - 1
+        # marks[index]: each mark i of T_index -> its exponent i*index, and the parity
+        # column's one mark 1 -> 0, index 0: the one place the exponent rule is written
+        self.marks = tuple([{i: i * k for i in t_k} for k, t_k in enumerate(((1,), *dts.sets))])
+        # (m, c) per mark m of marks[index], c column (-m, index): row r >= m meets column r*n + c
+        self._mark_columns = [(m, self.column_at(-m, k)) for k, t_k in enumerate(self.marks) for m in t_k]
 
     @functools.cached_property
     def base(self) -> ExponentMatrix:
-        """Transposed base matrix: alpha**(i*index) at row i of column
-        ``column_at(0, index)`` for each mark i of marks[index]."""
-        entries = {(i, self.column_at(0, k)): self.field.alpha_pow(i * k)
-                   for k, marks in enumerate(self.marks) for i in marks}
+        """Transposed base matrix: alpha**e at row i of column
+        ``column_at(0, index)`` for each mark i -> exponent e of marks[index]."""
+        entries = {(i, self.column_at(0, k)): self.field.alpha_pow(e)
+                   for k, table in enumerate(self.marks) for i, e in table.items()}
         return ExponentMatrix(self.scope, self.n, entries, self.field)
 
     def sliding_matrix(self, j: int) -> ExponentMatrix:
@@ -309,11 +314,6 @@ class CodeSpec:
         if num_blocks < 1:
             raise ValueError("need at least one block column")
         return self.base._tiled(num_blocks, num_blocks + self.mu)
-
-    @functools.cached_property
-    def marks(self) -> tuple[frozenset[int], ...]:
-        """marks[index]: T_index, and the one mark 1 of the parity column, index 0."""
-        return (frozenset((1,)), *map(frozenset, self.dts.sets))
 
     @functools.cached_property
     def witnesses(self) -> dict[int, list[tuple[int, int, int]]]:
@@ -333,9 +333,9 @@ class CodeSpec:
         as (rows, walk, D) at its first translate, read off ``witnesses``.
 
         Translates.  Column (s, k) of block s, ``column_at(s, k)``, meets row
-        r iff r - s is in T_k, with exponent (r - s)*k.  Adding t to every
-        row and t*n to every column, t blocks, keeps both, so a class, a
-        cycle with all its translates, has one D.  At its first translate a
+        r iff r - s is in T_k, with exponent marks[k][r - s].  Adding t to
+        every row and t*n to every column, t blocks, keeps both, so a class,
+        a cycle with all its translates, has one D.  At its first translate a
         column lies in block 0 and none lower; with c0 its last row,
         translate t is in the sliding matrix at horizon j iff t >= 0 and c0 +
         t <= j + 1 (a column meets a row <= j + 1 at a mark >= 1, so its block
@@ -346,10 +346,8 @@ class CodeSpec:
         A set has at most one witness of d, as its differences are distinct,
         so a 4-cycle is two witnesses (k1, m1), (k2, m2) of one d, k1 != k2,
         which fix its columns, and each such pair and a >= max(m1, m2) give
-        one: the classes are these pairs, first at a = max(m1, m2).  The
-        transversals, identity (even) and swap (odd), of x = (a - m1, k1) and
-        y = (a - m2, k2) give D = E_ax + E_by - E_ay - E_bx = m1 k1 + (m2 + d)
-        k2 - m2 k2 - (m1 + d) k1 = d (k2 - k1).
+        one: the classes are these pairs, first at a = max(m1, m2), with x =
+        (a - m1, k1) and y = (a - m2, k2).
 
         6-cycles.  Likewise a walk x in M_ab, y in M_bc, z in M_ac of rows a <
         b < c is witnesses (kx, mx) of d1 = b - a, (ky, my) of d2 = c - b and
@@ -357,38 +355,41 @@ class CodeSpec:
         (a - mz, kz), chordless iff x misses row c, y row a and z row b: mx +
         d1 + d2 not in T_kx, my - d1 not in T_ky, mz + d1 not in T_kz.  The
         classes are these witness triples, first at a = max(mx, my - d1, mz).
-        The transversals {(a, x), (b, y), (c, z)} and {(a, z), (b, x), (c, y)}
-        differ by a 3-cycle, so their parities agree, and D = E_ax + E_by +
-        E_cz - E_az - E_bx - E_cy = (d1 + d2) kz - d1 kx - d2 ky.
 
-        Both D take the exponent (r - s)*k of ``column_entries``, the base
-        matrix's alpha**(i*k), as given: another edge exponent rule needs
-        other D.  Each D is an integer, so the table reads no field; it takes
-        no horizon.  It is finite, bounded by the DTS: its classes are pairs
-        and triples of witnesses, each difference d3 scanned with each d1 <
-        d3 whose complement is one too, in O(|differences|**2).  Built once
-        per code, it is charged to no meter, like the witnesses; a report
-        charges the classes it reads (``analysis._cycle_classes``).
+        D is E1 - E2 for the class's two nonzero transversals, each E the
+        sum of its entries' exponents E_rc, read off ``marks``: for a 4-cycle
+        the identity (even) less the swap (odd), E_ax + E_by - E_ay - E_bx,
+        and for a 6-cycle {(a, x), (b, y), (c, z)} less {(a, z), (b, x), (c,
+        y)}, which differ by a 3-cycle, so their parities agree: E_ax + E_by
+        + E_cz - E_az - E_bx - E_cy.  Each D is an integer, so the table
+        reads no field; it takes no horizon.  It is finite, bounded by the
+        DTS: its classes are pairs and triples of witnesses, each difference
+        d3 scanned with each d1 < d3 whose complement is one too, in
+        O(|differences|**2).  Built once per code, it is charged to no meter,
+        like the witnesses; a report charges the classes it reads
+        (``analysis._cycle_classes``).
         """
         n, marks, wits = self.n, self.marks, self.witnesses
         classes: dict[int, list] = {4: [], 6: []}
         for d, found in wits.items():
             for (k1, m1, c1), (k2, m2, c2) in itertools.combinations(found, 2):
-                a = max(m1, m2)
-                classes[4].append(((a, a + d), tuple(sorted((a * n + c1, a * n + c2))), d * (k2 - k1)))
+                a, x, y = max(m1, m2), marks[k1], marks[k2]
+                classes[4].append(((a, a + d), tuple(sorted((a * n + c1, a * n + c2))),
+                                   x[m1] + y[m2 + d] - y[m2] - x[m1 + d]))
         for d3, zs in wits.items():
             for d1, xs in wits.items():
                 ys = wits.get(d3 - d1, ()) if d1 < d3 else ()
                 for (kz, mz, cz), (kx, mx, cx), (ky, my, cy) in itertools.product(zs, xs, ys):
                     if mz + d1 not in marks[kz] and mx + d3 not in marks[kx] and my - d1 not in marks[ky]:
-                        a = max(mx, my - d1, mz)
-                        classes[6].append(((a, a + d1, a + d3), (a * n + cx, (a + d1) * n + cy, a * n + cz),
-                                           d3 * kz - d1 * kx - (d3 - d1) * ky))
+                        a, x, y, z = max(mx, my - d1, mz), marks[kx], marks[ky], marks[kz]
+                        walk = (a * n + cx, (a + d1) * n + cy, a * n + cz)
+                        classes[6].append(((a, a + d1, a + d3), walk, x[mx] + y[my] + z[mz + d3]
+                                           - z[mz] - x[mx + d1] - y[my + d3 - d1]))
         return classes
 
     def column_origin(self, col: int) -> tuple[int, int]:
         """(block, index) of sliding-matrix column ``col`` (``sliding_entry_origin``):
-        row r meets it iff r - block is in marks[index], with entry alpha**((r - block)*index)."""
+        row r meets it iff r - block is in marks[index], with entry alpha**marks[index][r - block]."""
         base_row, index = sliding_entry_origin(self.n, 0, col)
         return -base_row, index
 
@@ -400,13 +401,13 @@ class CodeSpec:
         """The columns of blocks >= 0 that meet ``row``, parity included:
         (row - m, index) for each mark m <= row of marks[index].  For row <=
         j + 1 they are ``sliding_matrix(j).row_support(row)``, unordered."""
-        return [self.column_at(row - m, k) for k, marks in enumerate(self.marks) for m in marks if m <= row]
+        return [row * self.n + c for m, c in self._mark_columns if m <= row]
 
     def column_entries(self, col: int, rows: Sequence[int]) -> list[FieldElement]:
         """Entries of column ``col`` on ``rows``, read off the marks (``column_origin``)."""
         block, index = self.column_origin(col)
-        marks = self.marks[index]
-        return [self.field.alpha_pow((r - block) * index) if r - block in marks else ZERO for r in rows]
+        table = self.marks[index]
+        return [self.field.alpha_pow(table[r - block]) if r - block in table else ZERO for r in rows]
 
     def encode(self, message: Sequence[Sequence[FieldElement]]) -> list[tuple[FieldElement, ...]]:
         """Systematic encoding: each output block is (u_t, p_t).
@@ -426,16 +427,18 @@ class CodeSpec:
         return [b + (self.field.neg(s),) for b, s in zip(info, syndrome)]
 
     def syndrome(self, word: Sequence[Sequence[FieldElement]]) -> list[FieldElement]:
-        """The word times the untruncated sliding matrix, one entry per row;
-        all-zero exactly when the word is a codeword."""
+        """The word times the untruncated sliding matrix, one entry per row,
+        read off the marks; all-zero exactly when the word is a codeword."""
         word = [tuple(b) for b in word]
         for b in word:
             if len(b) != self.n:
                 raise ValueError(f"code blocks have {self.n} symbols, got {len(b)}")
         f, out = self.field, [ZERO] * (len(word) + self.mu)
-        for r, c, e in self.full_sliding_matrix(len(word)).items() if word else ():
-            t, k = divmod(c - 1, self.n)
-            out[r - 1] = f.add(out[r - 1], f.mul(e, word[t][k]))
+        for t, block in enumerate(word):
+            for k, table in enumerate(self.marks):
+                x = block[self.column_at(0, k) - 1]
+                for m, e in table.items():
+                    out[t + m - 1] = f.add(out[t + m - 1], f.mul(f.alpha_pow(e), x))
         return out
 
     def __repr__(self) -> str:

@@ -7,6 +7,7 @@ patterns over characteristic-2 fields is asserted as ground truth.
 """
 
 import collections
+import functools
 import itertools
 import json
 import math
@@ -17,7 +18,7 @@ import pytest
 
 from dts_ldpc import analysis as an
 from dts_ldpc.cli import main
-from dts_ldpc.code import CodeSpec, ExponentMatrix, sliding_entry_origin
+from dts_ldpc.code import CodeSpec, sliding_entry_origin
 from dts_ldpc.dts import DifferenceTriangleSet, validate
 from dts_ldpc.errors import BudgetExhausted, HorizonTooLarge
 from dts_ldpc.gf import ZERO, GaloisField, det, make_field
@@ -397,15 +398,19 @@ def test_one_column_span_rule_matches_reduction(p, n):
     assert spanned == targets_tried * (field.q - 1)
 
 
-def test_closed_support_that_does_not_span_is_grown():
-    # three pairwise independent columns on the same two rows: {1, c} meets
-    # no row once but spans nothing, and the answer needs all three
-    gf5 = make_field(5, 1)
-    matrix = ExponentMatrix(2, 3, {(1, 1): 0, (1, 2): 0, (1, 3): 0,
-                                   (2, 1): 0, (2, 2): 1, (2, 3): 2}, gf5)
+def test_closed_support_that_does_not_span_is_grown(monkeypatch):
+    # 1,2;1,2 over GF(5) at j = 1: columns 1 and 2 both meet rows 1 and 2,
+    # so {1, 2} meets no row once, but (a, a^2) and (a^2, a^4) are
+    # independent: the support spans nothing and is grown, and the
+    # distance is 3, searched here past the ub of column_distance
+    spec = CodeSpec(DifferenceTriangleSet.from_inline("1,2;1,2"), make_field(5, 1), 3)
+    spans, in_span = [], an._in_span
+    monkeypatch.setattr(an, "_in_span", lambda *args: spans.append(in_span(*args)) or spans[-1])
     meter = an.Meter(an.DEFAULT_BUDGET)
-    assert an._min_weight_first_block(matrix, 1, 4, meter) == 3
-    assert oracle_min_weight_first_block(gf5, matrix, 1, 4) == 3
+    assert an._min_weight_first_block(spec, 2, 6, 4, meter) == 3
+    assert False in spans
+    assert an.column_distance(spec, 1) == 3
+    assert oracle_min_weight_first_block(spec.field, spec.sliding_matrix(1), spec.n, 4) == 3
 
 
 def _charge(routine, spec, *args):
@@ -1330,9 +1335,9 @@ def test_strict_profile_runs_no_span_test_in_the_check_and_no_search_at_mu(monke
             return span_test(*args)
         return counted_span_test
 
-    def recorded_search(matrix, *args):
-        searched.append(matrix.rows)
-        return search(matrix, *args)
+    def recorded_search(spec, rows, *args):
+        searched.append(rows)
+        return search(spec, rows, *args)
 
     monkeypatch.setattr(an, "_in_span", counted(an._in_span))
     monkeypatch.setattr(an, "_in_column_span", counted(an._in_column_span))
@@ -1350,6 +1355,32 @@ def test_strict_profile_runs_no_span_test_in_the_check_and_no_search_at_mu(monke
         assert not spans and not searched, spec
         assert profile.free == spec.w + 1
         assert profile == oracle_distance_profile(spec), spec
+
+
+def test_distances_and_the_syndrome_tile_no_sliding_matrix(monkeypatch):
+    # the searches, the encoder and the syndrome read the marks: with both
+    # tilings refused, a failing profile still searches every distance,
+    # and the syndrome is still the word times the untruncated tiling
+    spec = CodeSpec(DifferenceTriangleSet.from_inline("1,2,4;1,2,4"), make_field(2, 2), 3)
+    expected = oracle_distance_profile(spec)
+    rng = random.Random(41)
+    els = list(spec.field.elements())
+    word = [tuple(rng.choice(els) for _ in range(spec.n)) for _ in range(4)]
+    full, f = spec.full_sliding_matrix(len(word)), spec.field
+    symbols = [x for block in word for x in block]
+    tiled = [functools.reduce(f.add, (f.mul(full.get(r, c), x) for c, x in enumerate(symbols, 1)), ZERO)
+             for r in range(1, full.rows + 1)]
+
+    def refuse(*args):
+        raise AssertionError("tiled a sliding matrix")
+
+    for name in ("sliding_matrix", "full_sliding_matrix"):
+        monkeypatch.setattr(CodeSpec, name, refuse)
+    profile = an.distance_profile(spec)
+    assert not profile.assumption_check.holds and profile == expected
+    assert spec.syndrome(word) == tiled and any(s is not ZERO for s in tiled)
+    codeword = spec.encode([block[:-1] for block in word])
+    assert all(s is ZERO for s in spec.syndrome(codeword))
 
 
 def test_column_distances_when_the_check_holds_match_the_search():

@@ -328,13 +328,13 @@ def test_cli_distance_builds_no_matrix_when_the_check_holds(capsys, monkeypatch,
     assert not calls
 
 
-def test_cli_distance_builds_the_base_once_when_the_check_fails(capsys, monkeypatch):
+def test_cli_distance_builds_no_matrix_when_the_check_fails(capsys, monkeypatch):
     # two equal sets share every difference: the check fails and every
-    # distance is searched, on tilings of one base matrix
+    # distance is searched, its columns, rows and entries read off the marks
     calls = _record_matrix_reads(monkeypatch)
     code, out, _ = run_cli(capsys, "distance", "--dts", "1,2;1,2", "--n", "3", "--field", "2")
     assert code == 0 and "assumption_holds: no" in out
-    assert calls.count("__init__") == 1 and "_tiled" in calls
+    assert calls == []
 
 
 def test_cli_distance_restricted_horizon(capsys):
@@ -555,6 +555,7 @@ def test_cli_refuses_a_block_length_below_2(capsys, command, n):
 @pytest.mark.parametrize("argv, message", [
     (("search", "--sets", "0", "--size", "3"), "--sets must be >= 1, got 0"),
     (("search", "--sets", "1", "--size", "-2"), "--size must be >= 1, got -2"),
+    (("search", "--sets", "1", "--size", "3", "--budget", "-1"), "--budget must be >= 0, got -1"),
     (("density", "--n", "1", "--w", "3", "--mu", "5", "--len", "6"), "--n must be >= 2, got 1"),
     (("density", "--n", "3", "--w", "0", "--mu", "5", "--len", "6"), "--w must be >= 1, got 0"),
     (("density", "--n", "3", "--w", "3", "--mu", "-9", "--len", "6"), "--mu must be >= 0, got -9"),
