@@ -48,8 +48,8 @@ class ExponentMatrix:
     ends share one run (``row_runs``).  Column c is pattern column
     (c - 1) mod width moved down (c - 1) // width rows and cut at
     ``rows``; the copies cut at the same pattern rows share their columns
-    (``block_runs``).  Columns and entries are read off the pattern on
-    every call, so no read changes the matrix.
+    (``block_runs``).  The runs are the one reader (``items`` walks the
+    row runs), and each read walks the pattern, so no read changes it.
     """
 
     def __init__(self, rows: int, cols: int, entries: dict[tuple[int, int], int],
@@ -83,23 +83,9 @@ class ExponentMatrix:
         return tiled
 
     def _run(self, r: int) -> slice:
-        """The layout entries that land in row r."""
-        if not 1 <= r <= self.rows:
-            return slice(0)
+        """The layout entries that land in row r, 1 <= r <= rows."""
         neg_rows = self._layout[0]
         return slice(bisect.bisect_left(neg_rows, -r), bisect.bisect_left(neg_rows, self._blocks - r))
-
-    def _column(self, c: int) -> tuple[int, dict[int, int]]:
-        """``(t, column)``: column c is the pattern column ``column``, row ->
-        exponent, moved down t rows and cut at ``rows``."""
-        if not 1 <= c <= self.cols:
-            return 0, {}
-        t, k = divmod(c - 1, self.width)
-        return t, self._layout[3].get(k, {})
-
-    def get(self, r: int, c: int) -> FieldElement:
-        t, column = self._column(c)
-        return column.get(r - t) if r <= self.rows else None
 
     @property
     def nonzero_count(self) -> int:
@@ -109,13 +95,6 @@ class ExponentMatrix:
     @property
     def entries(self) -> dict[tuple[int, int], int]:
         return {(r, c): e for r, c, e in self.items()}
-
-    def row_support(self, r: int) -> tuple[int, ...]:
-        return tuple(map((r * self.width).__add__, self._layout[1][self._run(r)]))
-
-    def col_support(self, c: int) -> tuple[int, ...]:
-        t, column = self._column(c)
-        return tuple(i + t for i in column if i + t <= self.rows)
 
     def row_runs(self) -> Iterator[tuple[int, int, list[int], list[int]]]:
         """``(first_row, last_row, offsets, exponents)`` over the maximal
@@ -368,6 +347,14 @@ class CodeSpec:
         O(|differences|**2).  Built once per code, it is charged to no meter,
         like the witnesses; a report charges the classes it reads
         (``analysis._cycle_classes``).
+
+        Girth <= 6.  Marks a < b < c of one T_k give a chordless 6-cycle
+        class: rows (b, c, b + c - a), columns ``column_at(s, k)`` for s = 0,
+        b - a, c - a.  A chord would need b + c - a, a + b - c or a + c - b
+        in T_k (the last is b itself exactly when b - a = c - b); each
+        repeats a difference of T_k, which relaxed validity forbids.  So a
+        code with w >= 3 has girth at most 6, and the class has a translate
+        within j once j >= b + c - a - 1, which is at most 2*mu - 1.
         """
         n, marks, wits = self.n, self.marks, self.witnesses
         classes: dict[int, list] = {4: [], 6: []}
@@ -399,8 +386,8 @@ class CodeSpec:
 
     def row_columns(self, row: int) -> list[int]:
         """The columns of blocks >= 0 that meet ``row``, parity included:
-        (row - m, index) for each mark m <= row of marks[index].  For row <=
-        j + 1 they are ``sliding_matrix(j).row_support(row)``, unordered."""
+        (row - m, index) for each mark m <= row of marks[index]: for row <= j
+        + 1, the columns of ``sliding_matrix(j).items()`` on ``row``, unordered."""
         return [row * self.n + c for m, c in self._mark_columns if m <= row]
 
     def column_entries(self, col: int, rows: Sequence[int]) -> list[FieldElement]:

@@ -21,7 +21,7 @@ from dts_ldpc.code import CodeSpec, density, sliding_entry_origin
 from dts_ldpc.dts import DifferenceTriangleSet, search_min_scope, validate
 from dts_ldpc.gf import ZERO, det, make_field
 
-from grids import submatrix
+from grids import Grid, submatrix
 
 # 6x18 truncated parity-check matrices of the two reference codes over
 # GF(2^5), transcribed entry by entry; values are exponents of alpha.
@@ -142,7 +142,7 @@ def test_criterion_04_2x2_minor_sweep_and_closed_form(ref_spec_a, ref_spec_b, gf
     sweep = []
     for spec in (ref_spec_a, ref_spec_b):
         report = an.check_minors(spec, 2)
-        matrix = spec.sliding_matrix(5)
+        matrix = Grid(spec.sliding_matrix(5))
         seen = 0
         for rows in itertools.combinations(range(1, matrix.rows + 1), 2):
             for cols in itertools.combinations(range(1, matrix.cols + 1), 2):

@@ -23,7 +23,8 @@ from dts_ldpc.dts import DifferenceTriangleSet, validate
 from dts_ldpc.errors import BudgetExhausted, HorizonTooLarge
 from dts_ldpc.gf import ZERO, GaloisField, det, make_field
 
-from grids import submatrix
+from grids import Grid, submatrix
+from test_code import _seeded_family
 
 # Singular 3x3 cycle patterns in H_5^c over GF(2^5): each is built from
 # three shifts of one information column, where both diagonal products
@@ -149,9 +150,10 @@ def test_span_criterion_matches_bruteforce(sets, p, deg, n):
 
 def oracle_min_weight_first_block(field, matrix, n_first, ub):
     """Smallest d such that a first-block column lies in the span of d-1 others."""
-    vectors = [[matrix.get(r, c) for r in range(1, matrix.rows + 1)]
+    matrix = Grid(matrix)
+    vectors = [[matrix.at(r, c) for r in range(1, matrix.rows + 1)]
                for c in range(1, matrix.cols + 1)]
-    masks = [sum(1 << (r - 1) for r in matrix.col_support(c))
+    masks = [sum(1 << (r - 1) for r in matrix.col(c))
              for c in range(1, matrix.cols + 1)]
     for d in range(1, ub):
         for target in range(n_first):
@@ -171,15 +173,15 @@ def oracle_min_weight_first_block(field, matrix, n_first, ub):
 def oracle_check_distance_assumptions(spec):
     """Every set of 1..w-1 later columns tested against each information
     column, kept when it spans and no column of it can be dropped."""
-    matrix = spec.sliding_matrix(spec.mu)
+    matrix = Grid(spec.sliding_matrix(spec.mu))
     witnesses = []
     for j1 in range(1, spec.n):
-        rows = matrix.col_support(j1)
-        target = [matrix.get(r, j1) for r in rows]
+        rows = matrix.col(j1)
+        target = [matrix.at(r, j1) for r in rows]
         rest = range(j1 + 1, matrix.cols + 1)
         for size in range(1, spec.w):
             for combo in itertools.combinations(rest, size):
-                vecs = [[matrix.get(r, c) for r in rows] for c in combo]
+                vecs = [[matrix.at(r, c) for r in rows] for c in combo]
                 if an._in_span(spec.field, target, vecs) and not any(
                         an._in_span(spec.field, target, vecs[:k] + vecs[k + 1:])
                         for k in range(size)):
@@ -190,19 +192,19 @@ def oracle_check_distance_assumptions(spec):
 def sliding_check_distance_assumptions(spec, budget=an.DEFAULT_BUDGET):
     """The assumption check read off the sliding matrix at horizon mu: the
     later columns meeting R from the row supports of R, the target and the
-    span-test entries from ``get``, every span test reduced by ``_in_span``,
+    span-test entries from ``Grid.at``, every span test reduced by ``_in_span``,
     charged as ``check_distance_assumptions`` charges.  It asserts that
     every row of R has a single-row column, which ``_span_pairs`` takes as
     given."""
-    matrix = spec.sliding_matrix(spec.mu)
+    matrix = Grid(spec.sliding_matrix(spec.mu))
     w = spec.w
     meter = an.as_meter(budget)
     minimal = []
     for j1 in range(1, spec.n):
-        rows = matrix.col_support(j1)
+        rows = matrix.col(j1)
         met = {}
         for b, r in enumerate(rows):
-            for c in matrix.row_support(r):
+            for c in matrix.row(r):
                 if c > j1:
                     met.setdefault(c, []).append(b)
         meter.charge(len(met))
@@ -213,14 +215,14 @@ def sliding_check_distance_assumptions(spec, budget=an.DEFAULT_BUDGET):
             else:
                 multi[c] = met[c]
         assert set(single) == set(range(w)), (spec, j1)
-        target = [matrix.get(r, j1) for r in rows]
+        target = [matrix.at(r, j1) for r in rows]
         spanning = []
         for part, deleted in an._span_pairs(multi, w):
             if any(p <= part and d <= deleted for p, d in spanning):
                 continue
             meter.charge(1)
             kept = [b for b in range(w) if b not in deleted]
-            vecs = [[matrix.get(rows[b], c) for b in kept] for c in sorted(part)]
+            vecs = [[matrix.at(rows[b], c) for b in kept] for c in sorted(part)]
             if an._in_span(spec.field, [target[b] for b in kept], vecs):
                 spanning.append((part, deleted))
         minimal += ((rows, j1, part, [single[b] for b in sorted(deleted)])
@@ -267,8 +269,8 @@ def test_support_search_matches_combination_oracle():
         horizon = rng.randrange(an.exact_horizon(spec))
         assert an.column_distance(spec, horizon) == oracle_column_distance(spec, horizon), (
             spec, horizon)
-        matrix = spec.sliding_matrix(spec.mu)
-        assert not any(all(matrix.get(r, c) is None for r in wit.rows)
+        matrix = Grid(spec.sliding_matrix(spec.mu))
+        assert not any(all(matrix.at(r, c) is None for r in wit.rows)
                        for wit in expected.assumption_check.witnesses for c in wit.cols[1:]), spec
     # no witness holds a column that vanishes on the support rows, and
     # some profiles search every distance, as their check fails
@@ -325,9 +327,9 @@ def test_assumption_check_matches_combination_oracle():
         expected = oracle_check_distance_assumptions(spec)
         assert an.check_distance_assumptions(spec) == expected, spec
         failing += not expected.holds
-        matrix = spec.sliding_matrix(spec.mu)
+        matrix = Grid(spec.sliding_matrix(spec.mu))
         for wit in expected.witnesses:
-            target, *vecs = ([matrix.get(r, c) for r in wit.rows] for c in wit.cols)
+            target, *vecs = ([matrix.at(r, c) for r in wit.rows] for c in wit.cols)
             assert not any(an._in_span(spec.field, target, vecs[:k] + vecs[k + 1:])
                            for k in range(len(vecs))), (spec, wit)
     # no witness column can be dropped, and some seeded checks fail
@@ -449,7 +451,7 @@ def test_minors_3x3_char2_cycle_collapses(ref_spec_a, ref_spec_b):
                                an.PATTERN_MIXED: 2415}
     assert tuple((f.rows, f.cols) for f in ra.failures) == REF_A_MINOR3_FAILURES
     assert all(f.pattern == an.PATTERN_CYCLE for f in ra.failures)
-    matrix = ref_spec_a.sliding_matrix(5)
+    matrix = Grid(ref_spec_a.sliding_matrix(5))
     assert all(det(ref_spec_a.field, submatrix(matrix, f.rows, f.cols)) is ZERO for f in ra.failures)
     rb = an.check_minors(ref_spec_b, 3)
     assert rb.checked == 1754
@@ -459,7 +461,7 @@ def test_minors_3x3_char2_cycle_collapses(ref_spec_a, ref_spec_b):
 
 
 def test_failing_cycle_patterns_have_equal_diagonal_products(ref_spec_a, gf32):
-    matrix = ref_spec_a.sliding_matrix(5)
+    matrix = Grid(ref_spec_a.sliding_matrix(5))
     for rows, cols in REF_A_MINOR3_FAILURES:
         grid = submatrix(matrix, rows, cols)
         products = []
@@ -475,7 +477,7 @@ def test_failing_cycle_patterns_have_equal_diagonal_products(ref_spec_a, gf32):
 
 def test_closed_form_matches_every_fully_nonzero_2x2(ref_spec_a, ref_spec_b, gf32):
     for spec in (ref_spec_a, ref_spec_b):
-        matrix = spec.sliding_matrix(5)
+        matrix = Grid(spec.sliding_matrix(5))
         seen = 0
         for rows in itertools.combinations(range(1, matrix.rows + 1), 2):
             for cols in itertools.combinations(range(1, matrix.cols + 1), 2):
@@ -521,7 +523,7 @@ def test_cycle_counts_girth_and_pattern_invariant(ref_spec_a, ref_spec_b):
         c6 = an.enumerate_cycles(spec, 6)
         assert (len(c4.cycles), len(c6.cycles)) == expected[id(spec)]
         assert c4.girth == c6.girth == 4
-        matrix = spec.sliding_matrix(spec.mu)
+        matrix = Grid(spec.sliding_matrix(spec.mu))
         for cyc in c4.cycles:
             assert all(e is not None for row in submatrix(matrix, cyc.rows, cyc.cols) for e in row)
         for cyc in c6.cycles:
@@ -615,10 +617,10 @@ def _increasing(high, size):
 
 
 def _row_tuples(matrix, size, listed):
-    """``(rows, sup, meets, found)`` for every tuple of ``size`` rows in
-    lexicographic order: the row supports as sets, their pair meets
-    ``meets[a, b]`` and ``found = listed(sup, meets)``."""
-    supports = [None] + [set(matrix.row_support(r)) for r in range(1, matrix.rows + 1)]
+    """``(rows, sup, meets, found)`` for every tuple of ``size`` rows of a
+    ``Grid`` in lexicographic order: the row supports as sets, their pair
+    meets ``meets[a, b]`` and ``found = listed(sup, meets)``."""
+    supports = [None] + [set(matrix.row(r)) for r in range(1, matrix.rows + 1)]
     pairs = list(itertools.combinations(range(size), 2))
     for rows in _increasing(matrix.rows, size):
         sup = [supports[r] for r in rows]
@@ -665,7 +667,7 @@ def _walked_reports(spec, j):
     triple: per tuple, inclusion-exclusion over the row supports for the
     counts, and every column set of two or more nonzero transversals
     decided by the two-term rule or ``det``."""
-    matrix, field = spec.sliding_matrix(j), spec.field
+    matrix, field = Grid(spec.sliding_matrix(j)), spec.field
     reports = {}
 
     def listed(sup, meets):
@@ -710,8 +712,8 @@ def _walked_reports(spec, j):
 
 
 def _meet_count(matrix, rows):
-    """The number of pairs of ``rows`` that share a column."""
-    return sum(not set(matrix.row_support(a)).isdisjoint(matrix.row_support(b))
+    """The number of pairs of ``rows`` of a ``Grid`` that share a column."""
+    return sum(not set(matrix.row(a)).isdisjoint(matrix.row(b))
                for a, b in itertools.combinations(rows, 2))
 
 
@@ -754,7 +756,7 @@ def test_classes_match_the_dense_walk_up_to_horizon_60(ref_spec_a, ref_spec_b):
         for size in (2, 3):
             assert an.check_minors(spec, size, j) == walked[size], (spec, size, j)
             assert an.enumerate_cycles(spec, 2 * size, j) == walked[2 * size], (spec, j)
-        matrix = spec.sliding_matrix(j)
+        matrix = Grid(spec.sliding_matrix(j))
         for f in walked[3].failures:
             meets = _meet_count(matrix, f.rows)
             kinds["far" if meets == 1 else "local-factorable"
@@ -773,7 +775,7 @@ def _dense_sweep(spec, size, j):
     fully-nonzero 2x2 and the cycle-pattern 3x3 submatrices, 6-cycles in
     (c12, c23, c13) walk order within each row triple.
     """
-    matrix = spec.sliding_matrix(j)
+    matrix = Grid(spec.sliding_matrix(j))
     counts = {an.PATTERN_FULL: 0, an.PATTERN_CYCLE: 0, an.PATTERN_MIXED: 0}
     if size == 2:
         del counts[an.PATTERN_CYCLE]
@@ -781,7 +783,7 @@ def _dense_sweep(spec, size, j):
     perms = list(itertools.permutations(range(size)))
     for rows in itertools.combinations(range(1, matrix.rows + 1), size):
         walks = []
-        restricted = [None] + [[matrix.get(r, c) for r in rows]
+        restricted = [None] + [[matrix.at(r, c) for r in rows]
                                for c in range(1, matrix.cols + 1)]
         for cols in itertools.combinations(range(1, matrix.cols + 1), size):
             grid = [list(row) for row in zip(*(restricted[c] for c in cols))]
@@ -861,7 +863,7 @@ def test_only_sets_of_three_or_more_transversals_are_evaluated(gf32, monkeypatch
     # have the same entries, and never for a cycle
     spec = CodeSpec(DifferenceTriangleSet.from_inline(sets), gf32, 3)
     counted = set()
-    for rows, sup, _, col_sets in _row_tuples(spec.sliding_matrix(25), 3, _vanishable):
+    for rows, sup, _, col_sets in _row_tuples(Grid(spec.sliding_matrix(25)), 3, _vanishable):
         for cols in col_sets:
             if sum(all(c in s for c, s in zip(perm, sup))
                    for perm in itertools.permutations(cols)) >= 3:
@@ -887,10 +889,10 @@ def _first_translate(n, rows, cols):
 def _integer_exponent_sums(spec, rows, cols):
     """The integer exponent sums of the nonzero transversals of a minor: an
     entry is alpha**(base_row * index) for every field (``sliding_entry_origin``)."""
-    matrix = spec.sliding_matrix(max(rows) - 1)
+    matrix = Grid(spec.sliding_matrix(max(rows) - 1))
     return [sum(math.prod(sliding_entry_origin(spec.n, r, c)) for r, c in zip(rows, perm))
             for perm in itertools.permutations(cols)
-            if all(matrix.get(r, c) is not None for r, c in zip(rows, perm))]
+            if all(matrix.at(r, c) is not None for r, c in zip(rows, perm))]
 
 
 def test_char2_3x3_failures_are_the_equal_sum_cycle_patterns(dts_126_124, dts_126_235):
@@ -900,9 +902,10 @@ def test_char2_3x3_failures_are_the_equal_sum_cycle_patterns(dts_126_124, dts_12
     for dts, expected in ((dts_126_124, REF_A_MINOR3_FAILURES),
                           (dts_126_235, REF_B_MINOR3_FAILURES)):
         pattern = CodeSpec(dts, make_field(2, 5), 3)
+        matrix = Grid(pattern.sliding_matrix(pattern.mu))
         predicted = tuple(
             (rows, cols)
-            for rows, _, _, walks in _row_tuples(pattern.sliding_matrix(pattern.mu), 3, _walks)
+            for rows, _, _, walks in _row_tuples(matrix, 3, _walks)
             for cols in walks
             if len(set(_integer_exponent_sums(pattern, rows, cols))) == 1)
         assert predicted == expected
@@ -981,7 +984,7 @@ def test_vanishable_sets_and_near_shapes_past_the_dense_sweep(ref_spec_a, ref_sp
         cases.append((spec, rng.randint(5, 14)))
     near_sets = 0
     for spec, j in cases:
-        matrix = spec.sliding_matrix(j)
+        matrix = Grid(spec.sliding_matrix(j))
         near = set()
         for size in (2, 3):
             for rows, sup, local, found in _row_tuples(matrix, size, _vanishable):
@@ -1222,7 +1225,7 @@ def test_girth_of_4_cycle_free_codes_matches_the_dense_walk(gf32):
     girths = collections.Counter()
     for dts, n, j in cases:
         spec = CodeSpec(dts, gf32, n)
-        matrix = spec.sliding_matrix(j)
+        matrix = Grid(spec.sliding_matrix(j))
         if any(walks for *_, walks in _row_tuples(matrix, 2, _walks)):
             continue
         found = any(walks for *_, walks in _row_tuples(matrix, 3, _walks))
@@ -1230,6 +1233,23 @@ def test_girth_of_4_cycle_free_codes_matches_the_dense_walk(gf32):
         assert an.enumerate_cycles(spec, 4, j).girth == an.enumerate_cycles(spec, 6, j).girth == girth
         girths[girth] += 1
     assert girths[6] >= 40 and girths[None]
+
+
+def test_every_mark_triple_gives_a_6_cycle_class():
+    # the girth bound of CodeSpec.cycle_classes: marks a < b < c of one set
+    # give the chordless class of rows (b, c, b + c - a) and columns (s, k),
+    # s = 0, b - a, c - a, so a code with w >= 3 has girth 4 or 6 at j = 2 mu
+    fields = [make_field(p, e) for p, e in ((2, 2), (5, 1), (3, 2), (2, 5))]
+    rng = random.Random(2033)
+    for trial in range(120):
+        n, w = rng.randint(2, 4), rng.randint(3, 5)
+        spec = CodeSpec(_seeded_family(rng, n, w, "relaxed"), fields[trial % len(fields)], n)
+        classes = {(rows, tuple(sorted(walk))) for rows, walk, _ in spec.cycle_classes[6]}
+        for k, t_k in enumerate(spec.dts.sets, start=1):
+            for a, b, c in itertools.combinations(t_k, 3):
+                cols = tuple(spec.column_at(s, k) for s in (0, b - a, c - a))
+                assert ((b, c, b + c - a), cols) in classes, (spec, a, b, c)
+        assert an.enumerate_cycles(spec, 6, 2 * spec.mu).girth in (4, 6), spec
 
 
 def test_distance_profile_charges_one_budget(ref_spec_a):
@@ -1366,9 +1386,9 @@ def test_distances_and_the_syndrome_tile_no_sliding_matrix(monkeypatch):
     rng = random.Random(41)
     els = list(spec.field.elements())
     word = [tuple(rng.choice(els) for _ in range(spec.n)) for _ in range(4)]
-    full, f = spec.full_sliding_matrix(len(word)), spec.field
+    full, f = Grid(spec.full_sliding_matrix(len(word))), spec.field
     symbols = [x for block in word for x in block]
-    tiled = [functools.reduce(f.add, (f.mul(full.get(r, c), x) for c, x in enumerate(symbols, 1)), ZERO)
+    tiled = [functools.reduce(f.add, (f.mul(full.at(r, c), x) for c, x in enumerate(symbols, 1)), ZERO)
              for r in range(1, full.rows + 1)]
 
     def refuse(*args):

@@ -297,7 +297,8 @@ def test_cli_distance_of_a_wide_family_within_default_budget(capsys):
 
 
 def _record_matrix_reads(monkeypatch):
-    """Record every ``ExponentMatrix`` built, tiled or read by row."""
+    """Record every ``ExponentMatrix`` built, tiled or read: its readers all
+    walk ``row_runs`` or ``block_runs``, and ``items`` walks the row runs."""
     calls = []
 
     def recorded(name, method):
@@ -306,7 +307,7 @@ def _record_matrix_reads(monkeypatch):
             return method(self, *args)
         return call
 
-    for name in ("__init__", "_tiled", "row_support"):
+    for name in ("__init__", "_tiled", "row_runs", "block_runs", "items"):
         monkeypatch.setattr(ExponentMatrix, name, recorded(name, getattr(ExponentMatrix, name)))
     return calls
 

@@ -19,7 +19,7 @@ from dts_ldpc.errors import IncompleteBlock, SetCountMismatch, ZeroElementInDTS
 from dts_ldpc.formats import from_alist, render_pretty, to_alist, to_json
 from dts_ldpc.gf import ZERO, GaloisField, _factor_prime_power
 
-from grids import submatrix
+from grids import Grid, submatrix
 
 # frozen golden base matrices, entries (row, col) -> exponent
 BASE_126_124 = {
@@ -36,17 +36,21 @@ BASE_126_235 = {
 
 def test_exponent_matrix_basics(gf32):
     m = ExponentMatrix(2, 3, {(1, 1): 5, (2, 3): 0}, gf32)
-    assert m.get(1, 1) == 5 and m.get(1, 2) is ZERO
     assert m.nonzero_count == 2
-    assert m.row_support(1) == (1,) and m.col_support(3) == (2,)
-    assert submatrix(m, [1, 2], [3]) == [[ZERO], [0]]
-    assert submatrix(m, [1, 2], [1, 2, 3]) == [[5, None, None], [None, None, 0]]
+    # row r of a run holds exponents[k] at column 3r + offsets[k], and column
+    # k + 1 of copy 0 holds e at row i for each (i, e) of columns[k]
+    assert list(m.row_runs()) == [(1, 1, [-2], [5]), (2, 2, [-3], [0])]
+    assert list(m.block_runs()) == [(0, 0, [[(1, 5)], [], [(2, 0)]])]
+    grid = Grid(m)
+    assert submatrix(grid, [1, 2], [3]) == [[ZERO], [0]]
+    assert submatrix(grid, [1, 2], [1, 2, 3]) == [[5, None, None], [None, None, 0]]
     assert list(m.items()) == [(1, 1, 5), (2, 3, 0)]
     # a huge shape costs nothing: items() walks only the rows with entries,
     # and the layout keeps only the nonempty columns
     huge = ExponentMatrix(10**12, 10**12, {(1, 1): 5, (10**12, 10**12): 0}, gf32)
     assert list(huge.items()) == [(1, 1, 5), (10**12, 10**12, 0)] and huge.nonzero_count == 2
-    assert huge.col_support(10**12) == (10**12,) and huge.row_support(10**12) == (10**12,)
+    assert list(huge.row_runs()) == [(1, 1, [1 - 10**12], [5]), (2, 10**12 - 1, [], []),
+                                     (10**12, 10**12, [10**12 - 10**24], [0])]
     with pytest.raises(ValueError):
         ExponentMatrix(2, 3, {(3, 1): 0}, gf32)
     with pytest.raises(ValueError):
@@ -60,15 +64,8 @@ def test_reading_a_matrix_changes_nothing(ref_spec_a):
     read_back = from_alist(to_alist(ref_spec_a.base))
     for matrix in (tiling, read_back):
         before = set(vars(matrix))
-        rows, cols = range(0, matrix.rows + 2), range(0, matrix.cols + 2)
-        for r in rows:
-            matrix.row_support(r)
-            for c in cols:
-                matrix.get(r, c)
-        for c in cols:
-            matrix.col_support(c)
-        submatrix(matrix, rows, cols)
         matrix.entries
+        matrix.nonzero_count
         list(matrix.items())
         list(matrix.row_runs())
         list(matrix.block_runs())
@@ -141,13 +138,13 @@ def test_sliding_matrix_block_structure(gf32):
         found = search_min_scope(2, rng.choice([2, 3]), "relaxed", 1)
         spec = CodeSpec(found.dts, gf32, 3)
         j = rng.randint(0, spec.mu + 2)
-        sl = spec.sliding_matrix(j)
+        sl, base = Grid(spec.sliding_matrix(j)), Grid(spec.base)
         assert sl.rows == j + 1 and sl.cols == 3 * (j + 1)
         for r in range(1, sl.rows + 1):
             for t in range(j + 1):
                 for c in range(1, 4):
-                    expected = spec.base.get(r - t, c) if r - t >= 1 else ZERO
-                    assert sl.get(r, t * 3 + c) == expected
+                    expected = base.at(r - t, c) if r - t >= 1 else ZERO
+                    assert sl.at(r, t * 3 + c) == expected
 
 
 def test_sliding_entry_origin_consistency(gf32, dts_126_235):
@@ -164,13 +161,13 @@ def test_column_entries_read_the_sliding_matrix(gf32, inline, n):
     spec = CodeSpec(DifferenceTriangleSet.from_inline(inline), gf32, n)
     entries = [spec.column_entries(c, range(1, spec.mu + 2)) for c in range(1, n * spec.scope + 1)]
     assert "base" not in vars(spec)
-    sl = spec.sliding_matrix(spec.mu)
-    assert entries == [[sl.get(r, c) for r in range(1, sl.rows + 1)] for c in range(1, sl.cols + 1)]
+    sl = Grid(spec.sliding_matrix(spec.mu))
+    assert entries == [[sl.at(r, c) for r in range(1, sl.rows + 1)] for c in range(1, sl.cols + 1)]
     # column_at inverts column_origin, and row_columns reads the same supports
     for c in range(1, sl.cols + 1):
         assert spec.column_at(*spec.column_origin(c)) == c
     for r in range(1, sl.rows + 1):
-        assert sorted(spec.row_columns(r)) == sorted(sl.row_support(r))
+        assert sorted(spec.row_columns(r)) == list(sl.row(r))
     # the witnesses are the differences, with marks in place of positions
     sets = spec.dts.sets
     assert spec.witnesses == {
@@ -205,14 +202,36 @@ def oracle_stack(spec, num_blocks, rows):
     return entries
 
 
+def assert_runs_cover(matrix, entries):
+    """The row runs and the copy ranges, written out, give every row and
+    column of ``entries``, and no two neighbouring runs could merge."""
+    by_row, by_col = {}, {}
+    runs = list(matrix.row_runs())
+    for first, last, offsets, exponents in runs:
+        assert first <= last
+        for r in range(first, last + 1):
+            by_row[r] = [(r * matrix.width + o, e) for o, e in zip(offsets, exponents)]
+    for (_, last, *run_a), (first, _, *run_b) in zip(runs, runs[1:]):
+        assert last + 1 == first and run_a != run_b
+    assert sorted(by_row) == list(range(1, matrix.rows + 1))
+    copies = list(matrix.block_runs())
+    for first, last, columns in copies:
+        assert first <= last and len(columns) == matrix.width
+        for t in range(first, last + 1):
+            for k, col in enumerate(columns):
+                by_col[t * matrix.width + k + 1] = [(i + t, e) for i, e in col]
+    for (_, last, cols_a), (first, _, cols_b) in zip(copies, copies[1:]):
+        assert last + 1 == first and cols_a != cols_b
+    assert sorted(by_col) == list(range(1, matrix.cols + 1))
+    assert by_row == {r: sorted((c, e) for (i, c), e in entries.items() if i == r)
+                      for r in range(1, matrix.rows + 1)}
+    assert by_col == {c: sorted((r, e) for (r, j), e in entries.items() if j == c)
+                      for c in range(1, matrix.cols + 1)}
+
+
 def assert_matches_stack(matrix, entries):
     """Every reader of ``matrix`` against the written-out entry dict."""
-    for r in range(matrix.rows + 2):
-        assert [matrix.get(r, c) for c in range(matrix.cols + 2)] == \
-            [entries.get((r, c)) for c in range(matrix.cols + 2)]
-        assert matrix.row_support(r) == tuple(sorted(c for (i, c) in entries if i == r))
-    for c in range(matrix.cols + 2):
-        assert matrix.col_support(c) == tuple(sorted(r for (r, j) in entries if j == c))
+    assert_runs_cover(matrix, entries)
     assert list(matrix.items()) == sorted((r, c, e) for (r, c), e in entries.items())
     assert matrix.nonzero_count == len(entries)
     assert matrix.entries == entries
@@ -267,16 +286,27 @@ def test_sliding_view_matches_written_out_stack():
 
 
 def test_sliding_view_costs_the_base_at_any_horizon(ref_spec_a):
+    scope = ref_spec_a.scope
     tracemalloc.start()
     try:
         full = ref_spec_a.full_sliding_matrix(10**9)
         view = ref_spec_a.sliding_matrix(10**9 - 1)  # 10**9 rows and blocks
         assert view.nonzero_count == 7 * 10**9 - 10
-        assert view.row_support(10**9) == tuple(
-            3 * (10**9 - i) + c for i, c in ((6, 1), (4, 2), (2, 1), (2, 2), (1, 1), (1, 2), (1, 3)))
-        assert view.col_support(3 * 10**9 - 2) == (10**9,)
-        assert full.col_support(3 * 10**9 - 2) == (10**9, 10**9 + 1, 10**9 + 5)
-        assert view.get(10**9, 3 * 10**9) == 0 and view.get(10**9, 3 * 10**9 - 3) is ZERO
+        runs, copies = list(view.row_runs()), list(view.block_runs())
+        full_copies = list(full.block_runs())
+        assert len(runs) <= 2 * scope + 1 and len(list(full.row_runs())) <= 2 * scope + 1
+        assert len(copies) <= scope + 1 and len(full_copies) <= scope + 1
+        # row 10**9 holds every base entry (i, c) at column 3 * (10**9 - i) + c,
+        # in column order, and no other
+        cells = ((6, 1), (4, 2), (2, 1), (2, 2), (1, 1), (1, 2), (1, 3))
+        first, last, offsets, exponents = runs[-1]
+        assert first <= last == 10**9 and exponents == [BASE_126_124[cell] for cell in cells]
+        assert [3 * 10**9 + o for o in offsets] == [3 * (10**9 - i) + c for i, c in cells]
+        # column 3 * 10**9 - 2 is column 1 of copy 10**9 - 1: cut to its mark 1
+        # in the view, it keeps its marks 1, 2 and 6 in the full matrix
+        for (_, last, columns), rows in ((copies[-1], [10**9]),
+                                          (full_copies[-1], [10**9, 10**9 + 1, 10**9 + 5])):
+            assert last == 10**9 - 1 and [i + last for i, _ in columns[0]] == rows
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
