@@ -24,7 +24,8 @@ Three families of checks, all exact:
   closed-form over the columns that meet one row of an information
   column; when it holds the distance profile reads every column distance
   and the free distance off it.  The search and the check read columns,
-  rows and entries off the marks (``CodeSpec.marks``), with no matrix.
+  rows and entries through ``row_columns``, ``column_rows`` and
+  ``column_entries`` (``CodeSpec``), with no matrix.
 
 Failing witnesses are reported with 1-based row/column indices of the
 matrix they were found in.
@@ -64,6 +65,18 @@ def _reduce(field: GaloisField, vec: list[FieldElement],
 
 def _in_span(field: GaloisField, target: Sequence[FieldElement],
              vectors: Sequence[Sequence[FieldElement]]) -> bool:
+    """Whether ``target`` lies in the span of ``vectors``: the one span test.
+
+    One vector c against a target with no zero entry is decided from
+    exponents alone.  Then target = lambda * c needs lambda nonzero, so c
+    nonzero on every row (a zero c_b gives lambda * c_b = 0 != t_b), and
+    with lambda = alpha**l, t_b = alpha**T_b and c_b = alpha**C_b the rows
+    ask T_b = l + C_b mod (q - 1), as alpha has order q - 1: such an l
+    exists iff T_b - C_b mod (q - 1) is one value on every row.  Any other
+    test is reduced over the field."""
+    if len(vectors) == 1 and ZERO not in target:
+        column = vectors[0]
+        return ZERO not in column and len({(t - c) % (field.q - 1) for t, c in zip(target, column)}) <= 1
     pivots: list[tuple[int, list[FieldElement]]] = []
     for vec in vectors:
         v = _reduce(field, list(vec), pivots)
@@ -71,24 +84,6 @@ def _in_span(field: GaloisField, target: Sequence[FieldElement],
         if piv is not None:
             pivots.append((piv, v))
     return all(x is None for x in _reduce(field, list(target), pivots))
-
-
-def _in_column_span(field: GaloisField, target: Sequence[int],
-                    column: Sequence[FieldElement]) -> bool:
-    """``_in_span(field, target, [column])`` for a target nonzero on every
-    row, decided from exponents alone.
-
-    The target lies in span{column} iff target = lambda * column for some
-    lambda.  Each target entry is nonzero, so lambda is nonzero and the
-    column is nonzero on every row: a zero entry c_b gives lambda * c_b =
-    0 != t_b.  With lambda = alpha**l, t_b = alpha**T_b and c_b =
-    alpha**C_b, the rows ask T_b = l + C_b mod (q - 1), as alpha has order
-    q - 1.  Such an l exists iff T_b - C_b mod (q - 1) is one value on
-    every row, and then it is that value.
-    """
-    if ZERO in column:
-        return False
-    return len({(t - c) % (field.q - 1) for t, c in zip(target, column)}) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -161,8 +156,7 @@ def _near_shapes(spec: CodeSpec, four: tuple) -> set:
     column c, not c1 or c2, that meets r and a or b, a witness of |r - a|
     or |r - b|, in a block -u <= 0, moved down u rows."""
     n, ((a, b), (c1, c2), _), shapes = spec.n, four, set()
-    origins = [spec.column_origin(c) for c in (c1, c2)]
-    for r in {block + m for block, index in origins for m in spec.marks[index]} - {a, b}:
+    for r in {*spec.column_rows(c1), *spec.column_rows(c2)} - {a, b}:
         rows = (r, a, b) if r < a else (a, r, b) if r < b else (a, b, r)
         for x in a, b:
             low = min(r, x)
@@ -328,9 +322,9 @@ def check_minors(spec: CodeSpec, size: int, j: Optional[int] = None,
         count = _reach((a, b), j)
         factorable = (count * (p1 + 4) - p1 - upto(height - b + a) + upto(a - 1) + upto(b - 1)
                       - sum(_reach(rows, j) for rows, _ in near))
-        for c in c1, c2:  # the weights of its columns over the translates
-            t, k = spec.column_origin(c)
-            factorable -= sum(min(count, height + 1 - t - m) for m in spec.marks[k] if t + m <= height)
+        # less the weights of its columns over the translates
+        factorable -= sum(min(count, height + 1 - r) for c in (c1, c2)
+                          for r in spec.column_rows(c) if r <= height)
         total -= factorable
         if singular:
             meter.charge(factorable)
@@ -457,13 +451,12 @@ def _min_weight_first_block(spec: CodeSpec, rows: int, last: int, ub: int, meter
     t spans t.  The branches of a support depend on it alone, so each is
     visited once per size.  Only closed supports are tested, on the rows
     they touch, their entries read by ``CodeSpec.column_entries``.  A
-    column's rows and a row's columns (``CodeSpec.row_columns``) are read
-    off the marks when the search first reaches them.  One step is charged
-    per support visited.
+    column's rows (``CodeSpec.column_rows``) and a row's columns
+    (``CodeSpec.row_columns``) are read when the search first reaches
+    them.  One step is charged per support visited.
     """
     # column c + 1 meets row b + 1: bit b of masks[c] and bit c of row_cols[b]
-    masks = Memo(lambda c: sum(1 << (block + m - 1) for block, index in [spec.column_origin(c + 1)]
-                               for m in spec.marks[index] if block + m <= rows))
+    masks = Memo(lambda c: sum(1 << (r - 1) for r in spec.column_rows(c + 1) if r <= rows))
     row_cols = Memo(lambda b: sum(1 << (c - 1) for c in spec.row_columns(b + 1) if c <= last))
     level = {1 << t for t in range(spec.n)}
     for d in range(1, ub):
@@ -601,19 +594,18 @@ def check_distance_assumptions(spec: CodeSpec, budget: int | Meter = DEFAULT_BUD
     the rows outside R'.  Column j1 is nonzero on every row of R, so a
     row outside R' that P misses rules the span out: R' holds every row
     P misses, and an empty P never spans, as |R'| <= w-1 < |R|.  Hence
-    one span test decides each pair of ``_span_pairs``.  A test with one
-    multi-row column c (|P| = 1) needs no field arithmetic
-    (``_in_column_span``): j1 is nonzero on every kept row, so it lies in
-    span{c} iff c is nonzero on every kept row and E_j1,b - E_c,b mod
-    (q - 1) is one value on every kept row b; a larger P is reduced by
-    ``_in_span``.  Two single-row columns on one row are multiples of the
-    same e_r, so the minimal spanning sets hold one single-row column per
-    row of R' for a spanning pair (P, R') that holds no other spanning
-    pair, and each such set is minimal, as dropping a column shrinks its
-    pair.  A pair comes after the pairs it holds, so these are the
-    spanning pairs holding no earlier one; the witnesses are their column
-    sets, listed in order.  The single-row columns of each row are listed
-    only when some pair spans.
+    one span test, ``_in_span``, decides each pair of ``_span_pairs``.  j1
+    is nonzero on every kept row, so a test with one multi-row column c
+    (|P| = 1) needs no field arithmetic: j1 lies in span{c} iff c is
+    nonzero on every kept row and E_j1,b - E_c,b mod (q - 1) is one value
+    on every kept row b; a larger P is reduced.  Two single-row columns
+    on one row are multiples of the same e_r, so the minimal spanning
+    sets hold one single-row column per row of R' for a spanning pair
+    (P, R') that holds no other spanning pair, and each such set is
+    minimal, as dropping a column shrinks its pair.  A pair comes after
+    the pairs it holds, so these are the spanning pairs holding no earlier
+    one; the witnesses are their column sets, listed in order.  The
+    single-row columns of each row are listed only when some pair spans.
 
     A multi-row column (s, k) meets rows a < a' of R, so m = a - s and
     m' = a' - s are in T_k and a' - a = m' - m is a difference of both
@@ -647,8 +639,7 @@ def check_distance_assumptions(spec: CodeSpec, budget: int | Meter = DEFAULT_BUD
             kept = [b for b in range(w) if b not in deleted]
             vecs = [[entries[c][b] for b in kept] for c in sorted(part)]
             kept_target = [entries[j1][b] for b in kept]
-            if (_in_column_span(spec.field, kept_target, vecs[0]) if len(vecs) == 1
-                    else _in_span(spec.field, kept_target, vecs)):
+            if _in_span(spec.field, kept_target, vecs):
                 spanning.append((part, deleted))
         if spanning:  # position -> its single-row columns, its parity column included
             single = [sorted(c for c in met if met[c] == [b]) for b in range(w)]

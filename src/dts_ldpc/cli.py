@@ -391,18 +391,17 @@ _DIRECT = {
 
 
 @functools.cache
-def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The command-line parser and its subcommand parsers by name, built
-    from ``_COMMANDS`` on first use and kept for the process."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built from ``_COMMANDS`` on first use and
+    kept for the process."""
     parser = argparse.ArgumentParser(
         prog="dts-ldpc",
         description="Construct and verify convolutional parity checks "
                     "built from difference triangle sets.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-    commands = {}
     for name, (func, text, options) in _COMMANDS.items():
-        sub = commands[name] = subs.add_parser(name, help=text)
+        sub = subs.add_parser(name, help=text)
         sub.set_defaults(func=func)
         group = None
         for opt in options:
@@ -414,7 +413,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
             else:
                 target.add_argument(opt.flag, dest=opt.dest, type=opt.convert, choices=opt.choices,
                                     default=opt.default, required=opt.required, help=opt.help)
-    return parser, commands
+    return parser
 
 
 def _parse_direct(argv: list[str]) -> Optional[argparse.Namespace]:
@@ -464,25 +463,9 @@ def _parse_direct(argv: list[str]) -> Optional[argparse.Namespace]:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """The namespace ``parser.parse_args(argv)`` gives, parsed once.
-
-    Well-formed argv is read off ``_COMMANDS`` with no argparse.  For any
-    other, a known command's tokens go straight to its own parser, which
-    is what the top-level parse hands them to; tokens it leaves are
-    refused as the top-level parse refuses them.  No command, an unknown
-    one or a top-level option such as ``-h`` takes the top-level parse.
-    """
-    args = _parse_direct(argv)
-    if args is not None:
-        return args
-    parser, commands = _build_parser()
-    sub = commands.get(argv[0]) if argv else None
-    if sub is None:
-        return parser.parse_args(argv)
-    args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    return args
+    """The namespace ``parser.parse_args(argv)`` gives: well-formed argv
+    is read off ``_COMMANDS`` with no argparse, any other is argparse's."""
+    return _parse_direct(argv) or _build_parser().parse_args(argv)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -14,8 +14,9 @@ keeps every row its block columns touch.  Either is a tiling of the base
 matrix by ``ExponentMatrix``, the one matrix class, made in constant time
 and memory at any horizon; only the exports read it.  The rule i*k is
 written once, in ``CodeSpec.marks``, and every entry, the encoder and the
-syndrome read it there.  The last code symbol of each block is the
-parity, and the encoder is systematic.
+syndrome read it through one column reader, ``CodeSpec.column_rows``.
+The last code symbol of each block is the parity, and the encoder is
+systematic.
 
 Indexing note: matrix rows and columns are 1-based everywhere, matching
 the reports.  Entry exponents depend on the 1-based row index, so this is
@@ -27,11 +28,14 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-from typing import Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .dts import DifferenceTriangleSet, validate
 from .errors import IncompleteBlock, SetCountMismatch, ZeroElementInDTS
 from .gf import ZERO, FieldElement, GaloisField, _is_prime
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class ExponentMatrix:
@@ -276,10 +280,10 @@ class CodeSpec:
 
     @functools.cached_property
     def base(self) -> ExponentMatrix:
-        """Transposed base matrix: alpha**e at row i of column
-        ``column_at(0, index)`` for each mark i -> exponent e of marks[index]."""
-        entries = {(i, self.column_at(0, k)): self.field.alpha_pow(e)
-                   for k, table in enumerate(self.marks) for i, e in table.items()}
+        """Transposed base matrix: the first block's columns, alpha**e at
+        each row -> exponent e of ``column_rows``."""
+        entries = {(r, c): self.field.alpha_pow(e)
+                   for c in range(1, self.n + 1) for r, e in self.column_rows(c).items()}
         return ExponentMatrix(self.scope, self.n, entries, self.field)
 
     def sliding_matrix(self, j: int) -> ExponentMatrix:
@@ -390,11 +394,18 @@ class CodeSpec:
         + 1, the columns of ``sliding_matrix(j).items()`` on ``row``, unordered."""
         return [row * self.n + c for m, c in self._mark_columns if m <= row]
 
-    def column_entries(self, col: int, rows: Sequence[int]) -> list[FieldElement]:
-        """Entries of column ``col`` on ``rows``, read off the marks (``column_origin``)."""
+    def column_rows(self, col: int) -> dict[int, int]:
+        """The rows column ``col`` meets, each mapped to the exponent of its
+        entry: block + m -> e for each mark m -> e of marks[index], (block,
+        index) its ``column_origin``.  The one column reader, the
+        counterpart of ``row_columns``."""
         block, index = self.column_origin(col)
-        table = self.marks[index]
-        return [self.field.alpha_pow(table[r - block]) if r - block in table else ZERO for r in rows]
+        return {block + m: e for m, e in self.marks[index].items()}
+
+    def column_entries(self, col: int, rows: Sequence[int]) -> list[FieldElement]:
+        """Entries of column ``col`` on ``rows``, read off ``column_rows``."""
+        table = self.column_rows(col)
+        return [self.field.alpha_pow(table[r]) if r in table else ZERO for r in rows]
 
     def encode(self, message: Sequence[Sequence[FieldElement]]) -> list[tuple[FieldElement, ...]]:
         """Systematic encoding: each output block is (u_t, p_t).
@@ -415,17 +426,15 @@ class CodeSpec:
 
     def syndrome(self, word: Sequence[Sequence[FieldElement]]) -> list[FieldElement]:
         """The word times the untruncated sliding matrix, one entry per row,
-        read off the marks; all-zero exactly when the word is a codeword."""
+        read off ``column_rows``; all-zero exactly when the word is a codeword."""
         word = [tuple(b) for b in word]
         for b in word:
             if len(b) != self.n:
                 raise ValueError(f"code blocks have {self.n} symbols, got {len(b)}")
         f, out = self.field, [ZERO] * (len(word) + self.mu)
-        for t, block in enumerate(word):
-            for k, table in enumerate(self.marks):
-                x = block[self.column_at(0, k) - 1]
-                for m, e in table.items():
-                    out[t + m - 1] = f.add(out[t + m - 1], f.mul(f.alpha_pow(e), x))
+        for c, x in enumerate(itertools.chain.from_iterable(word), start=1):
+            for r, e in self.column_rows(c).items():
+                out[r - 1] = f.add(out[r - 1], f.mul(f.alpha_pow(e), x))
         return out
 
     def __repr__(self) -> str:

@@ -20,8 +20,8 @@ A field is built only as far as it is read, in three tiers.  The
 constructor refuses an order past the cap or a non-prime p and keeps p,
 N, q, the shift ``s`` with ``alpha**s == -1`` and an empty Zech memo:
 products, inverses, negation and powers of alpha are exponent
-arithmetic, and the two-term minor and cycle tests and the one-column
-span tests of ``analysis`` read only q and s.  The modulus is searched on its first read
+arithmetic, and the two-term minor and cycle tests and the one-vector
+case of ``_in_span`` in ``analysis`` read only q and s.  The modulus is searched on its first read
 (``descriptor``, ``from_descriptor``).  The first ``element_poly``,
 logarithm or Zech lookup searches the modulus if it is not yet known,
 sets up the packing, finds alpha and builds the tables below: that first

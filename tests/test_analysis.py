@@ -372,32 +372,21 @@ def test_check_reads_the_marks_as_the_sliding_matrix_does(ref_spec_a, ref_spec_b
     assert failing
 
 
-@pytest.mark.parametrize("p,n", [(2, 2), (5, 1), (2, 3), (3, 2), (2, 5)])
-def test_one_column_span_rule_matches_reduction(p, n):
-    """The exponent rule of the assumption check's one-column span tests
-    against ``_in_span``, for every column vector of length 1..3, zero
-    entries included, and every nonzero target whose first exponent is 0.
-    That loses no case: scaling a target by a nonzero lambda keeps it in
-    or out of span{c}.  Over GF(32) at length 3 the target is all ones
-    (exponent 0): scaling row b of both vectors by alpha**-T_b keeps the
-    span relation, so every target reduces to that one."""
+@pytest.mark.parametrize("p,n,longest", [(2, 2, 3), (5, 1, 3), (2, 3, 2), (3, 2, 2)])
+def test_one_vector_span_test_matches_brute_force(p, n, longest):
+    """``_in_span`` against one vector: the target is in its span iff it is
+    lambda times it for some lambda in GF(q), zero included, for every
+    target and vector of length 1..longest, zero entries in either."""
     field = make_field(p, n)
     elements = list(field.elements())
-    spanned = targets_tried = 0
-    for length in (1, 2, 3):
-        if field.q == 32 and length == 3:
-            targets = [(0, 0, 0)]
-        else:
-            targets = [(0, *rest) for rest in itertools.product(range(field.q - 1),
-                                                                  repeat=length - 1)]
-        targets_tried += len(targets)
-        for target in targets:
-            for column in itertools.product(elements, repeat=length):
-                expected = an._in_span(field, target, [column])
-                assert an._in_column_span(field, target, column) == expected, (target, column)
-                spanned += expected
-    # each target is spanned by its q - 1 nonzero multiples and no other column
-    assert spanned == targets_tried * (field.q - 1)
+    for length in range(1, longest + 1):
+        vectors = list(itertools.product(elements, repeat=length))
+        multiples = {column: {tuple(field.mul(lam, x) for x in column) for lam in elements}
+                     for column in vectors}
+        for target in vectors:
+            for column in vectors:
+                assert an._in_span(field, target, [column]) == (target in multiples[column]), (
+                    target, column)
 
 
 def test_closed_support_that_does_not_span_is_grown(monkeypatch):
@@ -1343,24 +1332,20 @@ def test_failing_check_at_the_frontier(sets, p, deg, witnesses, used, monkeypatc
 
 
 def test_strict_profile_runs_no_span_test_in_the_check_and_no_search_at_mu(monkeypatch):
-    # a strict-valid DTS has no multi-row column: its check tests no span,
-    # one-column (_in_column_span) or larger (_in_span), and the profile
-    # searches no distance at any horizon
+    # a strict-valid DTS has no multi-row column: its check runs no span
+    # test (_in_span), and the profile searches no distance at any horizon
     spans, searched = [], []
-    search = an._min_weight_first_block
+    search, in_span = an._min_weight_first_block, an._in_span
 
-    def counted(span_test):
-        def counted_span_test(*args):
-            spans.append(args)
-            return span_test(*args)
-        return counted_span_test
+    def counted_span_test(*args):
+        spans.append(args)
+        return in_span(*args)
 
     def recorded_search(spec, rows, *args):
         searched.append(rows)
         return search(spec, rows, *args)
 
-    monkeypatch.setattr(an, "_in_span", counted(an._in_span))
-    monkeypatch.setattr(an, "_in_column_span", counted(an._in_column_span))
+    monkeypatch.setattr(an, "_in_span", counted_span_test)
     monkeypatch.setattr(an, "_min_weight_first_block", recorded_search)
     fields = [make_field(p, e) for p, e in ((2, 3), (3, 2), (2, 5), (7, 1))]
     rng = random.Random(19)

@@ -772,7 +772,7 @@ VALID_ARGV = [
 EDGE_ARGV = [
     (), ("nonsense",), ("nonsense", "--json"), ("-h",), ("--help",), ("--he",), ("--json",),
     ("--", "verify", *SPEC_A),
-    *((command, "-h") for command in cli._build_parser()[1]),
+    *((command, "-h") for command in cli._COMMANDS),
     ("verify", *SPEC_A, "--help"),
     ("verify", *SPEC_A, "--bogus"),
     ("verify", *SPEC_A, "--bogus=3", "stray"),
@@ -811,7 +811,7 @@ def _run_main(capsys, monkeypatch, parse, argv):
 def test_cli_dispatch_matches_the_two_level_parse(capsys, monkeypatch, argv):
     # the top-level parser hands a command's tokens to its subparser and
     # copies the namespace back; the dispatch must not be told apart from it
-    parser, dispatch = cli._build_parser()[0], cli._parse
+    parser, dispatch = cli._build_parser(), cli._parse
     oracle = _run_main(capsys, monkeypatch, parser.parse_args, argv)
     assert _run_main(capsys, monkeypatch, dispatch, argv) == oracle
 

@@ -175,6 +175,22 @@ def test_column_entries_read_the_sliding_matrix(gf32, inline, n):
         for d, found in differences(spec.dts).items()}
 
 
+def test_column_rows_read_the_untruncated_sliding_matrix(ref_spec_a, ref_spec_b):
+    # every column of 6 complete blocks, parity columns included: its rows
+    # and their exponents, taken mod q - 1, are the matrix's column
+    fields = [GaloisField(p, e) for p, e in ((2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 5))]
+    rng = random.Random(4301)
+    specs = [ref_spec_a, ref_spec_b]
+    for trial in range(40):
+        n, w = rng.randint(2, 4), rng.randint(1, 4)
+        specs.append(CodeSpec(_seeded_family(rng, n, w, "relaxed"), fields[trial % len(fields)], n))
+    for spec in specs:
+        full, order = Grid(spec.full_sliding_matrix(6)), spec.field.q - 1
+        for c in range(1, full.cols + 1):
+            rows = {r: e % order for r, e in spec.column_rows(c).items()}
+            assert rows == {r: full.at(r, c) for r in full.col(c)}, (spec, c)
+
+
 def test_full_sliding_matrix_shape(gf32, dts_126_124):
     spec = CodeSpec(dts_126_124, gf32, 3)
     full = spec.full_sliding_matrix(6)

@@ -223,5 +223,5 @@ def _parsed(parse, argv):
 def test_cli_parse_is_argparse(argv):
     # the direct parse takes only what argparse would parse the same way;
     # help, refusals and odd spellings are argparse's, byte for byte
-    parser = cli._build_parser()[0]
+    parser = cli._build_parser()
     assert _parsed(cli._parse, list(argv)) == _parsed(parser.parse_args, list(argv))

@@ -1,6 +1,6 @@
 """Result records: immutable NamedTuples with keyword construction and a
-``Name(field=value, ...)`` repr, and a CLI start-up that loads neither
-``dataclasses`` nor ``fractions``."""
+``Name(field=value, ...)`` repr, a CLI start-up that loads neither
+``dataclasses`` nor ``fractions``, and type hints that resolve."""
 
 import os
 import pathlib
@@ -90,3 +90,47 @@ def test_cli_import_loads_no_dataclasses_or_fractions():
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
     assert type(density(3, 3, 5, 18)) is Fraction
+
+
+# every function, method, property and class of the package, by name, with the
+# names of its type hints that do not resolve
+HINTS_PROBE = """
+import functools, importlib, inspect, pkgutil, typing
+typing.TYPE_CHECKING = True  # as a type checker reads the package
+import dts_ldpc
+failed = []
+def check(name, obj):
+    try:
+        typing.get_type_hints(obj)
+    except Exception as exc:
+        failed.append((name, repr(exc)))
+for info in pkgutil.iter_modules(dts_ldpc.__path__):
+    if info.name == "__main__":  # running it parses the command line
+        continue
+    module = importlib.import_module("dts_ldpc." + info.name)
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            check(name, obj)
+        elif inspect.isclass(obj):
+            check(name, obj)
+            for attr, member in vars(obj).items():
+                member = getattr(member, "__func__", member)  # classmethod, staticmethod
+                member = getattr(member, "fget", None) or getattr(member, "func", member)  # properties
+                if inspect.isfunction(member) and member.__module__ == module.__name__:
+                    check(name + "." + attr, member)
+print(failed)
+"""
+
+
+def test_every_type_hint_resolves():
+    # a fresh interpreter, so the package is imported with TYPE_CHECKING set
+    # and names imported only for the type checker (code.density's Fraction) count
+    root = pathlib.Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", HINTS_PROBE],
+        cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
