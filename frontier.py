@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout:
 
-    python3 frontier.py BENCH_frontier_<name>.json
+    python3 frontier.py BENCH_frontier_<name>.json [--against BENCH_frontier_<prev>.json]
 
 Each row calls the library in-process on a fresh ``Meter`` with its own
 budget and records the call, its wall time (the median of 3 runs when the
@@ -12,9 +12,10 @@ of ROADMAP.md: large-scope and wide `distance` profiles, `verify` and the
 cycle reports at long horizons, the singular 3x3 minors of ``1,7;1,7``,
 the longest rulers searched, the argument parsing of a benchmark batch,
 the reports of the n = 3, scope-5 `verify` commands of one and the
-Tanner-cycle class table of the w = 8 ruler taken twice.  Nothing
-is gated; the whole run takes about a minute, and the row at j = 10**6
-holds about 0.5 GB at its peak.  Stdlib only.
+Tanner-cycle class table of the w = 8 ruler taken twice.  With
+``--against``, the record is then compared with an earlier one row by
+row (``compare``).  Nothing is gated; the whole run takes about a minute,
+and the row at j = 10**6 holds about 0.5 GB at its peak.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from dts_ldpc.gf import make_field  # noqa: E402
 CODE_A = "1,2,6;1,2,4"
 RULERS = {6: "1,2,5,11,13,18", 7: "1,2,5,11,19,24,26", 8: "1,2,5,10,16,23,33,35"}
 REPEATS_UNDER_S = 2.0
+COMPARED = ("call", "used", "result", "refusal")  # what a row must keep to do the same work
 
 
 def _spec(inline: str, n: int, p: int, degree: int) -> CodeSpec:
@@ -187,9 +189,30 @@ def measure(budget: int, run) -> dict:
     return {"wall_s": statistics.median(times), "runs": len(times), **record}
 
 
+def compare(new: dict, old: dict) -> list[str]:
+    """One line per row, matched by name.  A row of both records gets the
+    new/old ratio of its wall times and, if any key of ``COMPARED``
+    changed, ``differs:`` and those keys.  A row of one record only is
+    marked ``new only`` or ``old only``; the old record's come last."""
+    earlier = {row["name"]: row for row in old["rows"]}
+    names = {row["name"] for row in new["rows"]}
+    lines = []
+    for row in new["rows"]:
+        before = earlier.get(row["name"])
+        if before is None:
+            lines.append(f"  new only  {row['name']}")
+            continue
+        differs = [key for key in COMPARED if row.get(key) != before.get(key)]
+        mark = f"  differs: {', '.join(differs)}" if differs else ""
+        lines.append(f"{row['wall_s'] / before['wall_s']:9.2f}x  {row['name']}{mark}")
+    lines += [f"  old only  {row['name']}" for row in old["rows"] if row["name"] not in names]
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("out", help="path of the JSON record to write")
+    parser.add_argument("--against", help="an earlier record to compare the new one with")
     args = parser.parse_args(argv)
     rows = []
     for name, budget, (call, run) in ROWS:
@@ -201,6 +224,9 @@ def main(argv: list[str] | None = None) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
         fh.write("\n")
+    if args.against:
+        with open(args.against, encoding="utf-8") as fh:
+            print("\n".join(compare(record, json.load(fh))))
     return 0
 
 

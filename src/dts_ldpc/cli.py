@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Optional
+from typing import Any, Optional
 
 from . import analysis
 from .code import CodeSpec, min_field_params
@@ -46,14 +46,7 @@ def _load_dts(args: argparse.Namespace) -> DifferenceTriangleSet:
             raise ValueError(f"cannot parse DTS file {args.dts_file!r}: {exc}") from None
 
 
-def _at_least(value: Optional[int], low: int, flag: str) -> None:
-    """Refuse an integer option below ``low``, naming its flag; ``None`` is unset."""
-    if value is not None and value < low:
-        raise ValueError(f"{flag} must be >= {low}, got {value}")
-
-
 def _build_spec(args: argparse.Namespace) -> CodeSpec:
-    _at_least(args.n, 2, "--n")
     return CodeSpec(_load_dts(args), _parse_field(args.field), args.n)
 
 
@@ -66,7 +59,7 @@ def _budget_value(text: str, name: str) -> int:
 
 
 def _integer(text: str) -> int:
-    """An integer option: ASCII digits, or ``-`` then digits for the command to refuse."""
+    """An integer option: ASCII digits, or ``-`` then digits for ``main`` to refuse."""
     try:
         return -parse_digits(text[1:]) if text.startswith("-") else parse_digits(text)
     except ValueError:  # in argparse's words for type=int
@@ -139,7 +132,6 @@ def _int_list(text: str, allowed: set[int], flag: str) -> list[int]:
 # ---------------------------------------------------------------------------
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    _at_least(args.j, 0, "--j")
     reason = _zero_refusal(args.zero) if args.out == "pretty" else None
     if reason:
         raise ValueError(f"--zero {reason}, got {args.zero!r}")
@@ -158,7 +150,6 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _at_least(args.j, 0, "--j")
     spec = _build_spec(args)
     meter = _meter(args.budget)
     j = spec.mu if args.j is None else args.j
@@ -197,7 +188,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_distance(args: argparse.Namespace) -> int:
-    _at_least(args.horizon, 0, "--horizon")
     spec = _build_spec(args)
     meter = _meter(args.budget)
     if args.horizon is not None and args.horizon < analysis.exact_horizon(spec):
@@ -226,9 +216,6 @@ def _cmd_distance(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    _at_least(args.sets, 1, "--sets")
-    _at_least(args.size, 1, "--size")
-    _at_least(args.budget, 0, "--budget")
     try:
         result = search_min_scope(args.sets, args.size, mode=args.mode,
                                   min_element=args.min_element,
@@ -250,9 +237,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 
 def _cmd_density(args: argparse.Namespace) -> int:
-    for value, low, flag in ((args.n, 2, "--n"), (args.w, 1, "--w"), (args.mu, 0, "--mu"),
-                             (args.len, 1, "--len")):
-        _at_least(value, low, flag)
     if args.w > args.mu + 1:
         raise ValueError(f"--w must be <= --mu + 1 = {args.mu + 1}, got {args.w}")
     value = block_density(args.n, args.w, args.mu, args.len)
@@ -265,8 +249,6 @@ def _cmd_density(args: argparse.Namespace) -> int:
 
 
 def _cmd_suggest_field(args: argparse.Namespace) -> int:
-    for value, low, flag in ((args.n, 2, "--n"), (args.scope, 1, "--scope"), (args.w, 1, "--w")):
-        _at_least(value, low, flag)
     if args.w > args.scope:
         raise ValueError(f"--w must be <= --scope = {args.scope}, got {args.w}")
     params = min_field_params(args.n, args.scope, args.w)
@@ -307,20 +289,21 @@ class _Option:
 
     ``_build_parser`` adds it to argparse and ``_parse_direct`` reads it,
     so the two cannot drift apart.  ``dest`` is the one argparse derives
-    from the flag, ``convert`` is argparse's ``type``, a ``store_true``
-    option takes no value, and the ``exclusive`` options of a command form
-    one required group, of which exactly one is given.  (A plain class:
-    a ``NamedTuple`` would add about 0.4 ms to every start-up.)
+    from the flag, an option with a ``low`` is an integer (``_integer``)
+    that ``main`` refuses below ``low``, a ``store_true`` option takes no
+    value, and the ``exclusive`` options of a command form one required
+    group, of which exactly one is given.  (A plain class: a
+    ``NamedTuple`` would add about 0.4 ms to every start-up.)
     """
-    __slots__ = ("flag", "dest", "convert", "choices", "default", "required", "store_true",
+    __slots__ = ("flag", "dest", "low", "choices", "default", "required", "store_true",
                  "exclusive", "help")
 
-    def __init__(self, flag: str, *, convert: Optional[Callable[[str], Any]] = None,
+    def __init__(self, flag: str, *, low: Optional[int] = None,
                  choices: Optional[tuple] = None, default: Any = None, required: bool = False,
                  store_true: bool = False, exclusive: bool = False,
                  help: Optional[str] = None) -> None:
         self.flag, self.dest = flag, flag[2:].replace("-", "_")
-        self.convert, self.choices, self.default = convert, choices, default
+        self.low, self.choices, self.default = low, choices, default
         self.required, self.store_true, self.exclusive = required, store_true, exclusive
         self.help = help
 
@@ -328,7 +311,7 @@ class _Option:
 _SPEC_OPTIONS = (
     _Option("--dts", exclusive=True, help="inline sets, e.g. '1,2,6;1,2,4'"),
     _Option("--dts-file", exclusive=True, help="JSON file with a 'sets' list"),
-    _Option("--n", convert=_integer, required=True, help="code block length n"),
+    _Option("--n", low=2, required=True, help="code block length n"),
     _Option("--field", required=True, help="field order as 'p^N' or a prime"),
 )
 _JSON = _Option("--json", default=False, store_true=True)
@@ -338,14 +321,14 @@ _BUDGET = _Option("--budget", help="work budget in steps")
 _COMMANDS = {
     "construct": (_cmd_construct, "emit the base or sliding matrix", (
         *_SPEC_OPTIONS,
-        _Option("--j", convert=_integer,
+        _Option("--j", low=0,
                 help="horizon for the sliding matrix; omit for the base matrix"),
         _Option("--out", choices=("pretty", "json", "alist"), default="pretty"),
         _Option("--zero", default="0", help="token for zero entries in pretty output"),
     )),
     "verify": (_cmd_verify, "check minors and cycle full-rank conditions", (
         *_SPEC_OPTIONS,
-        _Option("--j", convert=_integer, help="horizon (default: memory)"),
+        _Option("--j", low=0, help="horizon (default: memory)"),
         _Option("--minors", default="2,3", help="comma list from {2,3}"),
         _Option("--cycles", default="4,6", help="comma list from {4,6}"),
         _BUDGET,
@@ -353,29 +336,29 @@ _COMMANDS = {
     )),
     "distance": (_cmd_distance, "column and free distance profile", (
         *_SPEC_OPTIONS,
-        _Option("--horizon", convert=_integer, help="restrict the free-distance search horizon"),
+        _Option("--horizon", low=0, help="restrict the free-distance search horizon"),
         _BUDGET,
         _JSON,
     )),
     "search": (_cmd_search, "minimum-scope difference triangle set", (
-        _Option("--sets", convert=_integer, required=True),
-        _Option("--size", convert=_integer, required=True),
+        _Option("--sets", low=1, required=True),
+        _Option("--size", low=1, required=True),
         _Option("--mode", choices=("relaxed", "strict"), default="relaxed"),
-        _Option("--min-element", convert=_integer, choices=(0, 1), default=1),
-        _Option("--budget", convert=_integer, default=32, help="largest scope to try"),
+        _Option("--min-element", low=0, choices=(0, 1), default=1),
+        _Option("--budget", low=0, default=32, help="largest scope to try"),
         _JSON,
     )),
     "density": (_cmd_density, "sliding-matrix density as a fraction", (
-        _Option("--n", convert=_integer, required=True),
-        _Option("--w", convert=_integer, required=True),
-        _Option("--mu", convert=_integer, required=True),
-        _Option("--len", convert=_integer, required=True, help="message length in symbols"),
+        _Option("--n", low=2, required=True),
+        _Option("--w", low=1, required=True),
+        _Option("--mu", low=0, required=True),
+        _Option("--len", low=1, required=True, help="message length in symbols"),
         _JSON,
     )),
     "suggest-field": (_cmd_suggest_field, "field-size bounds for a DTS shape", (
-        _Option("--n", convert=_integer, required=True),
-        _Option("--scope", convert=_integer, required=True),
-        _Option("--w", convert=_integer, required=True),
+        _Option("--n", low=2, required=True),
+        _Option("--scope", low=1, required=True),
+        _Option("--w", low=1, required=True),
         _JSON,
     )),
 }
@@ -411,7 +394,8 @@ def _build_parser() -> argparse.ArgumentParser:
             if opt.store_true:
                 target.add_argument(opt.flag, dest=opt.dest, action="store_true", help=opt.help)
             else:
-                target.add_argument(opt.flag, dest=opt.dest, type=opt.convert, choices=opt.choices,
+                kind = None if opt.low is None else _integer
+                target.add_argument(opt.flag, dest=opt.dest, type=kind, choices=opt.choices,
                                     default=opt.default, required=opt.required, help=opt.help)
     return parser
 
@@ -422,7 +406,8 @@ def _parse_direct(argv: list[str]) -> Optional[argparse.Namespace]:
 
     It takes only a known command followed by exact flags of that
     command, each given once, each valued flag followed by a value that
-    does not start with ``-`` and that the converter and choices accept,
+    does not start with ``-`` and that ``_integer`` (for an option with
+    a ``low``) and the choices accept,
     with every required option and exactly one exclusive option given.
     Anything else (help, abbreviations, ``--flag=value``, repeats,
     ``--``, stray or missing values, no command) is argparse's to parse
@@ -445,10 +430,10 @@ def _parse_direct(argv: list[str]) -> Optional[argparse.Namespace]:
         if i + 1 == end or argv[i + 1][:1] == "-":
             return None
         value = argv[i + 1]
-        if opt.convert is not None:
+        if opt.low is not None:
             try:
-                value = opt.convert(value)
-            except (argparse.ArgumentTypeError, TypeError, ValueError):  # argparse words these
+                value = _integer(value)
+            except argparse.ArgumentTypeError:  # argparse words it
                 return None
         if opt.choices is not None and value not in opt.choices:
             return None
@@ -474,6 +459,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for opt in _COMMANDS[args.command][2]:  # each range before the command runs
+            value = getattr(args, opt.dest)
+            if opt.low is not None and value is not None and value < opt.low:
+                raise ValueError(f"{opt.flag} must be >= {opt.low}, got {value}")
         code = args.func(args)
         # flush here, so that a reader gone before the last chunk is
         # written is also caught below

@@ -243,7 +243,11 @@ def _ceil_root(x: int, e: int) -> int:
 
 
 def density(n: int, w: int, mu: int, message_length: int) -> Fraction:
-    """Fraction of nonzero entries in the untruncated parity-check matrix."""
+    """Fraction of nonzero entries in the untruncated parity-check matrix.
+
+    The ``Fraction`` hint resolves under ``typing.TYPE_CHECKING`` only, as
+    PEP 484 has it: a plain ``get_type_hints`` raises ``NameError``, since a
+    module-level import would load ``decimal`` at every start-up."""
     if n < 2 or w < 1 or mu < 0:
         raise ValueError("need n >= 2, w >= 1, mu >= 0")
     if w > mu + 1:  # the marks lie in 1..mu+1

@@ -583,6 +583,17 @@ def test_cycle_length_guard(ref_spec_a):
         an.enumerate_cycles(ref_spec_a, 4, -1)
 
 
+def test_column_distance_guard(ref_spec_a):
+    with pytest.raises(ValueError, match="^horizon j must be >= 0$"):
+        an.column_distance(ref_spec_a, -1)
+
+
+def test_cycle_report_ok_means_no_frc_failure(ref_spec_a):
+    # over GF(2^5) some 6-cycles of A fail the FRC condition and no 4-cycle does
+    assert an.enumerate_cycles(ref_spec_a, 4).ok
+    assert not an.enumerate_cycles(ref_spec_a, 6).ok
+
+
 def test_cycle_report_json(ref_spec_b):
     d = an.enumerate_cycles(ref_spec_b, 6).to_json_dict()
     assert d["schema"] == "cycle-report/v1"

@@ -583,6 +583,61 @@ def test_cli_range_refusals_name_the_flag(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
 
 
+# a valid argv of each command, and the least value of each of its integer options
+RANGE_ARGV = {
+    "construct": ("--dts", "1,2,6;1,2,4", "--n", "3", "--field", "2^5"),
+    "verify": ("--dts", "1,2,6;1,2,4", "--n", "3", "--field", "2^5"),
+    "distance": ("--dts", "1,2,6;1,2,4", "--n", "3", "--field", "2^5"),
+    "search": ("--sets", "1", "--size", "3"),
+    "density": ("--n", "3", "--w", "3", "--mu", "5", "--len", "18"),
+    "suggest-field": ("--n", "3", "--scope", "6", "--w", "3"),
+}
+LEAST_VALUES = {
+    "construct": {"--n": 2, "--j": 0},
+    "verify": {"--n": 2, "--j": 0},
+    "distance": {"--n": 2, "--horizon": 0},
+    "search": {"--sets": 1, "--size": 1, "--min-element": 0, "--budget": 0},
+    "density": {"--n": 2, "--w": 1, "--mu": 0, "--len": 1},
+    "suggest-field": {"--n": 2, "--scope": 1, "--w": 1},
+}
+
+
+def test_every_integer_option_declares_its_least_value():
+    assert {name: {opt.flag: opt.low for opt in options if opt.low is not None}
+            for name, (_, _, options) in cli._COMMANDS.items()} == LEAST_VALUES
+    declared = {id(opt) for _, _, options in cli._COMMANDS.values()
+                for opt in options if opt.low is not None}
+    assert len(declared) == 15  # --n of the code options is shared by three commands
+    assert "convert" not in cli._Option.__slots__ and not hasattr(cli._Option("--x"), "convert")
+
+
+@pytest.mark.parametrize("command, flag", [
+    (name, opt.flag) for name, (_, _, options) in cli._COMMANDS.items()
+    for opt in options if opt.low is not None and opt.choices is None])
+def test_cli_refuses_each_option_one_below_its_least_value(capsys, command, flag):
+    low = next(opt.low for opt in cli._COMMANDS[command][2] if opt.flag == flag)
+    argv = list(RANGE_ARGV[command])
+    if flag in argv:
+        argv[argv.index(flag) + 1] = str(low - 1)
+    else:
+        argv += [flag, str(low - 1)]
+    assert run_cli(capsys, command, *argv) == (
+        2, "", f"error: {flag} must be >= {low}, got {low - 1}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "--dts", "1,2,6;1,2,4", "--n", "1", "--field", "2^5", "--j", "-1"),
+    ("verify", "--dts", "1,2,6;1,2,4", "--n", "1", "--field", "2^5", "--j", "-1"),
+    ("distance", "--dts", "1,2,6;1,2,4", "--n", "1", "--field", "2^5", "--horizon", "-1"),
+    ("construct", "--dts", "1,2,6;1,2,4", "--n", "1", "--field", "2^5", "--out", "pretty",
+     "--zero", ""),
+])
+def test_cli_refuses_the_first_option_out_of_range_in_table_order(capsys, argv):
+    # ranges are checked in the order of the command's table, before the
+    # command runs, so --n is named before --j, --horizon and --zero
+    assert run_cli(capsys, *argv) == (2, "", "error: --n must be >= 2, got 1\n")
+
+
 def test_cli_distance_charges_its_profile_before_building_it(capsys):
     # mu = 2999999: the profile reports 3000000 column distances, refused
     # before any is built

@@ -57,6 +57,12 @@ def test_exponent_matrix_basics(gf32):
         ExponentMatrix(2, 3, {(1, 1): 31}, gf32)
 
 
+def test_sliding_matrix_guard_and_base_repr(ref_spec_a):
+    with pytest.raises(ValueError, match="^horizon j must be >= 0$"):
+        ref_spec_a.sliding_matrix(-1)
+    assert repr(ref_spec_a.base) == "ExponentMatrix(6x3, 7 nonzero, GF(2^5))"
+
+
 def test_reading_a_matrix_changes_nothing(ref_spec_a):
     # a matrix is a value: every reader reads it off the shared pattern and
     # keeps nothing on it, for a tiling and for a matrix read back one copy

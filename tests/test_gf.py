@@ -429,7 +429,22 @@ def test_det_unsupported_size():
         det(f, [[ONE] * 4 for _ in range(4)])
 
 
+def test_det_of_side_1_and_of_a_grid_that_is_not_square():
+    f = GaloisField(2, 2)
+    assert det(f, [[2]]) == 2 and det(f, [[ZERO]]) is ZERO
+    with pytest.raises(ValueError, match="^grid is not square$"):
+        det(f, [[ONE, ONE], [ONE]])
+
+
+def test_element_poly_of_zero_is_the_zero_tuple():
+    assert GaloisField(2, 5).element_poly(ZERO) == (0, 0, 0, 0, 0)
+    assert GaloisField(7, 1).element_poly(ZERO) == (0,)
+
+
 def test_make_field_alias():
     assert make_field(2, 5) == GaloisField(2, 5)
     assert make_field(2, 5) is make_field(2, 5)
+    fresh = GaloisField(2, 5)  # equal to the shared field, so it hashes alike and finds its entry
+    assert fresh is not make_field(2, 5) and hash(fresh) == hash(make_field(2, 5))
+    assert {make_field(2, 5): "shared"}[fresh] == "shared"
     assert GaloisField.from_descriptor(make_field(3, 2).descriptor()) is make_field(3, 2)
